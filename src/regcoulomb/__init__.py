@@ -5,9 +5,10 @@ and bound property of the family.
 
 Quick start::
 
-    from regcoulomb import vq, mills, vq_envelope, run_suite, VerifyConfig
+    from regcoulomb import vq, vq_many, mills, vq_envelope, run_suite, VerifyConfig
 
     vq(0.5, 1.0).value          # V_q(x) with error estimate and route tag
+    vq_many(0.5, [0.5, 1, 2])   # V_q at many x at once, as an array
     mills(2.0)                  # Mills ratio of the standard normal
     vq_envelope(0, 1.0)         # closed-form envelopes around V_0(1)
     run_suite(VerifyConfig())   # verify every property on the default grid
@@ -45,6 +46,8 @@ from .potential import (
     vq_next,
     vq_prime,
     vq_quadrature,
+    vq_many,
+    vq_prime_many,
     vq_via_psi,
     vq_zero,
 )
@@ -86,8 +89,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # potential
-    "vq", "vq_quadrature", "vq_via_psi", "vq_zero", "vq_neg1", "vq_prime",
-    "vq_next", "mills", "Order", "EvalResult", "QuadratureSpec", "METHODS",
+    "vq", "vq_many", "vq_quadrature", "vq_via_psi", "vq_zero", "vq_neg1",
+    "vq_prime", "vq_prime_many", "vq_next", "mills", "Order", "EvalResult",
+    "QuadratureSpec", "METHODS",
     # special functions
     "ln_gamma", "erfc", "erfc_scaled", "kummer_phi", "tricomi_psi",
     "psi_eval", "kratzel_z", "PsiParams", "PsiEval", "KratzelParams",

@@ -19,7 +19,10 @@ standard normal distribution is m(x) = sqrt(pi/2) e^{x^2/2} erfc(x/sqrt 2)
 The main evaluator routes by argument size: a fused small-x expansion with
 O(1) intermediates, direct quadrature of the integral representation in the
 central range, and the Tricomi large-argument series beyond.  Every result
-carries its evaluation route and an error estimate.
+carries its evaluation route and an error estimate.  ``vq_many`` and
+``vq_prime_many`` evaluate one order at many arguments, routing each as the
+scalar call would and passing the quadrature points to the integral
+together; V_q and V_q' share that one integral, with exponent -1/2 or -3/2.
 """
 from __future__ import annotations
 
@@ -30,7 +33,13 @@ import numpy as np
 import scipy.special as sc
 
 from .errors import DivergenceError, DomainError, NumericalError
-from .quadrature import expsinh_escalating, laguerre_escalating
+from .quadrature import (
+    QuadOutcome,
+    expsinh_columns,
+    expsinh_escalating,
+    laguerre_columns,
+    laguerre_escalating,
+)
 from .special import PsiEval, psi_eval
 
 _EPS = float(np.finfo(float).eps)
@@ -188,6 +197,63 @@ def _vq_series(q: float, x: float) -> EvalResult:
     return EvalResult(value, est, "psi-series")
 
 
+def _laplace_integral(
+    qv: float, xs: np.ndarray | list[float], power: float, spec: QuadratureSpec
+) -> list[QuadOutcome]:
+    """int_0^inf e^-t t^q (x^2+t)^power dt / Gamma(q+1) at every x of ``xs``.
+
+    Gauss-Laguerre for x >= 1/2; below that, and wherever it fails, the
+    branch point at t = -x^2 sits too close to the axis for polynomial rules
+    and a double-exponential rule takes over.  Each x escalates node counts
+    until two levels agree to the requested relative tolerance.  An outcome
+    is accepted when it converged to a positive value (:func:`_accepted`).
+    A single x goes through the scalar engines, so that a scalar evaluation
+    stays one engine call with a scalar outcome.
+    """
+    xsq = np.array(xs, dtype=float)
+    xsq *= xsq
+    shift = -sc.gammaln(qv + 1.0)
+    outcomes: list[QuadOutcome | None] = [None] * len(xs)
+
+    def run(columns, scalar, log_fn, todo):
+        if len(todo) == 1:
+            got = [scalar(lambda *nodes: log_fn(*nodes, slice(None))[0], qv, *ladder)]
+        else:
+            got = columns(log_fn, qv, len(todo), *ladder)
+        for i, out in zip(todo, got):
+            outcomes[i] = out
+
+    ladder = (spec.node_counts, spec.rel_tol)
+    todo = [i for i, x in enumerate(xs) if x >= 0.5]
+    if todo:
+        gl_xsq = xsq[todo]
+        run(
+            laguerre_columns, laguerre_escalating,
+            lambda t, cols: power * np.log(gl_xsq[cols, None] + t) + shift,
+            todo,
+        )
+    todo = [i for i, out in enumerate(outcomes) if not _accepted(out)]
+    if todo:
+        de_xsq = xsq[todo]
+        run(
+            expsinh_columns, expsinh_escalating,
+            lambda t, log_t, cols: (
+                -t + qv * log_t + power * np.log(de_xsq[cols, None] + t) + shift
+            ),
+            todo,
+        )
+    return outcomes
+
+
+def _accepted(out: QuadOutcome | None) -> bool:
+    return out is not None and out.converged and out.value > 0.0
+
+
+def _values(outcomes: list[QuadOutcome]) -> np.ndarray:
+    """The values of accepted outcomes, NaN for the others."""
+    return np.array([out.value if _accepted(out) else np.nan for out in outcomes])
+
+
 def vq_quadrature(
     q: float | Order, x: float, quadrature: QuadratureSpec | None = None
 ) -> EvalResult:
@@ -201,26 +267,12 @@ def vq_quadrature(
     qv = _order_value(q)
     x = _check_x(x, positive=True)
     spec = quadrature if quadrature is not None else _DEFAULT_QUAD
-    shift = -sc.gammaln(qv + 1.0)
-    xsq = x * x
-
-    if x >= 0.5:
-        def log_g(t: np.ndarray) -> np.ndarray:
-            return -0.5 * np.log(xsq + t) + shift
-
-        outcome = laguerre_escalating(log_g, qv, spec.node_counts, spec.rel_tol)
-        if outcome.converged and outcome.value > 0.0:
-            return EvalResult(outcome.value, outcome.abs_err, "quadrature")
-
-    def log_f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-        return -t + qv * log_t - 0.5 * np.log(xsq + t) + shift
-
-    outcome = expsinh_escalating(log_f, qv, spec.node_counts, spec.rel_tol)
-    if outcome.converged and outcome.value > 0.0:
-        return EvalResult(outcome.value, outcome.abs_err, "quadrature")
+    (out,) = _laplace_integral(qv, [x], -0.5, spec)
+    if _accepted(out):
+        return EvalResult(out.value, out.abs_err, "quadrature")
     raise NumericalError(
         f"quadrature did not converge for q={qv}, x={x} "
-        f"(best estimate {outcome.value!r}, error {outcome.abs_err:.3e})"
+        f"(best estimate {out.value!r}, error {out.abs_err:.3e})"
     )
 
 
@@ -320,11 +372,47 @@ def vq(
 
     if qv == 0.0:
         return _vq_closed_q0(x)
-    if x <= _SERIES_X_MAX and not _near_half_integer(qv):
+    if _routes_to_quadrature(qv, x):
+        return vq_quadrature(qv, x, quadrature)
+    if x <= _SERIES_X_MAX:
         return _vq_series(qv, x)
-    if x >= _ASYMPTOTIC_X_MIN:
-        return _from_psi(psi_eval(0.5, 0.5 - qv, x * x))
-    return vq_quadrature(qv, x, quadrature)
+    return _from_psi(psi_eval(0.5, 0.5 - qv, x * x))
+
+
+def _routes_to_quadrature(qv: float, x: float) -> bool:
+    """Whether the "auto" route sends x > 0 at an order other than 0 and -1
+    to quadrature: the central band, and small x at half-integer orders."""
+    return x < _ASYMPTOTIC_X_MIN and (x > _SERIES_X_MAX or _near_half_integer(qv))
+
+
+def _abscissas(xs, *, positive: bool = False) -> np.ndarray:
+    return np.array([_check_x(x, positive=positive) for x in xs], dtype=float)
+
+
+def vq_many(q: float | Order, xs) -> np.ndarray:
+    """V_q at every x of ``xs``, as ``vq(q, x).value`` would give it.
+
+    Each x takes the route ``vq(q, x)`` takes.  The quadrature points are
+    evaluated together, up to ``COLUMN_CHUNK`` (64) per pass; the other routes
+    (closed form, series, asymptotic, sentinel and x = 0) go point by point.
+    A point whose evaluation fails numerically comes back NaN; a domain
+    error for any point raises, as ``vq`` does.
+    """
+    qv = _order_value(q, allow_sentinel=True)
+    xs = _abscissas(xs)
+    values = np.empty(xs.shape)
+    batch = []
+    for i, x in enumerate(xs):
+        if qv not in (-1.0, 0.0) and x > 0.0 and _routes_to_quadrature(qv, x):
+            batch.append(i)
+            continue
+        try:
+            values[i] = vq(qv, x).value
+        except NumericalError:
+            values[i] = np.nan
+    if batch:
+        values[batch] = _values(_laplace_integral(qv, xs[batch], -0.5, _DEFAULT_QUAD))
+    return values
 
 
 def vq_prime(q: float | Order, x: float, method: str = "integral") -> float:
@@ -344,23 +432,10 @@ def vq_prime(q: float | Order, x: float, method: str = "integral") -> float:
     x = _check_x(x, positive=True)
 
     if method == "integral":
-        spec = _DEFAULT_QUAD
-        shift = -sc.gammaln(qv + 1.0)
-        xsq = x * x
-        outcome = None
-        if x >= 0.5:
-            def log_g(t: np.ndarray) -> np.ndarray:
-                return -1.5 * np.log(xsq + t) + shift
-
-            outcome = laguerre_escalating(log_g, qv, spec.node_counts, spec.rel_tol)
-        if outcome is None or not outcome.converged:
-            def log_f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-                return -t + qv * log_t - 1.5 * np.log(xsq + t) + shift
-
-            outcome = expsinh_escalating(log_f, qv, spec.node_counts, spec.rel_tol)
-        if not outcome.converged:
+        (out,) = _laplace_integral(qv, [x], -1.5, _DEFAULT_QUAD)
+        if not _accepted(out):
             raise NumericalError(f"derivative quadrature did not converge for q={qv}, x={x}")
-        return -x * outcome.value
+        return -x * out.value
 
     if method == "differ":
         v_q = vq(qv, x).value
@@ -372,6 +447,15 @@ def vq_prime(q: float | Order, x: float, method: str = "integral") -> float:
     v_q = vq(qv, x).value
     v_prev = vq_neg1(x) if qv == 0.0 else vq(qv - 1.0, x).value
     return 2.0 * x * (v_q - v_prev)
+
+
+def vq_prime_many(q: float | Order, xs) -> np.ndarray:
+    """V_q' at every x > 0 of ``xs``, as ``vq_prime(q, x)`` ("integral")
+    would give it, evaluated together.  A point whose quadrature does not
+    converge comes back NaN; a domain error for any point raises."""
+    qv = _order_value(q)
+    xs = _abscissas(xs, positive=True)
+    return -xs * _values(_laplace_integral(qv, xs, -1.5, _DEFAULT_QUAD))
 
 
 def vq_next(q: float | Order, vq_value: float, vq_prev: float, x: float) -> float:

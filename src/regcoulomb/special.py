@@ -26,10 +26,10 @@ than silently losing accuracy near the hand-off boundaries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.special as sc
 
 from .errors import DivergenceError, DomainError, NumericalError
@@ -313,6 +313,25 @@ def kratzel_z(rho: float, nu: float, t: float) -> float:
                 f"Z_{rho}^{nu}(0) = Gamma(nu/rho)/rho overflows"
             )
         return value
+
+    if rho == 1.0:
+        # DLMF 10.32.10: Z_1^nu(t) = 2 t^{nu/2} K_nu(2 sqrt t), with the
+        # factor e^{-2 sqrt t} of the scaled Bessel function kve taken in
+        # log space together with t^{nu/2}; where that leaves the range of
+        # doubles, the quadrature below takes over
+        z = 2.0 * math.sqrt(t)
+        scaled_k = float(sc.kve(nu, z))
+        log_rest = 0.5 * nu * math.log(t) - z
+        if 0.0 < scaled_k < math.inf and abs(log_rest) < 700.0:
+            value = 2.0 * scaled_k * math.exp(log_rest)
+            if sys.float_info.min <= value < math.inf:
+                return value
+    return _kratzel_quadrature(rho, nu, t)
+
+
+def _kratzel_quadrature(rho: float, nu: float, t: float) -> float:
+    """Z_rho^nu(t) for t > 0 by adaptive quadrature."""
+    import scipy.integrate  # deferred: only the general-rho route needs it
 
     # normalize by the integrand's peak so the adaptive rule works on O(1)
     # values; otherwise its absolute-error floor swamps tiny integrals

@@ -30,6 +30,15 @@ iff ``lhs < rhs - max(1e-12, rel_tol * |rhs|)`` with ``rel_tol`` defaulting
 to 1e-9, so floating-point ties can never be mistaken for confirmation.
 Reports are deterministic: records are sorted canonically by
 (suite, q, x, y) regardless of evaluation order.
+
+Values come from one memo per run.  Before its checks, each suite
+prefetches every (q, x) point it will ask for -- grid abscissas, convexity
+midpoints, log-convexity midpoint orders, and the neighbouring orders q-1,
+q+1 and q+2 -- one order at a time through :func:`vq_many` and
+:func:`vq_prime_many`, so that an order's quadrature points are evaluated
+in one batched pass.  The checks then read the memo.  A point the batch
+could not evaluate is left out of the memo; the check's scalar call raises
+and the suite records that error, exactly as without the prefetch.
 """
 from __future__ import annotations
 
@@ -48,7 +57,7 @@ from .bounds import (
     vq_upper_agm,
 )
 from .errors import DomainError, NumericalError, UsageError
-from .potential import mills, vq, vq_neg1, vq_prime
+from .potential import mills, vq, vq_many, vq_neg1, vq_prime, vq_prime_many
 
 #: canonical suite ordering
 SUITES = ("monotonicity", "convexity", "turan", "logconvexity", "simon", "bounds")
@@ -427,11 +436,18 @@ class _Collector:
 
 
 class _Evaluator:
-    """Memoizing front-end for V_q, V_q', and the Mills ratio."""
+    """Memoizing front-end for V_q and V_q', filled in batches by
+    :meth:`prefetch` and :meth:`prefetch_prime` (see the module docstring)."""
 
     def __init__(self) -> None:
         self._v: dict[tuple[float, float], float] = {}
         self._vp: dict[tuple[float, float], float] = {}
+
+    def prefetch(self, q: float, xs: Iterable[float]) -> None:
+        _fill(self._v, vq_many, q, xs)
+
+    def prefetch_prime(self, q: float, xs: Iterable[float]) -> None:
+        _fill(self._vp, vq_prime_many, q, xs)
 
     def v(self, q: float, x: float) -> float:
         key = (q, x)
@@ -446,12 +462,28 @@ class _Evaluator:
         return self._vp[key]
 
 
+def _fill(memo: dict, many, q: float, xs: Iterable[float]) -> None:
+    todo = [x for x in dict.fromkeys(xs) if (q, x) not in memo]
+    if not todo:
+        return
+    try:
+        values = many(q, todo)
+    except DomainError:
+        return  # the scalar lookups raise and record it point by point
+    for x, value in zip(todo, values.tolist()):
+        if not math.isnan(value):
+            memo[(q, x)] = value
+
+
 # ---------------------------------------------------------------------------
 # suite implementations
 
 
 def _monotonicity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     for q in grid.q_values:
+        ev.prefetch(q, grid.x_values)
+        ev.prefetch_prime(q, grid.x_values)
+        ev.prefetch(q + 1.0, grid.x_values)
         rows = []
         for x in grid.x_values:
             try:
@@ -506,12 +538,22 @@ def _convexity_impl(
     a, b = spec.a, spec.b
     tag = f"a={a:g},b={b:g}"
     monitor_label = f"convexity:monitor[{tag},{spec.direction}]"
+    if not any(spec.admits(q) for q in grid.q_values):
+        return
     alphas = tuple(sorted({spec.alpha, 0.3}))
     pair_x = grid.pair_x_values()
+    midpoints = [
+        (x1, x2, alpha, _power_mean(a, x1, x2, alpha))
+        for i, x1 in enumerate(pair_x)
+        for x2 in pair_x[i + 1:]
+        for alpha in alphas
+    ]
 
     for q in grid.q_values:
         if not spec.admits(q):
             continue
+        ev.prefetch_prime(q, grid.x_values)
+        ev.prefetch(q, grid.x_values + tuple(t for *_, t in midpoints))
         # (i) monitor route: M(x) = x^{1-a} V'(x) V(x)^{b-1}, increasing
         # exactly when V_q is (a, b)-convex
         monitor = []
@@ -530,21 +572,18 @@ def _convexity_impl(
 
         # (ii) midpoint route: compare V at the argument mean with the
         # value mean, strictly, for distinct pair members
-        for i, x1 in enumerate(pair_x):
-            for x2 in pair_x[i + 1:]:
-                for alpha in alphas:
-                    label = f"convexity:midpoint[{tag},{spec.direction},alpha={alpha:g}]"
-                    try:
-                        t = _power_mean(a, x1, x2, alpha)
-                        v_at_mean = ev.v(q, t)
-                        mean_of_v = _power_mean(b, ev.v(q, x1), ev.v(q, x2), alpha)
-                    except (DomainError, NumericalError) as exc:
-                        col.record_error(label, exc, q, x1)
-                        continue
-                    if spec.direction == "convex":
-                        col.assert_less(label, v_at_mean, mean_of_v, q=q, x=x1, y=x2)
-                    else:
-                        col.assert_less(label, mean_of_v, v_at_mean, q=q, x=x1, y=x2)
+        for x1, x2, alpha, t in midpoints:
+            label = f"convexity:midpoint[{tag},{spec.direction},alpha={alpha:g}]"
+            try:
+                v_at_mean = ev.v(q, t)
+                mean_of_v = _power_mean(b, ev.v(q, x1), ev.v(q, x2), alpha)
+            except (DomainError, NumericalError) as exc:
+                col.record_error(label, exc, q, x1)
+                continue
+            if spec.direction == "convex":
+                col.assert_less(label, v_at_mean, mean_of_v, q=q, x=x1, y=x2)
+            else:
+                col.assert_less(label, mean_of_v, v_at_mean, q=q, x=x1, y=x2)
 
 
 def check_power_mean(
@@ -562,6 +601,8 @@ def _turan_constant(q: float) -> float:
 
 def _turan_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     for q in grid.q_values:
+        for order in (q, q + 1.0, q + 2.0):
+            ev.prefetch(order, grid.x_values)
         for x in grid.x_values:
             try:
                 v0, v1, v2 = ev.v(q, x), ev.v(q + 1.0, x), ev.v(q + 2.0, x)
@@ -589,6 +630,8 @@ def _turan_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     # sharpness of the lower constant as x -> 0, at fixed representative
     # orders: the ratio approaches the constant like x^{min(2q+1, 2)}
     for q in SHARPNESS_Q:
+        for order in (q, q + 1.0, q + 2.0):
+            ev.prefetch(order, (SHARPNESS_X,))
         try:
             v0 = ev.v(q, SHARPNESS_X)
             v1 = ev.v(q + 1.0, SHARPNESS_X)
@@ -614,22 +657,24 @@ def check_turan(grid: Grid, rel_tol: float = DEFAULT_REL_TOL) -> VerificationRep
 
 
 def _logconvexity_impl(
-    x: float, q_grid: Sequence[float], col: _Collector, ev: _Evaluator
+    xs: Sequence[float], q_grid: Sequence[float], col: _Collector, ev: _Evaluator
 ) -> None:
     qs = [float(q) for q in q_grid]
     if any(not math.isfinite(q) or q <= -1.0 for q in qs):
         raise DomainError("log-convexity orders must satisfy q > -1")
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise DomainError("log-convexity orders must be strictly increasing")
+    pairs = [(q1, q2, 0.5 * (q1 + q2)) for i, q1 in enumerate(qs) for q2 in qs[i + 1:]]
+    for q in dict.fromkeys(qs + [mid for *_, mid in pairs]):
+        ev.prefetch(q, xs)
 
-    def weighted(q: float) -> float:
-        return math.exp(sc.gammaln(q + 1.0)) * ev.v(q, x)
+    for x in xs:
+        def weighted(q: float) -> float:
+            return math.exp(sc.gammaln(q + 1.0)) * ev.v(q, x)
 
-    open_total = 0
-    open_held = 0
-    for i, q1 in enumerate(qs):
-        for q2 in qs[i + 1:]:
-            mid = 0.5 * (q1 + q2)
+        open_total = 0
+        open_held = 0
+        for q1, q2, mid in pairs:
             try:
                 f1, f2, fm = weighted(q1), weighted(q2), weighted(mid)
                 g1, g2 = ev.v(q1, x), ev.v(q2, x)
@@ -647,11 +692,11 @@ def _logconvexity_impl(
                 gm * gm, g1 * g2, q=q1, x=x, y=q2,
             ):
                 open_held += 1
-    col.note(
-        "logconvexity:unweighted-midpoint[open-problem]",
-        f"open problem, never asserted: strict midpoint log-convexity of "
-        f"q -> V_q held at {open_held} of {open_total} pairs at x={x:g}",
-    )
+        col.note(
+            "logconvexity:unweighted-midpoint[open-problem]",
+            f"open problem, never asserted: strict midpoint log-convexity of "
+            f"q -> V_q held at {open_held} of {open_total} pairs at x={x:g}",
+        )
 
 
 def check_logconvexity_in_q(
@@ -663,7 +708,7 @@ def check_logconvexity_in_q(
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log-convexity check requires x > 0, got {x}")
     col = _Collector(rel_tol)
-    _logconvexity_impl(x, q_grid, col, _Evaluator())
+    _logconvexity_impl((x,), q_grid, col, _Evaluator())
     qs = tuple(float(q) for q in q_grid)
     return col.report("logconvexity", Grid(qs, (x,)))
 
@@ -672,6 +717,8 @@ def _simon_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     printed_total = printed_failed = 0
     rederived_total = rederived_failed = 0
     for q in grid.q_values:
+        for order in (q, q + 1.0, q + 2.0):
+            ev.prefetch(order, grid.x_values)
         for x in grid.x_values:
             try:
                 v0, v1, v2 = ev.v(q, x), ev.v(q + 1.0, x), ev.v(q + 2.0, x)
@@ -755,6 +802,9 @@ def _bounds_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
 
     # order-indexed bounds and envelopes
     for q in grid.q_values:
+        ev.prefetch(q, grid.x_values)
+        if q >= 0.0:
+            ev.prefetch(q - 1.0, grid.x_values)
         values = []
         for x in grid.x_values:
             try:
@@ -862,8 +912,7 @@ def run_suite(config: VerifyConfig) -> VerificationReport:
         elif suite == "turan":
             _turan_impl(grid, col, ev)
         elif suite == "logconvexity":
-            for x in grid.pair_x_values():
-                _logconvexity_impl(x, grid.q_values, col, ev)
+            _logconvexity_impl(grid.pair_x_values(), grid.q_values, col, ev)
         elif suite == "simon":
             _simon_impl(grid, col, ev)
         elif suite == "bounds":
