@@ -72,12 +72,6 @@ from .verify import (
     VerificationReport,
     VerifyConfig,
     ViolationRecord,
-    check_bounds_suite,
-    check_logconvexity_in_q,
-    check_monotonicity_suite,
-    check_power_mean,
-    check_simon,
-    check_turan,
     default_convexity_specs,
     default_grid,
     run_suite,
@@ -103,10 +97,7 @@ __all__ = [
     # verifier
     "Grid", "ConvexitySpec", "ViolationRecord", "ObservationRecord",
     "VerificationReport", "VerifyConfig", "SUITES", "DEFAULT_REL_TOL",
-    "default_grid", "default_convexity_specs", "strictly_less",
-    "check_monotonicity_suite", "check_power_mean", "check_turan",
-    "check_logconvexity_in_q", "check_simon", "check_bounds_suite",
-    "run_suite",
+    "default_grid", "default_convexity_specs", "strictly_less", "run_suite",
     # errors
     "DomainError", "DivergenceError", "NumericalError", "UsageError",
 ]

@@ -19,13 +19,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import astuple
 from typing import Callable, Optional
 
 import click
 import numpy as np
 
 from . import __version__
-from .bounds import MillsBoundRow, VqEnvelope, mills_bounds, vq_envelope
+from .bounds import mills_bounds, vq_envelope
 from .errors import DomainError, NumericalError, UsageError
 from .potential import vq
 from .verify import (
@@ -45,6 +46,8 @@ REL_TOL_ENV = "REGCOULOMB_REL_TOL"
 _REL_TOL_MIN = 1e-13
 _REL_TOL_MAX = 1e-6
 
+#: table headers, one name per row field in field order; they are also the
+#: JSON keys of each row
 _FIGURE_HEADER = "x,f1,f2,f3,f4,f5,m"
 _ENVELOPE_HEADER = "x,lower_exp,lower_kratzel,vq,upper_agm"
 
@@ -59,6 +62,16 @@ def _jnum(value: Optional[float], precision: int) -> Optional[float]:
     if value is None:
         return None
     return float(_fmt(value, precision))
+
+
+def _csv_cells(row, precision: int, columns: Optional[int] = None) -> list[str]:
+    """A table row's first ``columns`` fields as CSV cells; None is empty."""
+    return ["" if v is None else _fmt(v, precision) for v in astuple(row)[:columns]]
+
+
+def _json_row(row, header: str, precision: int) -> dict:
+    """A table row as a JSON object keyed by the CSV header's names."""
+    return {key: _jnum(v, precision) for key, v in zip(header.split(","), astuple(row))}
 
 
 def _mapped(fn: Callable) -> Callable:
@@ -152,36 +165,12 @@ def cmd_figure(x_min: float, x_max: float, steps: int, fmt: str,
     _check_positive_range(x_min, x_max, steps)
     rows = [mills_bounds(float(v)) for v in np.linspace(x_min, x_max, steps)]
     if fmt == "json":
-        click.echo(json.dumps([_figure_json_row(r, precision) for r in rows],
-                              indent=2))
+        click.echo(json.dumps([_json_row(r, _FIGURE_HEADER, precision)
+                               for r in rows], indent=2))
     else:
         click.echo(_FIGURE_HEADER)
         for r in rows:
-            click.echo(",".join(_figure_csv_cells(r, precision)))
-
-
-def _figure_csv_cells(row: MillsBoundRow, precision: int) -> list[str]:
-    return [
-        _fmt(row.x, precision),
-        _fmt(row.f1, precision),
-        _fmt(row.f2, precision),
-        "" if row.f3 is None else _fmt(row.f3, precision),
-        _fmt(row.f4, precision),
-        _fmt(row.f5, precision),
-        _fmt(row.m, precision),
-    ]
-
-
-def _figure_json_row(row: MillsBoundRow, precision: int) -> dict:
-    return {
-        "x": _jnum(row.x, precision),
-        "f1": _jnum(row.f1, precision),
-        "f2": _jnum(row.f2, precision),
-        "f3": _jnum(row.f3, precision),
-        "f4": _jnum(row.f4, precision),
-        "f5": _jnum(row.f5, precision),
-        "m": _jnum(row.m, precision),
-    }
+            click.echo(",".join(_csv_cells(r, precision)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,37 +319,13 @@ def cmd_envelope(q: float, x_min: float, x_max: float, steps: int, fmt: str,
         click.echo(json.dumps({
             "q": q,
             "notice": notice,
-            "rows": [_envelope_json_row(r, precision) for r in rows],
+            "rows": [_json_row(r, _ENVELOPE_HEADER, precision) for r in rows],
         }, indent=2))
     else:
-        header = _ENVELOPE_HEADER if has_upper else \
-            _ENVELOPE_HEADER.rsplit(",", 1)[0]
-        click.echo(header)
+        columns = None if has_upper else -1   # drop upper_agm, the last
+        click.echo(",".join(_ENVELOPE_HEADER.split(",")[:columns]))
         for r in rows:
-            click.echo(",".join(_envelope_csv_cells(r, precision, has_upper)))
-
-
-def _envelope_csv_cells(row: VqEnvelope, precision: int,
-                        has_upper: bool) -> list[str]:
-    cells = [
-        _fmt(row.x, precision),
-        _fmt(row.lower_exp, precision),
-        _fmt(row.lower_kratzel, precision),
-        _fmt(row.value, precision),
-    ]
-    if has_upper:
-        cells.append(_fmt(row.upper_agm, precision))
-    return cells
-
-
-def _envelope_json_row(row: VqEnvelope, precision: int) -> dict:
-    return {
-        "x": _jnum(row.x, precision),
-        "lower_exp": _jnum(row.lower_exp, precision),
-        "lower_kratzel": _jnum(row.lower_kratzel, precision),
-        "vq": _jnum(row.value, precision),
-        "upper_agm": _jnum(row.upper_agm, precision),
-    }
+            click.echo(",".join(_csv_cells(r, precision, columns)))
 
 
 if __name__ == "__main__":

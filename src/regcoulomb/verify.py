@@ -1,7 +1,11 @@
 """Grid verification of every monotonicity, convexity, Turan-type, and
 bound property of V_q and the Mills ratio.
 
-Six suites are provided, each producing a :class:`VerificationReport`:
+The suites live in one registry that maps each name in :data:`SUITES` to
+its implementation; :func:`run_suite` is the one entry point and merges the
+selected suites into a single :class:`VerificationReport`.  One suite runs
+alone as ``run_suite(VerifyConfig(suites=(name,), grid=...))``.  The
+suites, in canonical order:
 
 * ``monotonicity`` -- six monotone families in x, checked on consecutive
   grid points: x V'/V and x^2 V' decreasing (q > -1); V'/x and V'/(xV)
@@ -43,24 +47,15 @@ and the suite records that error, exactly as without the prefetch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.special as sc
 
-from .bounds import (
-    MILLS_F3_THRESHOLD,
-    mills_bounds,
-    vq_lower_exp,
-    vq_lower_kratzel,
-    vq_upper_agm,
-)
+from .bounds import mills_bounds, vq_lower_exp, vq_lower_kratzel, vq_upper_agm
 from .errors import DomainError, NumericalError, UsageError
 from .potential import mills, vq, vq_many, vq_neg1, vq_prime, vq_prime_many
-
-#: canonical suite ordering
-SUITES = ("monotonicity", "convexity", "turan", "logconvexity", "simon", "bounds")
 
 DEFAULT_REL_TOL = 1e-9
 ABS_TOL_FLOOR = 1e-12
@@ -240,17 +235,6 @@ class ViolationRecord:
     rhs: float
     margin: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "q": self.q,
-            "x": self.x,
-            "y": self.y,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-        }
-
 
 @dataclass(frozen=True)
 class ObservationRecord:
@@ -264,17 +248,6 @@ class ObservationRecord:
     lhs: Optional[float]
     rhs: Optional[float]
     note: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "q": self.q,
-            "x": self.x,
-            "y": self.y,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "note": self.note,
-        }
 
 
 def _record_key(rec) -> tuple:
@@ -319,9 +292,9 @@ class VerificationReport:
                 "errors": len(self.errors),
             },
             "extremal_margins": {"min": self.min_margin, "max": self.max_margin},
-            "violations": [v.to_json_dict() for v in self.violations],
-            "observations": [o.to_json_dict() for o in self.observations],
-            "errors": [e.to_json_dict() for e in self.errors],
+            "violations": [asdict(v) for v in self.violations],
+            "observations": [asdict(o) for o in self.observations],
+            "errors": [asdict(e) for e in self.errors],
         }
 
 
@@ -338,9 +311,29 @@ class _Collector:
         self.min_margin = math.inf
         self.max_margin = -math.inf
 
-    def _track(self, margin: float) -> None:
+    def _record(
+        self,
+        label: str,
+        lhs: float,
+        rhs: float,
+        margin: float,
+        ok: bool,
+        q: Optional[float],
+        x: Optional[float],
+        y: Optional[float],
+    ) -> None:
+        """Count one asserted check, track its margin, and keep its records."""
+        self.n_checks += 1
         self.min_margin = min(self.min_margin, margin)
         self.max_margin = max(self.max_margin, margin)
+        if not ok:
+            self.violations.append(ViolationRecord(label, q, x, y, lhs, rhs, margin))
+        if self.emit_checks:
+            self.observations.append(
+                ObservationRecord(
+                    label, q, x, y, lhs, rhs, "pass" if ok else "VIOLATION"
+                )
+            )
 
     def assert_less(
         self,
@@ -352,18 +345,8 @@ class _Collector:
         y: Optional[float] = None,
     ) -> None:
         """Assert the strict inequality lhs < rhs under the tolerance policy."""
-        self.n_checks += 1
-        margin = rhs - lhs
-        self._track(margin)
         ok = strictly_less(lhs, rhs, self.rel_tol)
-        if not ok:
-            self.violations.append(ViolationRecord(label, q, x, y, lhs, rhs, margin))
-        if self.emit_checks:
-            self.observations.append(
-                ObservationRecord(
-                    label, q, x, y, lhs, rhs, "pass" if ok else "VIOLATION"
-                )
-            )
+        self._record(label, lhs, rhs, rhs - lhs, ok, q, x, y)
 
     def assert_residual(
         self,
@@ -374,20 +357,8 @@ class _Collector:
         x: Optional[float] = None,
     ) -> None:
         """Assert the non-strict residual bound |residual| <= cap."""
-        self.n_checks += 1
-        margin = cap - abs(residual)
-        self._track(margin)
-        ok = abs(residual) <= cap
-        if not ok:
-            self.violations.append(
-                ViolationRecord(label, q, x, None, abs(residual), cap, margin)
-            )
-        if self.emit_checks:
-            self.observations.append(
-                ObservationRecord(
-                    label, q, x, None, abs(residual), cap, "pass" if ok else "VIOLATION"
-                )
-            )
+        size = abs(residual)
+        self._record(label, size, cap, cap - size, size <= cap, q, x, None)
 
     def observe_less(
         self,
@@ -518,13 +489,6 @@ def _monotonicity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
             )
 
 
-def check_monotonicity_suite(grid: Grid, rel_tol: float = DEFAULT_REL_TOL) -> VerificationReport:
-    """Verify the six monotone-in-x families on consecutive grid points."""
-    col = _Collector(rel_tol)
-    _monotonicity_impl(grid, col, _Evaluator())
-    return col.report("monotonicity", grid)
-
-
 def _power_mean(order: float, u: float, v: float, alpha: float) -> float:
     """Weighted power mean H_order(u, v; alpha), geometric at order 0."""
     if order == 0.0:
@@ -532,67 +496,49 @@ def _power_mean(order: float, u: float, v: float, alpha: float) -> float:
     return (alpha * u ** order + (1.0 - alpha) * v ** order) ** (1.0 / order)
 
 
-def _convexity_impl(
-    spec: ConvexitySpec, grid: Grid, col: _Collector, ev: _Evaluator
-) -> None:
-    a, b = spec.a, spec.b
-    tag = f"a={a:g},b={b:g}"
-    monitor_label = f"convexity:monitor[{tag},{spec.direction}]"
-    if not any(spec.admits(q) for q in grid.q_values):
-        return
-    alphas = tuple(sorted({spec.alpha, 0.3}))
+def _convexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     pair_x = grid.pair_x_values()
-    midpoints = [
-        (x1, x2, alpha, _power_mean(a, x1, x2, alpha))
-        for i, x1 in enumerate(pair_x)
-        for x2 in pair_x[i + 1:]
-        for alpha in alphas
-    ]
-
-    for q in grid.q_values:
-        if not spec.admits(q):
-            continue
-        ev.prefetch_prime(q, grid.x_values)
-        ev.prefetch(q, grid.x_values + tuple(t for *_, t in midpoints))
-        # (i) monitor route: M(x) = x^{1-a} V'(x) V(x)^{b-1}, increasing
-        # exactly when V_q is (a, b)-convex
-        monitor = []
-        for x in grid.x_values:
-            try:
-                m = x ** (1.0 - a) * ev.vp(q, x) * ev.v(q, x) ** (b - 1.0)
-            except (DomainError, NumericalError) as exc:
-                col.record_error(monitor_label, exc, q, x)
+    for spec in default_convexity_specs():
+        a, b, convex = spec.a, spec.b, spec.direction == "convex"
+        tag = f"a={a:g},b={b:g},{spec.direction}"
+        monitor_label = f"convexity:monitor[{tag}]"
+        midpoints = [
+            (x1, x2, alpha, _power_mean(a, x1, x2, alpha),
+             f"convexity:midpoint[{tag},alpha={alpha:g}]")
+            for i, x1 in enumerate(pair_x)
+            for x2 in pair_x[i + 1:]
+            for alpha in sorted({spec.alpha, 0.3})
+        ]
+        for q in grid.q_values:
+            if not spec.admits(q):
                 continue
-            monitor.append((x, m))
-        for (x1, m1), (x2, m2) in zip(monitor, monitor[1:]):
-            if spec.direction == "convex":
-                col.assert_less(monitor_label, m1, m2, q=q, x=x1, y=x2)
-            else:
-                col.assert_less(monitor_label, m2, m1, q=q, x=x1, y=x2)
+            ev.prefetch_prime(q, grid.x_values)
+            ev.prefetch(q, grid.x_values + tuple(m[3] for m in midpoints))
+            # (i) monitor route: M(x) = x^{1-a} V'(x) V(x)^{b-1}, increasing
+            # exactly when V_q is (a, b)-convex
+            monitor = []
+            for x in grid.x_values:
+                try:
+                    m = x ** (1.0 - a) * ev.vp(q, x) * ev.v(q, x) ** (b - 1.0)
+                except (DomainError, NumericalError) as exc:
+                    col.record_error(monitor_label, exc, q, x)
+                    continue
+                monitor.append((x, m))
+            for (x1, m1), (x2, m2) in zip(monitor, monitor[1:]):
+                lhs, rhs = (m1, m2) if convex else (m2, m1)
+                col.assert_less(monitor_label, lhs, rhs, q=q, x=x1, y=x2)
 
-        # (ii) midpoint route: compare V at the argument mean with the
-        # value mean, strictly, for distinct pair members
-        for x1, x2, alpha, t in midpoints:
-            label = f"convexity:midpoint[{tag},{spec.direction},alpha={alpha:g}]"
-            try:
-                v_at_mean = ev.v(q, t)
-                mean_of_v = _power_mean(b, ev.v(q, x1), ev.v(q, x2), alpha)
-            except (DomainError, NumericalError) as exc:
-                col.record_error(label, exc, q, x1)
-                continue
-            if spec.direction == "convex":
-                col.assert_less(label, v_at_mean, mean_of_v, q=q, x=x1, y=x2)
-            else:
-                col.assert_less(label, mean_of_v, v_at_mean, q=q, x=x1, y=x2)
-
-
-def check_power_mean(
-    spec: ConvexitySpec, grid: Grid, rel_tol: float = DEFAULT_REL_TOL
-) -> VerificationReport:
-    """Verify one (a, b)-convexity claim by monitor and midpoint routes."""
-    col = _Collector(rel_tol)
-    _convexity_impl(spec, grid, col, _Evaluator())
-    return col.report("convexity", grid)
+            # (ii) midpoint route: compare V at the argument mean with the
+            # value mean, strictly, for distinct pair members
+            for x1, x2, alpha, t, label in midpoints:
+                try:
+                    v_at_mean = ev.v(q, t)
+                    mean_of_v = _power_mean(b, ev.v(q, x1), ev.v(q, x2), alpha)
+                except (DomainError, NumericalError) as exc:
+                    col.record_error(label, exc, q, x1)
+                    continue
+                lhs, rhs = (v_at_mean, mean_of_v) if convex else (mean_of_v, v_at_mean)
+                col.assert_less(label, lhs, rhs, q=q, x=x1, y=x2)
 
 
 def _turan_constant(q: float) -> float:
@@ -649,23 +595,10 @@ def _turan_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
         )
 
 
-def check_turan(grid: Grid, rel_tol: float = DEFAULT_REL_TOL) -> VerificationReport:
-    """Verify the Turan-type inequality family and its sharp constant."""
-    col = _Collector(rel_tol)
-    _turan_impl(grid, col, _Evaluator())
-    return col.report("turan", grid)
-
-
-def _logconvexity_impl(
-    xs: Sequence[float], q_grid: Sequence[float], col: _Collector, ev: _Evaluator
-) -> None:
-    qs = [float(q) for q in q_grid]
-    if any(not math.isfinite(q) or q <= -1.0 for q in qs):
-        raise DomainError("log-convexity orders must satisfy q > -1")
-    if any(b <= a for a, b in zip(qs, qs[1:])):
-        raise DomainError("log-convexity orders must be strictly increasing")
+def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
+    xs, qs = grid.pair_x_values(), grid.q_values
     pairs = [(q1, q2, 0.5 * (q1 + q2)) for i, q1 in enumerate(qs) for q2 in qs[i + 1:]]
-    for q in dict.fromkeys(qs + [mid for *_, mid in pairs]):
+    for q in dict.fromkeys(qs + tuple(mid for *_, mid in pairs)):
         ev.prefetch(q, xs)
 
     for x in xs:
@@ -697,20 +630,6 @@ def _logconvexity_impl(
             f"open problem, never asserted: strict midpoint log-convexity of "
             f"q -> V_q held at {open_held} of {open_total} pairs at x={x:g}",
         )
-
-
-def check_logconvexity_in_q(
-    x: float, q_grid: Sequence[float], rel_tol: float = DEFAULT_REL_TOL
-) -> VerificationReport:
-    """Verify strict midpoint log-convexity of q -> Gamma(q+1) V_q(x) at one
-    abscissa; observe (never assert) the same for q -> V_q(x)."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log-convexity check requires x > 0, got {x}")
-    col = _Collector(rel_tol)
-    _logconvexity_impl((x,), q_grid, col, _Evaluator())
-    qs = tuple(float(q) for q in q_grid)
-    return col.report("logconvexity", Grid(qs, (x,)))
 
 
 def _simon_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
@@ -760,14 +679,6 @@ def _simon_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
         f"not asserted: the x^(-2q-7) product-ratio form failed at "
         f"{rederived_failed} of {rederived_total} grid points (fails for large x)",
     )
-
-
-def check_simon(grid: Grid, rel_tol: float = DEFAULT_REL_TOL) -> VerificationReport:
-    """Verify the confirmed product-gap bounds; observe the product-ratio
-    exponent variants, which fail numerically at moderately large x."""
-    col = _Collector(rel_tol)
-    _simon_impl(grid, col, _Evaluator())
-    return col.report("simon", grid)
 
 
 def _bounds_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
@@ -845,12 +756,16 @@ def _bounds_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
             col.assert_less("bounds:x-vq-increasing", x1 * v1, x2 * v2, q=q, x=x1, y=x2)
 
 
-def check_bounds_suite(grid: Grid, rel_tol: float = DEFAULT_REL_TOL) -> VerificationReport:
-    """Verify the Mills bound family, the ODE residual, the order-ratio
-    bounds, x V_q monotonicity, and the V_q envelopes."""
-    col = _Collector(rel_tol)
-    _bounds_impl(grid, col, _Evaluator())
-    return col.report("bounds", grid)
+#: the suite registry: each suite's implementation, in canonical order
+_SUITE_IMPLS = {
+    "monotonicity": _monotonicity_impl,
+    "convexity": _convexity_impl,
+    "turan": _turan_impl,
+    "logconvexity": _logconvexity_impl,
+    "simon": _simon_impl,
+    "bounds": _bounds_impl,
+}
+SUITES = tuple(_SUITE_IMPLS)
 
 
 # ---------------------------------------------------------------------------
@@ -904,19 +819,7 @@ def run_suite(config: VerifyConfig) -> VerificationReport:
     ev = _Evaluator()
     col = _Collector(config.rel_tol, config.emit_checks)
     for suite in selected:
-        if suite == "monotonicity":
-            _monotonicity_impl(grid, col, ev)
-        elif suite == "convexity":
-            for spec in default_convexity_specs():
-                _convexity_impl(spec, grid, col, ev)
-        elif suite == "turan":
-            _turan_impl(grid, col, ev)
-        elif suite == "logconvexity":
-            _logconvexity_impl(grid.pair_x_values(), grid.q_values, col, ev)
-        elif suite == "simon":
-            _simon_impl(grid, col, ev)
-        elif suite == "bounds":
-            _bounds_impl(grid, col, ev)
+        _SUITE_IMPLS[suite](grid, col, ev)
 
     name = "all" if selected == SUITES else ",".join(selected)
     return col.report(name, grid)

@@ -272,6 +272,23 @@ class TestEnvelopeCommand:
         assert applicable["notice"] is None
         assert all(row["upper_agm"] > row["vq"] for row in applicable["rows"])
 
+    @pytest.mark.parametrize("q", ["1", "-0.8"])
+    def test_json_rows_match_csv_numbers(self, runner, q):
+        args = ["envelope", "--q", q, "--steps", "7"]
+        header, *csv_rows = invoke(runner, *args).stdout.splitlines()
+        header = header.split(",")
+        json_rows = json.loads(
+            invoke(runner, *args, "--format", "json").stdout)["rows"]
+        assert len(json_rows) == len(csv_rows) == 7
+        for cells, obj in zip((r.split(",") for r in csv_rows), json_rows):
+            keys = list(obj)
+            assert keys[:len(header)] == header
+            assert [float(c) for c in cells] == [obj[k] for k in header]
+            # a dropped column stays in JSON as null
+            assert keys == "x,lower_exp,lower_kratzel,vq,upper_agm".split(",")
+            assert all(obj[k] is None for k in keys[len(header):])
+        assert len(header) == (5 if q == "1" else 4)
+
     def test_domain_and_usage_errors_exit_2(self, runner):
         for args in (["envelope", "--q", "-1.2"],
                      ["envelope", "--q", "0", "--steps", "1"],

@@ -15,12 +15,6 @@ from regcoulomb.verify import (
     Grid,
     VerifyConfig,
     _check_inverted_fixture,
-    check_bounds_suite,
-    check_logconvexity_in_q,
-    check_monotonicity_suite,
-    check_power_mean,
-    check_simon,
-    check_turan,
     default_convexity_specs,
     default_grid,
     run_suite,
@@ -155,42 +149,47 @@ class TestConvexitySpec:
 SMALL_GRID = Grid((-0.45, 0.0, 1.0), (0.3, 1.0, 4.0))
 
 
+def run_one(suite, grid):
+    return run_suite(VerifyConfig(suites=(suite,), grid=grid))
+
+
 class TestSuiteFunctions:
     def test_monotonicity_passes(self):
-        report = check_monotonicity_suite(SMALL_GRID)
+        report = run_one("monotonicity", SMALL_GRID)
         assert report.passed and report.n_checks > 0
         assert report.suite == "monotonicity"
 
     def test_turan_passes(self):
-        report = check_turan(SMALL_GRID)
+        report = run_one("turan", SMALL_GRID)
         assert report.passed and report.n_checks > 0
 
     def test_bounds_passes(self):
-        report = check_bounds_suite(SMALL_GRID)
+        report = run_one("bounds", SMALL_GRID)
         assert report.passed and report.n_checks > 0
 
     def test_simon_passes_with_observations(self):
         grid = Grid((0.5, 2.0), (3.0, 5.0, 10.0))
-        report = check_simon(grid)
+        report = run_one("simon", grid)
         assert report.passed
         # the unconfirmed power-ratio variants fail at large x and must be
         # recorded as observations, never as violations
         notes = [o for o in report.observations if "product-ratio" in o.suite]
         assert notes
 
-    def test_power_mean_dual_route_check_counts(self):
+    def test_power_mean_dual_route_check_counts(self, monkeypatch):
         spec = ConvexitySpec(a=2.0, b=1.0, direction="convex")
+        monkeypatch.setattr(verify_mod, "default_convexity_specs", lambda: (spec,))
         grid = Grid((1.0,), (0.5, 1.0, 2.0))
-        report = check_power_mean(spec, grid)
+        report = run_one("convexity", grid)
         assert report.passed
         # 2 consecutive monitor comparisons + 3 pairs x 2 alphas midpoints
         assert report.n_checks == 8
 
     def test_logconvexity_weighted_form_passes(self):
-        report = check_logconvexity_in_q(1.0, (0.0, 0.5, 1.0, 2.0))
+        report = run_one("logconvexity", Grid((0.0, 0.5, 1.0, 2.0), (1.0,)))
         assert report.passed and report.n_checks > 0
         with pytest.raises(DomainError):
-            check_logconvexity_in_q(0.0, (0.0, 1.0))
+            run_one("logconvexity", Grid((0.0, 1.0), (0.0,)))
 
     def test_logconvexity_midpoint_numbers(self):
         # f(q) = Gamma(q+1) V_q(1): f(1)^2 < f(0) f(2) with the midpoint
@@ -208,7 +207,8 @@ class TestDualRouteCatchesFalseClaims:
         # constructed, then confirm monitor AND midpoint routes reject it
         monkeypatch.setattr(verify_mod, "_region_q_min", lambda a, b, d: -1.0)
         bogus = ConvexitySpec(a=0.0, b=0.0, direction="convex")
-        report = check_power_mean(bogus, Grid((0.5,), (0.5, 1.0, 2.0, 4.0)))
+        monkeypatch.setattr(verify_mod, "default_convexity_specs", lambda: (bogus,))
+        report = run_one("convexity", Grid((0.5,), (0.5, 1.0, 2.0, 4.0)))
         assert not report.passed
         labels = {v.suite for v in report.violations}
         assert any(label.startswith("convexity:monitor") for label in labels)
@@ -253,6 +253,13 @@ class TestRunSuite:
         with pytest.raises(UsageError):
             run_suite(VerifyConfig(suites=("nosuch",), grid=SMALL_GRID))
 
+    def test_unknown_suite_error_names_the_first_unknown(self):
+        with pytest.raises(UsageError) as info:
+            run_suite(VerifyConfig(suites=("turan", "nosuch", "zzz")))
+        assert str(info.value) == (
+            "unknown suite 'nosuch'; choose from monotonicity, convexity, "
+            "turan, logconvexity, simon, bounds, all")
+
     def test_empty_selections_rejected(self):
         with pytest.raises(UsageError):
             run_suite(VerifyConfig(suites=(), grid=SMALL_GRID))
@@ -287,6 +294,31 @@ class TestRunSuite:
                 "bounds:mills-ode-residual", "bounds:envelope-lower-exp",
                 "bounds:envelope-upper-agm",
                 "bounds:envelope-lower-kratzel"} <= labels
+
+
+class TestSuiteRegistry:
+    @staticmethod
+    def records(report):
+        return (report.violations, report.observations, report.errors)
+
+    def test_single_suites_partition_the_merged_report(self):
+        merged = run_suite(VerifyConfig(grid=SMALL_GRID))
+        singles = {name: run_one(name, SMALL_GRID) for name in SUITES}
+        for name, report in singles.items():
+            assert report.suite == name
+            prefixes = (name + ":", name + "[")
+            for own, all_records in zip(self.records(report), self.records(merged)):
+                assert own == tuple(r for r in all_records
+                                    if r.suite.startswith(prefixes))
+        assert sum(r.n_checks for r in singles.values()) == merged.n_checks
+        assert min(r.min_margin for r in singles.values()) == merged.min_margin
+        assert max(r.max_margin for r in singles.values()) == merged.max_margin
+
+    def test_cli_suite_choices_match_the_registry(self):
+        from regcoulomb import cli
+
+        (option,) = [p for p in cli.cmd_verify.params if p.name == "suites"]
+        assert tuple(option.type.choices) == SUITES + ("all",)
 
 
 class TestReportShape:
