@@ -6,7 +6,8 @@ Exit-code contract:
 * 0 — success (for ``verify``: every asserted check holds),
 * 1 — the verifier found a genuine violation,
 * 2 — malformed usage or a domain error (bad flags, q out of range, ...),
-* 3 — numerical failure (an evaluation did not converge to tolerance).
+* 3 — numerical failure (an evaluation did not converge to tolerance, or
+  a float overflowed).
 
 All numeric output is deterministic for fixed inputs; numbers are printed
 with ``%.{precision}g`` (shortest form at the configured significant
@@ -84,8 +85,9 @@ def _mapped(fn: Callable) -> Callable:
         except (UsageError, DomainError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except NumericalError as exc:
-            click.echo(f"error: {exc}", err=True)
+        except ArithmeticError as exc:  # NumericalError, or a float overflow
+            detail = exc if isinstance(exc, NumericalError) else f"{type(exc).__name__}: {exc}"
+            click.echo(f"error: {detail}", err=True)
             sys.exit(3)
 
     return wrapper

@@ -177,7 +177,10 @@ def _vq_series(q: float, x: float) -> EvalResult:
     from .special import _phi_series
 
     big_x = x * x
-    coef1 = sc.gamma(q + 0.5) * sc.rgamma(q + 1.0)
+    gamma_lead = sc.gamma(q + 0.5)
+    if math.isinf(gamma_lead):  # q > 171.1: coef1 would be inf * 0
+        raise NumericalError(f"small-x expansion failed for q={q}, x={x}")
+    coef1 = gamma_lead * sc.rgamma(q + 1.0)
     coef2 = sc.gamma(-q - 0.5) / SQRT_PI * math.exp((2.0 * q + 1.0) * math.log(x))
     v1, abs1, ok1 = _phi_series(0.5, 0.5 - q, big_x)
     v2, abs2, ok2 = _phi_series(q + 1.0, q + 1.5, big_x)
@@ -208,12 +211,16 @@ def _laplace_integral(
     until two levels agree to the requested relative tolerance.  An outcome
     is accepted when it converged to a positive value (:func:`_accepted`).
     A single x goes through the scalar engines, so that a scalar evaluation
-    stays one engine call with a scalar outcome.
+    stays one engine call with a scalar outcome.  An x whose square
+    overflows is not evaluated and fails with a zero estimate.
     """
-    xsq = np.array(xs, dtype=float)
-    xsq *= xsq
+    # squared as Python floats, which overflow to inf without a warning
+    xsq = np.array([x * x for x in map(float, xs)])
+    fits = np.isfinite(xsq).tolist()
     shift = -sc.gammaln(qv + 1.0)
-    outcomes: list[QuadOutcome | None] = [None] * len(xs)
+    outcomes: list[QuadOutcome | None] = [
+        None if ok else QuadOutcome(0.0, 0.0, 0, False) for ok in fits
+    ]
 
     def run(columns, scalar, log_fn, todo):
         if len(todo) == 1:
@@ -224,7 +231,7 @@ def _laplace_integral(
             outcomes[i] = out
 
     ladder = (spec.node_counts, spec.rel_tol)
-    todo = [i for i, x in enumerate(xs) if x >= 0.5]
+    todo = [i for i, x in enumerate(xs) if fits[i] and x >= 0.5]
     if todo:
         gl_xsq = xsq[todo]
         run(
@@ -232,7 +239,7 @@ def _laplace_integral(
             lambda t, cols: power * np.log(gl_xsq[cols, None] + t) + shift,
             todo,
         )
-    todo = [i for i, out in enumerate(outcomes) if not _accepted(out)]
+    todo = [i for i, out in enumerate(outcomes) if fits[i] and not _accepted(out)]
     if todo:
         de_xsq = xsq[todo]
         run(

@@ -35,14 +35,12 @@ to 1e-9, so floating-point ties can never be mistaken for confirmation.
 Reports are deterministic: records are sorted canonically by
 (suite, q, x, y) regardless of evaluation order.
 
-Values come from one memo per run.  Before its checks, each suite
-prefetches every (q, x) point it will ask for -- grid abscissas, convexity
-midpoints, log-convexity midpoint orders, and the neighbouring orders q-1,
-q+1 and q+2 -- one order at a time through :func:`vq_many` and
-:func:`vq_prime_many`, so that an order's quadrature points are evaluated
-in one batched pass.  The checks then read the memo.  A point the batch
-could not evaluate is left out of the memo; the check's scalar call raises
-and the suite records that error, exactly as without the prefetch.
+Values come from one memo per run, read an order at a time; the misses go
+to one :func:`vq_many` or :func:`vq_prime_many` call.  A point the batch
+could not evaluate is tried once by the scalar :func:`vq` or
+:func:`vq_prime`, and the error that raises is memoised in its place and
+recorded by each check that needs the point.  A float overflow in a
+check's own arithmetic ends that suite with one evaluation error.
 """
 from __future__ import annotations
 
@@ -55,7 +53,7 @@ import scipy.special as sc
 
 from .bounds import mills_bounds, vq_lower_exp, vq_lower_kratzel, vq_upper_agm
 from .errors import DomainError, NumericalError, UsageError
-from .potential import mills, vq, vq_many, vq_neg1, vq_prime, vq_prime_many
+from .potential import mills, vq, vq_many, vq_prime, vq_prime_many
 
 DEFAULT_REL_TOL = 1e-9
 ABS_TOL_FLOOR = 1e-12
@@ -407,43 +405,53 @@ class _Collector:
 
 
 class _Evaluator:
-    """Memoizing front-end for V_q and V_q', filled in batches by
-    :meth:`prefetch` and :meth:`prefetch_prime` (see the module docstring)."""
+    """One memo of V_q and V_q' values per run (see the module docstring)."""
 
     def __init__(self) -> None:
-        self._v: dict[tuple[float, float], float] = {}
-        self._vp: dict[tuple[float, float], float] = {}
+        # (prime, q, x) -> the value, or the error its scalar evaluation raised
+        self._memo: dict[tuple[bool, float, float], float | Exception] = {}
 
-    def prefetch(self, q: float, xs: Iterable[float]) -> None:
-        _fill(self._v, vq_many, q, xs)
+    def values(self, q: float, xs: Sequence[float], prime: bool = False) -> list:
+        """V_q (or V_q' if ``prime``) at every x of ``xs``: a float, or the
+        error the point's evaluation raised.  Misses are evaluated in one
+        batch; a point the batch could not evaluate is tried once by the
+        scalar call, and the error it raises is memoised in place of a value."""
+        memo = self._memo
+        todo = [x for x in dict.fromkeys(xs) if (prime, q, x) not in memo]
+        if todo:
+            try:
+                got = (vq_prime_many if prime else vq_many)(q, todo).tolist()
+            except DomainError:
+                got = [math.nan] * len(todo)
+            for x, value in zip(todo, got):
+                memo[(prime, q, x)] = _scalar(q, x, prime) if math.isnan(value) else value
+        return [memo[(prime, q, x)] for x in xs]
 
-    def prefetch_prime(self, q: float, xs: Iterable[float]) -> None:
-        _fill(self._vp, vq_prime_many, q, xs)
+    def rows(self, col: _Collector, label: str, q: float, xs: Sequence[float],
+             *columns: tuple[float, bool]) -> list[tuple]:
+        """``(x, value, ...)``, one value per ``(order, prime)`` column, for
+        each x of ``xs`` at which every column evaluated.  At the other x the
+        first failing column's error is recorded under ``label`` at (q, x)."""
+        cols = [self.values(order, xs, prime) for order, prime in columns]
+        rows = []
+        for row in zip(xs, *cols):
+            error = _first_error(row[1:])
+            if error is None:
+                rows.append(row)
+            else:
+                col.record_error(label, error, q, row[0])
+        return rows
 
-    def v(self, q: float, x: float) -> float:
-        key = (q, x)
-        if key not in self._v:
-            self._v[key] = vq_neg1(x) if q == -1.0 else vq(q, x).value
-        return self._v[key]
 
-    def vp(self, q: float, x: float) -> float:
-        key = (q, x)
-        if key not in self._vp:
-            self._vp[key] = vq_prime(q, x, "integral")
-        return self._vp[key]
-
-
-def _fill(memo: dict, many, q: float, xs: Iterable[float]) -> None:
-    todo = [x for x in dict.fromkeys(xs) if (q, x) not in memo]
-    if not todo:
-        return
+def _scalar(q: float, x: float, prime: bool) -> float | Exception:
     try:
-        values = many(q, todo)
-    except DomainError:
-        return  # the scalar lookups raise and record it point by point
-    for x, value in zip(todo, values.tolist()):
-        if not math.isnan(value):
-            memo[(q, x)] = value
+        return vq_prime(q, x, "integral") if prime else vq(q, x).value
+    except (DomainError, NumericalError) as exc:
+        return exc
+
+
+def _first_error(values: Iterable) -> Optional[Exception]:
+    return next((v for v in values if isinstance(v, Exception)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +460,9 @@ def _fill(memo: dict, many, q: float, xs: Iterable[float]) -> None:
 
 def _monotonicity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     for q in grid.q_values:
-        ev.prefetch(q, grid.x_values)
-        ev.prefetch_prime(q, grid.x_values)
-        ev.prefetch(q + 1.0, grid.x_values)
-        rows = []
-        for x in grid.x_values:
-            try:
-                rows.append((x, ev.v(q, x), ev.vp(q, x), ev.v(q + 1.0, x)))
-            except (DomainError, NumericalError) as exc:
-                col.record_error("monotonicity", exc, q, x)
+        rows = ev.rows(
+            col, "monotonicity", q, grid.x_values, (q, False), (q, True), (q + 1.0, False)
+        )
         for (x1, v1, vp1, w1), (x2, v2, vp2, w2) in zip(rows, rows[1:]):
             col.assert_less(
                 "monotonicity:x-logslope-decreasing",
@@ -509,34 +511,32 @@ def _convexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
             for x2 in pair_x[i + 1:]
             for alpha in sorted({spec.alpha, 0.3})
         ]
+        points = pair_x + tuple(m[3] for m in midpoints)
         for q in grid.q_values:
             if not spec.admits(q):
                 continue
-            ev.prefetch_prime(q, grid.x_values)
-            ev.prefetch(q, grid.x_values + tuple(m[3] for m in midpoints))
             # (i) monitor route: M(x) = x^{1-a} V'(x) V(x)^{b-1}, increasing
             # exactly when V_q is (a, b)-convex
-            monitor = []
-            for x in grid.x_values:
-                try:
-                    m = x ** (1.0 - a) * ev.vp(q, x) * ev.v(q, x) ** (b - 1.0)
-                except (DomainError, NumericalError) as exc:
-                    col.record_error(monitor_label, exc, q, x)
-                    continue
-                monitor.append((x, m))
+            monitor = [
+                (x, x ** (1.0 - a) * vp * v ** (b - 1.0))
+                for x, vp, v in ev.rows(
+                    col, monitor_label, q, grid.x_values, (q, True), (q, False)
+                )
+            ]
             for (x1, m1), (x2, m2) in zip(monitor, monitor[1:]):
                 lhs, rhs = (m1, m2) if convex else (m2, m1)
                 col.assert_less(monitor_label, lhs, rhs, q=q, x=x1, y=x2)
 
             # (ii) midpoint route: compare V at the argument mean with the
             # value mean, strictly, for distinct pair members
+            at = dict(zip(points, ev.values(q, points)))
             for x1, x2, alpha, t, label in midpoints:
-                try:
-                    v_at_mean = ev.v(q, t)
-                    mean_of_v = _power_mean(b, ev.v(q, x1), ev.v(q, x2), alpha)
-                except (DomainError, NumericalError) as exc:
-                    col.record_error(label, exc, q, x1)
+                v_at_mean, v1, v2 = at[t], at[x1], at[x2]
+                error = _first_error((v_at_mean, v1, v2))
+                if error is not None:
+                    col.record_error(label, error, q, x1)
                     continue
+                mean_of_v = _power_mean(b, v1, v2, alpha)
                 lhs, rhs = (v_at_mean, mean_of_v) if convex else (mean_of_v, v_at_mean)
                 col.assert_less(label, lhs, rhs, q=q, x=x1, y=x2)
 
@@ -545,16 +545,14 @@ def _turan_constant(q: float) -> float:
     return (q + 2.0) * (2.0 * q + 1.0) / ((q + 1.0) * (2.0 * q + 3.0))
 
 
+def _three_orders(q: float) -> tuple[tuple[float, bool], ...]:
+    """The columns V_q, V_{q+1}, V_{q+2} of :meth:`_Evaluator.rows`."""
+    return (q, False), (q + 1.0, False), (q + 2.0, False)
+
+
 def _turan_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     for q in grid.q_values:
-        for order in (q, q + 1.0, q + 2.0):
-            ev.prefetch(order, grid.x_values)
-        for x in grid.x_values:
-            try:
-                v0, v1, v2 = ev.v(q, x), ev.v(q + 1.0, x), ev.v(q + 2.0, x)
-            except (DomainError, NumericalError) as exc:
-                col.record_error("turan", exc, q, x)
-                continue
+        for x, v0, v1, v2 in ev.rows(col, "turan", q, grid.x_values, *_three_orders(q)):
             prod = v0 * v2
             col.assert_less(
                 "turan:upper", v1 * v1, (q + 2.0) / (q + 1.0) * prod, q=q, x=x
@@ -575,60 +573,38 @@ def _turan_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
 
     # sharpness of the lower constant as x -> 0, at fixed representative
     # orders: the ratio approaches the constant like x^{min(2q+1, 2)}
+    label = "turan:lower-sharpness-limit"
     for q in SHARPNESS_Q:
-        for order in (q, q + 1.0, q + 2.0):
-            ev.prefetch(order, (SHARPNESS_X,))
-        try:
-            v0 = ev.v(q, SHARPNESS_X)
-            v1 = ev.v(q + 1.0, SHARPNESS_X)
-            v2 = ev.v(q + 2.0, SHARPNESS_X)
-        except (DomainError, NumericalError) as exc:
-            col.record_error("turan:lower-sharpness-limit", exc, q, SHARPNESS_X)
-            continue
-        ratio = v1 * v1 / (v0 * v2)
-        col.assert_residual(
-            "turan:lower-sharpness-limit",
-            ratio - _turan_constant(q),
-            SHARPNESS_TOL,
-            q=q,
-            x=SHARPNESS_X,
-        )
+        for x, v0, v1, v2 in ev.rows(col, label, q, (SHARPNESS_X,), *_three_orders(q)):
+            ratio = v1 * v1 / (v0 * v2)
+            col.assert_residual(label, ratio - _turan_constant(q), SHARPNESS_TOL, q=q, x=x)
 
 
 def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     xs, qs = grid.pair_x_values(), grid.q_values
-    pairs = [(q1, q2, 0.5 * (q1 + q2)) for i, q1 in enumerate(qs) for q2 in qs[i + 1:]]
-    for q in dict.fromkeys(qs + tuple(mid for *_, mid in pairs)):
-        ev.prefetch(q, xs)
-
+    label = "logconvexity:unweighted-midpoint[open-problem]"
+    open_total = dict.fromkeys(xs, 0)
+    open_held = dict.fromkeys(xs, 0)
+    for i, q1 in enumerate(qs):
+        for q2 in qs[i + 1:]:
+            mid = 0.5 * (q1 + q2)
+            orders = ((q1, False), (q2, False), (mid, False))
+            rows = ev.rows(col, "logconvexity", q1, xs, *orders)
+            w1, w2, wm = (math.exp(sc.gammaln(q + 1.0)) for q in (q1, q2, mid))
+            for x, g1, g2, gm in rows:
+                f1, f2, fm = w1 * g1, w2 * g2, wm * gm
+                col.assert_less(
+                    "logconvexity:gamma-weighted-midpoint",
+                    fm * fm, f1 * f2, q=q1, x=x, y=q2,
+                )
+                open_total[x] += 1
+                if col.observe_less(label, gm * gm, g1 * g2, q=q1, x=x, y=q2):
+                    open_held[x] += 1
     for x in xs:
-        def weighted(q: float) -> float:
-            return math.exp(sc.gammaln(q + 1.0)) * ev.v(q, x)
-
-        open_total = 0
-        open_held = 0
-        for q1, q2, mid in pairs:
-            try:
-                f1, f2, fm = weighted(q1), weighted(q2), weighted(mid)
-                g1, g2 = ev.v(q1, x), ev.v(q2, x)
-                gm = ev.v(mid, x)
-            except (DomainError, NumericalError) as exc:
-                col.record_error("logconvexity", exc, q1, x)
-                continue
-            col.assert_less(
-                "logconvexity:gamma-weighted-midpoint",
-                fm * fm, f1 * f2, q=q1, x=x, y=q2,
-            )
-            open_total += 1
-            if col.observe_less(
-                "logconvexity:unweighted-midpoint[open-problem]",
-                gm * gm, g1 * g2, q=q1, x=x, y=q2,
-            ):
-                open_held += 1
         col.note(
-            "logconvexity:unweighted-midpoint[open-problem]",
+            label,
             f"open problem, never asserted: strict midpoint log-convexity of "
-            f"q -> V_q held at {open_held} of {open_total} pairs at x={x:g}",
+            f"q -> V_q held at {open_held[x]} of {open_total[x]} pairs at x={x:g}",
         )
 
 
@@ -636,14 +612,7 @@ def _simon_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     printed_total = printed_failed = 0
     rederived_total = rederived_failed = 0
     for q in grid.q_values:
-        for order in (q, q + 1.0, q + 2.0):
-            ev.prefetch(order, grid.x_values)
-        for x in grid.x_values:
-            try:
-                v0, v1, v2 = ev.v(q, x), ev.v(q + 1.0, x), ev.v(q + 2.0, x)
-            except (DomainError, NumericalError) as exc:
-                col.record_error("simon", exc, q, x)
-                continue
+        for x, v0, v1, v2 in ev.rows(col, "simon", q, grid.x_values, *_three_orders(q)):
             gap = v0 * v2 - v1 * v1
             col.assert_less("simon:product-gap-bound", gap, v1 * v2 / x, q=q, x=x)
             col.assert_less(
@@ -713,31 +682,19 @@ def _bounds_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
 
     # order-indexed bounds and envelopes
     for q in grid.q_values:
-        ev.prefetch(q, grid.x_values)
+        values = ev.rows(col, "bounds", q, grid.x_values, (q, False))
         if q >= 0.0:
-            ev.prefetch(q - 1.0, grid.x_values)
-        values = []
-        for x in grid.x_values:
-            try:
-                v = ev.v(q, x)
-            except (DomainError, NumericalError) as exc:
-                col.record_error("bounds", exc, q, x)
-                continue
-            values.append((x, v))
+            evaluated = [x for x, _ in values]
+            for x, v, v_prev in ev.rows(
+                col, "bounds:order-ratio", q, evaluated, (q, False), (q - 1.0, False)
+            ):
+                xsq2 = 2.0 * x * x
+                col.assert_less(
+                    "bounds:order-ratio-lower", xsq2 / (xsq2 + 1.0), v / v_prev, q=q, x=x
+                )
+                col.assert_less("bounds:order-decreasing", v, v_prev, q=q, x=x)
 
-            if q >= 0.0:
-                try:
-                    v_prev = ev.v(q - 1.0, x)
-                except (DomainError, NumericalError) as exc:
-                    col.record_error("bounds:order-ratio", exc, q, x)
-                else:
-                    xsq2 = 2.0 * x * x
-                    col.assert_less(
-                        "bounds:order-ratio-lower",
-                        xsq2 / (xsq2 + 1.0), v / v_prev, q=q, x=x,
-                    )
-                    col.assert_less("bounds:order-decreasing", v, v_prev, q=q, x=x)
-
+        for x, v in values:
             try:
                 col.assert_less(
                     "bounds:envelope-lower-exp", vq_lower_exp(q, x), v, q=q, x=x
@@ -808,8 +765,9 @@ def run_suite(config: VerifyConfig) -> VerificationReport:
     """Run the selected suites over one grid and merge into a single report.
 
     Deterministic: records are canonically sorted, so the result is
-    independent of evaluation order.  Raises :class:`UsageError` for unknown
-    suite names or an empty grid.
+    independent of evaluation order.  An :class:`ArithmeticError` that
+    escapes a suite is recorded as that suite's evaluation error.  Raises
+    :class:`UsageError` for unknown suite names or an empty grid.
     """
     selected = _resolve_suites(config.suites)
     grid = config.grid if config.grid is not None else default_grid()
@@ -819,7 +777,10 @@ def run_suite(config: VerifyConfig) -> VerificationReport:
     ev = _Evaluator()
     col = _Collector(config.rel_tol, config.emit_checks)
     for suite in selected:
-        _SUITE_IMPLS[suite](grid, col, ev)
+        try:
+            _SUITE_IMPLS[suite](grid, col, ev)
+        except ArithmeticError as exc:  # e.g. float overflow at extreme q or x
+            col.record_error(suite, exc, None, None)
 
     name = "all" if selected == SUITES else ",".join(selected)
     return col.report(name, grid)
@@ -830,8 +791,7 @@ def _check_inverted_fixture(rel_tol: float = DEFAULT_REL_TOL) -> VerificationRep
     harness demonstrably produces a violation with negative margin."""
     grid = Grid((0.0,), (1.0,), description="self-test fixture")
     col = _Collector(rel_tol)
-    ev = _Evaluator()
-    v = ev.v(0.0, 1.0)
+    v = vq(0.0, 1.0).value
     # inverted on purpose: the exponential envelope is a *lower* bound
     col.assert_less("selftest:inverted-envelope", v, vq_lower_exp(0.0, 1.0), q=0.0, x=1.0)
     return col.report("selftest", grid)

@@ -1,6 +1,6 @@
 """Tests for batched evaluation: vq_many / vq_prime_many, the shared
-escalation core with its cached exp-sinh tables, the verifier's prefetch,
-and the Bessel closed form of the Kraetzel function."""
+escalation core with its cached exp-sinh tables, the verifier's batched
+value table, and the Bessel closed form of the Kraetzel function."""
 import math
 import subprocess
 import sys
@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import regcoulomb.potential as potential
+import regcoulomb.verify as verify
 from regcoulomb import (
     DomainError,
+    Grid,
     VerifyConfig,
     default_grid,
     kratzel_z,
@@ -39,6 +41,9 @@ GRID = default_grid()
 # of the default grid, so that every route of vq(q, x, "auto") is exercised
 EXTRA_X = (0.0, 1e-3, 0.05, 30.0, 45.0)
 ROUTE_Q = GRID.q_values + (-1.0,)
+# orders and abscissas at the edges of the domain, where evaluations fail:
+# the verifier records 186 evaluation errors on this grid
+EDGE_GRID = Grid((-0.9999, -0.5, 0.0, 0.5, 1.0, 12.0), (1e-3, 0.2, 0.7, 3.0, 40.0, 1e3))
 
 
 def _check_against_scalar(q, xs, got):
@@ -161,18 +166,45 @@ class TestVerifierPrefetch:
         assert counts == (55181, 0, 481, 0)
 
     def test_records_equal_a_scalar_evaluated_report(self, batched_report_and_calls, monkeypatch):
+        # an all-NaN batch sends every point through the scalar calls
         report, _ = batched_report_and_calls
-        monkeypatch.setattr(_Evaluator, "prefetch", lambda self, q, xs: None)
-        monkeypatch.setattr(_Evaluator, "prefetch_prime", lambda self, q, xs: None)
+        edge = run_suite(VerifyConfig(grid=EDGE_GRID))
+        assert len(edge.errors) == 186
+        def nan_batch(q, xs):
+            return np.full(len(xs), np.nan)
+
+        monkeypatch.setattr(verify, "vq_many", nan_batch)
+        monkeypatch.setattr(verify, "vq_prime_many", nan_batch)
         scalar = run_suite(VerifyConfig())
         assert scalar.to_json_dict() == report.to_json_dict()
+        assert run_suite(VerifyConfig(grid=EDGE_GRID)).to_json_dict() == edge.to_json_dict()
 
     def test_unconverged_points_are_not_memoised(self):
-        ev = _Evaluator()
-        ev.prefetch(-0.9999, [0.2, 1.0])
-        assert (-0.9999, 1.0) in ev._v and (-0.9999, 0.2) not in ev._v
+        # the value table holds the scalar call's error, never a value
+        at_02, at_1 = _Evaluator().values(-0.9999, [0.2, 1.0])
+        assert isinstance(at_1, float)
         with pytest.raises(ArithmeticError, match="did not converge"):
-            ev.v(-0.9999, 0.2)
+            raise at_02
+
+    def test_no_failing_point_is_evaluated_twice(self, monkeypatch):
+        calls, failed = [], set()
+
+        def counting(name, fn):
+            def wrapper(q, x, *args):
+                calls.append((name, q, x))
+                try:
+                    return fn(q, x, *args)
+                except (ArithmeticError, DomainError):
+                    failed.add((name, q, x))
+                    raise
+            return wrapper
+
+        monkeypatch.setattr(verify, "vq", counting("vq", verify.vq))
+        monkeypatch.setattr(verify, "vq_prime", counting("vq_prime", verify.vq_prime))
+        report = run_suite(VerifyConfig(grid=EDGE_GRID))
+        assert len(report.errors) == 186
+        # one scalar call per distinct failing point, and only for those
+        assert sorted(calls) == sorted(failed)
 
 
 class TestKratzelClosedForm:

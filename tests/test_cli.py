@@ -2,6 +2,8 @@
 exit codes, and output determinism."""
 import json
 import pathlib
+import subprocess
+import sys
 
 import click
 import pytest
@@ -11,6 +13,7 @@ from regcoulomb.cli import _mapped, main
 from regcoulomb.errors import NumericalError
 
 GOLDEN_FIGURE = pathlib.Path(__file__).parent / "data" / "figure_golden.csv"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -219,6 +222,30 @@ class TestVerifyCommand:
                                       "--q", "1", "--x", "2"],
                                env={"REGCOULOMB_REL_TOL": "bogus"})
         assert result.exit_code == 2
+
+
+class TestOverflowExitsThree:
+    """A float overflow inside a check or a table row is a numerical
+    failure: exit 3 with an error line, never a traceback.  The commands run
+    in a fresh interpreter, as a user runs them; at q = 200 the
+    Gauss-Laguerre weights still warn in-process."""
+
+    @pytest.mark.parametrize("args", [
+        "verify --suite convexity --q 1 --x 1 --x 1e200",
+        "verify --suite bounds --q 1 --x 1 --x 1e200",
+        "verify --suite simon --q 150 --x 1e-3 --x 1",
+        "verify --suite logconvexity --q 0 --q 200 --x 1",
+        "figure --x-min 1 --x-max 1e200 --steps 3",
+    ])
+    def test_exit_code(self, args):
+        out = subprocess.run(
+            [sys.executable, "-m", "regcoulomb.cli", *args.split()],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(SRC), "PATH": ""},
+        )
+        assert out.returncode == 3, out.stderr
+        assert "Traceback" not in out.stderr
+        assert "error" in (out.stdout + out.stderr).lower()
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ from regcoulomb.potential import (
     mills,
     vq,
     vq_neg1,
+    vq_many,
     vq_next,
     vq_prime,
+    vq_prime_many,
     vq_quadrature,
     vq_via_psi,
     vq_zero,
@@ -244,6 +246,29 @@ class TestVqPrime:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             vq_prime(0.5, 1.0, method="nope")
+
+
+class TestOverflowWithoutWarnings:
+    """Intermediates that would overflow raise NumericalError (NaN from the
+    batch calls) before NumPy can warn; any warning fails a test here."""
+
+    def test_series_route_at_large_order(self):
+        # Gamma(q + 1/2) overflows, so the series coefficient would be inf * 0
+        with pytest.raises(NumericalError, match="small-x expansion failed"):
+            vq(200.0, 0.01)
+        assert np.isnan(vq_many(200.0, [0.01])).all()
+
+    def test_derivative_integral_at_huge_argument(self):
+        # x^2 overflows beyond about 1.34e154
+        with pytest.raises(NumericalError, match="did not converge"):
+            vq_prime(1.0, 1e160)
+        got = vq_prime_many(1.0, [1e160, 1.0])
+        assert np.isnan(got[0])
+        assert rel_diff(got[1], vq_prime(1.0, 1.0)) <= 1e-13
+
+    def test_forced_quadrature_at_huge_argument(self):
+        with pytest.raises(NumericalError, match="did not converge"):
+            vq(1.0, 1e160, method="quadrature")
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,17 @@ class TestRunSuite:
         with pytest.raises(UsageError):
             VerifyConfig(rel_tol=1.5)
 
+    def test_overflow_ends_only_its_own_suite(self):
+        # the quadratic power mean of x = 1e200 overflows in convexity; the
+        # suite ends with one evaluation error and turan still runs after it
+        grid = Grid((1.0,), (1.0, 1e200))
+        report = run_suite(VerifyConfig(suites=("convexity", "turan"), grid=grid))
+        ended = [e for e in report.errors if e.suite == "convexity[evaluation-error]"]
+        assert [(e.q, e.x) for e in ended] == [(None, None)]
+        turan = run_suite(VerifyConfig(suites=("turan",), grid=grid))
+        assert turan.n_checks > 0
+        assert set(turan.errors) <= set(report.errors)
+
     def test_single_point_emits_every_check(self):
         config = VerifyConfig(suites=("turan",), grid=Grid((0.5,), (1.0,)),
                               emit_checks=True)
