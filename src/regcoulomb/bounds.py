@@ -12,7 +12,10 @@ Mills ratio bounds (m denotes the Mills ratio of the standard normal):
 
 f4 and f5 are written with rationalized denominators so that the
 subtraction never cancels; the raw forms have removable or genuine
-singularities (f5's raw form is 0/0 at x = sqrt 2).
+singularities (f5's raw form is 0/0 at x = sqrt 2).  Where a power of x
+in the direct form would overflow (x^2 above about 1.3e154, x^4 above
+about 1.2e77), f1, f3, f4 and f5 are divided through by that power and
+evaluated in u = 1/x^2, so that they keep their value m(x) ~ 1/x.
 
 Envelopes for V_q (all x > 0):
 
@@ -38,10 +41,18 @@ from .special import kratzel_z
 MILLS_F3_THRESHOLD = math.sqrt(math.sqrt(2.0) - 1.0)
 
 
+def _inverse_square(x: float) -> float:
+    """u = 1/x^2 for an x whose square (or fourth power) overflows."""
+    return (1.0 / x) / x
+
+
 def mills_f1(x: float) -> float:
     """Lower bound x / (x^2 + 1) for the Mills ratio."""
     x = _check_x(x, positive=True)
-    return x / (x * x + 1.0)
+    xsq = x * x
+    if math.isinf(xsq):
+        return (1.0 / x) / (1.0 + _inverse_square(x))
+    return x / (xsq + 1.0)
 
 
 def mills_f2(x: float) -> float:
@@ -55,7 +66,11 @@ def mills_f3_raw(x: float) -> float:
     the denominator is nonzero; not a bound below the applicability
     threshold.  Intended for diagnostics."""
     x = _check_x(x, positive=True)
-    denom = x ** 4 + 2.0 * x * x - 1.0
+    try:
+        denom = x ** 4 + 2.0 * x * x - 1.0
+    except OverflowError:
+        u = _inverse_square(x)
+        return (1.0 + u) / (x * (1.0 + u * (2.0 - u)))
     if denom == 0.0:
         raise DomainError(f"x (x^2+1)/(x^4+2x^2-1) has a pole at x={x}")
     return x * (x * x + 1.0) / denom
@@ -81,6 +96,9 @@ def mills_f4(x: float) -> float:
     x = _check_x(x, positive=True)
     xsq = x * x
     root = math.sqrt(xsq * (xsq + 6.0) + 1.0)
+    if math.isinf(root):
+        u = _inverse_square(x)
+        return (2.0 / x) / (1.0 - u + math.sqrt(u * (u + 6.0) + 1.0))
     if x >= 1.0:
         return 2.0 * x / (xsq - 1.0 + root)
     return (1.0 - xsq + root) / (4.0 * x)
@@ -94,6 +112,9 @@ def mills_f5(x: float) -> float:
     x = _check_x(x, positive=True)
     xsq = x * x
     root = math.sqrt(xsq * (xsq + 18.0) + 9.0)
+    if math.isinf(root):
+        u = _inverse_square(x)
+        return (6.0 / x) / (5.0 - 3.0 * u + math.sqrt(u * (9.0 * u + 18.0) + 1.0))
     if xsq >= 1.0:
         # direct form; the denominator is bounded away from zero here
         return 6.0 * x / (5.0 * xsq - 3.0 + root)

@@ -21,13 +21,14 @@ O(1) intermediates, direct quadrature of the integral representation in the
 central range, and the Tricomi large-argument series beyond.  Every result
 carries its evaluation route and an error estimate.  ``vq_many`` and
 ``vq_prime_many`` evaluate one order at many arguments, routing each as the
-scalar call would and passing the quadrature points to the integral
-together; V_q and V_q' share that one integral, with exponent -1/2 or -3/2.
+scalar call would and passing the quadrature points to the column engines
+together; V_q and V_q' share one integrand, with exponent -1/2 or -3/2.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.special as sc
@@ -200,65 +201,85 @@ def _vq_series(q: float, x: float) -> EvalResult:
     return EvalResult(value, est, "psi-series")
 
 
-def _laplace_integral(
-    qv: float, xs: np.ndarray | list[float], power: float, spec: QuadratureSpec
-) -> list[QuadOutcome]:
-    """int_0^inf e^-t t^q (x^2+t)^power dt / Gamma(q+1) at every x of ``xs``.
+def _log_integrands(qv: float, power: float) -> tuple[Callable, Callable]:
+    """The logs of the integrand of
+
+        int_0^inf e^-t t^q (x^2+t)^power dt / Gamma(q+1)
+
+    for the Gauss-Laguerre rule (which carries e^-t t^q as its weight) and
+    for the exp-sinh rule, as functions of x^2 (a float, or a column of
+    values, one per integrand) and the nodes."""
+    shift = -sc.gammaln(qv + 1.0)
+
+    # in place on the fresh array log(x^2 + t); the sums are the same as
+    # power*log(x^2+t) + shift and -t + q log t + power*log(x^2+t) + shift
+    def gl(xsq, t):
+        out = np.log(xsq + t)
+        out *= power
+        out += shift
+        return out
+
+    def de(xsq, t, log_t):
+        out = np.log(xsq + t)
+        out *= power
+        out += -t + qv * log_t
+        out += shift
+        return out
+
+    return gl, de
+
+
+def _laplace_integral(qv: float, x: float, power: float, spec: QuadratureSpec) -> QuadOutcome:
+    """The integral of :func:`_log_integrands` at one x, through the scalar
+    engines.
 
     Gauss-Laguerre for x >= 1/2; below that, and wherever it fails, the
     branch point at t = -x^2 sits too close to the axis for polynomial rules
-    and a double-exponential rule takes over.  Each x escalates node counts
-    until two levels agree to the requested relative tolerance.  An outcome
-    is accepted when it converged to a positive value (:func:`_accepted`).
-    A single x goes through the scalar engines, so that a scalar evaluation
-    stays one engine call with a scalar outcome.  An x whose square
-    overflows is not evaluated and fails with a zero estimate.
+    and a double-exponential rule takes over.  Either escalates node counts
+    until two levels agree to the requested relative tolerance.  The outcome
+    is accepted (:func:`_accepted`) when it converged to a positive value.
+    An x whose square overflows is not evaluated and fails with a zero
+    estimate.
     """
-    # squared as Python floats, which overflow to inf without a warning
-    xsq = np.array([x * x for x in map(float, xs)])
-    fits = np.isfinite(xsq).tolist()
-    shift = -sc.gammaln(qv + 1.0)
-    outcomes: list[QuadOutcome | None] = [
-        None if ok else QuadOutcome(0.0, 0.0, 0, False) for ok in fits
-    ]
-
-    def run(columns, scalar, log_fn, todo):
-        if len(todo) == 1:
-            got = [scalar(lambda *nodes: log_fn(*nodes, slice(None))[0], qv, *ladder)]
-        else:
-            got = columns(log_fn, qv, len(todo), *ladder)
-        for i, out in zip(todo, got):
-            outcomes[i] = out
-
+    xsq = x * x  # a Python float overflows to inf without a warning
+    if math.isinf(xsq):
+        return QuadOutcome(0.0, 0.0, 0, False)
+    gl, de = _log_integrands(qv, power)
     ladder = (spec.node_counts, spec.rel_tol)
-    todo = [i for i, x in enumerate(xs) if fits[i] and x >= 0.5]
-    if todo:
-        gl_xsq = xsq[todo]
-        run(
-            laguerre_columns, laguerre_escalating,
-            lambda t, cols: power * np.log(gl_xsq[cols, None] + t) + shift,
-            todo,
+    if x >= 0.5:
+        out = laguerre_escalating(lambda t: gl(xsq, t), qv, *ladder)
+        if _accepted(out):
+            return out
+    return expsinh_escalating(lambda t, log_t: de(xsq, t, log_t), qv, *ladder)
+
+
+def _accepted(out: QuadOutcome) -> bool:
+    return out.converged and out.value > 0.0
+
+
+def _laplace_integrals(qv: float, xs: np.ndarray, power: float) -> np.ndarray:
+    """:func:`_laplace_integral` at every x of ``xs`` through the column
+    engines, with the default quadrature: the accepted values, NaN where
+    an x was not accepted."""
+    # squared as Python floats, which overflow to inf without a warning
+    xsq = np.array([x * x for x in xs.tolist()])
+    values = np.full(xs.size, np.nan)
+    gl, de = _log_integrands(qv, power)
+    ladder = (_DEFAULT_QUAD.node_counts, _DEFAULT_QUAD.rel_tol)
+    fits = np.isfinite(xsq)
+    todo = (fits & (xs >= 0.5)).nonzero()[0]
+    if todo.size:
+        gl_xsq = xsq[todo, None]
+        got = laguerre_columns(lambda t, cols: gl(gl_xsq[cols], t), qv, todo.size, *ladder)
+        values[todo] = np.where(got.converged & (got.value > 0.0), got.value, np.nan)
+    todo = (fits & np.isnan(values)).nonzero()[0]
+    if todo.size:
+        de_xsq = xsq[todo, None]
+        got = expsinh_columns(
+            lambda t, log_t, cols: de(de_xsq[cols], t, log_t), qv, todo.size, *ladder
         )
-    todo = [i for i, out in enumerate(outcomes) if fits[i] and not _accepted(out)]
-    if todo:
-        de_xsq = xsq[todo]
-        run(
-            expsinh_columns, expsinh_escalating,
-            lambda t, log_t, cols: (
-                -t + qv * log_t + power * np.log(de_xsq[cols, None] + t) + shift
-            ),
-            todo,
-        )
-    return outcomes
-
-
-def _accepted(out: QuadOutcome | None) -> bool:
-    return out is not None and out.converged and out.value > 0.0
-
-
-def _values(outcomes: list[QuadOutcome]) -> np.ndarray:
-    """The values of accepted outcomes, NaN for the others."""
-    return np.array([out.value if _accepted(out) else np.nan for out in outcomes])
+        values[todo] = np.where(got.converged & (got.value > 0.0), got.value, np.nan)
+    return values
 
 
 def vq_quadrature(
@@ -274,7 +295,7 @@ def vq_quadrature(
     qv = _order_value(q)
     x = _check_x(x, positive=True)
     spec = quadrature if quadrature is not None else _DEFAULT_QUAD
-    (out,) = _laplace_integral(qv, [x], -0.5, spec)
+    out = _laplace_integral(qv, x, -0.5, spec)
     if _accepted(out):
         return EvalResult(out.value, out.abs_err, "quadrature")
     raise NumericalError(
@@ -386,14 +407,21 @@ def vq(
     return _from_psi(psi_eval(0.5, 0.5 - qv, x * x))
 
 
-def _routes_to_quadrature(qv: float, x: float) -> bool:
-    """Whether the "auto" route sends x > 0 at an order other than 0 and -1
-    to quadrature: the central band, and small x at half-integer orders."""
-    return x < _ASYMPTOTIC_X_MIN and (x > _SERIES_X_MAX or _near_half_integer(qv))
+def _routes_to_quadrature(qv: float, x):
+    """Whether the "auto" route sends x > 0 (a float or an array) at an order
+    other than 0 and -1 to quadrature: the central band, and small x at
+    half-integer orders."""
+    return (x < _ASYMPTOTIC_X_MIN) & ((x > _SERIES_X_MAX) | _near_half_integer(qv))
 
 
 def _abscissas(xs, *, positive: bool = False) -> np.ndarray:
-    return np.array([_check_x(x, positive=positive) for x in xs], dtype=float)
+    """``xs`` as a float array; the first x outside the domain raises as in
+    :func:`_check_x`."""
+    xs = np.array(xs, dtype=float)
+    bad = ~np.isfinite(xs) | (xs < 0.0) | (positive & (xs == 0.0))
+    for x in xs[bad][:1]:
+        _check_x(x, positive=positive)
+    return xs
 
 
 def vq_many(q: float | Order, xs) -> np.ndarray:
@@ -408,17 +436,14 @@ def vq_many(q: float | Order, xs) -> np.ndarray:
     qv = _order_value(q, allow_sentinel=True)
     xs = _abscissas(xs)
     values = np.empty(xs.shape)
-    batch = []
-    for i, x in enumerate(xs):
-        if qv not in (-1.0, 0.0) and x > 0.0 and _routes_to_quadrature(qv, x):
-            batch.append(i)
-            continue
+    batch = (xs > 0.0) & _routes_to_quadrature(qv, xs) & (qv not in (-1.0, 0.0))
+    for i in (~batch).nonzero()[0].tolist():
         try:
-            values[i] = vq(qv, x).value
+            values[i] = vq(qv, xs[i]).value
         except NumericalError:
             values[i] = np.nan
-    if batch:
-        values[batch] = _values(_laplace_integral(qv, xs[batch], -0.5, _DEFAULT_QUAD))
+    if batch.any():
+        values[batch] = _laplace_integrals(qv, xs[batch], -0.5)
     return values
 
 
@@ -439,7 +464,7 @@ def vq_prime(q: float | Order, x: float, method: str = "integral") -> float:
     x = _check_x(x, positive=True)
 
     if method == "integral":
-        (out,) = _laplace_integral(qv, [x], -1.5, _DEFAULT_QUAD)
+        out = _laplace_integral(qv, x, -1.5, _DEFAULT_QUAD)
         if not _accepted(out):
             raise NumericalError(f"derivative quadrature did not converge for q={qv}, x={x}")
         return -x * out.value
@@ -462,7 +487,7 @@ def vq_prime_many(q: float | Order, xs) -> np.ndarray:
     converge comes back NaN; a domain error for any point raises."""
     qv = _order_value(q)
     xs = _abscissas(xs, positive=True)
-    return -xs * _values(_laplace_integral(qv, xs, -1.5, _DEFAULT_QUAD))
+    return -xs * _laplace_integrals(qv, xs, -1.5)
 
 
 def vq_next(q: float | Order, vq_value: float, vq_prev: float, x: float) -> float:

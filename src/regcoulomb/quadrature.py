@@ -19,10 +19,12 @@ Both rules run on one escalation loop, :func:`escalate_columns`, which
 evaluates many integrands ("columns", e.g. one per abscissa) at once.  It
 climbs a ladder of node counts; a column leaves at the first level that
 agrees with the previous one to a relative tolerance, and that difference is
-its error estimate.  At most :data:`COLUMN_CHUNK` columns are in flight at a
-time, which bounds the size of the (columns x nodes) work arrays.  The
-scalar engines :func:`laguerre_escalating` and :func:`expsinh_escalating`
-are the one-column case.  Gauss-Laguerre tables and exp-sinh node tables are
+its error estimate.  The loop keeps the active columns, their previous level
+and the differences as arrays and masks, and hands back a :class:`Columns`
+of arrays.  At most :data:`COLUMN_CHUNK` columns are in flight at a time,
+which bounds the size of the (columns x nodes) work arrays.  The scalar
+engines :func:`laguerre_escalating` and :func:`expsinh_escalating` are the
+one-column case and return a :class:`QuadOutcome`.  Gauss-Laguerre tables and exp-sinh node tables are
 cached per (node count, exponent) and (left end, node count).
 
 Integrands are supplied through their logarithm so that widely scaled
@@ -31,10 +33,9 @@ overflow nor underflow.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import roots_genlaguerre
@@ -55,12 +56,53 @@ COLUMN_CHUNK = 64
 
 @dataclass(frozen=True)
 class QuadOutcome:
-    """Result of an escalating quadrature run."""
+    """Result of a one-column escalating quadrature run."""
 
     value: float
     abs_err: float
     points: int
     converged: bool
+
+
+class Columns(NamedTuple):
+    """Results of a many-column escalating quadrature run, one entry per
+    column: the value, its error estimate, the node count of the accepted
+    level (the last level when unconverged), and whether it converged."""
+
+    value: np.ndarray
+    abs_err: np.ndarray
+    points: np.ndarray
+    converged: np.ndarray
+
+    def accept(self, cols, val, diff, size, n: int) -> None:
+        """The columns ``cols`` converged at the ``n``-node level ``val``,
+        which differs from the previous level by ``diff`` relative."""
+        self.value[cols] = val
+        self.abs_err[cols] = diff * size + _EPS * size
+        self.points[cols] = n
+        self.converged[cols] = True
+
+    def settle(self, cols, last, tried, n: int) -> None:
+        """The columns ``cols`` never converged, and ended at the ``n``-node
+        level ``last``: each takes its first closest pair of consecutive
+        levels among ``tried``, or ``last`` (error inf) when no difference
+        was finite."""
+        self.points[cols] = n
+        best, best_diff = np.full(cols.size, np.nan), np.full(cols.size, np.inf)
+        for level_cols, val, diff in tried:
+            at = np.searchsorted(level_cols, cols)
+            better = diff[at] < best_diff
+            best[better], best_diff[better] = val[at][better], diff[at][better]
+        finite = np.isfinite(best)
+        self.value[cols] = np.where(finite, best, last)
+        self.abs_err[cols] = np.where(finite, best_diff, np.inf) * np.abs(self.value[cols])
+
+    def outcome(self, col: int = 0) -> QuadOutcome:
+        """Column ``col`` as a scalar :class:`QuadOutcome`."""
+        return QuadOutcome(
+            float(self.value[col]), float(self.abs_err[col]),
+            int(self.points[col]), bool(self.converged[col]),
+        )
 
 
 # node generation becomes numerically unreliable beyond this count; the
@@ -103,41 +145,44 @@ def escalate_columns(
     n_cols: int,
     node_counts: tuple[int, ...],
     rel_tol: float,
-) -> list[QuadOutcome]:
-    """The escalation loop shared by both rules; one outcome per column.
+) -> Columns:
+    """The escalation loop shared by both rules.
 
     ``level(n, cols)`` returns the ``n``-node values of the columns ``cols``
-    (an index array into ``range(n_cols)``).  A column leaves the active set
-    at the first level that agrees with the previous one to ``rel_tol``.  A
-    column that never agrees reports its closest pair of consecutive levels
-    (or its last level when none was finite) with ``converged`` false.
+    (an index array into ``range(n_cols)``); it runs with overflow,
+    underflow and invalid operations ignored.  A column leaves the active
+    set at the first level that agrees with the previous one to
+    ``rel_tol``.  A column that never agrees reports its closest pair of
+    consecutive levels (or its last level when none was finite) with
+    ``converged`` false.
     """
-    outcomes: list = [None] * n_cols
-    for start in range(0, n_cols, COLUMN_CHUNK):
-        active = list(range(start, min(start + COLUMN_CHUNK, n_cols)))
-        prev: dict[int, float] = {}
-        best = dict.fromkeys(active, (math.nan, math.inf))
-        for n in node_counts:
-            if not active:
-                break
-            still = []
-            for c, val in zip(active, level(n, np.array(active)).tolist()):
-                if c in prev:
-                    diff = abs(val - prev[c]) / max(abs(val), _TINY)
-                    if diff <= rel_tol:
-                        outcomes[c] = QuadOutcome(val, diff * abs(val) + _EPS * abs(val), n, True)
-                        continue
-                    if diff < best[c][1]:
-                        best[c] = (val, diff)
-                prev[c] = val
-                still.append(c)
-            active = still
-        for c in active:
-            best_val, best_diff = best[c]
-            if not math.isfinite(best_val):
-                best_val, best_diff = prev[c], math.inf
-            outcomes[c] = QuadOutcome(best_val, best_diff * abs(best_val), node_counts[-1], False)
-    return outcomes
+    out = Columns(
+        np.empty(n_cols), np.empty(n_cols),
+        np.empty(n_cols, dtype=int), np.zeros(n_cols, dtype=bool),
+    )
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        for start in range(0, n_cols, COLUMN_CHUNK):
+            active = np.arange(start, min(start + COLUMN_CHUNK, n_cols))
+            prev = level(node_counts[0], active)
+            tried = []  # (active, values, differences) of each later level
+            for n in node_counts[1:]:
+                val = level(n, active)
+                size = np.abs(val)
+                diff = np.abs(val - prev) / np.maximum(size, _TINY)
+                tried.append((active, val, diff))
+                done = diff <= rel_tol
+                flags = done.tolist()
+                if all(flags):
+                    out.accept(active, val, diff, size, n)
+                    active = active[:0]
+                    break
+                if any(flags):
+                    out.accept(active[done], val[done], diff[done], size[done], n)
+                    active, val = active[~done], val[~done]
+                prev = val
+            if active.size:
+                out.settle(active, prev, tried, node_counts[-1])
+    return out
 
 
 def laguerre_columns(
@@ -146,7 +191,7 @@ def laguerre_columns(
     n_cols: int,
     node_counts: tuple[int, ...],
     rel_tol: float,
-) -> list[QuadOutcome]:
+) -> Columns:
     """Gauss-Laguerre evaluation of ``int t^alpha e^-t g_c(t) dt`` for the
     columns ``c`` in ``range(n_cols)``.
 
@@ -156,8 +201,9 @@ def laguerre_columns(
 
     def level(n: int, cols: np.ndarray) -> np.ndarray:
         t, w = gauss_laguerre(n, alpha)
-        with np.errstate(over="ignore", under="ignore"):
-            return (w * np.exp(log_g(t, cols))).sum(axis=1)
+        terms = np.exp(log_g(t, cols))
+        terms *= w
+        return terms.sum(axis=1)
 
     counts = tuple(n for n in node_counts if n <= GL_NODE_MAX) or node_counts[:1]
     return escalate_columns(level, n_cols, counts, rel_tol)
@@ -178,7 +224,7 @@ def laguerre_escalating(
     """
     return laguerre_columns(
         lambda t, cols: log_g(t)[np.newaxis], alpha, 1, node_counts, rel_tol
-    )[0]
+    ).outcome()
 
 
 def _expsinh_u_left(power: float) -> float:
@@ -196,7 +242,7 @@ def expsinh_columns(
     n_cols: int,
     node_counts: tuple[int, ...],
     rel_tol: float,
-) -> list[QuadOutcome]:
+) -> Columns:
     """Double-exponential evaluation of ``int_0^inf f_c(t) dt`` for the
     columns ``c`` in ``range(n_cols)``.
 
@@ -208,8 +254,9 @@ def expsinh_columns(
 
     def level(n: int, cols: np.ndarray) -> np.ndarray:
         h, t, log_t, log_jac = expsinh_table(u_left, n)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            terms = np.exp(log_f(t, log_t, cols) + log_t + log_jac)
+        terms = log_f(t, log_t, cols) + log_t
+        terms += log_jac
+        np.exp(terms, out=terms)
         return h * terms.sum(axis=1)
 
     return escalate_columns(level, n_cols, node_counts, rel_tol)
@@ -229,4 +276,4 @@ def expsinh_escalating(
     """
     return expsinh_columns(
         lambda t, log_t, cols: log_f(t, log_t)[np.newaxis], power, 1, node_counts, rel_tol
-    )[0]
+    ).outcome()

@@ -35,12 +35,21 @@ to 1e-9, so floating-point ties can never be mistaken for confirmation.
 Reports are deterministic: records are sorted canonically by
 (suite, q, x, y) regardless of evaluation order.
 
+Checks run an array at a time: a suite builds both sides of one inequality
+at every point of an order (or order pair) as NumPy arrays, and the
+collector judges the whole array at once, making records only for the
+failures (for every check under ``emit_checks``).  NumPy's ``+ - * /`` and
+comparisons round as Python floats do, but its ``pow``, ``exp`` and ``log``
+need not, so those stay Python float operations, one entry at a time; the
+report is the one a per-check loop gives.
+
 Values come from one memo per run, read an order at a time; the misses go
 to one :func:`vq_many` or :func:`vq_prime_many` call.  A point the batch
 could not evaluate is tried once by the scalar :func:`vq` or
 :func:`vq_prime`, and the error that raises is memoised in its place and
-recorded by each check that needs the point.  A float overflow in a
-check's own arithmetic ends that suite with one evaluation error.
+recorded by each check that needs the point.  Overflow is per point too: a
+check whose side is not finite, though built from finite values, is an
+evaluation error at that check's (q, x), and the suite's other checks run.
 """
 from __future__ import annotations
 
@@ -67,6 +76,10 @@ SHARPNESS_TOL = 1e-3
 
 #: Mills ODE residual cap, |m'(x) - (x m(x) - 1)| with a centered difference
 ODE_RESIDUAL_TOL = 1e-8
+#: largest x at which the Mills bounds are checked: from about 1.2e77 on,
+#: x^4 overflows and the bounds take their 1/x^2 forms, and they and m agree
+#: to every bit (relative gaps below 1/x^2)
+_MILLS_X_MAX = 1e77
 
 DEFAULT_Q_VALUES = (-0.45, -0.25, 0.0, 0.3, 0.5, 1.0, 2.0, 3.5, 5.0)
 _DEFAULT_X_COUNT = 60
@@ -297,7 +310,8 @@ class VerificationReport:
 
 
 class _Collector:
-    """Accumulates check outcomes for one suite run."""
+    """Accumulates check outcomes for one suite run.  Each call records a
+    whole array of checks of one label at one order."""
 
     def __init__(self, rel_tol: float, emit_checks: bool = False) -> None:
         self.rel_tol = rel_tol
@@ -312,70 +326,84 @@ class _Collector:
     def _record(
         self,
         label: str,
-        lhs: float,
-        rhs: float,
-        margin: float,
-        ok: bool,
+        lhs: np.ndarray,
+        rhs: np.ndarray,
+        margin: np.ndarray,
+        ok: np.ndarray,
         q: Optional[float],
-        x: Optional[float],
-        y: Optional[float],
+        x,
+        y,
     ) -> None:
-        """Count one asserted check, track its margin, and keep its records."""
-        self.n_checks += 1
-        self.min_margin = min(self.min_margin, margin)
-        self.max_margin = max(self.max_margin, margin)
-        if not ok:
-            self.violations.append(ViolationRecord(label, q, x, y, lhs, rhs, margin))
-        if self.emit_checks:
-            self.observations.append(
-                ObservationRecord(
-                    label, q, x, y, lhs, rhs, "pass" if ok else "VIOLATION"
-                )
-            )
+        """Count an array of asserted checks, track their margins, and keep
+        the records of the failures (of every check under ``emit_checks``).
+
+        The margins fold in as ``min``/``max`` over them in order would: the
+        ``fmin``/``fmax`` reductions skip NaN and keep the first of equal
+        values, which shows in the sign of a zero.
+        """
+        self.n_checks += ok.size
+        self.min_margin = float(np.fmin.reduce(margin, initial=self.min_margin))
+        self.max_margin = float(np.fmax.reduce(margin, initial=self.max_margin))
+        idx = np.arange(ok.size) if self.emit_checks else (~ok).nonzero()[0]
+        entries = zip(_items(x, idx), _items(y, idx), lhs[idx].tolist(),
+                      rhs[idx].tolist(), margin[idx].tolist(), ok[idx].tolist())
+        for xk, yk, lk, rk, mk, good in entries:
+            if not good:
+                self.violations.append(ViolationRecord(label, q, xk, yk, lk, rk, mk))
+            if self.emit_checks:
+                self.observations.append(ObservationRecord(
+                    label, q, xk, yk, lk, rk, "pass" if good else "VIOLATION"
+                ))
+
+    def _finite(self, label: str, lhs, rhs, q: Optional[float], x, y) -> tuple:
+        """``(finite, lhs, rhs, x, y)``: the mask of the entries at which lhs
+        and rhs are finite, and the arrays at those entries.  Every suite
+        builds its sides from finite values, so each other entry overflowed
+        and is recorded as an evaluation error at (q, x)."""
+        lhs, rhs = np.broadcast_arrays(np.atleast_1d(lhs), np.atleast_1d(rhs))
+        finite = np.isfinite(lhs) & np.isfinite(rhs)
+        if finite.all():
+            return finite, lhs, rhs, x, y
+        bad = (~finite).nonzero()[0]
+        for xk, lk, rk in zip(_items(x, bad), lhs[bad].tolist(), rhs[bad].tolist()):
+            self.record_error(label, NumericalError(
+                f"the check's arithmetic is not finite (lhs={lk!r}, rhs={rk!r})"
+            ), q, xk)
+        return finite, lhs[finite], rhs[finite], _at(x, finite), _at(y, finite)
 
     def assert_less(
-        self,
-        label: str,
-        lhs: float,
-        rhs: float,
-        q: Optional[float] = None,
-        x: Optional[float] = None,
-        y: Optional[float] = None,
+        self, label: str, lhs, rhs, q: Optional[float] = None, x=None, y=None
     ) -> None:
-        """Assert the strict inequality lhs < rhs under the tolerance policy."""
-        ok = strictly_less(lhs, rhs, self.rel_tol)
-        self._record(label, lhs, rhs, rhs - lhs, ok, q, x, y)
+        """Assert lhs < rhs under the tolerance policy at each entry of the
+        arrays (or scalars) ``lhs``/``rhs``, located by ``x`` and ``y``."""
+        _, lhs, rhs, x, y = self._finite(label, lhs, rhs, q, x, y)
+        with np.errstate(over="ignore"):
+            self._record(label, lhs, rhs, rhs - lhs, _less(lhs, rhs, self.rel_tol), q, x, y)
 
     def assert_residual(
-        self,
-        label: str,
-        residual: float,
-        cap: float,
-        q: Optional[float] = None,
-        x: Optional[float] = None,
+        self, label: str, residual, cap: float, q: Optional[float] = None, x=None
     ) -> None:
         """Assert the non-strict residual bound |residual| <= cap."""
-        size = abs(residual)
+        _, size, cap, x, _ = self._finite(label, np.abs(residual), cap, q, x, None)
         self._record(label, size, cap, cap - size, size <= cap, q, x, None)
 
     def observe_less(
-        self,
-        label: str,
-        lhs: float,
-        rhs: float,
-        q: Optional[float] = None,
-        x: Optional[float] = None,
-        y: Optional[float] = None,
-    ) -> bool:
-        """Record a non-asserted inequality; returns whether it held."""
-        ok = strictly_less(lhs, rhs, self.rel_tol)
-        if not ok or self.emit_checks:
-            self.observations.append(
-                ObservationRecord(
-                    label, q, x, y, lhs, rhs, "holds" if ok else "fails (not asserted)"
-                )
-            )
-        return ok
+        self, label: str, lhs, rhs, q: Optional[float] = None, x=None, y=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Record non-asserted inequalities; returns the masks of the
+        entries compared (finite on both sides) and of those that held."""
+        checked, lhs, rhs, x, y = self._finite(label, lhs, rhs, q, x, y)
+        ok = _less(lhs, rhs, self.rel_tol)
+        held = np.zeros_like(checked)
+        held[checked] = ok
+        idx = np.arange(ok.size) if self.emit_checks else (~ok).nonzero()[0]
+        entries = zip(_items(x, idx), _items(y, idx), lhs[idx].tolist(),
+                      rhs[idx].tolist(), ok[idx].tolist())
+        for xk, yk, lk, rk, good in entries:
+            self.observations.append(ObservationRecord(
+                label, q, xk, yk, lk, rk, "holds" if good else "fails (not asserted)"
+            ))
+        return checked, held
 
     def note(self, label: str, note: str) -> None:
         self.observations.append(ObservationRecord(label, None, None, None, None, None, note))
@@ -404,43 +432,67 @@ class _Collector:
         )
 
 
+def _less(lhs: np.ndarray, rhs: np.ndarray, rel_tol: float) -> np.ndarray:
+    """:func:`strictly_less` at each entry.  ``fmax`` keeps the floor where
+    rel_tol |rhs| is NaN, as ``max`` does; the verdict is False there anyway."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return lhs < rhs - np.fmax(ABS_TOL_FLOOR, rel_tol * np.abs(rhs))
+
+
+def _items(value, idx: np.ndarray) -> list:
+    """The entries ``idx`` of an array ``value`` as Python floats; a scalar
+    or ``None`` repeats."""
+    if isinstance(value, np.ndarray):
+        return value[idx].tolist()
+    return [value] * idx.size
+
+
+def _at(value, mask: np.ndarray):
+    """``value[mask]`` for an array; a scalar or ``None`` is left as it is."""
+    return value[mask] if isinstance(value, np.ndarray) else value
+
+
 class _Evaluator:
     """One memo of V_q and V_q' values per run (see the module docstring)."""
 
     def __init__(self) -> None:
-        # (prime, q, x) -> the value, or the error its scalar evaluation raised
-        self._memo: dict[tuple[bool, float, float], float | Exception] = {}
+        # (prime, q) -> {x: value}, NaN where the evaluation failed
+        self._memo: dict[tuple[bool, float], dict[float, float]] = {}
+        # (prime, q) -> {x: the error the scalar evaluation raised}
+        self._errors: dict[tuple[bool, float], dict[float, Exception]] = {}
 
-    def values(self, q: float, xs: Sequence[float], prime: bool = False) -> list:
-        """V_q (or V_q' if ``prime``) at every x of ``xs``: a float, or the
-        error the point's evaluation raised.  Misses are evaluated in one
-        batch; a point the batch could not evaluate is tried once by the
-        scalar call, and the error it raises is memoised in place of a value."""
-        memo = self._memo
-        todo = [x for x in dict.fromkeys(xs) if (prime, q, x) not in memo]
+    def values(
+        self, q: float, xs: Sequence[float], prime: bool = False
+    ) -> tuple[np.ndarray, dict[float, Exception]]:
+        """V_q (or V_q' if ``prime``) at every x of ``xs``, NaN where the
+        evaluation failed, and the errors of the failing x by x.  Misses are
+        evaluated in one batch; a point the batch could not evaluate is tried
+        once by the scalar call, and the error it raises is memoised."""
+        memo = self._memo.setdefault((prime, q), {})
+        errors = self._errors.setdefault((prime, q), {})
+        todo = [x for x in dict.fromkeys(xs) if x not in memo]
         if todo:
             try:
                 got = (vq_prime_many if prime else vq_many)(q, todo).tolist()
             except DomainError:
                 got = [math.nan] * len(todo)
             for x, value in zip(todo, got):
-                memo[(prime, q, x)] = _scalar(q, x, prime) if math.isnan(value) else value
-        return [memo[(prime, q, x)] for x in xs]
+                if math.isnan(value):
+                    value = _scalar(q, x, prime)
+                    if isinstance(value, Exception):
+                        errors[x], value = value, math.nan
+                memo[x] = value
+        return np.array([memo[x] for x in xs]), errors
 
     def rows(self, col: _Collector, label: str, q: float, xs: Sequence[float],
-             *columns: tuple[float, bool]) -> list[tuple]:
-        """``(x, value, ...)``, one value per ``(order, prime)`` column, for
-        each x of ``xs`` at which every column evaluated.  At the other x the
-        first failing column's error is recorded under ``label`` at (q, x)."""
-        cols = [self.values(order, xs, prime) for order, prime in columns]
-        rows = []
-        for row in zip(xs, *cols):
-            error = _first_error(row[1:])
-            if error is None:
-                rows.append(row)
-            else:
-                col.record_error(label, error, q, row[0])
-        return rows
+             *columns: tuple[float, bool]) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The x of ``xs`` at which every ``(order, prime)`` column evaluated,
+        and each column's values there.  At the other x the first failing
+        column's error is recorded under ``label`` at (q, x)."""
+        x = np.array(xs)
+        got = [self.values(order, xs, prime) for order, prime in columns]
+        ok = _evaluated(col, label, q, x, [(v, errors, x) for v, errors in got])
+        return x[ok], [v[ok] for v, _ in got]
 
 
 def _scalar(q: float, x: float, prime: bool) -> float | Exception:
@@ -450,8 +502,38 @@ def _scalar(q: float, x: float, prime: bool) -> float | Exception:
         return exc
 
 
-def _first_error(values: Iterable) -> Optional[Exception]:
-    return next((v for v in values if isinstance(v, Exception)), None)
+def _evaluated(col: _Collector, label: str, q: float, at: np.ndarray,
+               columns: list[tuple[np.ndarray, dict, np.ndarray]]) -> np.ndarray:
+    """The mask of the entries at which every column evaluated.  A column
+    is ``(values, errors, points)``: its value at each entry (NaN where it
+    failed), its errors by point, and each entry's point.  At each other
+    entry the first failing column's error is recorded under ``label`` at
+    (q, at)."""
+    failed = np.logical_or.reduce([np.isnan(v) for v, _, _ in columns])
+    for k in failed.nonzero()[0].tolist():
+        error = next(errors[points[k]] for v, errors, points in columns if math.isnan(v[k]))
+        col.record_error(label, error, q, float(at[k]))
+    return ~failed
+
+
+def _pows(bases: np.ndarray, exponent: float) -> np.ndarray:
+    """``bases ** exponent`` in Python float arithmetic, entry by entry (NumPy's
+    pow can round differently), with inf where a power overflows."""
+    return np.array([_pow(base, exponent) for base in bases.tolist()])
+
+
+def _pow(base: float, exponent: float) -> float:
+    try:
+        return base ** exponent
+    except ArithmeticError:  # an overflow, or a zero to a negative power
+        return math.inf
+
+
+def _exp(value: float) -> float:
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -460,85 +542,121 @@ def _first_error(values: Iterable) -> Optional[Exception]:
 
 def _monotonicity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     for q in grid.q_values:
-        rows = ev.rows(
+        x, (v, vp, w) = ev.rows(
             col, "monotonicity", q, grid.x_values, (q, False), (q, True), (q + 1.0, False)
         )
-        for (x1, v1, vp1, w1), (x2, v2, vp2, w2) in zip(rows, rows[1:]):
+        x1, v1, vp1, w1 = x[:-1], v[:-1], vp[:-1], w[:-1]
+        x2, v2, vp2, w2 = x[1:], v[1:], vp[1:], w[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
             col.assert_less(
                 "monotonicity:x-logslope-decreasing",
-                x2 * vp2 / v2, x1 * vp1 / v1, q=q, x=x1, y=x2,
+                x2 * vp2 / v2, x1 * vp1 / v1, q, x1, x2,
             )
             col.assert_less(
                 "monotonicity:x2-slope-decreasing",
-                x2 * x2 * vp2, x1 * x1 * vp1, q=q, x=x1, y=x2,
+                x2 * x2 * vp2, x1 * x1 * vp1, q, x1, x2,
             )
             if q >= 0.0:
                 col.assert_less(
                     "monotonicity:slope-over-x-increasing",
-                    vp1 / x1, vp2 / x2, q=q, x=x1, y=x2,
+                    vp1 / x1, vp2 / x2, q, x1, x2,
                 )
                 col.assert_less(
                     "monotonicity:normalized-slope-increasing",
-                    vp1 / (x1 * v1), vp2 / (x2 * v2), q=q, x=x1, y=x2,
+                    vp1 / (x1 * v1), vp2 / (x2 * v2), q, x1, x2,
                 )
             col.assert_less(
-                "monotonicity:order-ratio-increasing",
-                w1 / v1, w2 / v2, q=q, x=x1, y=x2,
+                "monotonicity:order-ratio-increasing", w1 / v1, w2 / v2, q, x1, x2
             )
             col.assert_less(
-                "monotonicity:order-difference-increasing",
-                w1 - v1, w2 - v2, q=q, x=x1, y=x2,
+                "monotonicity:order-difference-increasing", w1 - v1, w2 - v2, q, x1, x2
             )
 
 
-def _power_mean(order: float, u: float, v: float, alpha: float) -> float:
-    """Weighted power mean H_order(u, v; alpha), geometric at order 0."""
+def _power_means(order: float, powered: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 alpha: float) -> np.ndarray:
+    """Weighted power means H_order(u_i, u_j; alpha) of the members u, from
+    ``powered`` = u ** order (log u at order 0, the geometric mean); inf
+    where a power overflows.  Powers, logs and exponentials stay Python
+    float operations (NumPy's can round differently)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = alpha * powered[i] + (1.0 - alpha) * powered[j]
     if order == 0.0:
-        return math.exp(alpha * math.log(u) + (1.0 - alpha) * math.log(v))
-    return (alpha * u ** order + (1.0 - alpha) * v ** order) ** (1.0 / order)
+        return np.array([_exp(m) for m in mixed.tolist()])
+    # an overflowed sum stays inf, though inf ** (1/order) is 0 for order < 0
+    return np.where(np.isfinite(mixed), _pows(mixed, 1.0 / order), np.inf)
+
+
+def _powered(order: float, members: np.ndarray) -> np.ndarray:
+    """The members' powers (logs at order 0) that :func:`_power_means` takes."""
+    if order == 0.0:
+        return np.array([math.log(m) for m in members.tolist()])
+    return _pows(members, order)
 
 
 def _convexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
-    pair_x = grid.pair_x_values()
+    grid_x = np.array(grid.x_values)
+    pair_x = np.array(grid.pair_x_values())
+    i, j = np.triu_indices(pair_x.size, 1)
+    x1, x2 = pair_x[i], pair_x[j]
+    specs = []
     for spec in default_convexity_specs():
-        a, b, convex = spec.a, spec.b, spec.direction == "convex"
-        tag = f"a={a:g},b={b:g},{spec.direction}"
-        monitor_label = f"convexity:monitor[{tag}]"
-        midpoints = [
-            (x1, x2, alpha, _power_mean(a, x1, x2, alpha),
-             f"convexity:midpoint[{tag},alpha={alpha:g}]")
-            for i, x1 in enumerate(pair_x)
-            for x2 in pair_x[i + 1:]
-            for alpha in sorted({spec.alpha, 0.3})
-        ]
-        points = pair_x + tuple(m[3] for m in midpoints)
-        for q in grid.q_values:
-            if not spec.admits(q):
-                continue
+        powered = _powered(spec.a, pair_x)
+        alphas = sorted({spec.alpha, 0.3})
+        means = [_power_means(spec.a, powered, i, j, alpha) for alpha in alphas]
+        specs.append((spec, _pows(grid_x, 1.0 - spec.a), alphas, means))
+    for q in grid.q_values:
+        admitted = [entry for entry in specs if entry[0].admits(q)]
+        if not admitted:
+            continue
+        # one batch for the argument means of every admitted spec.  V is not
+        # evaluated at a mean that overflowed: inf stands in for it, so its
+        # check records an evaluation error
+        all_means = [t for *_, spec_means in admitted for t in spec_means]
+        means = np.concatenate(all_means)
+        finite = np.isfinite(means)
+        got, errors = ev.values(q, pair_x.tolist() + means[finite].tolist())
+        v_pair = got[:pair_x.size]
+        v_means = np.full(means.size, math.inf)
+        v_means[finite] = got[pair_x.size:]
+        v_means = iter(np.split(v_means, len(all_means)))
+        monitor_columns = [ev.values(q, grid.x_values, True), ev.values(q, grid.x_values)]
+        (vp, _), (v, _) = monitor_columns
+        evaluated = ~(np.isnan(vp) | np.isnan(v))
+        x, vp, v = grid_x[evaluated], vp[evaluated], v[evaluated]
+        # V^(b-1) and the value means depend on the spec only through b
+        powers: dict[float, np.ndarray] = {}
+        value_means: dict[tuple[float, float], np.ndarray] = {}
+        for spec, x_power, alphas, arg_means in admitted:
+            a, b, convex = spec.a, spec.b, spec.direction == "convex"
+            tag = f"a={a:g},b={b:g},{spec.direction}"
+
             # (i) monitor route: M(x) = x^{1-a} V'(x) V(x)^{b-1}, increasing
             # exactly when V_q is (a, b)-convex
-            monitor = [
-                (x, x ** (1.0 - a) * vp * v ** (b - 1.0))
-                for x, vp, v in ev.rows(
-                    col, monitor_label, q, grid.x_values, (q, True), (q, False)
-                )
-            ]
-            for (x1, m1), (x2, m2) in zip(monitor, monitor[1:]):
-                lhs, rhs = (m1, m2) if convex else (m2, m1)
-                col.assert_less(monitor_label, lhs, rhs, q=q, x=x1, y=x2)
+            label = f"convexity:monitor[{tag}]"
+            _evaluated(col, label, q, grid_x, [(c, e, grid_x) for c, e in monitor_columns])
+            if b not in powers:
+                powers[b] = _pows(v, b - 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                monitor = x_power[evaluated] * vp * powers[b]
+            lhs, rhs = (monitor[:-1], monitor[1:]) if convex else (monitor[1:], monitor[:-1])
+            col.assert_less(label, lhs, rhs, q, x[:-1], x[1:])
 
             # (ii) midpoint route: compare V at the argument mean with the
             # value mean, strictly, for distinct pair members
-            at = dict(zip(points, ev.values(q, points)))
-            for x1, x2, alpha, t, label in midpoints:
-                v_at_mean, v1, v2 = at[t], at[x1], at[x2]
-                error = _first_error((v_at_mean, v1, v2))
-                if error is not None:
-                    col.record_error(label, error, q, x1)
-                    continue
-                mean_of_v = _power_mean(b, v1, v2, alpha)
+            for alpha, t in zip(alphas, arg_means):
+                v_at_mean = next(v_means)
+                label = f"convexity:midpoint[{tag},alpha={alpha:g}]"
+                ok = _evaluated(col, label, q, x1, [
+                    (v_at_mean, errors, t), (v_pair[i], errors, x1), (v_pair[j], errors, x2)
+                ])
+                if (b, alpha) not in value_means:
+                    value_means[(b, alpha)] = _power_means(
+                        b, _powered(b, v_pair), i, j, alpha
+                    )
+                mean_of_v = value_means[(b, alpha)]
                 lhs, rhs = (v_at_mean, mean_of_v) if convex else (mean_of_v, v_at_mean)
-                col.assert_less(label, lhs, rhs, q=q, x=x1, y=x2)
+                col.assert_less(label, lhs[ok], rhs[ok], q, x1[ok], x2[ok])
 
 
 def _turan_constant(q: float) -> float:
@@ -552,165 +670,178 @@ def _three_orders(q: float) -> tuple[tuple[float, bool], ...]:
 
 def _turan_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     for q in grid.q_values:
-        for x, v0, v1, v2 in ev.rows(col, "turan", q, grid.x_values, *_three_orders(q)):
+        x, (v0, v1, v2) = ev.rows(col, "turan", q, grid.x_values, *_three_orders(q))
+        with np.errstate(over="ignore", invalid="ignore"):
             prod = v0 * v2
-            col.assert_less(
-                "turan:upper", v1 * v1, (q + 2.0) / (q + 1.0) * prod, q=q, x=x
-            )
-            col.assert_less("turan:improved-upper", v1 * v1, prod, q=q, x=x)
+            col.assert_less("turan:upper", v1 * v1, (q + 2.0) / (q + 1.0) * prod, q, x)
+            col.assert_less("turan:improved-upper", v1 * v1, prod, q, x)
             if q > -0.5:
-                col.assert_less(
-                    "turan:lower", _turan_constant(q) * prod, v1 * v1, q=q, x=x
-                )
+                col.assert_less("turan:lower", _turan_constant(q) * prod, v1 * v1, q, x)
             col.assert_less(
-                "turan:order-bound",
-                (2.0 * q + 1.0) * v0, 2.0 * (q + 1.0) * v1, q=q, x=x,
+                "turan:order-bound", (2.0 * q + 1.0) * v0, 2.0 * (q + 1.0) * v1, q, x
             )
             col.assert_less(
                 "turan:shifted-lower",
-                -v0 * v1, (q + 1.0) * v1 * v1 - (q + 2.0) * prod, q=q, x=x,
+                -v0 * v1, (q + 1.0) * v1 * v1 - (q + 2.0) * prod, q, x,
             )
 
     # sharpness of the lower constant as x -> 0, at fixed representative
     # orders: the ratio approaches the constant like x^{min(2q+1, 2)}
     label = "turan:lower-sharpness-limit"
     for q in SHARPNESS_Q:
-        for x, v0, v1, v2 in ev.rows(col, label, q, (SHARPNESS_X,), *_three_orders(q)):
+        x, (v0, v1, v2) = ev.rows(col, label, q, (SHARPNESS_X,), *_three_orders(q))
+        with np.errstate(over="ignore", invalid="ignore"):
             ratio = v1 * v1 / (v0 * v2)
-            col.assert_residual(label, ratio - _turan_constant(q), SHARPNESS_TOL, q=q, x=x)
+            col.assert_residual(label, ratio - _turan_constant(q), SHARPNESS_TOL, q, x)
 
 
 def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     xs, qs = grid.pair_x_values(), grid.q_values
     label = "logconvexity:unweighted-midpoint[open-problem]"
-    open_total = dict.fromkeys(xs, 0)
-    open_held = dict.fromkeys(xs, 0)
+    open_total = np.zeros(len(xs), dtype=int)
+    open_held = np.zeros(len(xs), dtype=int)
     for i, q1 in enumerate(qs):
         for q2 in qs[i + 1:]:
             mid = 0.5 * (q1 + q2)
             orders = ((q1, False), (q2, False), (mid, False))
-            rows = ev.rows(col, "logconvexity", q1, xs, *orders)
-            w1, w2, wm = (math.exp(sc.gammaln(q + 1.0)) for q in (q1, q2, mid))
-            for x, g1, g2, gm in rows:
+            x, (g1, g2, gm) = ev.rows(col, "logconvexity", q1, xs, *orders)
+            w1, w2, wm = (_exp(sc.gammaln(q + 1.0)) for q in (q1, q2, mid))
+            with np.errstate(over="ignore", invalid="ignore"):
                 f1, f2, fm = w1 * g1, w2 * g2, wm * gm
                 col.assert_less(
-                    "logconvexity:gamma-weighted-midpoint",
-                    fm * fm, f1 * f2, q=q1, x=x, y=q2,
+                    "logconvexity:gamma-weighted-midpoint", fm * fm, f1 * f2, q1, x, q2
                 )
-                open_total[x] += 1
-                if col.observe_less(label, gm * gm, g1 * g2, q=q1, x=x, y=q2):
-                    open_held[x] += 1
-    for x in xs:
+                checked, held = col.observe_less(label, gm * gm, g1 * g2, q1, x, q2)
+            at = np.searchsorted(xs, x)
+            open_total[at] += checked
+            open_held[at] += held
+    for x, held, total in zip(xs, open_held.tolist(), open_total.tolist()):
         col.note(
             label,
             f"open problem, never asserted: strict midpoint log-convexity of "
-            f"q -> V_q held at {open_held[x]} of {open_total[x]} pairs at x={x:g}",
+            f"q -> V_q held at {held} of {total} pairs at x={x:g}",
         )
 
 
 def _simon_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
-    printed_total = printed_failed = 0
-    rederived_total = rederived_failed = 0
+    printed = "simon:product-ratio-bound[printed-exponent]"
+    rederived = "simon:product-ratio-bound[rederived-exponent]"
+    tallies = {printed: [0, 0], rederived: [0, 0]}  # compared, failed
     for q in grid.q_values:
-        for x, v0, v1, v2 in ev.rows(col, "simon", q, grid.x_values, *_three_orders(q)):
+        x, (v0, v1, v2) = ev.rows(col, "simon", q, grid.x_values, *_three_orders(q))
+        with np.errstate(over="ignore", invalid="ignore"):
             gap = v0 * v2 - v1 * v1
-            col.assert_less("simon:product-gap-bound", gap, v1 * v2 / x, q=q, x=x)
+            col.assert_less("simon:product-gap-bound", gap, v1 * v2 / x, q, x)
             col.assert_less(
-                "simon:product-gap-bound-quadratic", gap, v1 * v2 / (x * x), q=q, x=x
+                "simon:product-gap-bound-quadratic", gap, v1 * v2 / (x * x), q, x
             )
-            col.assert_less("simon:two-sided-upper", v1 * v1 - v0 * v2, 0.0, q=q, x=x)
+            col.assert_less("simon:two-sided-upper", v1 * v1 - v0 * v2, 0.0, q, x)
 
             # product-ratio forms: both exponent variants fail numerically
             # for x beyond roughly 2.26, so they are observed, not asserted
-            printed_total += 1
-            if not col.observe_less(
-                "simon:product-ratio-bound[printed-exponent]",
-                v0 * v2,
-                v1 * v1 * (1.0 + x ** (-2.0 * (q + 3.0)) * v2),
-                q=q, x=x,
-            ):
-                printed_failed += 1
-            rederived_total += 1
-            if not col.observe_less(
-                "simon:product-ratio-bound[rederived-exponent]",
-                v0 * v2,
-                v1 * v1 * (1.0 + x ** (-(2.0 * q + 7.0)) * v2),
-                q=q, x=x,
-            ):
-                rederived_failed += 1
-    col.note(
-        "simon:product-ratio-bound[printed-exponent]",
-        f"not asserted: the x^(-2(q+3)) product-ratio form failed at "
-        f"{printed_failed} of {printed_total} grid points (fails for large x)",
-    )
-    col.note(
-        "simon:product-ratio-bound[rederived-exponent]",
-        f"not asserted: the x^(-2q-7) product-ratio form failed at "
-        f"{rederived_failed} of {rederived_total} grid points (fails for large x)",
-    )
+            for label, exponent in ((printed, -2.0 * (q + 3.0)), (rederived, -(2.0 * q + 7.0))):
+                checked, held = col.observe_less(
+                    label, v0 * v2, v1 * v1 * (1.0 + _pows(x, exponent) * v2), q, x
+                )
+                tallies[label][0] += int(checked.sum())
+                tallies[label][1] += int((checked & ~held).sum())
+    for label, form in ((printed, "x^(-2(q+3))"), (rederived, "x^(-2q-7)")):
+        total, failed = tallies[label]
+        col.note(
+            label,
+            f"not asserted: the {form} product-ratio form failed at "
+            f"{failed} of {total} grid points (fails for large x)",
+        )
 
 
 def _bounds_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
-    # Mills bound family (order-free, over the x grid)
-    for x in grid.x_values:
+    _mills_checks(grid.x_values, col)
+
+    # order-indexed bounds and envelopes
+    for q in grid.q_values:
+        x, (v,) = ev.rows(col, "bounds", q, grid.x_values, (q, False))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if q >= 0.0:
+                xr, (vr, v_prev) = ev.rows(
+                    col, "bounds:order-ratio", q, x.tolist(), (q, False), (q - 1.0, False)
+                )
+                xsq2 = 2.0 * xr * xr
+                col.assert_less(
+                    "bounds:order-ratio-lower", xsq2 / (xsq2 + 1.0), vr / v_prev, q, xr
+                )
+                col.assert_less("bounds:order-decreasing", vr, v_prev, q, xr)
+
+            envelopes = [("bounds:envelope-lower-exp", vq_lower_exp, True)]
+            if q > -0.75:
+                envelopes.append(("bounds:envelope-upper-agm", vq_upper_agm, False))
+            envelopes.append(("bounds:envelope-lower-kratzel", vq_lower_kratzel, True))
+            got = _envelopes(col, q, x, [fn for _, fn, _ in envelopes])
+            for (label, _, lower), (bound, ok) in zip(envelopes, got):
+                lhs, rhs = (bound, v) if lower else (v, bound)
+                col.assert_less(label, lhs[ok], rhs[ok], q, x[ok])
+
+            col.assert_less(
+                "bounds:x-vq-increasing", x[:-1] * v[:-1], x[1:] * v[1:], q, x[:-1], x[1:]
+            )
+
+
+def _envelopes(col: _Collector, q: float, xs: np.ndarray, fns: list) -> list[tuple]:
+    """``(values, evaluated)`` of each envelope function of ``fns`` over
+    ``xs``.  The first that fails at an x is recorded as the envelope's
+    evaluation error there, and the later ones are not evaluated."""
+    values = np.zeros((len(fns), xs.size))
+    reached = np.zeros(xs.size, dtype=int)
+    for k, x in enumerate(xs.tolist()):
+        try:
+            for row, fn in enumerate(fns):
+                values[row, k] = fn(q, x)
+                reached[k] += 1
+        except (DomainError, ArithmeticError) as exc:
+            col.record_error("bounds:envelope", exc, q, x)
+    return [(values[row], reached > row) for row in range(len(fns))]
+
+
+def _mills_checks(xs: Sequence[float], col: _Collector) -> None:
+    """The Mills bound family f1..f5 and the Mills ODE residual over the x
+    grid (order-free)."""
+    rows, residual_x, residual = [], [], []
+    for x in xs:
+        if x > _MILLS_X_MAX:
+            col.record_error("bounds:mills", NumericalError(
+                f"m and its bounds agree to double precision at x={x:g}, so "
+                f"their strict inequalities cannot be resolved"
+            ), None, x)
+            continue
         try:
             row = mills_bounds(x)
-        except (DomainError, NumericalError) as exc:
+        except (DomainError, ArithmeticError) as exc:
             col.record_error("bounds:mills", exc, None, x)
             continue
-        col.assert_less("bounds:mills-lower-f1", row.f1, row.m, x=x)
-        col.assert_less("bounds:mills-upper-f2", row.m, row.f2, x=x)
-        if row.f3 is not None:
-            col.assert_less("bounds:mills-upper-f3", row.m, row.f3, x=x)
-        col.assert_less("bounds:mills-upper-f4", row.m, row.f4, x=x)
-        col.assert_less("bounds:mills-upper-f5", row.m, row.f5, x=x)
-        if x > 1.0 and row.f3 is not None:
-            col.assert_less("bounds:f3-below-f2-beyond-1", row.f3, row.f2, x=x)
+        rows.append((x, row.f1, row.f2, math.nan if row.f3 is None else row.f3,
+                     row.f4, row.f5, row.m))
 
         # ODE residual m' = x m - 1 via centered difference
         h = 1e-5 * max(1.0, x)
         if x - h > 0.0:
             try:
                 deriv = (mills(x + h) - mills(x - h)) / (2.0 * h)
-                residual = deriv - (x * row.m - 1.0)
-            except (DomainError, NumericalError) as exc:
+            except (DomainError, ArithmeticError) as exc:
                 col.record_error("bounds:mills-ode-residual", exc, None, x)
             else:
-                col.assert_residual(
-                    "bounds:mills-ode-residual", residual, ODE_RESIDUAL_TOL, x=x
-                )
-
-    # order-indexed bounds and envelopes
-    for q in grid.q_values:
-        values = ev.rows(col, "bounds", q, grid.x_values, (q, False))
-        if q >= 0.0:
-            evaluated = [x for x, _ in values]
-            for x, v, v_prev in ev.rows(
-                col, "bounds:order-ratio", q, evaluated, (q, False), (q - 1.0, False)
-            ):
-                xsq2 = 2.0 * x * x
-                col.assert_less(
-                    "bounds:order-ratio-lower", xsq2 / (xsq2 + 1.0), v / v_prev, q=q, x=x
-                )
-                col.assert_less("bounds:order-decreasing", v, v_prev, q=q, x=x)
-
-        for x, v in values:
-            try:
-                col.assert_less(
-                    "bounds:envelope-lower-exp", vq_lower_exp(q, x), v, q=q, x=x
-                )
-                if q > -0.75:
-                    col.assert_less(
-                        "bounds:envelope-upper-agm", v, vq_upper_agm(q, x), q=q, x=x
-                    )
-                col.assert_less(
-                    "bounds:envelope-lower-kratzel", vq_lower_kratzel(q, x), v, q=q, x=x
-                )
-            except (DomainError, NumericalError) as exc:
-                col.record_error("bounds:envelope", exc, q, x)
-
-        for (x1, v1), (x2, v2) in zip(values, values[1:]):
-            col.assert_less("bounds:x-vq-increasing", x1 * v1, x2 * v2, q=q, x=x1, y=x2)
+                residual_x.append(x)
+                residual.append(deriv - (x * row.m - 1.0))
+    x, f1, f2, f3, f4, f5, m = np.array(rows, dtype=float).reshape(-1, 7).T
+    col.assert_less("bounds:mills-lower-f1", f1, m, x=x)
+    col.assert_less("bounds:mills-upper-f2", m, f2, x=x)
+    has_f3 = ~np.isnan(f3)
+    col.assert_less("bounds:mills-upper-f3", m[has_f3], f3[has_f3], x=x[has_f3])
+    col.assert_less("bounds:mills-upper-f4", m, f4, x=x)
+    col.assert_less("bounds:mills-upper-f5", m, f5, x=x)
+    beyond = has_f3 & (x > 1.0)
+    col.assert_less("bounds:f3-below-f2-beyond-1", f3[beyond], f2[beyond], x=x[beyond])
+    col.assert_residual(
+        "bounds:mills-ode-residual", np.array(residual), ODE_RESIDUAL_TOL, x=np.array(residual_x)
+    )
 
 
 #: the suite registry: each suite's implementation, in canonical order

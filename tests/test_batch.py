@@ -181,10 +181,11 @@ class TestVerifierPrefetch:
 
     def test_unconverged_points_are_not_memoised(self):
         # the value table holds the scalar call's error, never a value
-        at_02, at_1 = _Evaluator().values(-0.9999, [0.2, 1.0])
-        assert isinstance(at_1, float)
+        values, errors = _Evaluator().values(-0.9999, [0.2, 1.0])
+        assert math.isnan(values[0]) and math.isfinite(values[1])
+        assert list(errors) == [0.2]
         with pytest.raises(ArithmeticError, match="did not converge"):
-            raise at_02
+            raise errors[0.2]
 
     def test_no_failing_point_is_evaluated_twice(self, monkeypatch):
         calls, failed = [], set()

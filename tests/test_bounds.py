@@ -74,6 +74,38 @@ class TestMillsBoundValues:
             fn(-1.0)
 
 
+class TestMillsBoundsAtHugeArguments:
+    """Where x^2 or x^4 overflows, f1, f3, f4 and f5 switch to their forms
+    in u = 1/x^2; each bound then keeps its value, which is ~1/x like m."""
+
+    @staticmethod
+    def references(x: float) -> dict:
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            X = mp.mpf(x)
+            return {
+                "f1": X / (X * X + 1),
+                "f2": 1 / X,
+                "f3": X * (X * X + 1) / (X ** 4 + 2 * X * X - 1),
+                "f4": 2 * X / (X * X - 1 + mp.sqrt(X ** 4 + 6 * X * X + 1)),
+                "f5": 6 * X / (5 * X * X - 3 + mp.sqrt(X ** 4 + 18 * X * X + 9)),
+                # asymptotic series; the first omitted term is 15/x^7
+                "m": (1 - 1 / X ** 2 + 3 / X ** 4) / X,
+            }
+
+    @pytest.mark.parametrize("x", [1e76, 1e78, 1e160, 1e300])
+    def test_bounds_match_mpmath(self, x):
+        row = mills_bounds(x)
+        for name, ref in self.references(x).items():
+            assert rel_diff(getattr(row, name), float(ref)) <= 4e-16, (name, x)
+
+    def test_direct_forms_kept_below_the_overflow(self):
+        # the largest x whose x^4 is finite still takes the direct forms
+        x = 1e76
+        assert mills_f3_raw(x) == x * (x * x + 1.0) / (x ** 4 + 2.0 * x * x - 1.0)
+        assert mills_f1(1e150) == 1e150 / (1e150 * 1e150 + 1.0)
+
+
 class TestMillsBoundAlgebra:
     """Each two-regime bound must satisfy its cross-multiplied defining
     identities everywhere, which checks the two arrangements against each

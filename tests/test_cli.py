@@ -141,6 +141,21 @@ class TestFigureCommand:
             assert float(cells[6]) == obj["m"]
             assert (None if cells[3] == "" else float(cells[3])) == obj["f3"]
 
+    def test_huge_abscissas_tabulate(self, runner):
+        # x^2 and x^4 overflow at 5e199 and 1e200; the bounds switch to
+        # their forms in 1/x^2 and the ratio itself stays ~1/x
+        result = invoke(runner, "figure", "--x-min", "1", "--x-max", "1e200",
+                        "--steps", "3", "--precision", "17")
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in result.output.splitlines()[1:]]
+        assert [float(cells[0]) for cells in rows] == [1.0, 5e199, 1e200]
+        for cells in rows[1:]:
+            x = float(cells[0])
+            for cell in cells[1:]:
+                assert abs(float(cell) * x - 1.0) <= 4e-16, (x, cells)
+        assert [float(c) for c in rows[0][1:6]] == [
+            0.5, 1.0, 1.0, 0.70710678118654746, 0.82287565553229525]
+
     def test_bad_ranges_exit_2(self, runner):
         for args in (["figure", "--x-min", "3", "--x-max", "1"],
                      ["figure", "--steps", "1"],
@@ -225,17 +240,15 @@ class TestVerifyCommand:
 
 
 class TestOverflowExitsThree:
-    """A float overflow inside a check or a table row is a numerical
-    failure: exit 3 with an error line, never a traceback.  The commands run
-    in a fresh interpreter, as a user runs them; at q = 200 the
-    Gauss-Laguerre weights still warn in-process."""
+    """A check that cannot be evaluated at a point is a numerical failure:
+    exit 3 with an error line, never a traceback.  The commands run in a
+    fresh interpreter, as a user runs them."""
 
     @pytest.mark.parametrize("args", [
         "verify --suite convexity --q 1 --x 1 --x 1e200",
         "verify --suite bounds --q 1 --x 1 --x 1e200",
         "verify --suite simon --q 150 --x 1e-3 --x 1",
         "verify --suite logconvexity --q 0 --q 200 --x 1",
-        "figure --x-min 1 --x-max 1e200 --steps 3",
     ])
     def test_exit_code(self, args):
         out = subprocess.run(

@@ -2,8 +2,12 @@
 specifications, suite runs, report shape, and the self-test fixture."""
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regcoulomb.verify as verify_mod
 from regcoulomb.errors import DomainError, UsageError
@@ -42,6 +46,68 @@ class TestStrictlyLess:
         less = verify_mod.strictly_less
         assert less(-2.0, -1.0, 1e-9)
         assert not less(-1.0, -2.0, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the array collector against the per-check reference
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-12, -1e-12, 5e-13,
+            1.0, -1.0, 1e308, -1e308, 5e-324]
+
+
+@st.composite
+def _check_pairs(draw):
+    """(lhs, rhs) with NaN, +-inf, +-0 and lhs within a few ulp of the guard
+    band rhs - max(1e-12, rel_tol |rhs|)."""
+    value = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True))
+    rhs = draw(value)
+    if draw(st.booleans()) and math.isfinite(rhs):
+        lhs = rhs - max(verify_mod.ABS_TOL_FLOOR, DEFAULT_REL_TOL * abs(rhs))
+        for _ in range(draw(st.integers(0, 4))):
+            lhs = math.nextafter(lhs, draw(st.sampled_from([math.inf, -math.inf])))
+    else:
+        lhs = draw(value)
+    return lhs, rhs
+
+
+class TestArrayCollector:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_check_pairs(), min_size=1, max_size=40), st.integers(0, 40))
+    def test_matches_the_per_check_loop(self, pairs, cut):
+        # the old loop: strictly_less per check, margins folded by min/max
+        n_checks, low, high, verdicts, margins = 0, math.inf, -math.inf, [], []
+        for lhs, rhs in pairs:
+            margin = rhs - lhs
+            n_checks += 1
+            low, high = min(low, margin), max(high, margin)
+            verdicts.append(verify_mod.strictly_less(lhs, rhs, DEFAULT_REL_TOL))
+            margins.append(margin)
+
+        col = verify_mod._Collector(DEFAULT_REL_TOL)
+        lhs, rhs = (np.array(side) for side in zip(*pairs))
+        ok = verify_mod._less(lhs, rhs, DEFAULT_REL_TOL)
+        with np.errstate(invalid="ignore", over="ignore"):
+            margin = rhs - lhs
+        x = np.arange(len(pairs), dtype=float)
+        for part in (slice(None, cut), slice(cut, None)):  # two calls fold
+            col._record("t", lhs[part], rhs[part], margin[part], ok[part], 0.5, x[part], None)
+
+        assert ok.tolist() == verdicts
+        assert list(map(repr, margin.tolist())) == list(map(repr, margins))
+        assert col.n_checks == n_checks
+        assert (repr(col.min_margin), repr(col.max_margin)) == (repr(low), repr(high))
+        failed = [(float(k), lhs_k, rhs_k, m) for k, (lhs_k, rhs_k), m, good
+                  in zip(x, pairs, margins, verdicts) if not good]
+        assert repr([(v.x, v.lhs, v.rhs, v.margin) for v in col.violations]) == repr(failed)
+
+    def test_non_finite_sides_are_errors_at_their_point(self):
+        col = verify_mod._Collector(DEFAULT_REL_TOL)
+        col.assert_less("t", [1.0, math.inf, 1.0, 2.0], [3.0, 1.0, math.nan, 1e308 * 10],
+                        0.5, np.array([1.0, 2.0, 3.0, 4.0]))
+        assert col.n_checks == 1 and not col.violations
+        assert [(e.suite, e.q, e.x) for e in col.errors] == [
+            ("t[evaluation-error]", 0.5, x) for x in (2.0, 3.0, 4.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +339,46 @@ class TestRunSuite:
             VerifyConfig(rel_tol=1.5)
 
     def test_overflow_ends_only_its_own_suite(self):
-        # the quadratic power mean of x = 1e200 overflows in convexity; the
-        # suite ends with one evaluation error and turan still runs after it
-        grid = Grid((1.0,), (1.0, 1e200))
-        report = run_suite(VerifyConfig(suites=("convexity", "turan"), grid=grid))
-        ended = [e for e in report.errors if e.suite == "convexity[evaluation-error]"]
-        assert [(e.q, e.x) for e in ended] == [(None, None)]
+        # V fails at x = 1e200 (x^2 overflows), and so does the quadratic
+        # power mean of any pair with it: each such check records its own
+        # error at (q, x), and every check of the finite points still counts
+        suites = ("convexity", "turan")
+        grid = Grid((1.0,), (1.0, 2.0, 1e200))
+        report = run_suite(VerifyConfig(suites=suites, grid=grid))
+        finite = run_suite(VerifyConfig(suites=suites, grid=Grid((1.0,), (1.0, 2.0))))
+        assert not finite.errors
+        assert report.n_checks == finite.n_checks
+        assert report.violations == finite.violations
+        assert (report.min_margin, report.max_margin) == \
+            (finite.min_margin, finite.max_margin)
+        assert all(e.q == 1.0 for e in report.errors)
+        # single-point and monitor checks at 1e200 itself; a midpoint check
+        # is recorded at its pair's first member, here 1 or 2, for the 29
+        # specs x 2 weights x 2 pairs that end at 1e200
+        elsewhere = [e for e in report.errors if e.x != 1e200]
+        assert all(e.suite.startswith("convexity:midpoint") for e in elsewhere)
+        assert len(elsewhere) == 29 * 2 * 2
+        assert {e.suite for e in report.errors if e.x == 1e200} == \
+            {"turan[evaluation-error]"} | {
+                f"convexity:monitor[a={s.a:g},b={s.b:g},{s.direction}][evaluation-error]"
+                for s in default_convexity_specs()}
         turan = run_suite(VerifyConfig(suites=("turan",), grid=grid))
         assert turan.n_checks > 0
         assert set(turan.errors) <= set(report.errors)
+
+    def test_check_arithmetic_overflow_is_an_error_at_its_point(self):
+        # x^(-2(q+3)) and x^(-2q-7) overflow at q = 150, x = 1e-3 although
+        # every V value is finite: the two product-ratio observations there
+        # are evaluation errors, and the asserted checks still count
+        report = run_suite(VerifyConfig(suites=("simon",), grid=Grid((150.0,), (1e-3, 1.0))))
+        assert report.n_checks == 6 and report.passed
+        assert sorted((e.suite, e.q, e.x) for e in report.errors) == [
+            ("simon:product-ratio-bound[printed-exponent][evaluation-error]", 150.0, 1e-3),
+            ("simon:product-ratio-bound[rederived-exponent][evaluation-error]", 150.0, 1e-3),
+        ]
+        assert all("not finite" in e.note for e in report.errors)
+        notes = sorted(o.note for o in report.observations if o.q is None)
+        assert [note.split(" failed at ")[1][:6] for note in notes] == ["0 of 1"] * 2
 
     def test_single_point_emits_every_check(self):
         config = VerifyConfig(suites=("turan",), grid=Grid((0.5,), (1.0,)),
@@ -330,6 +427,34 @@ class TestSuiteRegistry:
 
         (option,) = [p for p in cli.cmd_verify.params if p.name == "suites"]
         assert tuple(option.type.choices) == SUITES + ("all",)
+
+
+class TestDefaultReport:
+    """The default report against the one committed from the per-check
+    verifier: the same records exactly, floats within 4 ulp."""
+
+    REPORT = Path(__file__).parent / "data" / "verify_default_report.json"
+
+    @staticmethod
+    def close(a, b) -> bool:
+        if a is None or b is None:
+            return a is b
+        return abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b)))
+
+    def test_matches_the_committed_report(self):
+        want = json.loads(self.REPORT.read_text())
+        got = run_suite(VerifyConfig()).to_json_dict()
+        for key in ("suite", "grid", "tolerance", "pass", "counts"):
+            assert got[key] == want[key], key
+        for side in ("min", "max"):
+            assert self.close(got["extremal_margins"][side], want["extremal_margins"][side])
+        for key in ("violations", "observations", "errors"):
+            assert len(got[key]) == len(want[key])
+            for mine, theirs in zip(got[key], want[key]):
+                floats = {"lhs", "rhs", "margin"}
+                assert {k: v for k, v in mine.items() if k not in floats} == \
+                    {k: v for k, v in theirs.items() if k not in floats}
+                assert all(self.close(mine[k], theirs[k]) for k in floats & set(mine))
 
 
 class TestReportShape:
