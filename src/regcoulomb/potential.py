@@ -18,28 +18,33 @@ standard normal distribution is m(x) = sqrt(pi/2) e^{x^2/2} erfc(x/sqrt 2)
 
 The main evaluator routes by argument size: a fused small-x expansion with
 O(1) intermediates, direct quadrature of the integral representation in the
-central range, and the Tricomi large-argument series beyond.  Every result
-carries its evaluation route and an error estimate.  ``vq_many`` and
-``vq_prime_many`` evaluate one order at many arguments, routing each as the
-scalar call would and passing the quadrature points to the column engines
-together; V_q and V_q' share one integrand, with exponent -1/2 or -3/2.
+central range (and at small x for half-integer orders and orders beyond
+171), and the Tricomi large-argument series beyond.  Every result carries
+its evaluation route and an error estimate.
+
+The quadrature has one path, :func:`_laplace_integrals`: the peak-centred
+trapezoid rule in log t (:func:`~regcoulomb.quadrature.trapezoid_columns`)
+for V_q and V_q', which share one integrand with exponent -1/2 or -3/2.
+``vq_many`` and ``vq_prime_many`` evaluate one order at many arguments,
+routing each as the scalar call would and passing the quadrature points to
+it together; a scalar call is its batch of one, and gets the same bits.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.special as sc
 
 from .errors import DivergenceError, DomainError, NumericalError
-from .quadrature import (
-    QuadOutcome,
-    expsinh_columns,
+# the scalar Gauss-Laguerre and exp-sinh engines are no longer called here
+# (psi_eval uses them); perfbench's tracer wraps these two names in this module
+from .quadrature import (  # noqa: F401
+    Columns,
     expsinh_escalating,
-    laguerre_columns,
     laguerre_escalating,
+    trapezoid_columns,
 )
 from .special import PsiEval, psi_eval
 
@@ -58,6 +63,8 @@ _SERIES_X_MAX = 0.05
 _ASYMPTOTIC_X_MIN = 30.0
 # the fused expansion degenerates when q sits on a half-integer (gamma poles)
 _HALF_INTEGER_GAP = 1e-3
+# and cannot form Gamma(q + 1/2), which overflows from q = 171.12
+_SERIES_Q_MAX = 171.0
 
 _PRIME_METHODS = ("integral", "differ", "difvq")
 _EVAL_METHODS = ("auto", "quadrature", "psi", "closed-form")
@@ -111,7 +118,11 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node-count ladder and acceptance tolerance for the integral route."""
+    """Node budget and acceptance tolerance for the integral route: the
+    trapezoid rule stops, unconverged, before a level that would take more
+    than ``node_counts[-1]`` nodes, and accepts a level that agrees with
+    the previous one to ``rel_tol``.  (The earlier entries of
+    ``node_counts`` were the Gauss-Laguerre ladder, and are still checked.)"""
 
     node_counts: tuple[int, ...] = (40, 80, 160, 320, 640, 1280)
     rel_tol: float = 1e-11
@@ -201,85 +212,36 @@ def _vq_series(q: float, x: float) -> EvalResult:
     return EvalResult(value, est, "psi-series")
 
 
-def _log_integrands(qv: float, power: float) -> tuple[Callable, Callable]:
-    """The logs of the integrand of
+def _laplace_integrals(
+    qv: float, xs: np.ndarray, prime: bool, spec: QuadratureSpec = _DEFAULT_QUAD
+) -> Columns:
+    """V_q at every x > 0 of ``xs`` (an array, or a float for one point),
+    or -V_q' when ``prime``, by quadrature of
 
-        int_0^inf e^-t t^q (x^2+t)^power dt / Gamma(q+1)
+        I(q, p) = (1/Gamma(q+1)) int_0^inf e^-t t^q (x^2+t)^p dt,
 
-    for the Gauss-Laguerre rule (which carries e^-t t^q as its weight) and
-    for the exp-sinh rule, as functions of x^2 (a float, or a column of
-    values, one per integrand) and the nodes."""
-    shift = -sc.gammaln(qv + 1.0)
-
-    # in place on the fresh array log(x^2 + t); the sums are the same as
-    # power*log(x^2+t) + shift and -t + q log t + power*log(x^2+t) + shift
-    def gl(xsq, t):
-        out = np.log(xsq + t)
-        out *= power
-        out += shift
-        return out
-
-    def de(xsq, t, log_t):
-        out = np.log(xsq + t)
-        out *= power
-        out += -t + qv * log_t
-        out += shift
-        return out
-
-    return gl, de
-
-
-def _laplace_integral(qv: float, x: float, power: float, spec: QuadratureSpec) -> QuadOutcome:
-    """The integral of :func:`_log_integrands` at one x, through the scalar
-    engines.
-
-    Gauss-Laguerre for x >= 1/2; below that, and wherever it fails, the
-    branch point at t = -x^2 sits too close to the axis for polynomial rules
-    and a double-exponential rule takes over.  Either escalates node counts
-    until two levels agree to the requested relative tolerance.  The outcome
-    is accepted (:func:`_accepted`) when it converged to a positive value.
-    An x whose square overflows is not evaluated and fails with a zero
-    estimate.
+    V_q = I(q, -1/2) and -V_q' = x I(q, -3/2), with the trapezoid rule of
+    :func:`trapezoid_columns`, which forms x I without underflow.  Orders in
+    (-1, -1/2] are lifted one order by the positive two-term relation
+    I(q, p) = I(q+1, p) - p I(q+1, p-1) (the ``difvq`` relation shifted one
+    order).  ``spec.node_counts[-1]`` is the node budget per column and
+    ``spec.rel_tol`` the tolerance between levels.  An x beyond 1e150 is not
+    evaluated (0, unconverged).
     """
-    xsq = x * x  # a Python float overflows to inf without a warning
-    if math.isinf(xsq):
-        return QuadOutcome(0.0, 0.0, 0, False)
-    gl, de = _log_integrands(qv, power)
-    ladder = (spec.node_counts, spec.rel_tol)
-    if x >= 0.5:
-        out = laguerre_escalating(lambda t: gl(xsq, t), qv, *ladder)
-        if _accepted(out):
-            return out
-    return expsinh_escalating(lambda t, log_t: de(xsq, t, log_t), qv, *ladder)
+    power = -1.5 if prime else -0.5
+    ladder = (spec.node_counts[-1], spec.rel_tol)
+    if qv > -0.5:
+        return trapezoid_columns(qv + 1.0, power, xs, prime, *ladder)
+    one, two = (trapezoid_columns(qv + 2.0, p, xs, prime, *ladder) for p in (power, power - 1.0))
+    return Columns(
+        one.value - power * two.value, one.abs_err - power * two.abs_err,
+        one.points + two.points, one.converged & two.converged,
+    )
 
 
-def _accepted(out: QuadOutcome) -> bool:
-    return out.converged and out.value > 0.0
-
-
-def _laplace_integrals(qv: float, xs: np.ndarray, power: float) -> np.ndarray:
-    """:func:`_laplace_integral` at every x of ``xs`` through the column
-    engines, with the default quadrature: the accepted values, NaN where
-    an x was not accepted."""
-    # squared as Python floats, which overflow to inf without a warning
-    xsq = np.array([x * x for x in xs.tolist()])
-    values = np.full(xs.size, np.nan)
-    gl, de = _log_integrands(qv, power)
-    ladder = (_DEFAULT_QUAD.node_counts, _DEFAULT_QUAD.rel_tol)
-    fits = np.isfinite(xsq)
-    todo = (fits & (xs >= 0.5)).nonzero()[0]
-    if todo.size:
-        gl_xsq = xsq[todo, None]
-        got = laguerre_columns(lambda t, cols: gl(gl_xsq[cols], t), qv, todo.size, *ladder)
-        values[todo] = np.where(got.converged & (got.value > 0.0), got.value, np.nan)
-    todo = (fits & np.isnan(values)).nonzero()[0]
-    if todo.size:
-        de_xsq = xsq[todo, None]
-        got = expsinh_columns(
-            lambda t, log_t, cols: de(de_xsq[cols], t, log_t), qv, todo.size, *ladder
-        )
-        values[todo] = np.where(got.converged & (got.value > 0.0), got.value, np.nan)
-    return values
+def _accepted(got: Columns) -> np.ndarray:
+    """The converged positive values of ``got``, NaN elsewhere."""
+    return np.where(got.converged & (got.value > 0.0), got.value, np.nan)
 
 
 def vq_quadrature(
@@ -287,20 +249,20 @@ def vq_quadrature(
 ) -> EvalResult:
     """V_q(x) by quadrature of int_0^inf e^-t t^q (x^2+t)^{-1/2} dt / Gamma(q+1).
 
-    Gauss-Laguerre for x >= 1/2; below that the branch point at t = -x^2
-    sits too close to the axis for polynomial rules and a double-exponential
-    rule takes over.  Either path escalates node counts until two levels
-    agree to the requested relative tolerance.
+    A peak-centred trapezoid rule in log t (:func:`trapezoid_columns`)
+    halves its step until two levels agree to the requested relative
+    tolerance; the call is :func:`vq_many`'s quadrature path for one point.
     """
     qv = _order_value(q)
     x = _check_x(x, positive=True)
     spec = quadrature if quadrature is not None else _DEFAULT_QUAD
-    out = _laplace_integral(qv, x, -0.5, spec)
-    if _accepted(out):
-        return EvalResult(out.value, out.abs_err, "quadrature")
+    got = _laplace_integrals(qv, np.float64(x), False, spec)
+    value, abs_err = float(got.value[0]), float(got.abs_err[0])
+    if got.converged[0] and value > 0.0:
+        return EvalResult(value, abs_err, "quadrature")
     raise NumericalError(
         f"quadrature did not converge for q={qv}, x={x} "
-        f"(best estimate {out.value!r}, error {out.abs_err:.3e})"
+        f"(best estimate {value!r}, error {abs_err:.3e})"
     )
 
 
@@ -410,8 +372,9 @@ def vq(
 def _routes_to_quadrature(qv: float, x):
     """Whether the "auto" route sends x > 0 (a float or an array) at an order
     other than 0 and -1 to quadrature: the central band, and small x at
-    half-integer orders."""
-    return (x < _ASYMPTOTIC_X_MIN) & ((x > _SERIES_X_MAX) | _near_half_integer(qv))
+    half-integer orders and at orders beyond the fused expansion's reach."""
+    small_x_too = _near_half_integer(qv) or qv > _SERIES_Q_MAX
+    return (x < _ASYMPTOTIC_X_MIN) & ((x > _SERIES_X_MAX) | small_x_too)
 
 
 def _abscissas(xs, *, positive: bool = False) -> np.ndarray:
@@ -443,7 +406,7 @@ def vq_many(q: float | Order, xs) -> np.ndarray:
         except NumericalError:
             values[i] = np.nan
     if batch.any():
-        values[batch] = _laplace_integrals(qv, xs[batch], -0.5)
+        values[batch] = _accepted(_laplace_integrals(qv, xs[batch], False))
     return values
 
 
@@ -464,10 +427,10 @@ def vq_prime(q: float | Order, x: float, method: str = "integral") -> float:
     x = _check_x(x, positive=True)
 
     if method == "integral":
-        out = _laplace_integral(qv, x, -1.5, _DEFAULT_QUAD)
-        if not _accepted(out):
+        value = float(_accepted(_laplace_integrals(qv, np.float64(x), True))[0])
+        if math.isnan(value):
             raise NumericalError(f"derivative quadrature did not converge for q={qv}, x={x}")
-        return -x * out.value
+        return -value
 
     if method == "differ":
         v_q = vq(qv, x).value
@@ -487,7 +450,7 @@ def vq_prime_many(q: float | Order, xs) -> np.ndarray:
     converge comes back NaN; a domain error for any point raises."""
     qv = _order_value(q)
     xs = _abscissas(xs, positive=True)
-    return -xs * _laplace_integrals(qv, xs, -1.5)
+    return -_accepted(_laplace_integrals(qv, xs, True))
 
 
 def vq_next(q: float | Order, vq_value: float, vq_prev: float, x: float) -> float:

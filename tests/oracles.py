@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import scipy.integrate as si
 import scipy.special as sc
@@ -86,6 +87,31 @@ def vq_prime_reference(q: float, x: float) -> float:
     part1, _ = si.quad(near, 0.0, 1.0, weight="alg", wvar=(q, 0.0), **_QUAD_KW)
     part2, _ = si.quad(far, 1.0, np.inf, **_QUAD_KW)
     return -x * (part1 + part2) * math.exp(-sc.gammaln(q + 1.0))
+
+
+def laplace_mpmath(q: float, x: float, prime: bool = False) -> float:
+    """V_q(x), or -V_q'(x) when ``prime``, with mpmath at 30 digits.
+
+    Up to q = 12 these are U(1/2, 1/2-q, x^2) and x U(3/2, 3/2-q, x^2).
+    Above, where ``hyperu`` can be wrong, the defining integral
+
+        (x^k / Gamma(q+1)) * integral_0^inf e^{-t} t^q (x^2+t)^{-1/2-k} dt
+
+    (k = 0, or 1 for -V_q') is summed by ``mp.quad`` with break points
+    around its peak at t = q.
+    """
+    with mp.workdps(30):
+        q, x = mp.mpf(q), mp.mpf(x)
+        if q <= 12:
+            if prime:
+                return float(x * mp.hyperu(1.5, 1.5 - q, x * x))
+            return float(mp.hyperu(0.5, 0.5 - q, x * x))
+        power = -1.5 if prime else -0.5
+        w = 8 * mp.sqrt(q + 1)
+        breaks = [0] + [t for t in (q - w, q, q + w) if t > 0] + [mp.inf]
+        shift = mp.loggamma(q + 1) - (mp.log(x) if prime else 0)
+        return float(mp.quad(
+            lambda t: mp.exp(q * mp.log(t) - t - shift) * (x * x + t) ** power, breaks))
 
 
 def psi_integral_reference(a: float, c: float, x: float) -> float:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -41,9 +42,10 @@ GRID = default_grid()
 # of the default grid, so that every route of vq(q, x, "auto") is exercised
 EXTRA_X = (0.0, 1e-3, 0.05, 30.0, 45.0)
 ROUTE_Q = GRID.q_values + (-1.0,)
-# orders and abscissas at the edges of the domain, where evaluations fail:
-# the verifier records 186 evaluation errors on this grid
-EDGE_GRID = Grid((-0.9999, -0.5, 0.0, 0.5, 1.0, 12.0), (1e-3, 0.2, 0.7, 3.0, 40.0, 1e3))
+# orders and abscissas at the edges of the domain; at x = 1e-100 the
+# quadrature of V_q' (q < 1/2) and of V_{-1/2} does not converge: the
+# verifier records 278 evaluation errors on this grid
+EDGE_GRID = Grid((-0.9999, -0.5, 0.0, 0.5, 1.0, 12.0), (1e-100, 1e-3, 0.2, 0.7, 3.0, 40.0, 1e3))
 
 
 def _check_against_scalar(q, xs, got):
@@ -76,15 +78,24 @@ class TestVqMany:
         _check_against_scalar(1.7, xs, got)
 
     def test_unconverged_points_are_nan(self):
-        # at orders within 5e-4 of -1 the quadrature does not converge for
-        # 0.05 <= x <= 0.44; the other points of the batch are unaffected
-        xs = [0.2, 0.3, 1.0, 2.0, 0.01]
-        got = vq_many(-0.9999, xs)
+        # at the half-integer order -1/2 small x goes to quadrature, which
+        # does not converge once x^2 underflows; the other points of the
+        # batch are unaffected
+        xs = [1e-200, 1e-170, 0.2, 1.0, 0.01]
+        got = vq_many(-0.5, xs)
         assert np.isnan(got[:2]).all()
         assert np.isfinite(got[2:]).all()
-        _check_against_scalar(-0.9999, xs[2:], got[2:])
+        _check_against_scalar(-0.5, xs[2:], got[2:])
         with pytest.raises(ArithmeticError):
-            vq(-0.9999, 0.2)
+            vq(-0.5, 1e-200)
+
+    def test_orders_next_to_minus_one_match_the_oracle(self):
+        # these points did not converge before the trapezoid rule
+        xs = [0.2, 0.3, 1.0, 2.0, 0.01]
+        got = vq_many(-0.9999, xs)
+        _check_against_scalar(-0.9999, xs, got)
+        for x, g in zip(xs, got):
+            assert rel_diff(g, float(mp.hyperu(0.5, 1.4999, mp.mpf(x) ** 2))) <= 1e-14, x
 
     def test_domain_errors_raise(self):
         with pytest.raises(DomainError):
@@ -107,9 +118,16 @@ class TestVqPrimeMany:
             assert rel_diff(g, want) <= 1e-13, (q, x)
 
     def test_unconverged_points_are_nan(self):
-        got = vq_prime_many(-0.9999, [0.01, 0.2, 1.0, 2.0])
+        # the trapezoid rule stops at x = 1e150 (x^2 overflows from 1.34e154)
+        got = vq_prime_many(-0.9999, [1e160, 1e200, 1.0, 2.0])
         assert np.isnan(got[:2]).all()
         assert np.isfinite(got[2:]).all() and (got[2:] < 0).all()
+
+    def test_orders_next_to_minus_one_match_the_oracle(self):
+        # these points did not converge before the trapezoid rule
+        for x, g in zip([0.01, 0.2, 1.0, 2.0], vq_prime_many(-0.9999, [0.01, 0.2, 1.0, 2.0])):
+            want = -x * float(mp.hyperu(1.5, 2.4999, mp.mpf(x) ** 2))
+            assert rel_diff(g, want) <= 1e-14, x
 
     def test_positive_x_required(self):
         with pytest.raises(DomainError):
@@ -169,7 +187,7 @@ class TestVerifierPrefetch:
         # an all-NaN batch sends every point through the scalar calls
         report, _ = batched_report_and_calls
         edge = run_suite(VerifyConfig(grid=EDGE_GRID))
-        assert len(edge.errors) == 186
+        assert len(edge.errors) == 278
         def nan_batch(q, xs):
             return np.full(len(xs), np.nan)
 
@@ -181,11 +199,11 @@ class TestVerifierPrefetch:
 
     def test_unconverged_points_are_not_memoised(self):
         # the value table holds the scalar call's error, never a value
-        values, errors = _Evaluator().values(-0.9999, [0.2, 1.0])
+        values, errors = _Evaluator().values(-0.9999, [1e160, 1.0], prime=True)
         assert math.isnan(values[0]) and math.isfinite(values[1])
-        assert list(errors) == [0.2]
+        assert list(errors) == [1e160]
         with pytest.raises(ArithmeticError, match="did not converge"):
-            raise errors[0.2]
+            raise errors[1e160]
 
     def test_no_failing_point_is_evaluated_twice(self, monkeypatch):
         calls, failed = [], set()
@@ -203,7 +221,7 @@ class TestVerifierPrefetch:
         monkeypatch.setattr(verify, "vq", counting("vq", verify.vq))
         monkeypatch.setattr(verify, "vq_prime", counting("vq_prime", verify.vq_prime))
         report = run_suite(VerifyConfig(grid=EDGE_GRID))
-        assert len(report.errors) == 186
+        assert len(report.errors) == 278
         # one scalar call per distinct failing point, and only for those
         assert sorted(calls) == sorted(failed)
 

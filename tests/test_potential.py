@@ -9,6 +9,7 @@ import pytest
 from regcoulomb.errors import DivergenceError, DomainError, NumericalError
 from regcoulomb.potential import (
     METHODS,
+    _vq_series,
     EvalResult,
     Order,
     QuadratureSpec,
@@ -25,6 +26,7 @@ from regcoulomb.potential import (
 )
 
 from oracles import (
+    laplace_mpmath,
     mills_reference,
     rel_diff,
     vq_defining_reference,
@@ -253,10 +255,13 @@ class TestOverflowWithoutWarnings:
     batch calls) before NumPy can warn; any warning fails a test here."""
 
     def test_series_route_at_large_order(self):
-        # Gamma(q + 1/2) overflows, so the series coefficient would be inf * 0
+        # Gamma(q + 1/2) overflows, so the series coefficient would be inf * 0;
+        # vq and vq_many send such orders at small x to quadrature instead
         with pytest.raises(NumericalError, match="small-x expansion failed"):
-            vq(200.0, 0.01)
-        assert np.isnan(vq_many(200.0, [0.01])).all()
+            _vq_series(200.0, 0.01)
+        assert vq(200.0, 0.01).method == "quadrature"
+        assert rel_diff(vq(200.0, 0.01).value, laplace_mpmath(200.0, 0.01)) <= 1e-14
+        assert np.isnan(vq_many(-0.5, [1e-200])).all()
 
     def test_derivative_integral_at_huge_argument(self):
         # x^2 overflows beyond about 1.34e154
