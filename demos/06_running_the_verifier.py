@@ -11,8 +11,7 @@ from regcoulomb import Grid, VerifyConfig, run_suite
 def main() -> None:
     print("=== A quick run on a small grid ==================================")
     grid = Grid(q_values=(-0.45, 0.0, 0.5, 1.0, 2.0),
-                x_values=(0.1, 0.5, 1.0, 2.0, 5.0, 10.0),
-                description="demo grid")
+                x_values=(0.1, 0.5, 1.0, 2.0, 5.0, 10.0))
     report = run_suite(VerifyConfig(suites=("all",), grid=grid))
     print(f"suites        : {report.suite}")
     print(f"grid          : {len(grid.q_values)} orders x "

@@ -39,7 +39,6 @@ from .potential import (
     METHODS,
     EvalResult,
     Order,
-    QuadratureSpec,
     mills,
     vq,
     vq_neg1,
@@ -85,7 +84,7 @@ __all__ = [
     # potential
     "vq", "vq_many", "vq_quadrature", "vq_via_psi", "vq_zero", "vq_neg1",
     "vq_prime", "vq_prime_many", "vq_next", "mills", "Order", "EvalResult",
-    "QuadratureSpec", "METHODS",
+    "METHODS",
     # special functions
     "ln_gamma", "erfc", "erfc_scaled", "kummer_phi", "tricomi_psi",
     "psi_eval", "kratzel_z", "PsiParams", "PsiEval", "KratzelParams",

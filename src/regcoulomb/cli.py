@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import astuple
 from typing import Callable, Optional
@@ -39,13 +38,6 @@ from .verify import (
     default_grid,
     run_suite,
 )
-
-#: Environment variable overriding the default relative tolerance of
-#: ``verify``.  Values are clamped to [1e-13, 1e-6]; an explicit
-#: ``--tolerance`` flag always wins.
-REL_TOL_ENV = "REGCOULOMB_REL_TOL"
-_REL_TOL_MIN = 1e-13
-_REL_TOL_MAX = 1e-6
 
 #: table headers, one name per row field in field order; they are also the
 #: JSON keys of each row
@@ -187,25 +179,20 @@ def cmd_figure(x_min: float, x_max: float, steps: int, fmt: str,
               help="Override grid orders (repeatable; sorted, deduplicated).")
 @click.option("--x", "x_values", type=float, multiple=True,
               help="Override grid abscissas (repeatable; sorted, deduplicated).")
-@click.option("--tolerance", type=click.FloatRange(_REL_TOL_MIN, _REL_TOL_MAX),
-              default=None,
-              help=f"Relative tolerance for strict inequalities "
-                   f"[default: {DEFAULT_REL_TOL:g}; the {REL_TOL_ENV} "
-                   f"environment variable overrides the default, this flag "
-                   f"overrides both].")
+@click.option("--tolerance", "rel_tol", type=click.FloatRange(1e-13, 1e-6),
+              default=DEFAULT_REL_TOL, show_default=True,
+              help="Relative tolerance for strict inequalities.")
 @click.option("--format", "fmt", type=click.Choice(["human", "json"]),
               default="human", show_default=True)
 @_mapped
 def cmd_verify(suites: tuple[str, ...], q_values: tuple[float, ...],
-               x_values: tuple[float, ...], tolerance: Optional[float],
-               fmt: str) -> None:
+               x_values: tuple[float, ...], rel_tol: float, fmt: str) -> None:
     """Verify every selected inequality suite over a grid.
 
     Exits 0 only if every asserted check holds; a single --q together with
     a single --x selects single-point mode, which echoes each check with
     its lhs/rhs values.
     """
-    rel_tol = _resolve_tolerance(tolerance)
     grid = _resolve_grid(q_values, x_values)
     single_point = len(q_values) == 1 and len(x_values) == 1
     report = run_suite(VerifyConfig(
@@ -224,23 +211,6 @@ def cmd_verify(suites: tuple[str, ...], q_values: tuple[float, ...],
         sys.exit(3)
 
 
-def _resolve_tolerance(flag_value: Optional[float]) -> float:
-    """Flag wins; otherwise the environment override (clamped); otherwise
-    the library default."""
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(REL_TOL_ENV)
-    if raw is None:
-        return DEFAULT_REL_TOL
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise UsageError(f"{REL_TOL_ENV} must be a number, got {raw!r}") from exc
-    if not math.isfinite(value):
-        raise UsageError(f"{REL_TOL_ENV} must be finite, got {raw!r}")
-    return min(max(value, _REL_TOL_MIN), _REL_TOL_MAX)
-
-
 def _resolve_grid(q_values: tuple[float, ...],
                   x_values: tuple[float, ...]) -> Optional[Grid]:
     if not q_values and not x_values:
@@ -249,7 +219,6 @@ def _resolve_grid(q_values: tuple[float, ...],
     return Grid(
         q_values=tuple(sorted(set(q_values))) if q_values else base.q_values,
         x_values=tuple(sorted(set(x_values))) if x_values else base.x_values,
-        description="command-line override",
     )
 
 

@@ -19,8 +19,8 @@ standard normal distribution is m(x) = sqrt(pi/2) e^{x^2/2} erfc(x/sqrt 2)
 The main evaluator routes by argument size: a fused small-x expansion with
 O(1) intermediates, direct quadrature of the integral representation in the
 central range (and at small x for half-integer orders and orders beyond
-171), and the Tricomi large-argument series beyond.  Every result carries
-its evaluation route and an error estimate.
+170.62, where Gamma(q+1) overflows), and the Tricomi large-argument series
+beyond.  Every result carries its evaluation route and an error estimate.
 
 The quadrature has one path, :func:`_laplace_integrals`: the peak-centred
 trapezoid rule in log t (:func:`~regcoulomb.quadrature.trapezoid_columns`)
@@ -46,7 +46,7 @@ from .quadrature import (  # noqa: F401
     laguerre_escalating,
     trapezoid_columns,
 )
-from .special import PsiEval, psi_eval
+from .special import PsiEval, _gamma_rounding, _phi_series, psi_eval
 
 _EPS = float(np.finfo(float).eps)
 
@@ -63,8 +63,9 @@ _SERIES_X_MAX = 0.05
 _ASYMPTOTIC_X_MIN = 30.0
 # the fused expansion degenerates when q sits on a half-integer (gamma poles)
 _HALF_INTEGER_GAP = 1e-3
-# and cannot form Gamma(q + 1/2), which overflows from q = 171.12
-_SERIES_Q_MAX = 171.0
+# and forms 1/Gamma(q + 1), which is 0 above this order, where Gamma(q + 1)
+# overflows
+_SERIES_Q_MAX = 170.62437695630268
 
 _PRIME_METHODS = ("integral", "differ", "difvq")
 _EVAL_METHODS = ("auto", "quadrature", "psi", "closed-form")
@@ -116,31 +117,6 @@ class EvalResult:
             raise DomainError(f"unknown method tag {self.method!r}")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node budget and acceptance tolerance for the integral route: the
-    trapezoid rule stops, unconverged, before a level that would take more
-    than ``node_counts[-1]`` nodes, and accepts a level that agrees with
-    the previous one to ``rel_tol``.  (The earlier entries of
-    ``node_counts`` were the Gauss-Laguerre ladder, and are still checked.)"""
-
-    node_counts: tuple[int, ...] = (40, 80, 160, 320, 640, 1280)
-    rel_tol: float = 1e-11
-
-    def __post_init__(self) -> None:
-        counts = tuple(int(n) for n in self.node_counts)
-        object.__setattr__(self, "node_counts", counts)
-        if not counts or any(n <= 0 for n in counts):
-            raise DomainError(f"node counts must be positive, got {counts}")
-        if any(b <= a for a, b in zip(counts, counts[1:])):
-            raise DomainError(f"node counts must be strictly increasing, got {counts}")
-        if not (0.0 < self.rel_tol <= 1e-2):
-            raise DomainError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
-
-
-_DEFAULT_QUAD = QuadratureSpec()
-
-
 def _order_value(q: float | Order, *, allow_sentinel: bool = False) -> float:
     qv = float(q) if not isinstance(q, Order) else q.q
     order = Order(qv)
@@ -157,12 +133,20 @@ def _check_x(x: float, *, positive: bool = False) -> float:
     return x
 
 
-def vq_zero(q: float | Order) -> float:
-    """Limit V_q(0) = Gamma(q+1/2)/Gamma(q+1); diverges for q <= -1/2."""
-    qv = _order_value(q)
+def _vq_zero(qv: float) -> tuple[float, float]:
+    """V_q(0) and its error estimate.  Each log-Gamma is rounded to a few
+    ulps of its size, an absolute error in the exponent that the
+    exponential makes relative."""
     if qv <= -0.5:
         raise DivergenceError(f"V_q(0) diverges for q <= -1/2, got q={qv}")
-    return math.exp(sc.gammaln(qv + 0.5) - sc.gammaln(qv + 1.0))
+    lead, base = sc.gammaln(qv + 0.5), sc.gammaln(qv + 1.0)
+    value = math.exp(lead - base)
+    return value, _EPS * (4.0 + 2.0 * (abs(lead) + abs(base))) * value
+
+
+def vq_zero(q: float | Order) -> float:
+    """Limit V_q(0) = Gamma(q+1/2)/Gamma(q+1); diverges for q <= -1/2."""
+    return _vq_zero(_order_value(q))[0]
 
 
 def vq_neg1(x: float) -> float:
@@ -184,10 +168,9 @@ def _vq_series(q: float, x: float) -> EvalResult:
 
     valid whenever q is not a half-integer.  For q > -1/2 the result is
     cross-checked against the x -> 0 limit using the expansion's own
-    deviation bound.
+    deviation bound.  The estimate counts the rounding of the series sums,
+    of the Gamma coefficients and their arguments, and of ``x^(2q+1)``.
     """
-    from .special import _phi_series
-
     big_x = x * x
     gamma_lead = sc.gamma(q + 0.5)
     if math.isinf(gamma_lead):  # q > 171.1: coef1 would be inf * 0
@@ -199,7 +182,11 @@ def _vq_series(q: float, x: float) -> EvalResult:
     if not (ok1 and ok2):
         raise NumericalError(f"small-x expansion stalled for q={q}, x={x}")
     value = coef1 * v1 + coef2 * v2
-    est = 4.0 * _EPS * (abs(coef1) * abs1 + abs(coef2) * abs2) + 2.0 * _EPS * abs(value)
+    scale = 1.0 + abs(q)
+    err1 = _gamma_rounding(scale, q + 0.5, q + 1.0)
+    err2 = _gamma_rounding(scale, -q - 0.5) + 2.0 * abs((2.0 * q + 1.0) * math.log(x))
+    est = _EPS * ((4.0 + err1) * abs(coef1) * abs1 + (4.0 + err2) * abs(coef2) * abs2)
+    est += 2.0 * _EPS * abs(value)
     if not math.isfinite(value) or value <= 0.0:
         raise NumericalError(f"small-x expansion failed for q={q}, x={x}")
     if q > -0.5:
@@ -212,9 +199,7 @@ def _vq_series(q: float, x: float) -> EvalResult:
     return EvalResult(value, est, "psi-series")
 
 
-def _laplace_integrals(
-    qv: float, xs: np.ndarray, prime: bool, spec: QuadratureSpec = _DEFAULT_QUAD
-) -> Columns:
+def _laplace_integrals(qv: float, xs: np.ndarray, prime: bool) -> Columns:
     """V_q at every x > 0 of ``xs`` (an array, or a float for one point),
     or -V_q' when ``prime``, by quadrature of
 
@@ -224,15 +209,12 @@ def _laplace_integrals(
     :func:`trapezoid_columns`, which forms x I without underflow.  Orders in
     (-1, -1/2] are lifted one order by the positive two-term relation
     I(q, p) = I(q+1, p) - p I(q+1, p-1) (the ``difvq`` relation shifted one
-    order).  ``spec.node_counts[-1]`` is the node budget per column and
-    ``spec.rel_tol`` the tolerance between levels.  An x beyond 1e150 is not
-    evaluated (0, unconverged).
+    order).  An x beyond 1e150 is not evaluated (0, unconverged).
     """
     power = -1.5 if prime else -0.5
-    ladder = (spec.node_counts[-1], spec.rel_tol)
     if qv > -0.5:
-        return trapezoid_columns(qv + 1.0, power, xs, prime, *ladder)
-    one, two = (trapezoid_columns(qv + 2.0, p, xs, prime, *ladder) for p in (power, power - 1.0))
+        return trapezoid_columns(qv + 1.0, power, xs, prime)
+    one, two = (trapezoid_columns(qv + 2.0, p, xs, prime) for p in (power, power - 1.0))
     return Columns(
         one.value - power * two.value, one.abs_err - power * two.abs_err,
         one.points + two.points, one.converged & two.converged,
@@ -244,19 +226,16 @@ def _accepted(got: Columns) -> np.ndarray:
     return np.where(got.converged & (got.value > 0.0), got.value, np.nan)
 
 
-def vq_quadrature(
-    q: float | Order, x: float, quadrature: QuadratureSpec | None = None
-) -> EvalResult:
+def vq_quadrature(q: float | Order, x: float) -> EvalResult:
     """V_q(x) by quadrature of int_0^inf e^-t t^q (x^2+t)^{-1/2} dt / Gamma(q+1).
 
     A peak-centred trapezoid rule in log t (:func:`trapezoid_columns`)
-    halves its step until two levels agree to the requested relative
-    tolerance; the call is :func:`vq_many`'s quadrature path for one point.
+    halves its step until two levels agree to 1e-11 relative, within 1,280
+    nodes; the call is :func:`vq_many`'s quadrature path for one point.
     """
     qv = _order_value(q)
     x = _check_x(x, positive=True)
-    spec = quadrature if quadrature is not None else _DEFAULT_QUAD
-    got = _laplace_integrals(qv, np.float64(x), False, spec)
+    got = _laplace_integrals(qv, np.float64(x), False)
     value, abs_err = float(got.value[0]), float(got.abs_err[0])
     if got.converged[0] and value > 0.0:
         return EvalResult(value, abs_err, "quadrature")
@@ -274,9 +253,14 @@ def _map_psi_method(method: str) -> str:
     return "quadrature"
 
 
-def _from_psi(ev: PsiEval, prefactor: float = 1.0) -> EvalResult:
+def _from_psi(ev: PsiEval, log_prefactor: float = 0.0) -> EvalResult:
+    """``e^log_prefactor`` times psi.  The exponential makes the rounding of
+    its argument, up to 2 eps |log_prefactor|, a relative error."""
+    prefactor = math.exp(log_prefactor)
+    value = prefactor * ev.value
     return EvalResult(
-        prefactor * ev.value, prefactor * ev.abs_err_est, _map_psi_method(ev.method)
+        value, prefactor * ev.abs_err_est + 2.0 * _EPS * abs(log_prefactor) * value,
+        _map_psi_method(ev.method),
     )
 
 
@@ -293,11 +277,12 @@ def vq_via_psi(q: float | Order, x: float) -> EvalResult:
 
     results: list[EvalResult] = []
     try:
-        prefactor = math.exp((2.0 * qv + 1.0) * math.log(x))
+        log_prefactor = (2.0 * qv + 1.0) * math.log(x)
+        prefactor = math.exp(log_prefactor)
         if math.isfinite(prefactor) and prefactor > 0.0:
             ev = psi_eval(qv + 1.0, qv + 1.5, big_x)
             if math.isfinite(prefactor * ev.value):
-                results.append(_from_psi(ev, prefactor))
+                results.append(_from_psi(ev, log_prefactor))
     except (OverflowError, NumericalError):
         pass
     try:
@@ -322,12 +307,7 @@ def _vq_closed_q0(x: float) -> EvalResult:
     return EvalResult(value, 2.0 * _EPS * value, "closed-form")
 
 
-def vq(
-    q: float | Order,
-    x: float,
-    method: str = "auto",
-    quadrature: QuadratureSpec | None = None,
-) -> EvalResult:
+def vq(q: float | Order, x: float, method: str = "auto") -> EvalResult:
     """Evaluate V_q(x) for q > -1, x >= 0 (plus the sentinel q = -1).
 
     ``method`` selects the route: "auto" (argument-dependent), "quadrature"
@@ -348,11 +328,10 @@ def vq(
             raise DomainError(f"method {method!r} requires x > 0; use the x = 0 limit")
         if method == "closed-form" and qv != 0.0:
             raise DomainError("closed form is available only for q = 0")
-        value = vq_zero(qv)
-        return EvalResult(value, 4.0 * _EPS * value, "limit-x0")
+        return EvalResult(*_vq_zero(qv), "limit-x0")
 
     if method == "quadrature":
-        return vq_quadrature(qv, x, quadrature)
+        return vq_quadrature(qv, x)
     if method == "psi":
         return vq_via_psi(qv, x)
     if method == "closed-form":
@@ -363,7 +342,7 @@ def vq(
     if qv == 0.0:
         return _vq_closed_q0(x)
     if _routes_to_quadrature(qv, x):
-        return vq_quadrature(qv, x, quadrature)
+        return vq_quadrature(qv, x)
     if x <= _SERIES_X_MAX:
         return _vq_series(qv, x)
     return _from_psi(psi_eval(0.5, 0.5 - qv, x * x))

@@ -67,6 +67,10 @@ COLUMN_CHUNK = 64
 # this far below its peak, searched from this many peak widths out
 _TRAP_DROP = 40.0
 _TRAP_REACH = 9.0
+# a column stops, unconverged, before a level that would take more nodes than
+# this, and accepts a level that agrees with the previous one to _TRAP_TOL
+_TRAP_NODE_MAX = 1280
+_TRAP_TOL = 1e-11
 # Veltkamp's constant 2^27 + 1: splits a double into halves with exact products
 _SPLIT = 134217729.0
 
@@ -355,9 +359,7 @@ def _trapezoid_step(c: float, tol: float) -> float:
     return h
 
 
-def trapezoid_columns(
-    c1: float, p: float, x, times_x: bool, node_max: int, rel_tol: float
-) -> Columns:
+def trapezoid_columns(c1: float, p: float, x, times_x: bool) -> Columns:
     """Trapezoid evaluation, in ``v = log t``, of
 
         I = (1/Gamma(c1)) int_0^inf t^(c1-1) e^-t (x^2 + t)^p dt
@@ -385,15 +387,15 @@ def trapezoid_columns(
     the other from past ``t = x^2`` on the left and from where ``t* e^d``
     passes ``c1 + 40`` on the right.  The nodes are ``d = j h`` for integer
     ``j``.  Level 0 takes the step of :func:`_trapezoid_step` for
-    ``c1 - p`` at ``rel_tol / 100``, so that levels 0 and 1 agree to
-    ``rel_tol``; each level halves the step and adds only the odd nodes,
+    ``c1 - p`` at ``_TRAP_TOL / 100``, so that levels 0 and 1 agree to
+    ``_TRAP_TOL``; each level halves the step and adds only the odd nodes,
     and level 0 is summed from the nodes of level 1.  A column stops,
-    unconverged, before a level that would take more than ``node_max``
-    nodes.  The step depends on ``c1`` and ``p`` alone, so all columns share
-    the node rows; outside a column's own window its terms are set to
-    values that add exact zeros to its sums, which are exact
-    (:func:`_split`), so no column's value depends on the others.  The
-    value is assembled in double-double arithmetic and rounded once.
+    unconverged, before a level that would take more than
+    ``_TRAP_NODE_MAX`` nodes.  The step depends on ``c1`` and ``p`` alone,
+    so all columns share the node rows; outside a column's own window its
+    terms are set to values that add exact zeros to its sums, which are
+    exact (:func:`_split`), so no column's value depends on the others.
+    The value is assembled in double-double arithmetic and rounded once.
 
     The error estimate is the last level difference plus ``eps`` times the
     value, times the node count plus ``10 sqrt(c1)`` (the cancellation in
@@ -408,7 +410,7 @@ def trapezoid_columns(
         slope = c1 - t * (1.0 - p / (xsq + t))
         return d - (_TRAP_DROP + g) / slope
 
-    step = _trapezoid_step(c1 - p, rel_tol / 100.0)
+    step = _trapezoid_step(c1 - p, _TRAP_TOL / 100.0)
     with np.errstate(all="ignore"):
         xsq = x * x
         # the positive root; b - s or b + s would cancel, so the root of
@@ -432,7 +434,7 @@ def trapezoid_columns(
         ok = (peak > 0.0) & (top0 < 700.0) & (hi - lo > 4.0 * step) & (width < 1e300)
         # level 1's nodes, from which level 0 is summed too
         first, last = np.ceil(2.0 * lo / step), np.floor(2.0 * hi / step)
-        fits = ok & (last - first < node_max)
+        fits = ok & (last - first < _TRAP_NODE_MAX)
         # P uses r = 1/w, so that I = r^-p int e^(G0 + P) / int e^G0 for
         # whatever rounding r carries; r^-p (x r^-p) for the levels' values,
         # the final value is exact
@@ -442,7 +444,7 @@ def trapezoid_columns(
         # split sums of both, in units of 1/bits and 1/bits^2, stay below
         # 2^53 over all levels, and terms below e^-60 of that add zeros
         unit = np.exp2(-np.floor(top0 / math.log(2.0)) - 1.0)
-        bits = 2.0 ** (51 - node_max.bit_length())
+        bits = 2.0 ** (51 - _TRAP_NODE_MAX.bit_length())
         zero = 0.0 * x
         # one row per quantity, one entry per column; rows 11-12 are the
         # floors and 13-14 the split scales of the two integrands
@@ -469,7 +471,7 @@ def trapezoid_columns(
             fits = fits > 0.0
         else:
             first, last = np.ceil(table[0, c] / h), np.floor(table[1, c] / h)
-            fits = ok[c] & (last - first < node_max)
+            fits = ok[c] & (last - first < _TRAP_NODE_MAX)
         out = np.full(cols.size, np.nan)
         sub = fits.nonzero()[0]
         if not sub.size:
@@ -507,7 +509,8 @@ def trapezoid_columns(
         state[4, c], out[sub] = ratio(np.stack((state[:4, c], even), axis=1), c)
         return out
 
-    got = escalate_columns(level, ok.size, tuple(range(node_max.bit_length() + 1)), rel_tol)
+    levels = tuple(range(_TRAP_NODE_MAX.bit_length() + 1))
+    got = escalate_columns(level, ok.size, levels, _TRAP_TOL)
     done = got.converged & ok
     rounding = _EPS * (used + 10.0 * math.sqrt(c1))
     if ok.size == 1:  # in Python floats, which round as the arrays do

@@ -147,17 +147,36 @@ def kummer_phi(a: float, c: float, x: float) -> float:
     return value
 
 
+def _gamma_rounding(scale: float, *args: float) -> float:
+    """A bound, in units of eps, on the relative error of a product of Gamma
+    functions and reciprocal Gammas at the arguments ``args``, each computed
+    with an absolute rounding error of up to ``scale`` eps: that error moves
+    Gamma(y) by |psi(y)| scale eps relative, and each Gamma errs by up to
+    4 eps."""
+    return sum(4.0 + scale * abs(float(sc.psi(y))) for y in args)
+
+
 def _psi_series(a: float, c: float, x: float) -> tuple[float, float] | None:
-    """Two-term Kummer expansion of psi; None when either series stalls."""
+    """Two-term Kummer expansion of psi; None when either series stalls.
+
+    The estimate counts the rounding of the series sums, of the Gamma
+    coefficients and their arguments, and of the power ``x^(1-c)``."""
     v1, abs1, ok1 = _phi_series(a, c, x)
     v2, abs2, ok2 = _phi_series(a - c + 1.0, 2.0 - c, x)
     if not (ok1 and ok2):
         return None
-    coef1 = sc.gamma(1.0 - c) * sc.rgamma(a - c + 1.0)
-    coef2 = sc.gamma(c - 1.0) * sc.rgamma(a)
+    gamma1, gamma2 = sc.gamma(1.0 - c), sc.gamma(c - 1.0)
+    if not (math.isfinite(gamma1) and math.isfinite(gamma2)):
+        return None  # Gamma overflows; times a reciprocal Gamma of 0, it is inf * 0
+    coef1 = gamma1 * sc.rgamma(a - c + 1.0)
+    coef2 = gamma2 * sc.rgamma(a)
     tail = coef2 * x ** (1.0 - c)
     value = coef1 * v1 + tail * v2
-    est = 4.0 * _EPS * (abs(coef1) * abs1 + abs(tail) * abs2) + 2.0 * _EPS * abs(value)
+    scale = 1.0 + abs(a) + abs(c)
+    err1 = _gamma_rounding(scale, 1.0 - c, a - c + 1.0) if coef1 else 0.0
+    err2 = _gamma_rounding(scale, c - 1.0, a) + scale * abs(math.log(x)) if tail else 0.0
+    est = _EPS * ((4.0 + err1) * abs(coef1) * abs1 + (4.0 + err2) * abs(tail) * abs2)
+    est += 2.0 * _EPS * abs(value)
     if not (math.isfinite(value) and math.isfinite(est)):
         return None
     return value, est
@@ -330,41 +349,65 @@ def kratzel_z(rho: float, nu: float, t: float) -> float:
 
 
 def _kratzel_quadrature(rho: float, nu: float, t: float) -> float:
-    """Z_rho^nu(t) for t > 0 by adaptive quadrature."""
+    """Z_rho^nu(t) for t > 0 by adaptive quadrature in ``v = log u``.
+
+    The integrand is ``e^F(v)`` with ``F(v) = nu v - e^(rho v) - t e^-v``,
+    whose slope ``nu - rho e^(rho v) + t e^-v`` decreases strictly, so its
+    one root ``v*`` (the peak) is found by bisection.  With ``d = v - v*``,
+    ``A = e^(rho v*)`` and ``B = t e^-v*``,
+
+        F(v) - F(v*) = nu d - A expm1(rho d) - B expm1(-d)
+
+    is concave, and is integrated over the window where it stays above -40:
+    each end is one tangent step from 9 peak widths out, which over-covers.
+    """
     import scipy.integrate  # deferred: only the general-rho route needs it
 
-    # normalize by the integrand's peak so the adaptive rule works on O(1)
-    # values; otherwise its absolute-error floor swamps tiny integrals
-    # (e.g. t large, where Z ~ e^{-2 sqrt t})
-    probe = np.geomspace(1e-6, 1e6, 121)
-    with np.errstate(over="ignore", under="ignore"):
-        log_vals = (nu - 1.0) * np.log(probe) - probe ** rho - t / probe
-    peak_idx = int(np.argmax(log_vals))
-    shift = float(log_vals[peak_idx])
-    split = float(probe[peak_idx])
+    log_rho, log_t = math.log(rho), math.log(t)
 
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        arg = (nu - 1.0) * math.log(u) - u ** rho - t / u - shift
-        return math.exp(arg) if arg > -745.0 else 0.0
+    def slope(v: float) -> float:  # F'(v), with its exponentials capped
+        return nu - math.exp(min(log_rho + rho * v, 709.0)) + math.exp(min(log_t - v, 709.0))
 
-    head, head_err = scipy.integrate.quad(
-        integrand, 0.0, split, epsabs=1e-14, epsrel=1e-11, limit=200
+    lo, hi = -1.0, 1.0
+    while slope(lo) <= 0.0 or slope(hi) >= 0.0:
+        if hi > 1e6:
+            raise NumericalError(f"Kraetzel peak out of range for rho={rho}, nu={nu}, t={t}")
+        lo, hi = 2.0 * lo, 2.0 * hi
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+    log_a, log_b = rho * lo, log_t - lo
+    big, small = math.exp(log_a), math.exp(log_b)
+
+    def grow(log_c: float, c: float, k: float) -> float:  # c expm1(k); c may underflow
+        return c * math.expm1(k) if abs(k) <= 1.0 else math.exp(log_c + k) - c
+
+    def drop(d: float) -> float:  # F(v* + d) - F(v*)
+        try:
+            return nu * d - grow(log_a, big, rho * d) - grow(log_b, small, -d)
+        except OverflowError:
+            return -math.inf
+
+    def end(d: float) -> float:  # where the tangent at d falls to -40
+        g = drop(d)
+        if g <= -40.0:
+            return d
+        return d - (40.0 + g) / (nu - rho * math.exp(log_a + rho * d) + math.exp(log_b - d))
+
+    reach = 9.0 / math.sqrt(rho * rho * big + small)
+    got = scipy.integrate.quad(
+        lambda d: math.exp(drop(d)), end(-reach), end(reach), points=(0.0,),
+        epsabs=0.0, epsrel=1e-11, limit=200, full_output=True,
     )
-    tail, tail_err = scipy.integrate.quad(
-        integrand, split, np.inf, epsabs=1e-14, epsrel=1e-11, limit=200
-    )
-    scaled = head + tail
-    err = head_err + tail_err
-    if not math.isfinite(scaled) or scaled <= 0.0:
+    scaled, err = got[0], got[1]
+    if len(got) > 3 or not (math.isfinite(scaled) and scaled > 0.0):
         raise NumericalError(f"Kraetzel quadrature failed for rho={rho}, nu={nu}, t={t}")
-    if err > 1e-9 * scaled + 1e-300:
+    if err > 1e-9 * scaled:
         raise NumericalError(
             f"Kraetzel quadrature relative error {err / scaled:.3e} too large "
             f"for rho={rho}, nu={nu}, t={t}"
         )
-    log_value = shift + math.log(scaled)
+    log_value = nu * lo - big - small + math.log(scaled)
     if log_value > 709.0:
         raise NumericalError(f"Z_{rho}^{nu}({t}) overflows")
     return math.exp(log_value)

@@ -182,3 +182,35 @@ def kratzel_quad_reference(rho: float, nu: float, t: float) -> float:
     part1, _ = si.quad(f, 0.0, 1.0, **_QUAD_KW)
     part2, _ = si.quad(f, 1.0, np.inf, **_QUAD_KW)
     return part1 + part2
+
+
+def kratzel_mpmath(rho: float, nu: float, t: float) -> float:
+    """The Kraetzel integral, t > 0, with mpmath at 30 digits, in v = log u:
+    integral e^F(v) dv with F(v) = nu v - e^(rho v) - t e^-v.  The peak of F
+    is found by bisection on F', and ``mp.quad`` sums, split at the peak,
+    between the points where F has fallen 120 below it."""
+    with mp.workdps(30):
+        rho, nu, t = mp.mpf(rho), mp.mpf(nu), mp.mpf(t)
+
+        def big_f(v):
+            return nu * v - mp.exp(rho * v) - t * mp.exp(-v)
+
+        def slope(v):
+            return nu - rho * mp.exp(rho * v) + t * mp.exp(-v)
+
+        lo, hi = mp.mpf(-1), mp.mpf(1)
+        while slope(lo) <= 0 or slope(hi) >= 0:
+            lo, hi = 2 * lo, 2 * hi
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        top = big_f(lo)
+        width = 1 / mp.sqrt(rho * rho * mp.exp(rho * lo) + t * mp.exp(-lo))
+        ends = []
+        for sign in (-1, 1):
+            d = width
+            while big_f(lo + sign * d) - top > -120:
+                d *= 2
+            ends.append(lo + sign * d)
+        value = mp.quad(lambda v: mp.exp(big_f(v) - top), [ends[0], lo, ends[1]])
+        return float(mp.exp(top) * value)

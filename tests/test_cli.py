@@ -21,8 +21,8 @@ def runner():
     return CliRunner()
 
 
-def invoke(runner, *args, env=None):
-    return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+def invoke(runner, *args):
+    return runner.invoke(main, list(args), catch_exceptions=False)
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +221,9 @@ class TestVerifyCommand:
                                       "--tolerance", "1e-3"])
         assert result.exit_code == 2
 
-    def test_environment_override_is_clamped(self, runner):
-        result = invoke(runner, "verify", "--suite", "turan", "--q", "1",
-                        "--x", "2", env={"REGCOULOMB_REL_TOL": "1e-20"})
-        assert "tolerance: 1e-13" in result.output
-
-    def test_flag_beats_environment(self, runner):
-        result = invoke(runner, "verify", "--suite", "turan", "--q", "1",
-                        "--x", "2", "--tolerance", "1e-10",
-                        env={"REGCOULOMB_REL_TOL": "1e-7"})
-        assert "tolerance: 1e-10" in result.output
-
-    def test_invalid_environment_value_exits_2(self, runner):
-        result = runner.invoke(main, ["verify", "--suite", "turan",
-                                      "--q", "1", "--x", "2"],
-                               env={"REGCOULOMB_REL_TOL": "bogus"})
-        assert result.exit_code == 2
+    def test_tolerance_defaults_to_the_library_value(self, runner):
+        result = invoke(runner, "verify", "--suite", "turan", "--q", "1", "--x", "2")
+        assert "tolerance: 1e-09 (relative)" in result.output
 
 
 class TestOverflowExitsThree:

@@ -3,6 +3,7 @@ confluent-hypergeometric path, derivatives, the order recurrence, and the
 Mills ratio."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,7 +13,6 @@ from regcoulomb.potential import (
     _vq_series,
     EvalResult,
     Order,
-    QuadratureSpec,
     mills,
     vq,
     vq_neg1,
@@ -24,6 +24,7 @@ from regcoulomb.potential import (
     vq_via_psi,
     vq_zero,
 )
+from regcoulomb.special import psi_eval
 
 from oracles import (
     laplace_mpmath,
@@ -76,19 +77,6 @@ class TestOrder:
     def test_invalid_orders_rejected(self, q):
         with pytest.raises(DomainError):
             Order(q)
-
-
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.node_counts == (40, 80, 160, 320, 640, 1280)
-        assert spec.rel_tol == 1e-11
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(node_counts=(80, 40))
-        with pytest.raises(DomainError):
-            QuadratureSpec(rel_tol=2.0)
 
 
 class TestEvalResult:
@@ -194,10 +182,45 @@ class TestVqRouting:
                 b = vq_via_psi(q, x)
                 assert rel_diff(a.value, b.value) < 1e-8
 
-    def test_custom_quadrature_spec_is_honored(self):
-        spec = QuadratureSpec(node_counts=(40, 80, 160, 320), rel_tol=1e-9)
-        result = vq(1.3, 2.0, method="quadrature", quadrature=spec)
-        assert rel_diff(result.value, vq(1.3, 2.0).value) < 1e-9
+
+class TestHonestEstimates:
+    """Errors against mpmath stay within the reported estimates."""
+
+    def test_limit_at_zero_argument(self):
+        # exp of a difference of two log-Gammas: their rounding, absolute in
+        # the exponent, is relative in the value (2,500 times 4 eps near q = 870)
+        for q in np.linspace(-0.49, 1000.0, 1000).tolist():
+            got = vq(q, 0.0)
+            with mp.workdps(40):
+                want = mp.gammaprod([mp.mpf(q) + 0.5], [mp.mpf(q) + 1])
+            assert abs(got.value - want) <= got.abs_err_est, q
+
+    def test_tricomi_forms_and_the_fused_expansion(self):
+        # form 1 takes x^(2q+1) as exp((2q+1) log x), whose argument's
+        # rounding is a relative error of the value; at the first point it is
+        # 16 times psi's own estimate
+        rng = np.random.default_rng(11)
+        qs = [6.892] + rng.uniform(-0.9, 12.0, 80).tolist()
+        xs = [4.158e-3] + np.exp(rng.uniform(math.log(1e-3), math.log(0.05), 80)).tolist()
+        for q, x in zip(qs, xs):
+            want = laplace_mpmath(q, x)
+            for got in (vq_via_psi(q, x), vq(q, x)):
+                assert abs(got.value - want) <= got.abs_err_est, (q, x, got.method)
+
+    def test_kummer_expansion_of_psi(self):
+        # the Gamma coefficients carry the rounding of their arguments
+        rng = np.random.default_rng(12)
+        seen = 0
+        for a, c, x in zip(rng.uniform(-2.0, 10.0, 150), rng.uniform(-10.0, 10.0, 150),
+                           np.exp(rng.uniform(math.log(1e-3), 0.0, 150))):
+            got = psi_eval(a, c, x)
+            if got.method != "series":
+                continue
+            seen += 1
+            with mp.workdps(30):
+                want = mp.hyperu(a, c, x)
+            assert abs(got.value - want) <= got.abs_err_est, (a, c, x)
+        assert seen > 100
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +285,11 @@ class TestOverflowWithoutWarnings:
         assert vq(200.0, 0.01).method == "quadrature"
         assert rel_diff(vq(200.0, 0.01).value, laplace_mpmath(200.0, 0.01)) <= 1e-14
         assert np.isnan(vq_many(-0.5, [1e-200])).all()
+        # 1/Gamma(q + 1) is 0 from q = 170.62, where Gamma(q + 1/2) is finite
+        for q in (170.65, 170.9, 171.0):
+            got = vq(q, 0.002)
+            assert got.method == "quadrature"
+            assert rel_diff(got.value, laplace_mpmath(q, 0.002)) <= 1e-14
 
     def test_derivative_integral_at_huge_argument(self):
         # x^2 overflows beyond about 1.34e154

@@ -21,7 +21,9 @@ from regcoulomb.special import (
 
 from oracles import (
     kratzel_bessel_reference,
+    kratzel_mpmath,
     kratzel_quad_reference,
+    laplace_mpmath,
     phi_scipy_reference,
     psi_integral_reference,
     psi_scipy_reference,
@@ -159,6 +161,14 @@ class TestPsiRoutes:
                         psi_eval(a, c, x).value, psi_integral_reference(a, c, x)))
         assert worst < 1e-10
 
+    def test_overflowing_gamma_coefficients_leave_the_expansion(self):
+        # Gamma(200.5) overflows and 1/Gamma(201) is 0, so the Kummer
+        # expansion's coefficient would be inf * 0; psi(1/2, -199.5, 1e-4) is
+        # V_200(0.01), and another route gives it without a warning
+        want = laplace_mpmath(200.0, 0.01)
+        assert rel_diff(psi_eval(0.5, -199.5, 1e-4).value, want) <= 1e-12
+        assert rel_diff(tricomi_psi(0.5, -199.5, 1e-4), want) <= 1e-12
+
     def test_agrees_with_scipy_implementation(self):
         worst = 0.0
         for a in (0.5, 2.0, 5.0):
@@ -247,6 +257,16 @@ class TestKratzel:
                 for t in (0.0, 0.3, 2.0):
                     assert rel_diff(kratzel_z(rho, nu, t),
                                     kratzel_quad_reference(rho, nu, t)) < 1e-9
+
+    @pytest.mark.parametrize("rho, nu, t", [
+        (0.2, 7.438, 0.334),    # the peak is at u ~ 7e7
+        (0.15, 2.0, 1e-6),      # a long right tail
+        (46.0, -1.17, 2.5e-11),  # e^(rho v) at the peak underflows
+        (4.0, 25.0, 2700.0),
+        (1.0, 3.0, 1e5),        # beyond the Bessel form's range
+    ])
+    def test_general_rho_matches_mpmath(self, rho, nu, t):
+        assert rel_diff(kratzel_z(rho, nu, t), kratzel_mpmath(rho, nu, t)) <= 1e-12
 
     def test_divergent_cases_rejected(self):
         with pytest.raises(DivergenceError):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regcoulomb.potential as potential
+import regcoulomb.quadrature as quadrature
 from regcoulomb import vq, vq_many, vq_prime, vq_prime_many
 from regcoulomb.potential import _laplace_integrals, _vq_series
 from regcoulomb.errors import NumericalError
@@ -17,30 +18,28 @@ from regcoulomb.quadrature import COLUMN_CHUNK, gauss_laguerre, trapezoid_column
 
 from oracles import laplace_mpmath, rel_diff
 
-BUDGET, TOL = 1280, 1e-11
-
 
 class TestTrapezoidColumns:
     @pytest.mark.parametrize("c1, p", [(2.5, -0.5), (13.0, -1.5), (1.2, -0.5), (400.0, -2.5)])
     def test_gamma_ratio_at_zero_argument(self, c1, p):
         # at x = 0 the integral is Gamma(c1 + p) / Gamma(c1)
-        got = trapezoid_columns(c1, p, np.float64(0.0), False, BUDGET, TOL)
+        got = trapezoid_columns(c1, p, np.float64(0.0), False)
         want = float(mp.gammaprod([c1 + p], [c1]))
         assert got.converged[0]
         assert abs(got.value[0] - want) <= got.abs_err[0]
         assert rel_diff(got.value[0], want) <= 1e-14
 
     def test_times_x_scales_the_value(self):
-        plain = trapezoid_columns(3.0, -1.5, np.float64(2.0), False, BUDGET, TOL)
-        scaled = trapezoid_columns(3.0, -1.5, np.float64(2.0), True, BUDGET, TOL)
+        plain = trapezoid_columns(3.0, -1.5, np.float64(2.0), False)
+        scaled = trapezoid_columns(3.0, -1.5, np.float64(2.0), True)
         assert scaled.value[0] == 2.0 * plain.value[0]
 
     @pytest.mark.parametrize("c1, p", [(0.6, -0.5), (1.7, -1.5), (1.3, -2.5), (9.4, -0.5)])
     def test_a_batch_gives_each_column_its_own_bits(self, c1, p):
         xs = np.exp(np.random.default_rng(1).uniform(-7.0, 4.0, COLUMN_CHUNK + 37))
-        batch = trapezoid_columns(c1, p, xs, True, BUDGET, TOL)
+        batch = trapezoid_columns(c1, p, xs, True)
         for i, x in enumerate(xs):
-            one = trapezoid_columns(c1, p, x, True, BUDGET, TOL)
+            one = trapezoid_columns(c1, p, x, True)
             assert one.value[0] == batch.value[i], i
             assert one.points[0] == batch.points[i], i
         assert batch.converged.all()
@@ -48,15 +47,16 @@ class TestTrapezoidColumns:
     def test_unusable_columns_are_zero_and_unconverged(self):
         # x^2 beyond the double-double range, and x = 0 where the integral
         # diverges (c1 + p <= 0), next to a column that works
-        got = trapezoid_columns(1.5, -1.5, np.array([1e160, 0.0, 1.0]), False, BUDGET, TOL)
+        got = trapezoid_columns(1.5, -1.5, np.array([1e160, 0.0, 1.0]), False)
         assert got.value[:2].tolist() == [0.0, 0.0]
         assert got.converged.tolist() == [False, False, True]
 
-    def test_the_node_budget_is_kept(self):
-        got = trapezoid_columns(2.0, -0.5, np.float64(1.0), False, 60, TOL)
+    def test_the_node_budget_is_kept(self, monkeypatch):
+        full = trapezoid_columns(2.0, -0.5, np.float64(1.0), False)
+        assert full.converged[0] and 60 < full.points[0] <= quadrature._TRAP_NODE_MAX
+        monkeypatch.setattr(quadrature, "_TRAP_NODE_MAX", 60)
+        got = trapezoid_columns(2.0, -0.5, np.float64(1.0), False)
         assert not got.converged[0] and got.points[0] <= 60
-        full = trapezoid_columns(2.0, -0.5, np.float64(1.0), False, BUDGET, TOL)
-        assert full.converged[0] and 60 < full.points[0] <= BUDGET
 
 
 class TestScalarIsABatchOfOne:
@@ -106,12 +106,18 @@ class TestDomainEdges:
         assert rel_diff(got.value, want) <= 1e-14
 
     def test_large_orders_at_small_argument_go_to_quadrature(self):
-        # the fused expansion cannot form Gamma(q + 1/2) beyond q = 171.12
+        # the fused expansion cannot form Gamma(q + 1/2) beyond q = 171.12,
+        # nor 1/Gamma(q + 1), which is 0 beyond q = 170.62
         assert potential._routes_to_quadrature(171.5, 0.01)
         assert not potential._routes_to_quadrature(150.0, 0.01)
         with pytest.raises(NumericalError, match="small-x expansion failed"):
             _vq_series(200.0, 0.01)
         assert vq_many(200.0, [0.01, 1e-3]).tolist() == [vq(200.0, x).value for x in (0.01, 1e-3)]
+        xs = [0.002, 0.01, 0.04]
+        for q in (170.65, 170.9, 171.0):
+            assert potential._routes_to_quadrature(q, 0.002)
+            assert vq_many(q, xs).tolist() == [vq(q, x).value for x in xs]
+        assert not potential._routes_to_quadrature(170.62, 0.002)
 
     @pytest.mark.parametrize("x", [1e105, 1e108, 1e150])
     def test_derivative_at_huge_argument(self, x):

@@ -380,6 +380,20 @@ class TestRunSuite:
         notes = sorted(o.note for o in report.observations if o.q is None)
         assert [note.split(" failed at ")[1][:6] for note in notes] == ["0 of 1"] * 2
 
+    def test_underflowing_square_is_an_error_at_its_point(self):
+        # x^2 underflows to 0 at x = 1e-200, so v1 v2 / x^2 divides by zero:
+        # the checks there are evaluation errors, and those at x = 1 stand
+        def run(xs):
+            grid = Grid((0.0, 1.0), xs)
+            return run_suite(VerifyConfig(suites=("simon",), grid=grid, emit_checks=True))
+
+        report, plain = run((1e-200, 1.0)), run((1.0,))
+        assert not plain.errors and report.errors
+        assert all(e.x == 1e-200 and "not finite" in e.note for e in report.errors)
+        at_one = [o for o in report.observations if o.x == 1.0]
+        assert at_one == [o for o in plain.observations if o.x == 1.0]
+        assert len(at_one) == plain.n_checks + 4  # and the two observed forms per order
+
     def test_single_point_emits_every_check(self):
         config = VerifyConfig(suites=("turan",), grid=Grid((0.5,), (1.0,)),
                               emit_checks=True)
