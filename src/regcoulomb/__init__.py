@@ -38,7 +38,6 @@ from .errors import (
 from .potential import (
     METHODS,
     EvalResult,
-    Order,
     mills,
     vq,
     vq_neg1,
@@ -51,9 +50,7 @@ from .potential import (
     vq_zero,
 )
 from .special import (
-    KratzelParams,
     PsiEval,
-    PsiParams,
     erfc,
     erfc_scaled,
     kratzel_z,
@@ -83,11 +80,10 @@ __all__ = [
     "__version__",
     # potential
     "vq", "vq_many", "vq_quadrature", "vq_via_psi", "vq_zero", "vq_neg1",
-    "vq_prime", "vq_prime_many", "vq_next", "mills", "Order", "EvalResult",
-    "METHODS",
+    "vq_prime", "vq_prime_many", "vq_next", "mills", "EvalResult", "METHODS",
     # special functions
     "ln_gamma", "erfc", "erfc_scaled", "kummer_phi", "tricomi_psi",
-    "psi_eval", "kratzel_z", "PsiParams", "PsiEval", "KratzelParams",
+    "psi_eval", "kratzel_z", "PsiEval",
     # bounds
     "mills_f1", "mills_f2", "mills_f3", "mills_f3_raw", "mills_f4",
     "mills_f5", "mills_bounds", "MillsBoundRow", "MILLS_F3_THRESHOLD",

@@ -34,7 +34,7 @@ from typing import Optional
 import scipy.special as sc
 
 from .errors import DomainError
-from .potential import EvalResult, Order, _check_x, _order_value, mills, vq
+from .potential import EvalResult, _check_x, _order_value, mills, vq
 from .special import kratzel_z
 
 #: f3's denominator x^4 + 2x^2 - 1 changes sign at x^2 = sqrt(2) - 1
@@ -151,7 +151,7 @@ def mills_bounds(x: float) -> MillsBoundRow:
     )
 
 
-def vq_lower_exp(q: float | Order, x: float) -> float:
+def vq_lower_exp(q: float, x: float) -> float:
     """Lower envelope 2^{q+1} x^{2q+1} / (1 + 2x^2)^{q+1} for V_q, q > -1."""
     qv = _order_value(q)
     x = _check_x(x, positive=True)
@@ -163,7 +163,7 @@ def vq_lower_exp(q: float | Order, x: float) -> float:
     return math.exp(log_val)
 
 
-def vq_upper_agm(q: float | Order, x: float) -> float:
+def vq_upper_agm(q: float, x: float) -> float:
     """Upper envelope Gamma(q+3/4) / (sqrt(2x) Gamma(q+1)) for V_q; requires
     q > -3/4."""
     qv = _order_value(q)
@@ -173,7 +173,7 @@ def vq_upper_agm(q: float | Order, x: float) -> float:
     return math.exp(sc.gammaln(qv + 0.75) - sc.gammaln(qv + 1.0)) / math.sqrt(2.0 * x)
 
 
-def vq_lower_kratzel(q: float | Order, x: float) -> float:
+def vq_lower_kratzel(q: float, x: float) -> float:
     """Lower envelope Z_1^{q+1/2}(x^2/2) / Gamma(q+1) for V_q, q > -1,
     where Z_1^nu is the Kraetzel function."""
     qv = _order_value(q)
@@ -193,7 +193,7 @@ class VqEnvelope:
     upper_agm: Optional[float]
 
 
-def vq_envelope(q: float | Order, x: float) -> VqEnvelope:
+def vq_envelope(q: float, x: float) -> VqEnvelope:
     """Evaluate V_q(x) and its envelopes at x > 0."""
     qv = _order_value(q)
     x = _check_x(x, positive=True)

@@ -72,28 +72,6 @@ _EVAL_METHODS = ("auto", "quadrature", "psi", "closed-form")
 
 
 @dataclass(frozen=True)
-class Order:
-    """Order parameter q; admits q > -1 plus the sentinel q = -1."""
-
-    q: float
-
-    def __post_init__(self) -> None:
-        q = float(self.q)
-        object.__setattr__(self, "q", q)
-        if not math.isfinite(q):
-            raise DomainError(f"order must be finite, got {q}")
-        if q < -1.0:
-            raise DomainError(f"order must satisfy q > -1 (or the sentinel -1), got {q}")
-
-    @property
-    def is_sentinel(self) -> bool:
-        return self.q == -1.0
-
-    def __float__(self) -> float:
-        return self.q
-
-
-@dataclass(frozen=True)
 class EvalResult:
     """Value of V_q(x) with an absolute error estimate and route tag."""
 
@@ -117,12 +95,17 @@ class EvalResult:
             raise DomainError(f"unknown method tag {self.method!r}")
 
 
-def _order_value(q: float | Order, *, allow_sentinel: bool = False) -> float:
-    qv = float(q) if not isinstance(q, Order) else q.q
-    order = Order(qv)
-    if order.is_sentinel and not allow_sentinel:
+def _order_value(q: float, *, allow_sentinel: bool = False) -> float:
+    """``q`` as a float: an order q > -1, or the sentinel q = -1 where
+    ``allow_sentinel``."""
+    q = float(q)
+    if not math.isfinite(q):
+        raise DomainError(f"order must be finite, got {q}")
+    if q < -1.0:
+        raise DomainError(f"order must satisfy q > -1 (or the sentinel -1), got {q}")
+    if q == -1.0 and not allow_sentinel:
         raise DomainError("the sentinel order q = -1 is not admitted here")
-    return order.q
+    return q
 
 
 def _check_x(x: float, *, positive: bool = False) -> float:
@@ -131,6 +114,14 @@ def _check_x(x: float, *, positive: bool = False) -> float:
         bound = "x > 0" if positive else "x >= 0"
         raise DomainError(f"argument must satisfy {bound}, got {x}")
     return x
+
+
+def _square(x: float) -> float:
+    """x^2 for the Tricomi argument; above about 1.34e154 it overflows."""
+    big_x = x * x
+    if math.isinf(big_x):
+        raise NumericalError(f"x^2 overflows at x={x}; the Tricomi routes cannot evaluate it")
+    return big_x
 
 
 def _vq_zero(qv: float) -> tuple[float, float]:
@@ -144,7 +135,7 @@ def _vq_zero(qv: float) -> tuple[float, float]:
     return value, _EPS * (4.0 + 2.0 * (abs(lead) + abs(base))) * value
 
 
-def vq_zero(q: float | Order) -> float:
+def vq_zero(q: float) -> float:
     """Limit V_q(0) = Gamma(q+1/2)/Gamma(q+1); diverges for q <= -1/2."""
     return _vq_zero(_order_value(q))[0]
 
@@ -226,7 +217,7 @@ def _accepted(got: Columns) -> np.ndarray:
     return np.where(got.converged & (got.value > 0.0), got.value, np.nan)
 
 
-def vq_quadrature(q: float | Order, x: float) -> EvalResult:
+def vq_quadrature(q: float, x: float) -> EvalResult:
     """V_q(x) by quadrature of int_0^inf e^-t t^q (x^2+t)^{-1/2} dt / Gamma(q+1).
 
     A peak-centred trapezoid rule in log t (:func:`trapezoid_columns`)
@@ -264,7 +255,7 @@ def _from_psi(ev: PsiEval, log_prefactor: float = 0.0) -> EvalResult:
     )
 
 
-def vq_via_psi(q: float | Order, x: float) -> EvalResult:
+def vq_via_psi(q: float, x: float) -> EvalResult:
     """V_q(x) through its two Tricomi forms, cross-checked against each other.
 
     Form 1: x^{2q+1} psi(q+1, q+3/2, x^2); form 2: psi(1/2, 1/2-q, x^2).
@@ -273,7 +264,7 @@ def vq_via_psi(q: float | Order, x: float) -> EvalResult:
     """
     qv = _order_value(q)
     x = _check_x(x, positive=True)
-    big_x = x * x
+    big_x = _square(x)
 
     results: list[EvalResult] = []
     try:
@@ -307,7 +298,7 @@ def _vq_closed_q0(x: float) -> EvalResult:
     return EvalResult(value, 2.0 * _EPS * value, "closed-form")
 
 
-def vq(q: float | Order, x: float, method: str = "auto") -> EvalResult:
+def vq(q: float, x: float, method: str = "auto") -> EvalResult:
     """Evaluate V_q(x) for q > -1, x >= 0 (plus the sentinel q = -1).
 
     ``method`` selects the route: "auto" (argument-dependent), "quadrature"
@@ -345,7 +336,7 @@ def vq(q: float | Order, x: float, method: str = "auto") -> EvalResult:
         return vq_quadrature(qv, x)
     if x <= _SERIES_X_MAX:
         return _vq_series(qv, x)
-    return _from_psi(psi_eval(0.5, 0.5 - qv, x * x))
+    return _from_psi(psi_eval(0.5, 0.5 - qv, _square(x)))
 
 
 def _routes_to_quadrature(qv: float, x):
@@ -366,7 +357,7 @@ def _abscissas(xs, *, positive: bool = False) -> np.ndarray:
     return xs
 
 
-def vq_many(q: float | Order, xs) -> np.ndarray:
+def vq_many(q: float, xs) -> np.ndarray:
     """V_q at every x of ``xs``, as ``vq(q, x).value`` would give it.
 
     Each x takes the route ``vq(q, x)`` takes.  The quadrature points are
@@ -389,7 +380,7 @@ def vq_many(q: float | Order, xs) -> np.ndarray:
     return values
 
 
-def vq_prime(q: float | Order, x: float, method: str = "integral") -> float:
+def vq_prime(q: float, x: float, method: str = "integral") -> float:
     """Derivative V_q'(x) for x > 0; strictly negative.
 
     Routes: "integral" differentiates under the integral sign,
@@ -423,7 +414,7 @@ def vq_prime(q: float | Order, x: float, method: str = "integral") -> float:
     return 2.0 * x * (v_q - v_prev)
 
 
-def vq_prime_many(q: float | Order, xs) -> np.ndarray:
+def vq_prime_many(q: float, xs) -> np.ndarray:
     """V_q' at every x > 0 of ``xs``, as ``vq_prime(q, x)`` ("integral")
     would give it, evaluated together.  A point whose quadrature does not
     converge comes back NaN; a domain error for any point raises."""
@@ -432,7 +423,7 @@ def vq_prime_many(q: float | Order, xs) -> np.ndarray:
     return -_accepted(_laplace_integrals(qv, xs, True))
 
 
-def vq_next(q: float | Order, vq_value: float, vq_prev: float, x: float) -> float:
+def vq_next(q: float, vq_value: float, vq_prev: float, x: float) -> float:
     """Order-raising recurrence: V_{q+1} from (V_q, V_{q-1}) at the same x.
 
         2 (q+1) V_{q+1}(x) = (2q + 1 - 2x^2) V_q(x) + 2 x^2 V_{q-1}(x).

@@ -75,29 +75,6 @@ def erfc_scaled(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class PsiParams:
-    """Parameter pair (a, c) for the confluent functions Phi and psi."""
-
-    a: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.c)):
-            raise DomainError(
-                f"confluent parameters must be finite, got a={self.a}, c={self.c}"
-            )
-
-    def phi(self, x: float) -> float:
-        return kummer_phi(self.a, self.c, x)
-
-    def psi(self, x: float) -> float:
-        return tricomi_psi(self.a, self.c, x)
-
-    def psi_detail(self, x: float) -> "PsiEval":
-        return psi_eval(self.a, self.c, x)
-
-
-@dataclass(frozen=True)
 class PsiEval:
     """Tricomi psi value with error estimate and route tag."""
 
@@ -128,17 +105,22 @@ def _phi_series(a: float, c: float, x: float) -> tuple[float, float, bool]:
     return total, abs_total, False
 
 
+def _check_confluent(a: float, c: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(c)):
+        raise DomainError(f"confluent parameters must be finite, got a={a}, c={c}")
+
+
 def kummer_phi(a: float, c: float, x: float) -> float:
     """Kummer confluent function Phi(a, c, x) = sum_k (a)_k x^k / ((c)_k k!)."""
-    params = PsiParams(a, c)
+    _check_confluent(a, c)
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"kummer_phi requires finite x, got {x}")
-    if params.c <= 0.0 and abs(params.c - round(params.c)) == 0.0:
+    if c <= 0.0 and abs(c - round(c)) == 0.0:
         raise DomainError(
             f"kummer_phi is undefined for non-positive integer c, got c={c}"
         )
-    value, _, converged = _phi_series(params.a, params.c, x)
+    value, _, converged = _phi_series(a, c, x)
     if not converged:
         raise NumericalError(
             f"kummer series did not converge within {_PHI_MAX_TERMS} terms "
@@ -170,7 +152,10 @@ def _psi_series(a: float, c: float, x: float) -> tuple[float, float] | None:
         return None  # Gamma overflows; times a reciprocal Gamma of 0, it is inf * 0
     coef1 = gamma1 * sc.rgamma(a - c + 1.0)
     coef2 = gamma2 * sc.rgamma(a)
-    tail = coef2 * x ** (1.0 - c)
+    try:  # as a Python float, an overflowing product is inf, with no warning
+        tail = float(coef2) * x ** (1.0 - c)
+    except OverflowError:  # the power x^(1-c) overflows
+        return None
     value = coef1 * v1 + tail * v2
     scale = 1.0 + abs(a) + abs(c)
     err1 = _gamma_rounding(scale, 1.0 - c, a - c + 1.0) if coef1 else 0.0
@@ -210,8 +195,7 @@ def psi_eval(a: float, c: float, x: float) -> PsiEval:
     the integral representation; each candidate is accepted only when its
     own error estimate meets the accuracy target.
     """
-    params = PsiParams(a, c)
-    a, c = params.a, params.c
+    _check_confluent(a, c)
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"tricomi psi requires x > 0, got {x}")
@@ -295,29 +279,12 @@ def tricomi_psi(a: float, c: float, x: float) -> float:
     return psi_eval(a, c, x).value
 
 
-@dataclass(frozen=True)
-class KratzelParams:
-    """Parameter pair (rho, nu) for the Kraetzel function Z_rho^nu."""
-
-    rho: float
-    nu: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho) and math.isfinite(self.nu)):
-            raise DomainError(
-                f"Kraetzel parameters must be finite, got rho={self.rho}, nu={self.nu}"
-            )
-        if self.rho <= 0.0:
-            raise DomainError(f"Kraetzel function requires rho > 0, got rho={self.rho}")
-
-    def z(self, t: float) -> float:
-        return kratzel_z(self.rho, self.nu, t)
-
-
 def kratzel_z(rho: float, nu: float, t: float) -> float:
     """Kraetzel function Z_rho^nu(t) = int_0^inf u^{nu-1} e^{-u^rho - t/u} du."""
-    params = KratzelParams(rho, nu)
-    rho, nu = params.rho, params.nu
+    if not (math.isfinite(rho) and math.isfinite(nu)):
+        raise DomainError(f"Kraetzel parameters must be finite, got rho={rho}, nu={nu}")
+    if rho <= 0.0:
+        raise DomainError(f"Kraetzel function requires rho > 0, got rho={rho}")
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"kratzel_z requires t >= 0, got {t}")

@@ -80,6 +80,8 @@ ODE_RESIDUAL_TOL = 1e-8
 #: x^4 overflows and the bounds take their 1/x^2 forms, and they and m agree
 #: to every bit (relative gaps below 1/x^2)
 _MILLS_X_MAX = 1e77
+#: weights alpha of the convexity suite's midpoint checks, H(x, y; alpha)
+_MIDPOINT_WEIGHTS = (0.3, 0.5)
 
 DEFAULT_Q_VALUES = (-0.45, -0.25, 0.0, 0.3, 0.5, 1.0, 2.0, 3.5, 5.0)
 _DEFAULT_X_COUNT = 60
@@ -173,7 +175,6 @@ class ConvexitySpec:
     b: float
     direction: str
     q_min: Optional[float] = None
-    alpha: float = 0.5
 
     def __post_init__(self) -> None:
         if self.direction not in ("convex", "concave"):
@@ -192,8 +193,6 @@ class ConvexitySpec:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "q_min", q_min)
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
 
     def admits(self, q: float) -> bool:
         # the -1 bound is exclusive (q > -1), the 0 bound inclusive (q >= 0)
@@ -597,9 +596,8 @@ def _convexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     specs = []
     for spec in default_convexity_specs():
         powered = _powered(spec.a, pair_x)
-        alphas = sorted({spec.alpha, 0.3})
-        means = [_power_means(spec.a, powered, i, j, alpha) for alpha in alphas]
-        specs.append((spec, _pows(grid_x, 1.0 - spec.a), alphas, means))
+        means = [_power_means(spec.a, powered, i, j, alpha) for alpha in _MIDPOINT_WEIGHTS]
+        specs.append((spec, _pows(grid_x, 1.0 - spec.a), means))
     for q in grid.q_values:
         admitted = [entry for entry in specs if entry[0].admits(q)]
         if not admitted:
@@ -622,7 +620,7 @@ def _convexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
         # V^(b-1) and the value means depend on the spec only through b
         powers: dict[float, np.ndarray] = {}
         value_means: dict[tuple[float, float], np.ndarray] = {}
-        for spec, x_power, alphas, arg_means in admitted:
+        for spec, x_power, arg_means in admitted:
             a, b, convex = spec.a, spec.b, spec.direction == "convex"
             tag = f"a={a:g},b={b:g},{spec.direction}"
 
@@ -639,7 +637,7 @@ def _convexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
 
             # (ii) midpoint route: compare V at the argument mean with the
             # value mean, strictly, for distinct pair members
-            for alpha, t in zip(alphas, arg_means):
+            for alpha, t in zip(_MIDPOINT_WEIGHTS, arg_means):
                 v_at_mean = next(v_means)
                 label = f"convexity:midpoint[{tag},alpha={alpha:g}]"
                 ok = _evaluated(col, label, q, x1, [

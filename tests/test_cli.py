@@ -74,6 +74,12 @@ class TestEvalCommand:
             result = runner.invoke(main, args)
             assert result.exit_code == 2, args
 
+    def test_huge_argument_exits_3(self, runner):
+        # x^2 overflows: a numerical failure of a valid input
+        result = runner.invoke(main, ["eval", "--q", "0.3", "--x", "1e200"])
+        assert result.exit_code == 3
+        assert "x^2 overflows" in result.stderr
+
     def test_numerical_failures_exit_3(self, runner):
         # exercised through the shared error-mapping wrapper
         @click.command()

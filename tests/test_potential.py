@@ -2,17 +2,18 @@
 confluent-hypergeometric path, derivatives, the order recurrence, and the
 Mills ratio."""
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from regcoulomb.bounds import vq_lower_exp
 from regcoulomb.errors import DivergenceError, DomainError, NumericalError
 from regcoulomb.potential import (
     METHODS,
     _vq_series,
     EvalResult,
-    Order,
     mills,
     vq,
     vq_neg1,
@@ -64,19 +65,28 @@ VQ_REFERENCE = [
 
 
 class TestOrder:
+    """Orders are plain floats, checked by every public function."""
+
     def test_sentinel(self):
-        order = Order(-1.0)
-        assert order.is_sentinel
-        assert float(order) == -1.0
+        assert vq(-1.0, 2.0).method == "convention"
+        assert vq_many(-1.0, [2.0])[0] == 0.5
+        with pytest.raises(DomainError, match="the sentinel order q = -1 is not admitted"):
+            vq_prime(-1.0, 1.0)
 
     def test_regular_orders(self):
-        assert not Order(0.0).is_sentinel
-        assert float(Order(2.5)) == 2.5
+        assert vq(np.float64(2.5), 1.0) == vq(2.5, 1.0)
+        assert vq(0, 1.0) == vq(0.0, 1.0)
 
     @pytest.mark.parametrize("q", [-2.0, -1.0000001, math.inf, math.nan])
     def test_invalid_orders_rejected(self, q):
-        with pytest.raises(DomainError):
-            Order(q)
+        if math.isfinite(q):
+            message = f"order must satisfy q > -1 (or the sentinel -1), got {q}"
+        else:
+            message = f"order must be finite, got {q}"
+        for call in (lambda: vq(q, 1.0), lambda: vq_many(q, [1.0]),
+                     lambda: vq_next(q, 1.0, 1.0, 1.0), lambda: vq_lower_exp(q, 1.0)):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                call()
 
 
 class TestEvalResult:
@@ -302,6 +312,16 @@ class TestOverflowWithoutWarnings:
     def test_forced_quadrature_at_huge_argument(self):
         with pytest.raises(NumericalError, match="did not converge"):
             vq(1.0, 1e160, method="quadrature")
+
+    def test_tricomi_routes_at_huge_argument(self):
+        # a valid x whose square overflows is a numerical failure, not a
+        # domain error, and the batch call returns NaN for it
+        for call in (vq, vq_via_psi):
+            with pytest.raises(NumericalError, match=r"x\^2 overflows"):
+                call(0.3, 1.4e154)
+        got = vq_many(0.3, [1e200, 1.0])
+        assert np.isnan(got[0])
+        assert got[1] == vq(0.3, 1.0).value
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
 """Tests for the special-function layer: log-gamma, scaled erfc, Kummer Phi,
 Tricomi psi (all four routes), and the Kraetzel integral."""
 import math
+import re
 
 import numpy as np
 import pytest
 
-from regcoulomb.errors import DivergenceError, DomainError
+from regcoulomb.errors import DivergenceError, DomainError, NumericalError
 from regcoulomb.special import (
-    KratzelParams,
     PsiEval,
-    PsiParams,
     erfc,
     erfc_scaled,
     kratzel_z,
@@ -126,6 +125,7 @@ class TestPsiReferenceValues:
         (19.5, 24.5, 7.3, 3.118265660001874147734e-15),
         (0.7, -24.0, 0.02, 0.1054405932245496445692),
         (3.0, 2.0, 4000.0, 1.560159759776588310531e-11),
+        (0.5, 60.5, 0.01, 1.026792338970263478683e198),   # Kummer tail near 1e198
     ])
     def test_reference_values(self, a, c, x, expected):
         result = psi_eval(a, c, x)
@@ -135,6 +135,9 @@ class TestPsiReferenceValues:
     def test_tricomi_psi_returns_plain_value(self):
         assert rel_diff(tricomi_psi(1.0, 1.0, 1.0),
                         0.5963473623231940743411) < 5e-11
+        detail = psi_eval(1.0, 1.0, 1.0)
+        assert isinstance(detail, PsiEval)
+        assert tricomi_psi(1.0, 1.0, 1.0) == detail.value
 
 
 class TestPsiRoutes:
@@ -168,6 +171,15 @@ class TestPsiRoutes:
         want = laplace_mpmath(200.0, 0.01)
         assert rel_diff(psi_eval(0.5, -199.5, 1e-4).value, want) <= 1e-12
         assert rel_diff(tricomi_psi(0.5, -199.5, 1e-4), want) <= 1e-12
+
+    @pytest.mark.parametrize("a, c, x", [
+        (0.5, 100.5, 1e-4),   # x^(1-c) overflows (mpmath: 5.3e552)
+        (2.0, 150.5, 1e-3),
+        (0.5, 100.5, 1e-2),   # the Kummer tail Gamma(c-1) x^(1-c) overflows
+    ])
+    def test_values_beyond_the_double_range_are_numerical_errors(self, a, c, x):
+        with pytest.raises(NumericalError):
+            psi_eval(a, c, x)
 
     def test_agrees_with_scipy_implementation(self):
         worst = 0.0
@@ -218,12 +230,13 @@ class TestPsiDomain:
         assert result.value > 0
         assert result.method == "series"
 
-    def test_params_bundle_evaluates_both_kinds(self):
-        params = PsiParams(a=0.5, c=0.4)
-        assert rel_diff(params.psi(1.0), psi_eval(0.5, 0.4, 1.0).value) == 0.0
-        assert rel_diff(params.phi(1.0), kummer_phi(0.5, 0.4, 1.0)) == 0.0
-        detail = params.psi_detail(1.0)
-        assert isinstance(detail, PsiEval)
+    def test_nonfinite_parameters_rejected(self):
+        for a, c in ((math.inf, 0.4), (0.5, math.nan), (-math.inf, math.inf)):
+            message = re.escape(f"confluent parameters must be finite, got a={a}, c={c}")
+            with pytest.raises(DomainError, match=message):
+                kummer_phi(a, c, 1.0)
+            with pytest.raises(DomainError, match=message):
+                psi_eval(a, c, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +292,12 @@ class TestKratzel:
             kratzel_z(0.0, 1.0, 1.0)      # rho must be positive
         with pytest.raises(DomainError):
             kratzel_z(1.0, 1.0, -1.0)     # t must be non-negative
-        with pytest.raises(DomainError):
-            KratzelParams(rho=-1.0, nu=0.5)
+        with pytest.raises(DomainError, match=re.escape("requires rho > 0, got rho=-1.0")):
+            kratzel_z(-1.0, 0.5, 1.0)
+        for rho, nu in ((math.inf, 0.5), (1.0, math.nan)):
+            message = re.escape(f"parameters must be finite, got rho={rho}, nu={nu}")
+            with pytest.raises(DomainError, match=message):
+                kratzel_z(rho, nu, 1.0)
 
     def test_strictly_decreasing_in_t(self):
         values = [kratzel_z(1.0, 1.5, float(t)) for t in np.linspace(0.0, 5.0, 11)]
