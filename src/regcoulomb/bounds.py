@@ -31,14 +31,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import scipy.special as sc
-
 from .errors import DomainError
 from .potential import EvalResult, _check_x, _order_value, mills, vq
-from .special import kratzel_z
+from .special import _kratzel_bessel, _two_product, kratzel_z, ln_gamma
 
 #: f3's denominator x^4 + 2x^2 - 1 changes sign at x^2 = sqrt(2) - 1
 MILLS_F3_THRESHOLD = math.sqrt(math.sqrt(2.0) - 1.0)
+# 1/sqrt(2) = _INV_SQRT2 + _INV_SQRT2_LO to about 1e-33
+_INV_SQRT2 = math.sqrt(0.5)
+_INV_SQRT2_LO = -4.833646656726457e-17
 
 
 def _inverse_square(x: float) -> float:
@@ -170,15 +171,20 @@ def vq_upper_agm(q: float, x: float) -> float:
     x = _check_x(x, positive=True)
     if qv <= -0.75:
         raise DomainError(f"the upper envelope requires q > -3/4, got q={qv}")
-    return math.exp(sc.gammaln(qv + 0.75) - sc.gammaln(qv + 1.0)) / math.sqrt(2.0 * x)
+    return math.exp(ln_gamma(qv + 0.75) - ln_gamma(qv + 1.0)) / math.sqrt(2.0 * x)
 
 
 def vq_lower_kratzel(q: float, x: float) -> float:
     """Lower envelope Z_1^{q+1/2}(x^2/2) / Gamma(q+1) for V_q, q > -1,
-    where Z_1^nu is the Kraetzel function."""
+    where Z_1^nu is the Kraetzel function.  Z_1^nu(s^2) = 2 s^nu K_nu(2s)
+    is taken at s = x/sqrt(2) in double-double, not at a rounded x^2/2."""
     qv = _order_value(q)
     x = _check_x(x, positive=True)
-    return kratzel_z(1.0, qv + 0.5, 0.5 * x * x) * math.exp(-sc.gammaln(qv + 1.0))
+    root, root_lo = _two_product(x, _INV_SQRT2)
+    value = _kratzel_bessel(qv + 0.5, root, root_lo + x * _INV_SQRT2_LO)
+    if value is None:  # beyond the double range of the Bessel form
+        value = kratzel_z(1.0, qv + 0.5, 0.5 * x * x)
+    return value * math.exp(-ln_gamma(qv + 1.0))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sc
 
 from .errors import DivergenceError, DomainError, NumericalError
 # the scalar Gauss-Laguerre and exp-sinh engines are no longer called here
@@ -46,7 +45,16 @@ from .quadrature import (  # noqa: F401
     laguerre_escalating,
     trapezoid_columns,
 )
-from .special import PsiEval, _gamma_rounding, _phi_series, psi_eval
+from .special import (
+    PsiEval,
+    _gamma_rounding,
+    _phi_series,
+    erfc_scaled,
+    gamma,
+    ln_gamma,
+    psi_eval,
+    rgamma,
+)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -130,7 +138,7 @@ def _vq_zero(qv: float) -> tuple[float, float]:
     exponential makes relative."""
     if qv <= -0.5:
         raise DivergenceError(f"V_q(0) diverges for q <= -1/2, got q={qv}")
-    lead, base = sc.gammaln(qv + 0.5), sc.gammaln(qv + 1.0)
+    lead, base = ln_gamma(qv + 0.5), ln_gamma(qv + 1.0)
     value = math.exp(lead - base)
     return value, _EPS * (4.0 + 2.0 * (abs(lead) + abs(base))) * value
 
@@ -163,11 +171,11 @@ def _vq_series(q: float, x: float) -> EvalResult:
     of the Gamma coefficients and their arguments, and of ``x^(2q+1)``.
     """
     big_x = x * x
-    gamma_lead = sc.gamma(q + 0.5)
+    gamma_lead = gamma(q + 0.5)
     if math.isinf(gamma_lead):  # q > 171.1: coef1 would be inf * 0
         raise NumericalError(f"small-x expansion failed for q={q}, x={x}")
-    coef1 = gamma_lead * sc.rgamma(q + 1.0)
-    coef2 = sc.gamma(-q - 0.5) / SQRT_PI * math.exp((2.0 * q + 1.0) * math.log(x))
+    coef1 = gamma_lead * rgamma(q + 1.0)
+    coef2 = gamma(-q - 0.5) / SQRT_PI * math.exp((2.0 * q + 1.0) * math.log(x))
     v1, abs1, ok1 = _phi_series(0.5, 0.5 - q, big_x)
     v2, abs2, ok2 = _phi_series(q + 1.0, q + 1.5, big_x)
     if not (ok1 and ok2):
@@ -294,7 +302,7 @@ def vq_via_psi(q: float, x: float) -> EvalResult:
 
 
 def _vq_closed_q0(x: float) -> EvalResult:
-    value = SQRT_PI * sc.erfcx(x)
+    value = SQRT_PI * erfc_scaled(x)
     return EvalResult(value, 2.0 * _EPS * value, "closed-form")
 
 
@@ -455,4 +463,4 @@ def vq_next(q: float, vq_value: float, vq_prev: float, x: float) -> float:
 def mills(x: float) -> float:
     """Mills ratio m(x) = (1 - NormalCDF(x)) / NormalPDF(x) for x >= 0."""
     x = _check_x(x)
-    return math.sqrt(math.pi / 2.0) * float(sc.erfcx(x / math.sqrt(2.0)))
+    return math.sqrt(math.pi / 2.0) * erfc_scaled(x / math.sqrt(2.0))

@@ -48,7 +48,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -136,6 +135,8 @@ def gauss_laguerre(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the weight ``t^alpha e^{-t}`` on [0, inf)."""
     if alpha <= -1.0:
         raise ValueError(f"Laguerre exponent must exceed -1, got {alpha}")
+    from scipy.special import roots_genlaguerre  # deferred: only psi_eval's route needs it
+
     with np.errstate(over="ignore", invalid="ignore"):
         nodes, weights = roots_genlaguerre(n, alpha)
     return nodes, weights

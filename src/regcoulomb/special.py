@@ -4,12 +4,34 @@ Provides the log-gamma, complementary error function (plain and scaled),
 the Kummer confluent function Phi(a, c, x), the Tricomi confluent function
 psi(a, c, x), and the Kraetzel integral function Z_rho^nu(t).
 
+The elementary kernels need nothing beyond the standard library:
+
+* ``ln_gamma``: below 30, the argument is shifted into [1/2, 5/2) and the
+  Taylor series of 1/Gamma(1+e) (DLMF 5.7.1) gives log Gamma through
+  ``log1p``, so it keeps its relative accuracy at the zeros 1 and 2;
+  from 30 up, ``math.lgamma``.  ``gamma``/``rgamma`` use the same series
+  below 12 and ``math.gamma`` elsewhere, with SciPy's conventions at
+  overflow and at the poles.
+* ``erfc`` is ``math.erfc``.  ``erfc_scaled`` is e^{x^2} erfc(x) below 1/2;
+  up to 26 the same with x^2 split exactly into hi + lo (Dekker), as
+  e^hi erfc(x) (1 + lo); beyond, the asymptotic series in 1/(2x^2)
+  (DLMF 7.12.1; Cody, Math. Comp. 23, 1969).
+* the scaled Bessel function e^z K_nu(z) behind Z_1^nu: Temme's series for
+  z <= 2 and Steed's algorithm for Temme's continued fraction above (and
+  at half-integer nu, where it stops at its first term), at the order
+  mu = nu - round(nu) in [-1/2, 1/2), then upward recurrence (Temme,
+  J. Comput. Phys. 19, 1975).
+* ``_digamma`` (recurrence, reflection, asymptotic series) only sizes the
+  error bounds of Gamma coefficients.
+
 The Tricomi function is evaluated by a router that tries, in order:
 
 * the two-term Kummer expansion
       psi = Gamma(1-c)/Gamma(a-c+1) Phi(a, c, x)
             + Gamma(c-1)/Gamma(a) x^{1-c} Phi(a-c+1, 2-c, x)
   (small x, c away from the integers where the expansion degenerates);
+  where a coefficient overflows and psi itself lies beyond the double
+  range, it raises at once;
 * the large-x asymptotic series
       psi ~ x^{-a} sum_k (-1)^k (a)_k (a-c+1)_k / (k! x^k),
   truncated at its smallest term;
@@ -17,7 +39,9 @@ The Tricomi function is evaluated by a router that tries, in order:
       psi = x^{-a}/Gamma(a) int_0^inf e^{-s} s^{a-1} (1 + s/x)^{c-a-1} ds,
   evaluated by generalized Gauss-Laguerre quadrature for moderate and large
   x and by a double-exponential rule when the branch point at s = -x sits
-  too close to the integration axis for polynomial rules.
+  too close to the integration axis for polynomial rules.  These rules,
+  and the Kraetzel quadrature at rho != 1, are the only routes that load
+  SciPy, on first use.
 
 Every branch produces a running error estimate and is accepted only when
 that estimate meets the target, so the router degrades gracefully rather
@@ -28,9 +52,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.special as sc
 
 from .errors import DivergenceError, DomainError, NumericalError
 from .quadrature import expsinh_escalating, laguerre_escalating
@@ -48,6 +72,64 @@ _PSI_REL_CEILING = 1e-8
 _PSI_GL_LADDER = (40, 80, 160, 320)
 _PSI_DE_LADDER = (160, 320, 640, 1280)
 _PHI_MAX_TERMS = 500
+# the Bessel recurrence takes one step per unit of order; beyond this the
+# Kraetzel function is integrated instead
+_BESSEL_MAX_ORDER = 10_000
+# Temme's continued fraction needs about 170/z terms for z > 2
+_STEED_MAX_TERMS = 1000
+# log of the largest double, rounded down
+_LOG_MAX = 709.0
+
+_SQRT_PI = math.sqrt(math.pi)
+# 1/Gamma(1+e) = 1 + sum_{k>=1} c_k e^k (DLMF 5.7.1), c_1..c_22 from mpmath
+# at 50 digits, as pairs (c_k, c_k+1) for odd k; for |e| <= 1/2 the omitted
+# terms are below 1e-20
+_RGAMMA1P = (
+    (0.5772156649015329, -0.6558780715202539),
+    (-0.04200263503409524, 0.16653861138229148),
+    (-0.04219773455554433, -0.009621971527876973),
+    (0.0072189432466631, -0.0011651675918590652),
+    (-0.00021524167411495098, 0.0001280502823881162),
+    (-2.013485478078824e-05, -1.2504934821426706e-06),
+    (1.133027231981696e-06, -2.056338416977607e-07),
+    (6.116095104481416e-09, 5.002007644469223e-09),
+    (-1.18127457048702e-09, 1.0434267116911005e-10),
+    (7.782263439905071e-12, -3.696805618642206e-12),
+    (5.100370287454476e-13, -2.0583260535665066e-14),
+)
+
+
+def _rgamma1p_parts(e: float) -> tuple[float, float]:
+    """(even, odd) with (1/Gamma(1+e) - 1)/e = even + e odd, both functions
+    of e^2, for |e| <= 1/2."""
+    e2 = e * e
+    even = odd = 0.0
+    for c_even, c_odd in reversed(_RGAMMA1P):
+        even = even * e2 + c_even
+        odd = odd * e2 + c_odd
+    return even, odd
+
+
+def _rgamma1p_slope(e: float) -> float:
+    """(1/Gamma(1+e) - 1)/e for |e| <= 1/2."""
+    even, odd = _rgamma1p_parts(e)
+    return even + e * odd
+
+
+def _halves(v: float) -> tuple[float, float]:
+    """v = head + tail with 26-bit halves (Veltkamp's split)."""
+    cut = 134217729.0 * v  # 2^27 + 1
+    head = cut - (cut - v)
+    return head, v - head
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """a b = hi + lo exactly (Dekker), while no partial product under- or
+    overflows."""
+    hi = a * b
+    a_head, a_tail = _halves(a)
+    b_head, b_tail = _halves(b)
+    return hi, (((a_head * b_head - hi) + a_head * b_tail) + a_tail * b_head) + a_tail * b_tail
 
 
 def ln_gamma(a: float) -> float:
@@ -55,7 +137,92 @@ def ln_gamma(a: float) -> float:
     a = float(a)
     if not math.isfinite(a) or a <= 0.0:
         raise DomainError(f"ln_gamma requires a > 0, got {a}")
-    return float(sc.gammaln(a))
+    return _ln_gamma(a)
+
+
+@lru_cache(maxsize=1024)
+def _ln_gamma(a: float) -> float:
+    """log Gamma(a) for finite a > 0.  Memoised: the verifier and the
+    envelope tables ask for the same few orders at every abscissa."""
+    if a >= 30.0:
+        try:
+            return math.lgamma(a)
+        except OverflowError:  # above about 2.5e305
+            return math.inf
+    if a == 1.0 or a == 2.0:
+        return 0.0  # not -0.0 from the forms below
+    if a < 0.5:  # Gamma(a) = Gamma(1+a)/a
+        return -math.log1p(a * _rgamma1p_slope(a)) - math.log(a)
+    if a < 1.5:
+        e = a - 1.0
+        return -math.log1p(e * _rgamma1p_slope(e))
+    shift = 1.0  # Gamma(a) = shift Gamma(2+e) with e in [-1/2, 1/2)
+    while a >= 2.5:
+        a -= 1.0
+        shift *= a
+    e, slope = a - 2.0, _rgamma1p_slope(a - 2.0)
+    # Gamma(2+e) = (1+e)/(1 + e slope), so its log is log1p of e (1 - slope)/(1 + e slope)
+    return math.log1p(e * (1.0 - slope) / (1.0 + e * slope)) + math.log(shift)
+
+
+def _gamma_fraction(y: float) -> tuple[float, float]:
+    """(num, den) with Gamma(y) = num/den for 0 < y < 12: y is shifted into
+    [1/2, 3/2), where 1/Gamma(1+e) is the Taylor series."""
+    num = den = 1.0
+    while y >= 1.5:
+        y -= 1.0
+        num *= y
+    if y < 0.5:  # Gamma(y) = Gamma(1+y)/y
+        den = y
+        y += 1.0
+    e = y - 1.0
+    return num, den * (1.0 + e * _rgamma1p_slope(e))
+
+
+def gamma(y: float) -> float:
+    """Gamma(y); +-inf where it overflows and NaN at the poles, as in SciPy.
+    Below 12 by the series, which is the more accurate there; from 12 up,
+    and for y <= 0, ``math.gamma``."""
+    if 0.0 < y < 12.0:
+        num, den = _gamma_fraction(y)
+        return num / den
+    try:
+        return math.gamma(y)
+    except OverflowError:  # y above 171.6, or y within about 1e-308 of 0
+        return math.copysign(math.inf, y)
+    except ValueError:  # a pole: 0 or a negative integer
+        return math.nan
+
+
+def rgamma(y: float) -> float:
+    """1/Gamma(y): 0 at the poles and where Gamma overflows, +-inf where it
+    underflows to 0."""
+    if 0.0 < y < 12.0:
+        num, den = _gamma_fraction(y)
+        return den / num
+    g = gamma(y)
+    if math.isnan(g):
+        return 0.0
+    if g == 0.0:
+        return math.copysign(math.inf, g)
+    return 1.0 / g
+
+
+def _digamma(y: float) -> float:
+    """psi(y) = Gamma'(y)/Gamma(y), to about 1e-12 of max(1, |psi|); NaN at
+    the poles.  Only error bounds use it."""
+    if y <= 0.0 and y == math.floor(y):
+        return math.nan
+    shift = 0.0
+    if y < 0.5:  # reflection: psi(y) = psi(1-y) - pi cot(pi y)
+        shift = -math.pi / math.tan(math.pi * y)
+        y = 1.0 - y
+    while y < 10.0:
+        shift -= 1.0 / y
+        y += 1.0
+    w = 1.0 / (y * y)  # DLMF 5.11.2, terms B_2k / (2k y^2k)
+    tail = w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (1 / 240 - w / 132))))
+    return shift + math.log(y) - 0.5 / y - tail
 
 
 def erfc(x: float) -> float:
@@ -63,7 +230,7 @@ def erfc(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"erfc requires finite x, got {x}")
-    return float(sc.erfc(x))
+    return math.erfc(x)
 
 
 def erfc_scaled(x: float) -> float:
@@ -71,7 +238,26 @@ def erfc_scaled(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"erfc_scaled requires finite x, got {x}")
-    return float(sc.erfcx(x))
+    if abs(x) < 0.5:
+        return math.exp(x * x) * math.erfc(x)
+    if x <= 26.0:  # erfc(26) = 5.7e-296 is still a normal double
+        hi, lo = _two_product(x, x)
+        try:
+            head = math.exp(hi) * math.erfc(x)
+        except OverflowError:  # x below about -26.6: e^{x^2} erfc(x) > 1.8e308
+            return math.inf
+        return head + head * lo
+    # e^{x^2} erfc(x) ~ (1/(x sqrt pi)) sum_k (-1)^k (2k-1)!! / (2x^2)^k;
+    # 1/x is formed first, so x sqrt(pi) never overflows
+    inv = 1.0 / x
+    step = 0.5 * inv * inv
+    term = total = 1.0
+    k = 1
+    while abs(term) > 0.25 * _EPS * total:
+        term *= -(2 * k - 1) * step
+        total += term
+        k += 1
+    return inv / _SQRT_PI * total
 
 
 @dataclass(frozen=True)
@@ -135,7 +321,7 @@ def _gamma_rounding(scale: float, *args: float) -> float:
     with an absolute rounding error of up to ``scale`` eps: that error moves
     Gamma(y) by |psi(y)| scale eps relative, and each Gamma errs by up to
     4 eps."""
-    return sum(4.0 + scale * abs(float(sc.psi(y))) for y in args)
+    return sum(4.0 + scale * abs(_digamma(y)) for y in args)
 
 
 def _psi_series(a: float, c: float, x: float) -> tuple[float, float] | None:
@@ -147,15 +333,15 @@ def _psi_series(a: float, c: float, x: float) -> tuple[float, float] | None:
     v2, abs2, ok2 = _phi_series(a - c + 1.0, 2.0 - c, x)
     if not (ok1 and ok2):
         return None
-    gamma1, gamma2 = sc.gamma(1.0 - c), sc.gamma(c - 1.0)
+    gamma1, gamma2 = gamma(1.0 - c), gamma(c - 1.0)
     if not (math.isfinite(gamma1) and math.isfinite(gamma2)):
-        return None  # Gamma overflows; times a reciprocal Gamma of 0, it is inf * 0
-    coef1 = gamma1 * sc.rgamma(a - c + 1.0)
-    coef2 = gamma2 * sc.rgamma(a)
+        return _psi_beyond_range(a, c, x)  # a coefficient would be inf, or inf * 0
+    coef1 = gamma1 * rgamma(a - c + 1.0)
+    coef2 = gamma2 * rgamma(a)
     try:  # as a Python float, an overflowing product is inf, with no warning
-        tail = float(coef2) * x ** (1.0 - c)
+        tail = coef2 * x ** (1.0 - c)
     except OverflowError:  # the power x^(1-c) overflows
-        return None
+        return _psi_beyond_range(a, c, x)
     value = coef1 * v1 + tail * v2
     scale = 1.0 + abs(a) + abs(c)
     err1 = _gamma_rounding(scale, 1.0 - c, a - c + 1.0) if coef1 else 0.0
@@ -163,8 +349,31 @@ def _psi_series(a: float, c: float, x: float) -> tuple[float, float] | None:
     est = _EPS * ((4.0 + err1) * abs(coef1) * abs1 + (4.0 + err2) * abs(tail) * abs2)
     est += 2.0 * _EPS * abs(value)
     if not (math.isfinite(value) and math.isfinite(est)):
-        return None
+        return _psi_beyond_range(a, c, x)
     return value, est
+
+
+def _psi_beyond_range(a: float, c: float, x: float) -> None:
+    """Where the Kummer expansion overflows, raise if its larger term
+    Gamma(1-c)/Gamma(a-c+1) or Gamma(c-1)/Gamma(a) x^(1-c) has a log above
+    that of the largest double: psi itself is then out of range, and no
+    other route can return it."""
+    def log_ratio(top: float, bottom: float) -> float:  # log |Gamma(top)/Gamma(bottom)|
+        if bottom <= 0.0 and bottom == math.floor(bottom):
+            return -math.inf  # 1/Gamma(bottom) = 0
+        try:
+            return math.lgamma(top) - math.lgamma(bottom)
+        except OverflowError:  # an argument beyond 2.5e305: the size is unknown
+            return math.nan
+
+    for lead in (log_ratio(1.0 - c, a - c + 1.0),
+                 log_ratio(c - 1.0, a) + (1.0 - c) * math.log(x)):
+        if lead > _LOG_MAX:
+            raise NumericalError(
+                f"psi({a}, {c}, {x}) overflows: its Kummer expansion has a term "
+                f"near e^{lead:.0f}, beyond the double range"
+            )
+    return None
 
 
 def _psi_asymptotic(a: float, c: float, x: float) -> tuple[float, float]:
@@ -220,7 +429,7 @@ def psi_eval(a: float, c: float, x: float) -> PsiEval:
 
     if a > 0.0:
         log_x = math.log(x)
-        shift = -a * log_x - sc.gammaln(a)
+        shift = -a * log_x - ln_gamma(a)
         exponent = c - a - 1.0
 
         if x >= 0.5:
@@ -293,7 +502,7 @@ def kratzel_z(rho: float, nu: float, t: float) -> float:
             raise DivergenceError(
                 f"Z_rho^nu(0) diverges for nu <= 0, got nu={nu}"
             )
-        value = math.exp(sc.gammaln(nu / rho)) / rho
+        value = gamma(nu / rho) / rho
         if not math.isfinite(value):
             raise NumericalError(
                 f"Z_{rho}^{nu}(0) = Gamma(nu/rho)/rho overflows"
@@ -301,18 +510,151 @@ def kratzel_z(rho: float, nu: float, t: float) -> float:
         return value
 
     if rho == 1.0:
-        # DLMF 10.32.10: Z_1^nu(t) = 2 t^{nu/2} K_nu(2 sqrt t), with the
-        # factor e^{-2 sqrt t} of the scaled Bessel function kve taken in
-        # log space together with t^{nu/2}; where that leaves the range of
-        # doubles, the quadrature below takes over
-        z = 2.0 * math.sqrt(t)
-        scaled_k = float(sc.kve(nu, z))
-        log_rest = 0.5 * nu * math.log(t) - z
-        if 0.0 < scaled_k < math.inf and abs(log_rest) < 700.0:
-            value = 2.0 * scaled_k * math.exp(log_rest)
-            if sys.float_info.min <= value < math.inf:
-                return value
+        root = math.sqrt(t)
+        hi, lo = _two_product(root, root)  # exact for t above 2^-969
+        root_lo = ((t - hi) - lo) / (2.0 * root) if t > 1e-290 else 0.0
+        value = _kratzel_bessel(nu, root, root_lo)
+        if value is not None:
+            return value
     return _kratzel_quadrature(rho, nu, t)
+
+
+def _kratzel_bessel(nu: float, root: float, root_lo: float) -> float | None:
+    """Z_1^nu(s^2) = 2 s^nu K_nu(2s) (DLMF 10.32.10) at s = root + root_lo,
+    a double plus a correction below its ulp; None where it leaves the range
+    of normal doubles.
+
+    K_nu is taken at z = 2 root, and the correction enters to first order
+    through dZ/ds = -4 s^nu K_{nu-1}(2s).  The factors s^nu, e^-z and the
+    scaled e^z K_nu(z) are each accurate to about an ulp, so they are
+    multiplied as they are where all are normal, and combined in log space
+    (e^(nu log s - z), rounded to about |nu log s - z| ulps) otherwise."""
+    z = 2.0 * root
+    scaled_k, ratio = _bessel_k(nu, z)
+    if not 0.0 < scaled_k < math.inf:
+        return None
+    scaled_k *= 2.0 * (1.0 - 2.0 * root_lo * ratio)
+    log_power = nu * math.log(root)
+    if abs(log_power) < 700.0 and z < 1400.0:
+        half = math.exp(-0.5 * z)  # e^-z as two factors, each a normal double
+        value = scaled_k * math.pow(root, nu) * half * half
+    elif abs(log_power - z) < 700.0:
+        value = scaled_k * math.exp(log_power - z)
+    else:
+        return None
+    return value if sys.float_info.min <= value < math.inf else None
+
+
+def _bessel_k(nu: float, z: float) -> tuple[float, float]:
+    """e^z K_nu(z) and K_{nu-1}(z)/K_nu(z) for z > 0; the first is inf where
+    K_nu overflows.
+
+    With m = |nu| (K_{-nu} = K_nu) and mu = m - round(m) in [-1/2, 1/2],
+    K_mu and K_{mu+1} come from Temme's series (z <= 2) or his continued
+    fraction (z > 2, and at |mu| = 1/2, where the fraction stops at its first
+    term: e^z K_{1/2}(z) = sqrt(pi/(2z))), and the upward recurrence
+    K_{v+1} = K_{v-1} + (2v/z) K_v, which is stable, reaches m and m + 1.
+    Orders beyond ``_BESSEL_MAX_ORDER`` are reported as overflowing."""
+    m = abs(nu)
+    n = int(m + 0.5)
+    if n > _BESSEL_MAX_ORDER:
+        return math.inf, math.nan
+    mu = m - n
+    temme = z <= 2.0 and mu != -0.5
+    k_lo, k_hi = _bessel_k_temme(mu, z) if temme else _bessel_k_steed(mu, z)
+    k_below = k_hi - 2.0 * mu / z * k_lo  # K_{mu-1}
+    for j in range(n):
+        if k_hi == math.inf:
+            return math.inf, math.nan
+        k_below, k_lo, k_hi = k_lo, k_hi, k_lo + 2.0 * (mu + j + 1.0) / z * k_hi
+    # K_{nu-1} is K_{m-1} for nu >= 0 and K_{m+1} for nu < 0
+    return k_lo, (k_below if nu >= 0.0 else k_hi) / k_lo
+
+
+def _bessel_k_temme(mu: float, z: float) -> tuple[float, float]:
+    """e^z K_mu(z) and e^z K_{mu+1}(z) for |mu| <= 1/2 and z <= 2 by
+    Temme's series: with y = z^2/4 and c_k = y^k / k!,
+
+        K_mu = sum_k c_k f_k,    K_{mu+1} = (2/z) sum_k c_k (p_k - k f_k),
+
+    where p_k = p_{k-1}/(k - mu), q_k = q_{k-1}/(k + mu) and
+    f_k = (k f_{k-1} + p_{k-1} + q_{k-1}) / (k^2 - mu^2), started from
+    p_0 = (z/2)^-mu Gamma(1+mu)/2, q_0 = (z/2)^mu Gamma(1-mu)/2 and
+
+        f_0 = (mu pi / sin(mu pi)) (cosh(s) G1 + sinh(s)/s log(2/z) G2),
+
+    s = mu log(2/z), G1 = (1/Gamma(1-mu) - 1/Gamma(1+mu))/(2 mu) and
+    G2 = (1/Gamma(1-mu) + 1/Gamma(1+mu))/2, the odd and even parts of the
+    Taylor series of 1/Gamma(1+e), so they carry no cancellation at small mu."""
+    log_half = -math.log(0.5 * z)
+    s = mu * log_half
+    even, odd = _rgamma1p_parts(mu)
+    g1, g2 = -even, 1.0 + mu * mu * odd
+    r_plus, r_minus = g2 + mu * even, g2 - mu * even  # 1/Gamma(1 +- mu)
+    reflect = mu * math.pi / math.sin(mu * math.pi) if mu else 1.0
+    sinhc = math.sinh(s) / s if s else 1.0
+    f = reflect * (math.cosh(s) * g1 + sinhc * log_half * g2)
+    p = 0.5 * math.exp(s) / r_plus
+    q = 0.5 * math.exp(-s) / r_minus
+    y = 0.25 * z * z
+    c = 1.0
+    k_mu, k_next = f, p
+    k = 0
+    while True:
+        k += 1
+        f = (k * f + p + q) / (k * k - mu * mu)
+        p /= k - mu
+        q /= k + mu
+        c *= y / k
+        term, term_next = c * f, c * (p - k * f)
+        k_mu += term
+        k_next += term_next
+        if abs(term) <= 0.25 * _EPS * k_mu and abs(term_next) <= 0.25 * _EPS * abs(k_next):
+            break
+    grow = math.exp(z)
+    return grow * k_mu, grow * 2.0 * k_next / z
+
+
+def _bessel_k_steed(mu: float, z: float) -> tuple[float, float]:
+    """e^z K_mu(z) and e^z K_{mu+1}(z) for |mu| <= 1/2 and z > 2 by Temme's
+    continued fraction.
+
+    K_mu(z) = sqrt(pi) (2z)^mu e^-z u_0 with u_j = U(mu+1/2+j, 2mu+1, 2z),
+    and the u_j are the minimal solution of
+
+        u_{j-1} = b_j u_j - a_{j+1} u_{j+1},  b_j = 2(j + z),
+        a_j = (j - 1/2)^2 - mu^2.
+
+    So h = u_1/u_0 = 1/(b_1 - a_2/(b_2 - a_3/(b_3 - ...))), summed by
+    Steed's algorithm, gives K_{mu+1}/K_mu = (mu + 1/2 + z - a_1 h)/z; and
+    sum_j C_j u_j = (2z)^-(mu+1/2), with C_j = prod_{i<=j} a_i/i, gives
+    e^z K_mu = sqrt(pi/(2z)) / S, S = sum_j C_j u_j/u_0.  S is summed with
+    the fraction: the forward solution Q (Q_0 = 0, Q_1 = 1) of the same
+    recurrence makes S = 1 + sum_j (sum_{i<=j} C_i Q_i) (h_j - h_{j-1}),
+    with h_j the j-th convergent."""
+    a1 = 0.25 - mu * mu
+    b = 2.0 * (1.0 + z)
+    d = 1.0 / b
+    step = h = d
+    q_prev, q_cur = 0.0, 1.0
+    c = weighted = a1  # C_1, and sum_{i<=1} C_i Q_i
+    total = 1.0 + weighted * step
+    tol = 0.25 * _EPS
+    for j in range(2, _STEED_MAX_TERMS):  # about 170/z terms
+        a = j * (j - 1) + a1  # a_j = (j - 1/2)^2 - mu^2
+        c *= a / j
+        q_prev, q_cur = q_cur, (b * q_cur - q_prev) / a
+        weighted += c * q_cur
+        b += 2.0
+        d = 1.0 / (b - a * d)
+        step *= b * d - 1.0
+        h += step
+        change = weighted * step
+        total += change
+        if abs(change) <= tol * total:
+            break
+    k_mu = math.sqrt(math.pi / (2.0 * z)) / total
+    return k_mu, k_mu * (mu + 0.5 + z - a1 * h) / z
 
 
 def _kratzel_quadrature(rho: float, nu: float, t: float) -> float:

@@ -58,11 +58,11 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.special as sc
 
 from .bounds import mills_bounds, vq_lower_exp, vq_lower_kratzel, vq_upper_agm
 from .errors import DomainError, NumericalError, UsageError
 from .potential import mills, vq, vq_many, vq_prime, vq_prime_many
+from .special import ln_gamma
 
 DEFAULT_REL_TOL = 1e-9
 ABS_TOL_FLOOR = 1e-12
@@ -331,13 +331,16 @@ class _Collector:
         """Count an array of asserted checks, track their margins, and keep
         the records of the failures (of every check under ``emit_checks``).
 
-        The margins fold in as ``min``/``max`` over them in order would: the
-        ``fmin``/``fmax`` reductions skip NaN and keep the first of equal
-        values, which shows in the sign of a zero.
+        The margins fold in as ``min``/``max`` over them in order would:
+        NaN is skipped and the first of equal values is kept, which shows in
+        the sign of a zero.
         """
         self.n_checks += ok.size
-        self.min_margin = float(np.fmin.reduce(margin, initial=self.min_margin))
-        self.max_margin = float(np.fmax.reduce(margin, initial=self.max_margin))
+        real = margin[~np.isnan(margin)]
+        if real.size:  # argmin/argmax return the first extremum; fmin need not
+            low, high = float(real[real.argmin()]), float(real[real.argmax()])
+            self.min_margin = low if low < self.min_margin else self.min_margin
+            self.max_margin = high if high > self.max_margin else self.max_margin
         idx = np.arange(ok.size) if self.emit_checks else (~ok).nonzero()[0]
         entries = zip(_items(x, idx), _items(y, idx), lhs[idx].tolist(),
                       rhs[idx].tolist(), margin[idx].tolist(), ok[idx].tolist())
@@ -698,7 +701,7 @@ def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
             mid = 0.5 * (q1 + q2)
             orders = ((q1, False), (q2, False), (mid, False))
             x, (g1, g2, gm) = ev.rows(col, "logconvexity", q1, xs, *orders)
-            w1, w2, wm = (_exp(sc.gammaln(q + 1.0)) for q in (q1, q2, mid))
+            w1, w2, wm = (_exp(ln_gamma(q + 1.0)) for q in (q1, q2, mid))
             with np.errstate(over="ignore", invalid="ignore"):
                 f1, f2, fm = w1 * g1, w2 * g2, wm * gm
                 col.assert_less(

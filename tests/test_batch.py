@@ -245,11 +245,24 @@ class TestKratzelClosedForm:
         # rho != 1 takes the quadrature route: Z_2^1(0) = Gamma(1/2)/2 limit
         assert rel_diff(kratzel_z(2.0, 1.0, 1e-12), math.sqrt(math.pi) / 2) < 1e-5
 
-    def test_import_leaves_scipy_integrate_unloaded(self):
+    def test_import_and_cli_commands_load_no_scipy(self):
+        # SciPy is reached only lazily, by psi_eval's integral route and the
+        # Kraetzel quadrature at general rho
         src = Path(__file__).resolve().parent.parent / "src"
-        code = "import sys, regcoulomb; print('scipy.integrate' in sys.modules)"
+        code = (
+            "import contextlib, io, sys\n"
+            "import regcoulomb.cli\n"
+            "for args in (['verify', '--suite', 'all'], ['figure', '--precision', '17'],\n"
+            "             ['envelope', '--q', '1', '--precision', '17']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            regcoulomb.cli.main(args)\n"
+            "        except SystemExit as stop:\n"
+            "            assert not stop.code, (args, stop.code)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={"PYTHONPATH": str(src), "PATH": ""},
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"

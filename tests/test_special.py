@@ -1,22 +1,34 @@
 """Tests for the special-function layer: log-gamma, scaled erfc, Kummer Phi,
 Tricomi psi (all four routes), and the Kraetzel integral."""
 import math
+import random
 import re
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import regcoulomb.special as special
+from regcoulomb import vq, vq_via_psi
 from regcoulomb.errors import DivergenceError, DomainError, NumericalError
 from regcoulomb.special import (
     PsiEval,
+    _bessel_k,
+    _psi_series,
     erfc,
     erfc_scaled,
+    gamma,
     kratzel_z,
     kummer_phi,
     ln_gamma,
     psi_eval,
+    rgamma,
     tricomi_psi,
 )
+from regcoulomb.verify import default_grid
 
 from oracles import (
     kratzel_bessel_reference,
@@ -76,6 +88,159 @@ class TestErfc:
     def test_scaled_form_consistent_where_both_finite(self):
         for x in (0.0, 0.3, 1.0, 2.5, 5.0):
             assert rel_diff(erfc_scaled(x), math.exp(x * x) * erfc(x)) < 1e-12
+
+    def test_range_ends(self):
+        # e^900 erfc(-30) overflows; at 1e308 the value is subnormal, and
+        # 1/x is formed first, so x sqrt(pi) never overflows
+        assert erfc_scaled(-30.0) == math.inf
+        assert erfc_scaled(1e308) == 5.641895835477565e-309
+        assert erfc_scaled(26.0) == 0.021683584850562907  # mpmath: ...2906616
+
+
+# ---------------------------------------------------------------------------
+# the standard-library kernels against mpmath
+#
+# Each bound is at or below the worst relative error that SciPy's function
+# (gammaln, gamma, rgamma, erfcx, and kve inside kratzel_z) had on the same
+# points, measured with mpmath at 40 digits before the switch.
+
+_DOUBLE_MAX = mp.mpf(sys.float_info.max)
+_DOUBLE_MIN = sys.float_info.min
+
+
+def _mp40(fn, *args):
+    """``fn(*args)`` evaluated with mpmath at 40 digits."""
+    with mp.workdps(40):
+        return fn(*args)
+
+
+def _erfc_scaled_mpmath(x: float) -> mp.mpf:
+    def value(x):
+        if x > 1e4:  # DLMF 7.12.1; six terms are exact to 40 digits here
+            terms = (mp.fac2(2 * k - 1) * (-1) ** k / (2 * x * x) ** k for k in range(6))
+            return mp.fsum(terms) / (x * mp.sqrt(mp.pi))
+        return mp.exp(x * x) * mp.erfc(x)
+
+    return _mp40(value, mp.mpf(x))
+
+
+def _kratzel_mpmath(nu: float, t: float) -> mp.mpf:
+    return _mp40(lambda: 2 * mp.mpf(t) ** (mp.mpf(nu) / 2) * mp.besselk(nu, 2 * mp.sqrt(t)))
+
+
+def _mp_rel(got: float, want: mp.mpf) -> float:
+    return float(_mp40(lambda: abs(mp.mpf(got) - want) / abs(want)))
+
+
+class TestKernelsAgainstMpmath:
+    def test_erfc_scaled(self):
+        rng = random.Random(9)
+        xs = ([rng.uniform(-26.0, 0.5) for _ in range(300)]
+              + [rng.uniform(0.5, 26.0) for _ in range(300)]
+              + [10.0 ** rng.uniform(math.log10(26.0), 308.0) for _ in range(300)])
+        worst = max(_mp_rel(erfc_scaled(x), _erfc_scaled_mpmath(x)) for x in xs)
+        # SciPy: 5.3e-16 for x >= 0 and 5.7e-14 below, where it rounds x^2
+        # before the exponential; here 4.6e-16
+        assert worst <= 5.3e-16
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(-26.0, 1e308))
+    def test_erfc_scaled_anywhere(self, x):
+        assert _mp_rel(erfc_scaled(x), _erfc_scaled_mpmath(x)) <= 5.3e-16
+
+    def test_kratzel_bessel_form_on_the_default_grid(self):
+        grid = default_grid()
+        worst = max(
+            _mp_rel(kratzel_z(1.0, q + 0.5, 0.5 * x * x), _kratzel_mpmath(q + 0.5, 0.5 * x * x))
+            for q in grid.q_values for x in grid.x_values
+        )
+        assert worst <= 2.5e-15  # SciPy's kve: 4.7e-14 (at nu = 0.8, t = 0.83); here 1.9e-15
+
+    def test_kratzel_bessel_form_over_a_wide_box(self):
+        # nu in [-30, 60], t in [1e-14, 1e6]; the worst points take the
+        # quadrature at large nu and tiny t, where e^z K_nu overflows
+        rng = random.Random(10)
+        worst = 0.0
+        for _ in range(400):
+            nu, t = rng.uniform(-30.0, 60.0), 10.0 ** rng.uniform(-14.0, 6.0)
+            want = _kratzel_mpmath(nu, t)
+            if want > _DOUBLE_MAX:
+                with pytest.raises(NumericalError):
+                    kratzel_z(1.0, nu, t)
+            elif want < _DOUBLE_MIN:  # underflows without an error
+                assert 0.0 <= kratzel_z(1.0, nu, t) < _DOUBLE_MIN
+            else:
+                worst = max(worst, _mp_rel(kratzel_z(1.0, nu, t), want))
+        assert worst <= 5e-14  # SciPy-backed: 9.4e-14; here 3.8e-14
+
+    def test_gamma_family(self):
+        rng = random.Random(11)
+        points = ([10.0 ** rng.uniform(-300.0, 0.0) for _ in range(200)]
+                  + [10.0 ** rng.uniform(0.0, 3.0) for _ in range(600)])
+        worst_ln = max(_mp_rel(ln_gamma(a), _mp40(mp.loggamma, a)) for a in points)
+        # SciPy: 1.1e-14, near the zero at 2; here 7.3e-16
+        assert worst_ln <= 1e-15
+        finite = [a for a in points if a < 171.6]
+        worst_gamma = max(_mp_rel(gamma(a), _mp40(mp.gamma, a)) for a in finite)
+        worst_rgamma = max(_mp_rel(rgamma(a), _mp40(mp.rgamma, a)) for a in finite)
+        assert worst_gamma <= 5.3e-16  # SciPy: 5.3e-16; here 4.8e-16
+        assert worst_rgamma <= 5.7e-16  # SciPy: 5.7e-16; here 4.7e-16
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1000.0, exclude_min=True))
+    def test_ln_gamma_anywhere(self, a):
+        # relative to max(1, |log Gamma|): the absolute error near the zeros
+        want = _mp40(mp.loggamma, a)
+        assert float(abs(ln_gamma(a) - want)) <= 2.5e-16 * max(1.0, float(abs(want)))
+
+
+class TestKernelEdges:
+    @pytest.mark.parametrize("y", [0.0, -1.0, -3.0, -170.0])
+    def test_rgamma_is_zero_at_the_poles(self, y):
+        assert rgamma(y) == 0.0
+        assert math.isnan(gamma(y))
+
+    @pytest.mark.parametrize("y", [171.7, 200.0, 1e300])
+    def test_rgamma_is_zero_where_gamma_overflows(self, y):
+        assert rgamma(y) == 0.0
+        assert gamma(y) == math.inf
+
+    def test_gamma_signs_at_the_edges(self):
+        assert gamma(-1e-310) == -math.inf  # overflows next to the pole at 0
+        assert rgamma(-180.5) == -math.inf  # Gamma(-180.5) underflows to -0
+        assert rgamma(1e-310) == 1e-310
+
+    def test_psi_series_gives_up_when_a_gamma_coefficient_overflows(self):
+        # Gamma(1-c) = Gamma(181.3) overflows, but psi itself is in range
+        assert math.isinf(gamma(1.0 - -180.3))
+        assert _psi_series(0.5, -180.3, 0.5) is None
+        want = float(_mp40(mp.hyperu, 0.5, -180.3, 0.5))
+        assert rel_diff(psi_eval(0.5, -180.3, 0.5).value, want) <= 1e-12
+
+    def test_kratzel_falls_back_to_quadrature_where_scaled_k_overflows(self, monkeypatch):
+        # e^z K_59.2(2.1e-6) is about 1e432; Z_1^59.2(1.1e-12) is about 1e79
+        assert _bessel_k(59.2, 2.0 * math.sqrt(1.1e-12))[0] == math.inf
+        calls = []
+        quadrature = special._kratzel_quadrature
+
+        def counting(*args):
+            calls.append(args)
+            return quadrature(*args)
+
+        monkeypatch.setattr(special, "_kratzel_quadrature", counting)
+        got = kratzel_z(1.0, 59.2, 1.1e-12)
+        assert calls == [(1.0, 59.2, 1.1e-12)]
+        assert _mp_rel(got, _kratzel_mpmath(59.2, 1.1e-12)) <= 1e-13
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 2.0, 7.25, 30.6])
+    def test_negative_order_uses_the_reflection(self, nu):
+        for z in (1e-3, 0.7, 2.0, 2.5, 40.0):
+            assert _bessel_k(-nu, z)[0] == _bessel_k(nu, z)[0]
+            # K_{nu-1}/K_nu at -nu is K_{nu+1}/K_nu
+            ratio = _mp40(lambda: mp.besselk(nu + 1, z) / mp.besselk(nu, z))
+            assert _mp_rel(_bessel_k(-nu, z)[1], ratio) <= 1e-14
+        for t in (1e-4, 0.3, 5.0, 300.0):
+            assert _mp_rel(kratzel_z(1.0, -nu, t), _kratzel_mpmath(-nu, t)) <= 3e-15
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +345,36 @@ class TestPsiRoutes:
     def test_values_beyond_the_double_range_are_numerical_errors(self, a, c, x):
         with pytest.raises(NumericalError):
             psi_eval(a, c, x)
+
+    def test_beyond_the_double_range_no_integral_route_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an integral route ran")
+
+        monkeypatch.setattr(special, "laguerre_escalating", refuse)
+        monkeypatch.setattr(special, "expsinh_escalating", refuse)
+        # psi(1/2, 100.5, 1e-4) = 5.3e552: its tail Gamma(99.5)/Gamma(1/2)
+        # (1e-4)^-99.5 is about e^1273
+        message = re.escape("psi(0.5, 100.5, 0.0001) overflows") + ".*e\\^1273"
+        with pytest.raises(NumericalError, match=message):
+            psi_eval(0.5, 100.5, 1e-4)
+        with pytest.raises(NumericalError, match="overflows"):
+            psi_eval(2.0, 150.5, 1e-3)
+
+    @pytest.mark.parametrize("q, x, route, psi_route", [
+        (0.3, 0.2, "quadrature", "psi-series"),
+        (1.7, 0.5, "quadrature", "psi-series"),
+        (-0.4, 0.05, "psi-series", "psi-series"),
+        (2.5, 1.0, "quadrature", "quadrature"),
+        (0.0, 3.0, "closed-form", "quadrature"),
+        (12.2, 0.3, "quadrature", "psi-series"),
+        (0.7, 40.0, "psi-asymptotic", "psi-asymptotic"),
+    ])
+    def test_ordinary_points_keep_their_routes(self, q, x, route, psi_route):
+        want = _mp40(lambda: mp.hyperu(0.5, 0.5 - mp.mpf(q), mp.mpf(x) ** 2))
+        got, via_psi = vq(q, x), vq_via_psi(q, x)
+        assert (got.method, via_psi.method) == (route, psi_route)
+        assert _mp_rel(got.value, want) <= 1e-15
+        assert _mp_rel(via_psi.value, want) <= 1e-15
 
     def test_agrees_with_scipy_implementation(self):
         worst = 0.0
