@@ -33,7 +33,9 @@ from typing import Optional
 
 from .errors import DomainError
 from .potential import EvalResult, _check_x, _order_value, mills, vq
-from .special import _kratzel_bessel, _two_product, kratzel_z, ln_gamma
+from .quadrature import _two_prod
+from .special import _exp_in_range, _kratzel_bessel, _kratzel_quadrature, ln_gamma
+from .special import kratzel_z  # noqa: F401  (perfbench's tracer wraps it here)
 
 #: f3's denominator x^4 + 2x^2 - 1 changes sign at x^2 = sqrt(2) - 1
 MILLS_F3_THRESHOLD = math.sqrt(math.sqrt(2.0) - 1.0)
@@ -180,11 +182,14 @@ def vq_lower_kratzel(q: float, x: float) -> float:
     is taken at s = x/sqrt(2) in double-double, not at a rounded x^2/2."""
     qv = _order_value(q)
     x = _check_x(x, positive=True)
-    root, root_lo = _two_product(x, _INV_SQRT2)
+    root, root_lo = _two_prod(x, _INV_SQRT2)
     value = _kratzel_bessel(qv + 0.5, root, root_lo + x * _INV_SQRT2_LO)
-    if value is None:  # beyond the double range of the Bessel form
-        value = kratzel_z(1.0, qv + 0.5, 0.5 * x * x)
-    return value * math.exp(-ln_gamma(qv + 1.0))
+    if value is not None:
+        return value * math.exp(-ln_gamma(qv + 1.0))
+    # beyond the double range of the Bessel form; t = x^2/2 may overflow too
+    log_t = 2.0 * math.log(x) - math.log(2.0)
+    log_value = _kratzel_quadrature(1.0, qv + 0.5, log_t) - ln_gamma(qv + 1.0)
+    return _exp_in_range(log_value, f"the Kraetzel envelope at q={qv}, x={x}")
 
 
 @dataclass(frozen=True)

@@ -37,14 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NumericalError
-# the scalar Gauss-Laguerre and exp-sinh engines are no longer called here
-# (psi_eval uses them); perfbench's tracer wraps these two names in this module
-from .quadrature import (  # noqa: F401
-    Columns,
-    expsinh_escalating,
-    laguerre_escalating,
-    trapezoid_columns,
-)
+# perfbench's tracer wraps the two retired engine names in this module
+from .quadrature import Columns, expsinh_escalating, laguerre_escalating  # noqa: F401
+from .quadrature import trapezoid_columns
 from .special import (
     PsiEval,
     _gamma_rounding,
@@ -205,19 +200,13 @@ def _laplace_integrals(qv: float, xs: np.ndarray, prime: bool) -> Columns:
         I(q, p) = (1/Gamma(q+1)) int_0^inf e^-t t^q (x^2+t)^p dt,
 
     V_q = I(q, -1/2) and -V_q' = x I(q, -3/2), with the trapezoid rule of
-    :func:`trapezoid_columns`, which forms x I without underflow.  Orders in
-    (-1, -1/2] are lifted one order by the positive two-term relation
-    I(q, p) = I(q+1, p) - p I(q+1, p-1) (the ``difvq`` relation shifted one
+    :func:`trapezoid_columns`, which forms x I without underflow and lifts
+    orders in (-1, -1/2] one order (the ``difvq`` relation shifted one
     order).  An x beyond 1e150 is not evaluated (0, unconverged).
     """
-    power = -1.5 if prime else -0.5
-    if qv > -0.5:
-        return trapezoid_columns(qv + 1.0, power, xs, prime)
-    one, two = (trapezoid_columns(qv + 2.0, p, xs, prime) for p in (power, power - 1.0))
-    return Columns(
-        one.value - power * two.value, one.abs_err - power * two.abs_err,
-        one.points + two.points, one.converged & two.converged,
-    )
+    with np.errstate(over="ignore"):
+        w = xs * xs
+    return trapezoid_columns(qv + 1.0, -1.5 if prime else -0.5, w, xs if prime else None)
 
 
 def _accepted(got: Columns) -> np.ndarray:

@@ -1,49 +1,36 @@
-"""Escalating quadrature engines for integrals of Laguerre type,
+"""The quadrature rule behind every integral of the library: a trapezoid
+rule in a log variable, centred on the peak of a log-concave (or unimodal)
+integrand, with step halving (Trefethen & Weideman, "The exponentially
+convergent trapezoidal rule", SIAM Review 56, 2014).
 
-    I = int_0^inf t^p e^{-t} g(t) dt,    p > -1,
+:func:`trapezoid_columns` evaluates the Laguerre-type family
 
-with ``g`` positive.  Three rules are provided:
+    I(c1, p; w) = (1/Gamma(c1)) int_0^inf t^(c1-1) e^-t (w + t)^p dt
 
-* :func:`trapezoid_columns`, the rule for V_q and V_q': the trapezoid rule
-  in ``v = log t`` for ``g(t) = (x^2 + t)^p``, ``p`` a negative
-  half-integer, whose log integrand is concave.  It centres its window and
-  lattice on the closed-form peak, halves its step from a start that
-  depends on the order alone, and converges exponentially (Trefethen &
-  Weideman, SIAM Review 56, 2014).  It divides by the trapezoid sum of the
-  Gamma integrand on the same nodes in place of forming Gamma(q+1), sums
-  exactly, and rounds its value once;
-* generalized Gauss-Laguerre (nodes/weights for the weight ``t^p e^{-t}``),
-  which converges geometrically when ``g`` is analytic in a neighbourhood of
-  the positive axis whose nearest singularity is not too close to the origin;
-* an exp-sinh double-exponential trapezoid rule on the substitution
-  ``t = exp((pi/2) sinh u)``, whose nodes accumulate double-exponentially at
-  both endpoints and therefore resolve integrand features on any scale
-  (e.g. a branch point at ``-x`` with ``x`` tiny), at the cost of a few
-  hundred integrand evaluations.
+in ``v = log t``, for ``c1 > 0``, real ``p`` and ``w >= 0``.  V_q and V_q'
+are ``I(q+1, -1/2; x^2)`` and ``x I(q+1, -3/2; x^2)``; the Tricomi function
+is ``psi(a, c, w) = w^(1-c) I(a, c-a-1; w)`` (DLMF 13.4.4).  The branch
+point of ``(w + t)^p`` at ``t = -w`` lies at ``Im v = pi`` for every ``w``,
+so one rule serves every argument.  The Kraetzel integral
+(``special._kratzel_quadrature``) runs its own trapezoid sum in the same
+way.
 
-The last two serve the Tricomi function's integral route (``psi_eval``),
-whose integrand need not be log-concave.
-
-All rules run on one escalation loop, :func:`escalate_columns`, which
-evaluates many integrands ("columns", e.g. one per abscissa) at once.  It
-climbs a ladder of levels; a column leaves at the first level that agrees
-with the previous one to a relative tolerance, and that difference is its
-error estimate.  The loop keeps the active columns, their previous level and
-the differences as arrays and masks, and hands back a :class:`Columns` of
+Both run on one escalation loop, :func:`escalate_columns`, which evaluates
+many integrands ("columns", e.g. one per abscissa) at once.  It climbs a
+ladder of levels; a column leaves at the first level that agrees with the
+previous one to a relative tolerance, and that difference is its error
+estimate.  The loop keeps the active columns, their previous level and the
+differences as arrays and masks, and hands back a :class:`Columns` of
 arrays.  At most :data:`COLUMN_CHUNK` columns are in flight at a time, which
-bounds the size of the (columns x nodes) work arrays.  The scalar engines
-:func:`laguerre_escalating` and :func:`expsinh_escalating` run one column
-and return a :class:`QuadOutcome`.  Gauss-Laguerre tables and exp-sinh node
-tables are cached per (node count, exponent) and (left end, node count).
+bounds the size of the (columns x nodes) work arrays.
 
-Integrands are supplied through their logarithm so that widely scaled
-factors (``t^q`` with large ``q``, huge or tiny smooth factors) neither
-overflow nor underflow.
+Integrands are supplied through their logarithm, relative to their peak, so
+that widely scaled factors (``t^q`` with large ``q``, huge or tiny powers of
+``w + t``) neither overflow nor underflow.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -51,13 +38,6 @@ import numpy as np
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# exp-sinh transform constant: t = exp(_DE_C * sinh(u))
-_DE_C = np.pi / 2.0
-# right truncation: t(6.5) = exp(_DE_C*sinh(6.5)) ~ e^519, annihilated by e^{-t}
-_DE_U_RIGHT = 6.5
-# log t beyond which exp(log t) would overflow a double; such nodes contribute
-# only through factors that are identically zero there
-_DE_LOG_T_MAX = 700.0
 
 #: most columns one pass of the escalation loop evaluates at once
 COLUMN_CHUNK = 64
@@ -72,16 +52,6 @@ _TRAP_NODE_MAX = 1280
 _TRAP_TOL = 1e-11
 # Veltkamp's constant 2^27 + 1: splits a double into halves with exact products
 _SPLIT = 134217729.0
-
-
-@dataclass(frozen=True)
-class QuadOutcome:
-    """Result of a one-column escalating quadrature run."""
-
-    value: float
-    abs_err: float
-    points: int
-    converged: bool
 
 
 class Columns(NamedTuple):
@@ -117,50 +87,6 @@ class Columns(NamedTuple):
         self.value[cols] = np.where(finite, best, last)
         self.abs_err[cols] = np.where(finite, best_diff, np.inf) * np.abs(self.value[cols])
 
-    def outcome(self, col: int = 0) -> QuadOutcome:
-        """Column ``col`` as a scalar :class:`QuadOutcome`."""
-        return QuadOutcome(
-            float(self.value[col]), float(self.abs_err[col]),
-            int(self.points[col]), bool(self.converged[col]),
-        )
-
-
-# node generation becomes numerically unreliable beyond this count; the
-# escalation ladder hands over to the exp-sinh rule instead
-GL_NODE_MAX = 320
-
-
-@lru_cache(maxsize=512)
-def gauss_laguerre(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for the weight ``t^alpha e^{-t}`` on [0, inf)."""
-    if alpha <= -1.0:
-        raise ValueError(f"Laguerre exponent must exceed -1, got {alpha}")
-    from scipy.special import roots_genlaguerre  # deferred: only psi_eval's route needs it
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        nodes, weights = roots_genlaguerre(n, alpha)
-    return nodes, weights
-
-
-@lru_cache(maxsize=64)
-def expsinh_table(u_left: float, n: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Step ``h``, nodes ``t``, ``log t`` and log-Jacobian ``log(dt/du / t)``
-    of the ``n``-point exp-sinh rule on ``u`` in [-u_left, 6.5].
-
-    Nodes whose ``t`` would overflow get ``t = 1`` and a log-Jacobian of
-    ``-inf``, so they contribute nothing.  The arrays are read-only.
-    """
-    u = np.linspace(-u_left, _DE_U_RIGHT, n)
-    h = float(u[1] - u[0])
-    log_t = _DE_C * np.sinh(u)
-    ok = log_t < _DE_LOG_T_MAX
-    t = np.exp(np.where(ok, log_t, 0.0))
-    # dt/du = t * _DE_C * cosh(u); the factor t is folded in through log t
-    log_jac = np.where(ok, np.log(_DE_C * np.cosh(u)), -np.inf)
-    for a in (t, log_t, log_jac):
-        a.flags.writeable = False
-    return h, t, log_t, log_jac
-
 
 def escalate_columns(
     level: Callable[[int, np.ndarray], np.ndarray],
@@ -168,13 +94,12 @@ def escalate_columns(
     node_counts: tuple[int, ...],
     rel_tol: float,
 ) -> Columns:
-    """The escalation loop shared by all three rules.
+    """The escalation loop of every trapezoid sum.
 
-    ``level(n, cols)`` returns the values at ladder entry ``n`` (a node
-    count, or a level for the trapezoid rule) of the columns ``cols`` (an
-    index array into ``range(n_cols)``); it runs with every floating-point
-    error ignored.  A column leaves the active
-    set at the first level that agrees with the previous one to
+    ``level(n, cols)`` returns the values at ladder entry ``n`` (a level
+    number) of the columns ``cols`` (an index array into ``range(n_cols)``);
+    it runs with every floating-point error ignored.  A column leaves the
+    active set at the first level that agrees with the previous one to
     ``rel_tol``.  A column that never agrees reports its closest pair of
     consecutive levels (or its last level when none was finite) with
     ``converged`` false.
@@ -208,61 +133,18 @@ def escalate_columns(
     return out
 
 
-def laguerre_escalating(
-    log_g: Callable[[np.ndarray], np.ndarray],
-    alpha: float,
-    node_counts: tuple[int, ...],
-    rel_tol: float,
-) -> QuadOutcome:
-    """Gauss-Laguerre evaluation of ``int t^alpha e^-t g(t) dt``.
-
-    ``log_g`` maps an array of nodes to the log of the smooth factor
-    (``-inf`` allowed).  Escalates through ``node_counts`` until consecutive
-    levels agree to ``rel_tol``; counts beyond ``GL_NODE_MAX`` are skipped
-    (callers fall back to the exp-sinh rule instead).
-    """
-
-    def level(n: int, cols: np.ndarray) -> np.ndarray:
-        t, w = gauss_laguerre(n, alpha)
-        terms = np.exp(log_g(t)[np.newaxis])
-        terms *= w
-        return terms.sum(axis=1)
-
-    counts = tuple(n for n in node_counts if n <= GL_NODE_MAX) or node_counts[:1]
-    return escalate_columns(level, 1, counts, rel_tol).outcome()
+# perfbench/tracer.py wraps or reads these names when it installs (ROADMAP
+# item 5 replaces it with an in-library collector).  They stand for the
+# retired Gauss-Laguerre and exp-sinh rules: no route calls them.
+GL_NODE_MAX = 0
 
 
-def _expsinh_u_left(power: float) -> float:
-    if power <= -1.0:
-        raise ValueError(f"endpoint power must exceed -1, got {power}")
-    return max(
-        float(np.arcsinh(max(30.0, 50.0 / max(power + 1.0, 1e-3)) / _DE_C)),
-        _DE_U_RIGHT,
-    )
+@lru_cache(maxsize=None)
+def gauss_laguerre(*args):
+    raise NotImplementedError("the Gauss-Laguerre and exp-sinh rules are retired")
 
 
-def expsinh_escalating(
-    log_f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    power: float,
-    node_counts: tuple[int, ...],
-    rel_tol: float,
-) -> QuadOutcome:
-    """Double-exponential evaluation of ``int_0^inf f(t) dt``.
-
-    ``log_f(t, log_t)`` returns the log integrand; ``power`` is the exponent
-    with which the integrand vanishes at the origin (``f ~ t^power``,
-    ``power > -1``), which sets the left truncation point.
-    """
-    u_left = _expsinh_u_left(power)
-
-    def level(n: int, cols: np.ndarray) -> np.ndarray:
-        h, t, log_t, log_jac = expsinh_table(u_left, n)
-        terms = log_f(t, log_t)[np.newaxis] + log_t
-        terms += log_jac
-        np.exp(terms, out=terms)
-        return h * terms.sum(axis=1)
-
-    return escalate_columns(level, 1, node_counts, rel_tol).outcome()
+laguerre_escalating = expsinh_escalating = gauss_laguerre
 
 
 def _two_sum(a, b):
@@ -273,7 +155,9 @@ def _two_sum(a, b):
 
 
 def _two_prod(a, b):
-    """``a * b`` and its rounding error (Dekker), for |a|, |b| below 1e300."""
+    """``a * b`` and its rounding error (Dekker): ``a b = hi + lo`` exactly
+    while no partial product under- or overflows (|a|, |b| below 1e300).
+    Floats or arrays; the one split product of the package."""
     p = a * b
     c = _SPLIT * a
     a_hi = c - (c - a)
@@ -360,78 +244,112 @@ def _trapezoid_step(c: float, tol: float) -> float:
     return h
 
 
-def trapezoid_columns(c1: float, p: float, x, times_x: bool) -> Columns:
+def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Columns:
     """Trapezoid evaluation, in ``v = log t``, of
 
-        I = (1/Gamma(c1)) int_0^inf t^(c1-1) e^-t (x^2 + t)^p dt
+        I = I(c1, p; w) = (1/Gamma(c1)) int_0^inf t^(c1-1) e^-t (w + t)^p dt
 
-    (times ``x`` when ``times_x``) for ``c1 > 0``, a negative half-integer
-    ``p``, and the columns given by ``x >= 0``: a float for one column (set
-    up in NumPy scalars, which round as the array operations do), or an
-    array.
+    for ``c1 > 0``, real ``p`` and the columns given by ``w >= 0``: a float
+    for one column (set up in NumPy scalars, which round as the array
+    operations do), or an array.  Where ``p`` is a negative half-integer
+    and ``power`` is 0 (V_q and V_q'), the value is ``x I`` (``I`` when
+    ``x`` is None), assembled in double-double arithmetic and rounded once.
+    Elsewhere it is ``w^power I`` for ``w > 0`` (times ``x`` when given),
+    formed in log space, so that the Tricomi function
+    ``w^(1-c) I(a, c-a-1; w)`` does not overflow where ``I`` alone would.
+    For ``c1 <= 1/2``, whose integrand falls off slowly towards ``t = 0``,
+    the order is lifted by a relation with two positive terms: integration
+    by parts gives ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)`` for ``p < 0``,
+    and ``(w + t)^p = (w + t)^(p-1) (w + t)`` gives
+    ``I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)``, repeated until ``p < 0``.
 
-    The log integrand is strictly concave.  Its peak ``t*`` is the positive
-    root of ``t^2 - b t - c1 x^2`` with ``b = c1 + p - x^2``.  With
-    ``t = t* e^d`` and ``r`` the rounded reciprocal of ``x^2 + t*``,
+    The log integrand has one peak ``t*``, the positive root of
+    ``t^2 - b t - c1 w`` with ``b = c1 + p - w``; ``t* < c1`` for ``p < 0``
+    and ``c1 < t* < c1 + p`` for ``p > 0``.  It is concave for ``p < 0``,
+    and right of the peak for any ``p``; left of the peak its slope is at
+    least the smaller of ``c1`` and its slope at any point further right.
+    With ``t = t* e^d`` and ``r`` the rounded reciprocal of ``w + t*``,
 
         I = r^-p  int e^(G0(d) + P(d)) dd / int e^G0(d) dd,
-        G0(d) = c1 d - t* expm1(d),   P(d) = p log((x^2 + t* e^d) r),
+        G0(d) = c1 d - t* expm1(d),   P(d) = p log((w + t* e^d) r),
 
     because the denominator is ``Gamma(c1) / (t*^c1 e^-t*)``.  Both
     integrals run over the same nodes, so no Gamma function, power of
     ``t*`` or large exponent is ever formed, and ``x I`` does not underflow
-    at huge ``x`` (up to 1e150, the range of the double-double products).
+    at huge ``x`` (``w`` up to 1e300, the range of the double-double
+    products).
 
     The window covers where either integrand is within ``e^-40`` of its
     peak.  Each end is the nearer of two tangent steps, which both
-    over-cover because both logs are concave: one from ``-/+9`` peak widths,
-    the other from past ``t = x^2`` on the left and from where ``t* e^d``
-    passes ``c1 + 40`` on the right.  The nodes are ``d = j h`` for integer
-    ``j``.  Level 0 takes the step of :func:`_trapezoid_step` for
-    ``c1 - p`` at ``_TRAP_TOL / 100``, so that levels 0 and 1 agree to
-    ``_TRAP_TOL``; each level halves the step and adds only the odd nodes,
-    and level 0 is summed from the nodes of level 1.  A column stops,
-    unconverged, before a level that would take more than
-    ``_TRAP_NODE_MAX`` nodes.  The step depends on ``c1`` and ``p`` alone,
-    so all columns share the node rows; outside a column's own window its
+    over-cover because the tangent's slope is capped at ``c1``: one from
+    ``-/+9`` peak widths, the other from past ``t = w`` on the left and from
+    where ``t* e^d`` passes ``c1 + 40`` on the right.  The nodes are
+    ``d = j h`` for integer ``j``.  Level 0 takes the step of
+    :func:`_trapezoid_step` at ``_TRAP_TOL / 100``, so that levels 0 and 1
+    agree to ``_TRAP_TOL``, for ``c1 + |p|``, which bounds the integrands'
+    growth in a strip ``|Im d| < b`` by ``(cos b)^-(c1 + |p|)``.  In log
+    space, where ``|p|`` reaches the hundreds, it takes the growth at the
+    largest peak, ``max(c1, t*)``, and leaves the rest to the escalation;
+    V_q and V_q' keep the bound, which fixes their bits.  Each level halves
+    the step and adds only the odd nodes, and level 0 is summed from the
+    nodes of level 1.  A column stops, unconverged, before a level that
+    would take more than ``_TRAP_NODE_MAX`` nodes.  All columns share the
+    step, so they share the node rows; outside a column's own window its
     terms are set to values that add exact zeros to its sums, which are
-    exact (:func:`_split`), so no column's value depends on the others.
-    The value is assembled in double-double arithmetic and rounded once.
+    exact (:func:`_split`), so no column's value depends on the others on
+    the V_q path.
 
     The error estimate is the last level difference plus ``eps`` times the
     value, times the node count plus ``10 sqrt(c1)`` (the cancellation in
-    ``G0`` near the peak).  A column whose peak or window is not finite
-    (``x`` beyond 1e150, or a divergent integral) comes back 0 with a zero
-    estimate and unconverged.
+    ``G0`` near the peak).  In log space it adds ``4 |p|`` ulps (the
+    rounding of ``P``) and twice the size of each term of the exponent of
+    ``w^power r^-p``.  A column whose peak or window is not finite (``w``
+    beyond 1e300, or a divergent integral) comes back 0 with a zero estimate
+    and unconverged.
     """
+    if c1 <= 0.5:  # lift the order: two terms, both positive
+        if p < 0.0:  # I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)
+            one = trapezoid_columns(c1 + 1.0, p, w, x, power)
+            two, weight = trapezoid_columns(c1 + 1.0, p - 1.0, w, x, power), -p
+        else:  # I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)
+            one = trapezoid_columns(c1, p - 1.0, w, x, power + 1.0)
+            two, weight = trapezoid_columns(c1 + 1.0, p - 1.0, w, x, power), c1
+        return Columns(
+            one.value + weight * two.value, one.abs_err + weight * two.abs_err,
+            one.points + two.points, one.converged & two.converged,
+        )
 
     def window_end(d):  # where the tangent to G0 + P at d falls to -40
         t = peak * np.exp(d)
-        g = c1 * d - peak * np.expm1(d) + p * np.log((xsq + t) / width)
-        slope = c1 - t * (1.0 - p / (xsq + t))
-        return d - (_TRAP_DROP + g) / slope
+        g = c1 * d - peak * np.expm1(d) + p * np.log((w + t) / width)
+        slope = c1 - t * (1.0 - p / (w + t))
+        return d - (_TRAP_DROP + g) / np.minimum(slope, c1)
 
-    step = _trapezoid_step(c1 - p, _TRAP_TOL / 100.0)
+    double_double = power == 0.0 and p < 0.0 and float(2.0 * p).is_integer()
     with np.errstate(all="ignore"):
-        xsq = x * x
         # the positive root; b - s or b + s would cancel, so the root of
         # larger size is formed first and the other from their product
-        b = c1 + p - xsq
-        big = 0.5 * b + np.copysign(0.5 * np.hypot(b, 2.0 * math.sqrt(c1) * np.sqrt(xsq)), b)
-        peak = np.maximum(big, -c1 * (xsq / big))
-        width = xsq + peak
-        sigma = 1.0 / np.sqrt(peak * (1.0 - p * (xsq / width) / width))
+        b = c1 + p - w
+        big = 0.5 * b + np.copysign(0.5 * np.hypot(b, 2.0 * math.sqrt(c1) * np.sqrt(w)), b)
+        peak = np.maximum(big, -c1 * (w / big))
+        width = w + peak
+        # the growth bound of the step; in log space, that at the peak
+        c = c1 + abs(p)
+        if not double_double:
+            c = min(c, float(np.fmax.reduce(peak, axis=None, initial=c1)))
+        step = _trapezoid_step(c, _TRAP_TOL / 100.0)
+        sigma = 1.0 / np.sqrt(peak * (peak / width) + c1 * (w / width))
         # e^G0 peaks at t = c1, d = d0, where it is e^top0; its window about
         # d0 depends on c1 alone
         d0 = np.log(c1 / peak)
         top0 = c1 * d0 - (c1 - peak)
         lo0, hi0 = _gamma_window(c1)
         left = np.fmax(window_end(-_TRAP_REACH * sigma),
-                       window_end(np.minimum(np.log(xsq / peak), 0.0) - 2.0))
+                       window_end(np.minimum(np.log(w / peak), 0.0) - 2.0))
         right = np.fmin(window_end(_TRAP_REACH * sigma),
                         window_end(np.log1p((c1 + _TRAP_DROP) / peak)))
         lo, hi = np.minimum(left, d0 + lo0), np.maximum(right, d0 + hi0)
-        # the double-double products need w below 1e300 (x below 1e150)
+        # the double-double products need w below 1e300
         ok = (peak > 0.0) & (top0 < 700.0) & (hi - lo > 4.0 * step) & (width < 1e300)
         # level 1's nodes, from which level 0 is summed too
         first, last = np.ceil(2.0 * lo / step), np.floor(2.0 * hi / step)
@@ -440,17 +358,23 @@ def trapezoid_columns(c1: float, p: float, x, times_x: bool) -> Columns:
         # whatever rounding r carries; r^-p (x r^-p) for the levels' values,
         # the final value is exact
         recip = 1.0 / width
-        scale = (x * recip) * recip ** (-p - 1.0) if times_x else recip ** -p
+        zero = 0.0 * peak
+        if not double_double:  # the levels' values are the ratios alone
+            scale = 1.0
+        elif x is None:
+            scale = recip ** -p
+        else:
+            scale = (x * recip) * recip ** (-p - 1.0)
         # e^G peaks at 1, and e^G0 at e^top0 is scaled by unit below 2; the
         # split sums of both, in units of 1/bits and 1/bits^2, stay below
         # 2^53 over all levels, and terms below e^-60 of that add zeros
         unit = np.exp2(-np.floor(top0 / math.log(2.0)) - 1.0)
         bits = 2.0 ** (51 - _TRAP_NODE_MAX.bit_length())
-        zero = 0.0 * x
         # one row per quantity, one entry per column; rows 11-12 are the
         # floors and 13-14 the split scales of the two integrands
-        table = np.array([lo, hi, first, last, fits, peak, recip, xsq, scale * unit, x, ok,
-                          zero - 60.0, top0 - 60.0, zero + bits, bits * unit]).reshape(15, -1)
+        table = np.array([lo, hi, first, last, fits, peak, recip, w + zero, scale * unit,
+                          zero if x is None else x, ok, zero - 60.0, top0 - 60.0, zero + bits,
+                          bits * unit]).reshape(15, -1)
     ok = table[10] > 0.0
     # level 1's node counts, for the columns it fits
     used = np.where(table[4] > 0.0, table[3] - table[2] + 1.0, 0.0).astype(int)
@@ -483,11 +407,11 @@ def trapezoid_columns(c1: float, p: float, x, times_x: bool) -> Columns:
         # the odd nodes at later levels; all of level 1's at level 0
         j = np.arange(j0 + (j0 % 2 == 0), j1, 2.0) if k else np.arange(j0, j1)
         nodes = j * h
-        peak_c, recip_c, xsq_c = table[5:8, c, None]
+        peak_c, recip_c, w_c = table[5:8, c, None]
         terms = np.empty((2, first.size, j.size))
         g, g0 = terms
         np.multiply(peak_c, np.exp(nodes), out=g)
-        g += xsq_c
+        g += w_c
         g *= recip_c
         np.log(g, out=g)
         g *= p
@@ -514,13 +438,25 @@ def trapezoid_columns(c1: float, p: float, x, times_x: bool) -> Columns:
     got = escalate_columns(level, ok.size, levels, _TRAP_TOL)
     done = got.converged & ok
     rounding = _EPS * (used + 10.0 * math.sqrt(c1))
+    if not double_double:
+        with np.errstate(all="ignore"):
+            # w^power r^-p = e^((power + p) log w - p log(w r)), w r = hi + lo
+            hi, lo = _two_prod(table[7], table[6])
+            terms = np.array([(power + p) * np.log(table[7]), -p * (np.log(hi) + lo / hi),
+                              np.log(got.value) + (0.0 if x is None else np.log(x))])
+            value = np.exp(terms.sum(axis=0))
+            rounding += _EPS * (4.0 * abs(p) + 2.0 * np.abs(terms).sum(axis=0))
+            keep = ok & (value > 0.0)
+            value = np.where(keep, value, 0.0)
+            abs_err = np.where(keep, value * (got.abs_err / got.value + rounding), 0.0)
+        return Columns(value, abs_err, used, done)
     if ok.size == 1:  # in Python floats, which round as the arrays do
         value = abs_err = 0.0
         if done[0]:
             m_hi, g_hi, m_lo, g_lo = state[:4, 0].tolist()
             unit = float(table[14, 0]) / bits
             value = _dd_value((m_hi * unit, m_lo * unit / bits), (g_hi, g_lo / bits),
-                              float(table[6, 0]), float(table[9, 0]) if times_x else None,
+                              float(table[6, 0]), None if x is None else float(table[9, 0]),
                               p, math.sqrt)
         elif ok[0]:
             value = float(got.value[0])
@@ -530,7 +466,7 @@ def trapezoid_columns(c1: float, p: float, x, times_x: bool) -> Columns:
     with np.errstate(all="ignore"):
         unit = table[14] / bits
         exact = _dd_value((state[0] * unit, state[2] * unit / bits), (state[1], state[3] / bits),
-                          table[6], table[9] if times_x else None, p, np.sqrt)
+                          table[6], None if x is None else table[9], p, np.sqrt)
     value = np.where(done, exact, np.where(ok, got.value, 0.0))
     abs_err = np.where(ok, got.abs_err + rounding * value, 0.0)
     return Columns(value, abs_err, used, done)

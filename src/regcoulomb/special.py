@@ -35,13 +35,15 @@ The Tricomi function is evaluated by a router that tries, in order:
 * the large-x asymptotic series
       psi ~ x^{-a} sum_k (-1)^k (a)_k (a-c+1)_k / (k! x^k),
   truncated at its smallest term;
-* the integral representation (a > 0), written in the scaled variable
-      psi = x^{-a}/Gamma(a) int_0^inf e^{-s} s^{a-1} (1 + s/x)^{c-a-1} ds,
-  evaluated by generalized Gauss-Laguerre quadrature for moderate and large
-  x and by a double-exponential rule when the branch point at s = -x sits
-  too close to the integration axis for polynomial rules.  These rules,
-  and the Kraetzel quadrature at rho != 1, are the only routes that load
-  SciPy, on first use.
+* the integral representation (a > 0, DLMF 13.4.4)
+      psi = x^{1-c}/Gamma(a) int_0^inf e^{-s} s^{a-1} (x + s)^{c-a-1} ds,
+  one call of the trapezoid rule in log s
+  (:func:`~regcoulomb.quadrature.trapezoid_columns`), with x^{1-c} and the
+  rule's normalising power formed in log space.
+
+The Kraetzel function Z_1^nu is the Bessel closed form where it stays in
+the double range; elsewhere, and for rho != 1, its integral in log u is a
+trapezoid sum on the same escalation loop.  No route needs SciPy.
 
 Every branch produces a running error estimate and is accepted only when
 that estimate meets the target, so the router degrades gracefully rather
@@ -57,7 +59,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NumericalError
-from .quadrature import expsinh_escalating, laguerre_escalating
+# perfbench's tracer wraps the two retired engine names in this module
+from .quadrature import expsinh_escalating, laguerre_escalating  # noqa: F401
+from .quadrature import _TRAP_TOL, _two_prod, escalate_columns, trapezoid_columns
 
 _EPS = float(np.finfo(float).eps)
 
@@ -69,8 +73,6 @@ _PSI_SERIES_SAFETY = 0.3
 _PSI_C_INTEGER_GAP = 1e-3
 # error estimate above which a non-converged fallback is rejected outright
 _PSI_REL_CEILING = 1e-8
-_PSI_GL_LADDER = (40, 80, 160, 320)
-_PSI_DE_LADDER = (160, 320, 640, 1280)
 _PHI_MAX_TERMS = 500
 # the Bessel recurrence takes one step per unit of order; beyond this the
 # Kraetzel function is integrated instead
@@ -79,6 +81,8 @@ _BESSEL_MAX_ORDER = 10_000
 _STEED_MAX_TERMS = 1000
 # log of the largest double, rounded down
 _LOG_MAX = 709.0
+# most nodes a level of the Kraetzel trapezoid sum takes
+_KRATZEL_NODE_MAX = 1 << 15
 
 _SQRT_PI = math.sqrt(math.pi)
 # 1/Gamma(1+e) = 1 + sum_{k>=1} c_k e^k (DLMF 5.7.1), c_1..c_22 from mpmath
@@ -114,22 +118,6 @@ def _rgamma1p_slope(e: float) -> float:
     """(1/Gamma(1+e) - 1)/e for |e| <= 1/2."""
     even, odd = _rgamma1p_parts(e)
     return even + e * odd
-
-
-def _halves(v: float) -> tuple[float, float]:
-    """v = head + tail with 26-bit halves (Veltkamp's split)."""
-    cut = 134217729.0 * v  # 2^27 + 1
-    head = cut - (cut - v)
-    return head, v - head
-
-
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    """a b = hi + lo exactly (Dekker), while no partial product under- or
-    overflows."""
-    hi = a * b
-    a_head, a_tail = _halves(a)
-    b_head, b_tail = _halves(b)
-    return hi, (((a_head * b_head - hi) + a_head * b_tail) + a_tail * b_head) + a_tail * b_tail
 
 
 def ln_gamma(a: float) -> float:
@@ -241,7 +229,7 @@ def erfc_scaled(x: float) -> float:
     if abs(x) < 0.5:
         return math.exp(x * x) * math.erfc(x)
     if x <= 26.0:  # erfc(26) = 5.7e-296 is still a normal double
-        hi, lo = _two_product(x, x)
+        hi, lo = _two_prod(x, x)
         try:
             head = math.exp(hi) * math.erfc(x)
         except OverflowError:  # x below about -26.6: e^{x^2} erfc(x) > 1.8e308
@@ -428,27 +416,15 @@ def psi_eval(a: float, c: float, x: float) -> PsiEval:
                 best = PsiEval(value, est, "asymptotic")
 
     if a > 0.0:
-        log_x = math.log(x)
-        shift = -a * log_x - ln_gamma(a)
-        exponent = c - a - 1.0
-
-        if x >= 0.5:
-            def log_g(t: np.ndarray) -> np.ndarray:
-                return exponent * (np.log(x + t) - log_x) + shift
-
-            outcome = laguerre_escalating(log_g, a - 1.0, _PSI_GL_LADDER, _PSI_REL_TARGET)
-            if outcome.converged and outcome.value > 0.0:
-                return PsiEval(outcome.value, outcome.abs_err, "quadrature-gl")
-
-        def log_f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-            return -t + (a - 1.0) * log_t + exponent * (np.log(x + t) - log_x) + shift
-
-        outcome = expsinh_escalating(log_f, a - 1.0, _PSI_DE_LADDER, _PSI_REL_TARGET)
-        if outcome.converged and outcome.value > 0.0:
-            return PsiEval(outcome.value, outcome.abs_err, "quadrature-de")
-        if outcome.value > 0.0 and math.isfinite(outcome.value):
-            candidate = PsiEval(outcome.value, outcome.abs_err, "quadrature-de")
-            if best is None or candidate.abs_err_est < best.abs_err_est:
+        got = trapezoid_columns(a, c - a - 1.0, np.float64(x), power=1.0 - c)
+        value, est = float(got.value[0]), float(got.abs_err[0])
+        if value == math.inf:
+            raise NumericalError(f"psi({a}, {c}, {x}) overflows: its integral exceeds the double range")
+        if value > 0.0:
+            candidate = PsiEval(value, est, "quadrature")
+            if got.converged[0]:
+                return candidate
+            if best is None or est < best.abs_err_est:
                 best = candidate
     elif 1.0 + a - c > 0.0:
         # a <= 0 away from the Kummer region: the argument-shift identity
@@ -511,12 +487,21 @@ def kratzel_z(rho: float, nu: float, t: float) -> float:
 
     if rho == 1.0:
         root = math.sqrt(t)
-        hi, lo = _two_product(root, root)  # exact for t above 2^-969
+        hi, lo = _two_prod(root, root)  # exact for t above 2^-969
         root_lo = ((t - hi) - lo) / (2.0 * root) if t > 1e-290 else 0.0
         value = _kratzel_bessel(nu, root, root_lo)
         if value is not None:
             return value
-    return _kratzel_quadrature(rho, nu, t)
+    return _exp_in_range(_kratzel_quadrature(rho, nu, math.log(t)), f"Z_{rho}^{nu}({t})")
+
+
+def _exp_in_range(log_value: float, what: str) -> float:
+    """e^log_value: 0.0 where it underflows, and a ``NumericalError``
+    naming ``what`` where it exceeds the double range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise NumericalError(f"{what} overflows: its log is {log_value:.6g}") from None
 
 
 def _kratzel_bessel(nu: float, root: float, root_lo: float) -> float | None:
@@ -657,8 +642,9 @@ def _bessel_k_steed(mu: float, z: float) -> tuple[float, float]:
     return k_mu, k_mu * (mu + 0.5 + z - a1 * h) / z
 
 
-def _kratzel_quadrature(rho: float, nu: float, t: float) -> float:
-    """Z_rho^nu(t) for t > 0 by adaptive quadrature in ``v = log u``.
+def _kratzel_quadrature(rho: float, nu: float, log_t: float) -> float:
+    """log Z_rho^nu(t) for t = e^log_t > 0 by the trapezoid rule in
+    ``v = log u``; -inf where Z_rho^nu(t) underflows.
 
     The integrand is ``e^F(v)`` with ``F(v) = nu v - e^(rho v) - t e^-v``,
     whose slope ``nu - rho e^(rho v) + t e^-v`` decreases strictly, so its
@@ -668,11 +654,14 @@ def _kratzel_quadrature(rho: float, nu: float, t: float) -> float:
         F(v) - F(v*) = nu d - A expm1(rho d) - B expm1(-d)
 
     is concave, and is integrated over the window where it stays above -40:
-    each end is one tangent step from 9 peak widths out, which over-covers.
+    each end is the nearer of two tangent steps, which both over-cover, from
+    9 peak widths out and from where ``A e^(rho d)`` (on the right) or
+    ``B e^-d`` (on the left) passes ``|nu| + 40``.  The nodes are ``d = j h``;
+    the step starts at the peak width (at most 1) and halves on
+    :func:`~regcoulomb.quadrature.escalate_columns` until two levels agree
+    to 1e-11, within ``_KRATZEL_NODE_MAX`` nodes.
     """
-    import scipy.integrate  # deferred: only the general-rho route needs it
-
-    log_rho, log_t = math.log(rho), math.log(t)
+    log_rho = math.log(rho)
 
     def slope(v: float) -> float:  # F'(v), with its exponentials capped
         return nu - math.exp(min(log_rho + rho * v, 709.0)) + math.exp(min(log_t - v, 709.0))
@@ -680,43 +669,48 @@ def _kratzel_quadrature(rho: float, nu: float, t: float) -> float:
     lo, hi = -1.0, 1.0
     while slope(lo) <= 0.0 or slope(hi) >= 0.0:
         if hi > 1e6:
-            raise NumericalError(f"Kraetzel peak out of range for rho={rho}, nu={nu}, t={t}")
+            raise NumericalError(f"Kraetzel peak out of range for rho={rho}, nu={nu}, t=e^{log_t}")
         lo, hi = 2.0 * lo, 2.0 * hi
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
-    log_a, log_b = rho * lo, log_t - lo
-    big, small = math.exp(log_a), math.exp(log_b)
+    peak, log_a, log_b = lo, rho * lo, log_t - lo
+    big, small = (math.exp(v) if v < _LOG_MAX else math.inf for v in (log_a, log_b))
+    head = nu * peak - big - small  # F(v*)
+    if head < -2.0 * _LOG_MAX:  # Z is e^head times far less than e^_LOG_MAX
+        return -math.inf
+    if math.isnan(head):
+        raise NumericalError(f"Z_{rho}^{nu}(e^{log_t}) is out of the double range")
 
-    def grow(log_c: float, c: float, k: float) -> float:  # c expm1(k); c may underflow
-        return c * math.expm1(k) if abs(k) <= 1.0 else math.exp(log_c + k) - c
+    def drop(d):  # F(v* + d) - F(v*) at the nodes d; A or B may underflow
+        def grow(log_c, c, k):  # c expm1(k)
+            return np.where(np.abs(k) <= 1.0, c * np.expm1(k), np.exp(log_c + k) - c)
 
-    def drop(d: float) -> float:  # F(v* + d) - F(v*)
-        try:
-            return nu * d - grow(log_a, big, rho * d) - grow(log_b, small, -d)
-        except OverflowError:
-            return -math.inf
+        return nu * d - grow(log_a, big, rho * d) - grow(log_b, small, -d)
 
     def end(d: float) -> float:  # where the tangent at d falls to -40
-        g = drop(d)
-        if g <= -40.0:
-            return d
-        return d - (40.0 + g) / (nu - rho * math.exp(log_a + rho * d) + math.exp(log_b - d))
+        g = drop(np.float64(d))
+        s = nu - rho * np.exp(log_a + rho * d) + np.exp(log_b - d)
+        return float(np.where(g <= -40.0, d, d - (40.0 + g) / s))
 
-    reach = 9.0 / math.sqrt(rho * rho * big + small)
-    got = scipy.integrate.quad(
-        lambda d: math.exp(drop(d)), end(-reach), end(reach), points=(0.0,),
-        epsabs=0.0, epsrel=1e-11, limit=200, full_output=True,
-    )
-    scaled, err = got[0], got[1]
-    if len(got) > 3 or not (math.isfinite(scaled) and scaled > 0.0):
-        raise NumericalError(f"Kraetzel quadrature failed for rho={rho}, nu={nu}, t={t}")
-    if err > 1e-9 * scaled:
-        raise NumericalError(
-            f"Kraetzel quadrature relative error {err / scaled:.3e} too large "
-            f"for rho={rho}, nu={nu}, t={t}"
-        )
-    log_value = nu * lo - big - small + math.log(scaled)
-    if log_value > 709.0:
-        raise NumericalError(f"Z_{rho}^{nu}({t}) overflows")
-    return math.exp(log_value)
+    width = 1.0 / math.sqrt(rho * rho * big + small)
+    top = abs(nu) + 40.0
+    with np.errstate(all="ignore"):
+        left = np.fmax(end(-9.0 * width), end(-math.log1p(top / small) if small else -math.inf))
+        right = np.fmin(end(9.0 * width), end(math.log1p(top / big) / rho if big else math.inf))
+    step = min(1.0, width)
+    if not (math.isfinite(left) and math.isfinite(right) and step > 0.0):
+        raise NumericalError(f"Kraetzel window not finite for rho={rho}, nu={nu}, t=e^{log_t}")
+
+    def level(k: int, cols: np.ndarray) -> np.ndarray:
+        h = step * 0.5 ** k
+        j = np.arange(math.ceil(left / h), math.floor(right / h) + 1.0)
+        if j.size > _KRATZEL_NODE_MAX:
+            return np.full(cols.size, np.nan)
+        return np.full(cols.size, h * np.exp(drop(j * h)).sum())
+
+    got = escalate_columns(level, 1, tuple(range(_KRATZEL_NODE_MAX.bit_length())), _TRAP_TOL)
+    scaled = float(got.value[0])
+    if not (got.converged[0] and 0.0 < scaled < math.inf):
+        raise NumericalError(f"Kraetzel quadrature failed for rho={rho}, nu={nu}, t=e^{log_t}")
+    return head + math.log(scaled)

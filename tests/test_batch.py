@@ -1,6 +1,5 @@
-"""Tests for batched evaluation: vq_many / vq_prime_many, the shared
-escalation core with its cached exp-sinh tables, the verifier's batched
-value table, and the Bessel closed form of the Kraetzel function."""
+"""Tests for batched evaluation: vq_many / vq_prime_many, the verifier's
+batched value table, and the Bessel closed form of the Kraetzel function."""
 import math
 import subprocess
 import sys
@@ -25,14 +24,7 @@ from regcoulomb import (
     vq_prime,
     vq_prime_many,
 )
-from regcoulomb.quadrature import (
-    COLUMN_CHUNK,
-    _DE_C,
-    _DE_LOG_T_MAX,
-    _DE_U_RIGHT,
-    _expsinh_u_left,
-    expsinh_table,
-)
+from regcoulomb.quadrature import COLUMN_CHUNK
 from regcoulomb.verify import _Evaluator
 
 from oracles import kratzel_bessel_reference, rel_diff
@@ -134,28 +126,6 @@ class TestVqPrimeMany:
             vq_prime_many(0.5, [0.0, 1.0])
 
 
-class TestExpSinhTables:
-    @pytest.mark.parametrize("power", [-0.95, -0.5, 0.0, 2.5])
-    @pytest.mark.parametrize("n", [40, 160, 1280])
-    def test_cached_tables_equal_fresh_ones(self, power, n):
-        u_left = _expsinh_u_left(power)
-        expsinh_table(u_left, n)  # make sure the next call is a cache hit
-        h, t, log_t, log_jac = expsinh_table(u_left, n)
-
-        u = np.linspace(-u_left, _DE_U_RIGHT, n)
-        fresh_log_t = _DE_C * np.sinh(u)
-        ok = fresh_log_t < _DE_LOG_T_MAX
-        assert h == u[1] - u[0]
-        assert np.array_equal(log_t, fresh_log_t)
-        assert np.array_equal(t, np.exp(np.where(ok, fresh_log_t, 0.0)))
-        assert np.array_equal(log_jac, np.where(ok, np.log(_DE_C * np.cosh(u)), -np.inf))
-
-    def test_tables_are_read_only(self):
-        _, t, _, _ = expsinh_table(_DE_U_RIGHT, 40)
-        with pytest.raises(ValueError):
-            t[0] = 0.0
-
-
 @pytest.fixture(scope="module")
 def batched_report_and_calls():
     """A default report, with the scalar quadrature calls it made."""
@@ -246,8 +216,6 @@ class TestKratzelClosedForm:
         assert rel_diff(kratzel_z(2.0, 1.0, 1e-12), math.sqrt(math.pi) / 2) < 1e-5
 
     def test_import_and_cli_commands_load_no_scipy(self):
-        # SciPy is reached only lazily, by psi_eval's integral route and the
-        # Kraetzel quadrature at general rho
         src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "import contextlib, io, sys\n"

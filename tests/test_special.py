@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regcoulomb.special as special
-from regcoulomb import vq, vq_via_psi
+from regcoulomb import vq, vq_lower_kratzel, vq_via_psi
 from regcoulomb.errors import DivergenceError, DomainError, NumericalError
 from regcoulomb.special import (
     PsiEval,
@@ -229,7 +229,7 @@ class TestKernelEdges:
 
         monkeypatch.setattr(special, "_kratzel_quadrature", counting)
         got = kratzel_z(1.0, 59.2, 1.1e-12)
-        assert calls == [(1.0, 59.2, 1.1e-12)]
+        assert calls == [(1.0, 59.2, math.log(1.1e-12))]
         assert _mp_rel(got, _kratzel_mpmath(59.2, 1.1e-12)) <= 1e-13
 
     @pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 2.0, 7.25, 30.6])
@@ -350,8 +350,7 @@ class TestPsiRoutes:
         def refuse(*args, **kwargs):
             raise AssertionError("an integral route ran")
 
-        monkeypatch.setattr(special, "laguerre_escalating", refuse)
-        monkeypatch.setattr(special, "expsinh_escalating", refuse)
+        monkeypatch.setattr(special, "trapezoid_columns", refuse)
         # psi(1/2, 100.5, 1e-4) = 5.3e552: its tail Gamma(99.5)/Gamma(1/2)
         # (1e-4)^-99.5 is about e^1273
         message = re.escape("psi(0.5, 100.5, 0.0001) overflows") + ".*e\\^1273"
@@ -384,6 +383,58 @@ class TestPsiRoutes:
                     worst = max(worst, rel_diff(
                         psi_eval(a, c, x).value, psi_scipy_reference(a, c, x)))
         assert worst < 1e-9
+
+
+def _psi_quad_mpmath(a: float, c: float, w: float) -> mp.mpf:
+    """psi(a, c, w) = w^(1-c) (1/Gamma(a)) int_0^inf t^(a-1) e^-t (w+t)^(c-a-1) dt
+    by ``mp.quad`` at 20 digits in v = log t (hyperu is not safe at large
+    order), over 6 equal pieces between the points where the log integrand
+    has fallen 60 below its peak."""
+    with mp.workdps(20):
+        a, c, w = mp.mpf(a), mp.mpf(c), mp.mpf(w)
+        p = c - a - 1
+        b = a + p - w
+        top = mp.log((b + mp.sqrt(b * b + 4 * a * w)) / 2)
+
+        def log_f(v):
+            return a * v - mp.exp(v) + p * mp.log(w + mp.exp(v))
+
+        ends = []
+        for sign in (-1, 1):
+            d = mp.mpf(1)
+            while log_f(top + sign * d) - log_f(top) > -60:
+                d *= 2
+            ends.append(top + sign * d)
+        shift = log_f(top) - mp.loggamma(a) - (c - 1) * mp.log(w)
+        pieces = [ends[0] + (ends[1] - ends[0]) * k / 6 for k in range(7)]
+        return mp.exp(shift) * mp.quad(lambda v: mp.exp(log_f(v) - log_f(top)), pieces)
+
+
+class TestPsiIntegralRouteErrorEstimate:
+    def test_every_integral_routed_result_is_within_its_estimate(self):
+        rng = random.Random(12)
+        points = []
+        for _ in range(60):  # both Tricomi forms of V_q(x)
+            q = rng.uniform(-1.0, 12.0) if rng.random() < 0.6 else 10.0 ** rng.uniform(1.0, 2.3)
+            w = (10.0 ** rng.uniform(-3.0, math.log10(60.0))) ** 2
+            points += [(q + 1.0, q + 1.5, w), (0.5, 0.5 - q, w)]
+        for _ in range(100):
+            points.append((rng.uniform(0.0, 20.0) or 1e-3, rng.uniform(-30.0, 30.0),
+                           10.0 ** rng.uniform(-3.0, 3.0)))
+        checked = 0
+        for a, c, w in points:
+            try:
+                got = psi_eval(a, c, w)
+            except NumericalError:  # beyond the double range
+                continue
+            if got.method != "quadrature":
+                continue
+            checked += 1
+            want = _psi_quad_mpmath(a, c, w)
+            with mp.workdps(20):
+                assert abs(mp.mpf(got.value) - want) <= got.abs_err_est, (a, c, w)
+            assert got.abs_err_est <= 1e-12 * got.value, (a, c, w)
+        assert checked >= 70
 
 
 class TestPsiInvariants:
@@ -475,6 +526,36 @@ class TestKratzel:
     ])
     def test_general_rho_matches_mpmath(self, rho, nu, t):
         assert rel_diff(kratzel_z(rho, nu, t), kratzel_mpmath(rho, nu, t)) <= 1e-12
+
+    def test_extreme_arguments_give_a_value_zero_or_a_numerical_error(self):
+        # nu in [-30, 60] and t across the whole double range: a value, 0.0
+        # where Z underflows, or NumericalError where it overflows
+        rng = random.Random(13)
+        draws = [(rng.uniform(-30.0, 60.0), 10.0 ** rng.uniform(-300.0, 300.0))
+                 for _ in range(3000)]
+        for i, (nu, t) in enumerate(draws):
+            try:
+                got = kratzel_z(1.0, nu, t)
+            except NumericalError:
+                got = None
+            else:
+                assert 0.0 <= got < math.inf, (nu, t)
+            if i % 60:
+                continue
+            want = _kratzel_mpmath(nu, t)
+            if want > _DOUBLE_MAX:
+                assert got is None, (nu, t)
+            elif want < _DOUBLE_MIN:
+                assert got is not None and got < _DOUBLE_MIN, (nu, t)
+            else:
+                assert _mp_rel(got, want) <= 5e-14, (nu, t)
+        assert kratzel_z(1.0, 2.97, 2.18e287) == 0.0
+
+    @pytest.mark.parametrize("x", [1e160, 1e200, 1.7e308])
+    def test_lower_envelope_where_x_squared_overflows(self, x):
+        # Z_1^{q+1/2}(x^2/2) is about e^(-sqrt(2) x): it underflows
+        assert vq_lower_kratzel(1.0, x) == 0.0
+        assert vq_lower_kratzel(300.0, x) == 0.0
 
     def test_divergent_cases_rejected(self):
         with pytest.raises(DivergenceError):
