@@ -557,6 +557,13 @@ class TestKratzel:
         assert vq_lower_kratzel(1.0, x) == 0.0
         assert vq_lower_kratzel(300.0, x) == 0.0
 
+    @pytest.mark.parametrize("q, x", [(300.0, 1e-3), (200.0, 0.05)])
+    def test_lower_envelope_where_z_overflows_but_the_envelope_does_not(self, q, x):
+        # Z_1^{q+1/2}(x^2/2) is near Gamma(q+1/2), beyond the double range,
+        # while Z / Gamma(q+1) is near 0.06; the log of Z carries it
+        want = _mp40(lambda: _kratzel_mpmath(q + 0.5, mp.mpf(x) ** 2 / 2) / mp.gamma(q + 1))
+        assert _mp_rel(vq_lower_kratzel(q, x), want) <= 1e-12
+
     def test_divergent_cases_rejected(self):
         with pytest.raises(DivergenceError):
             kratzel_z(1.0, 0.0, 0.0)      # nu <= 0 at t = 0 diverges
