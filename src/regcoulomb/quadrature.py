@@ -254,7 +254,7 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     operations do), or an array.  Where ``p`` is a negative half-integer
     and ``power`` is 0 (V_q and V_q'), the value is ``x I`` (``I`` when
     ``x`` is None), assembled in double-double arithmetic and rounded once.
-    Elsewhere it is ``w^power I`` for ``w > 0`` (times ``x`` when given),
+    Elsewhere it is ``w^power I`` for ``w > 0`` (``x`` is not used),
     formed in log space, so that the Tricomi function
     ``w^(1-c) I(a, c-a-1; w)`` does not overflow where ``I`` alone would.
     For ``c1 <= 1/2``, whose integrand falls off slowly towards ``t = 0``,
@@ -443,7 +443,7 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
             # w^power r^-p = e^((power + p) log w - p log(w r)), w r = hi + lo
             hi, lo = _two_prod(table[7], table[6])
             terms = np.array([(power + p) * np.log(table[7]), -p * (np.log(hi) + lo / hi),
-                              np.log(got.value) + (0.0 if x is None else np.log(x))])
+                              np.log(got.value)])
             value = np.exp(terms.sum(axis=0))
             rounding += _EPS * (4.0 * abs(p) + 2.0 * np.abs(terms).sum(axis=0))
             keep = ok & (value > 0.0)
