@@ -201,10 +201,12 @@ def _laplace_integrals(qv: float, xs: np.ndarray, prime: bool) -> Columns:
 
     V_q = I(q, -1/2) and -V_q' = x I(q, -3/2), with the trapezoid rule of
     :func:`trapezoid_columns`, which forms x I without underflow and lifts
-    orders in (-1, -1/2] one order (the ``difvq`` relation shifted one
-    order).  An x beyond 1e150 is not evaluated (0, unconverged).
+    orders in (-1, -1/2].  An x beyond 1e150 is not evaluated (0, unconverged).
     """
-    with np.errstate(over="ignore"):
+    if isinstance(xs, np.ndarray):
+        with np.errstate(over="ignore"):
+            w = xs * xs
+    else:  # a float's square is inf where it overflows, with no warning
         w = xs * xs
     return trapezoid_columns(qv + 1.0, -1.5 if prime else -0.5, w, xs if prime else None)
 
@@ -223,7 +225,7 @@ def vq_quadrature(q: float, x: float) -> EvalResult:
     """
     qv = _order_value(q)
     x = _check_x(x, positive=True)
-    got = _laplace_integrals(qv, np.float64(x), False)
+    got = _laplace_integrals(qv, x, False)
     value, abs_err = float(got.value[0]), float(got.abs_err[0])
     if got.converged[0] and value > 0.0:
         return EvalResult(value, abs_err, "quadrature")
@@ -394,10 +396,10 @@ def vq_prime(q: float, x: float, method: str = "integral") -> float:
     x = _check_x(x, positive=True)
 
     if method == "integral":
-        value = float(_accepted(_laplace_integrals(qv, np.float64(x), True))[0])
-        if math.isnan(value):
+        got = _laplace_integrals(qv, x, True)
+        if not (got.converged[0] and got.value[0] > 0.0):
             raise NumericalError(f"derivative quadrature did not converge for q={qv}, x={x}")
-        return -value
+        return -float(got.value[0])
 
     if method == "differ":
         v_q = vq(qv, x).value

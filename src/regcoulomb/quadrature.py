@@ -7,26 +7,18 @@ convergent trapezoidal rule", SIAM Review 56, 2014).
 
     I(c1, p; w) = (1/Gamma(c1)) int_0^inf t^(c1-1) e^-t (w + t)^p dt
 
-in ``v = log t``, for ``c1 > 0``, real ``p`` and ``w >= 0``.  V_q and V_q'
-are ``I(q+1, -1/2; x^2)`` and ``x I(q+1, -3/2; x^2)``; the Tricomi function
+in ``v = log t``, for ``c1 > 0``, real ``p`` and ``w >= 0``: V_q and V_q'
+are ``I(q+1, -1/2; x^2)`` and ``x I(q+1, -3/2; x^2)``, the Tricomi function
 is ``psi(a, c, w) = w^(1-c) I(a, c-a-1; w)`` (DLMF 13.4.4).  The branch
 point of ``(w + t)^p`` at ``t = -w`` lies at ``Im v = pi`` for every ``w``,
-so one rule serves every argument.  The Kraetzel integral
-(``special._kratzel_quadrature``) runs its own trapezoid sum in the same
-way.
-
-Both run on one escalation loop, :func:`escalate_columns`, which evaluates
-many integrands ("columns", e.g. one per abscissa) at once.  It climbs a
-ladder of levels; a column leaves at the first level that agrees with the
-previous one to a relative tolerance, and that difference is its error
-estimate.  The loop keeps the active columns, their previous level and the
-differences as arrays and masks, and hands back a :class:`Columns` of
-arrays.  At most :data:`COLUMN_CHUNK` columns are in flight at a time, which
-bounds the size of the (columns x nodes) work arrays.
-
-Integrands are supplied through their logarithm, relative to their peak, so
-that widely scaled factors (``t^q`` with large ``q``, huge or tiny powers of
-``w + t``) neither overflow nor underflow.
+so one rule serves every argument.  It and the Kraetzel integral
+(``special._kratzel_quadrature``) run on one escalation loop,
+:func:`escalate_columns`, over many integrands ("columns", e.g. one per
+abscissa) at once, at most :data:`COLUMN_CHUNK` in flight.  A scalar call
+is one column of the same rule, not a second implementation: the same
+set-up and node pass on NumPy scalars, its bookkeeping in Python floats,
+which round as the arrays do.  It costs little more than its one node pass
+and gives the bits of the same column in any batch.
 """
 from __future__ import annotations
 
@@ -88,48 +80,48 @@ class Columns(NamedTuple):
         self.abs_err[cols] = np.where(finite, best_diff, np.inf) * np.abs(self.value[cols])
 
 
-def escalate_columns(
-    level: Callable[[int, np.ndarray], np.ndarray],
-    n_cols: int,
-    node_counts: tuple[int, ...],
-    rel_tol: float,
-) -> Columns:
+def escalate_columns(level: Callable[[int, np.ndarray], np.ndarray], n_cols: int,
+                     node_counts: tuple[int, ...], rel_tol: float) -> Columns:
     """The escalation loop of every trapezoid sum.
 
     ``level(n, cols)`` returns the values at ladder entry ``n`` (a level
-    number) of the columns ``cols`` (an index array into ``range(n_cols)``);
-    it runs with every floating-point error ignored.  A column leaves the
+    number) of the columns ``cols`` (an index array into ``range(n_cols)``),
+    under the caller's ``np.errstate(all="ignore")``.  A column leaves the
     active set at the first level that agrees with the previous one to
-    ``rel_tol``.  A column that never agrees reports its closest pair of
+    ``rel_tol``; one that never agrees reports its closest pair of
     consecutive levels (or its last level when none was finite) with
-    ``converged`` false.
+    ``converged`` false.  A single column compares in Python floats, and
+    returns at its first agreement.
     """
-    out = Columns(
-        np.empty(n_cols), np.empty(n_cols),
-        np.empty(n_cols, dtype=int), np.zeros(n_cols, dtype=bool),
-    )
-    with np.errstate(all="ignore"):
-        for start in range(0, n_cols, COLUMN_CHUNK):
-            active = np.arange(start, min(start + COLUMN_CHUNK, n_cols))
-            prev = level(node_counts[0], active)
-            tried = []  # (active, values, differences) of each later level
-            for n in node_counts[1:]:
-                val = level(n, active)
-                size = np.abs(val)
-                diff = np.abs(val - prev) / np.maximum(size, _TINY)
-                tried.append((active, val, diff))
-                done = diff <= rel_tol
-                flags = done.tolist()
-                if all(flags):
-                    out.accept(active, val, diff, size, n)
-                    active = active[:0]
-                    break
-                if any(flags):
-                    out.accept(active[done], val[done], diff[done], size[done], n)
-                    active, val = active[~done], val[~done]
-                prev = val
-            if active.size:
-                out.settle(active, prev, tried, node_counts[-1])
+    out = Columns(np.empty(n_cols), np.empty(n_cols), np.empty(n_cols, dtype=int),
+                  np.zeros(n_cols, dtype=bool))
+    for start in range(0, n_cols, COLUMN_CHUNK):
+        active = np.arange(start, min(start + COLUMN_CHUNK, n_cols))
+        prev = level(node_counts[0], active)
+        tried = []  # (active, values, differences) of each later level
+        for n in node_counts[1:]:
+            val = level(n, active)
+            if n_cols == 1:  # in Python floats, which round as the arrays do
+                size = abs(val.tolist()[0])
+                diff = abs(val.tolist()[0] - prev.tolist()[0]) / max(size, _TINY)
+                if diff <= rel_tol:
+                    return Columns(val, np.array([diff * size + _EPS * size]),
+                                   np.array([n]), np.array([True]))
+            size = np.abs(val)
+            diff = np.abs(val - prev) / np.maximum(size, _TINY)
+            tried.append((active, val, diff))
+            done = diff <= rel_tol
+            flags = done.tolist()
+            if all(flags):
+                out.accept(active, val, diff, size, n)
+                active = active[:0]
+                break
+            if any(flags):
+                out.accept(active[done], val[done], diff[done], size[done], n)
+                active, val = active[~done], val[~done]
+            prev = val
+        if active.size:
+            out.settle(active, prev, tried, node_counts[-1])
     return out
 
 
@@ -230,6 +222,21 @@ def _gamma_window(c1: float) -> tuple[float, float]:
     return end(-reach), min(end(reach), end(math.log(2.0 + _TRAP_DROP / c1)))
 
 
+def _c_pow(base, e: float):
+    """``base ** e`` by the C library's ``pow``, also elementwise for an array
+    (NumPy's array power rounds otherwise on a few inputs in a hundred)."""
+    return np.array([r ** e for r in base.tolist()]) if isinstance(base, np.ndarray) else base ** e
+
+
+# NumPy's maximum, minimum, fmax and fmin; for two scalars the same value (NaN
+# and the sign of zero included) by comparison, without a ufunc call's cost
+_ARRAY_OPS = (np.maximum, np.minimum, np.fmax, np.fmin)
+_SCALAR_OPS = (lambda a, b: a if a > b or a != a else b,
+               lambda a, b: a if a < b or a != a else b,
+               lambda a, b: a if a >= b or b != b else b,
+               lambda a, b: a if a <= b or b != b else b)
+
+
 def _trapezoid_step(c: float, tol: float) -> float:
     """The step at which the trapezoid rule for ``int e^(c d - c e^d) dd``
     errs by about ``tol`` relative: the smallest, over the height ``b`` of
@@ -249,63 +256,51 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
 
         I = I(c1, p; w) = (1/Gamma(c1)) int_0^inf t^(c1-1) e^-t (w + t)^p dt
 
-    for ``c1 > 0``, real ``p`` and the columns given by ``w >= 0``: a float
-    for one column (set up in NumPy scalars, which round as the array
-    operations do), or an array.  Where ``p`` is a negative half-integer
-    and ``power`` is 0 (V_q and V_q'), the value is ``x I`` (``I`` when
-    ``x`` is None), assembled in double-double arithmetic and rounded once.
-    Elsewhere it is ``w^power I`` for ``w > 0`` (``x`` is not used),
-    formed in log space, so that the Tricomi function
-    ``w^(1-c) I(a, c-a-1; w)`` does not overflow where ``I`` alone would.
-    For ``c1 <= 1/2``, whose integrand falls off slowly towards ``t = 0``,
-    the order is lifted by a relation with two positive terms: integration
-    by parts gives ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)`` for ``p < 0``,
-    and ``(w + t)^p = (w + t)^(p-1) (w + t)`` gives
-    ``I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)``, repeated until ``p < 0``.
+    for ``c1 > 0``, real ``p`` and the columns ``w >= 0`` (a float for one
+    column, or an array).  Where ``p`` is a negative half-integer and
+    ``power`` is 0 (V_q and V_q'), the value is ``x I`` (``I`` when ``x`` is
+    None), assembled in double-double arithmetic and rounded once; elsewhere
+    ``w^power I`` for ``w > 0``, formed in log space, so that the Tricomi
+    function ``w^(1-c) I(a, c-a-1; w)`` does not overflow where ``I`` would.
+    Orders ``c1 <= 1/2`` are lifted by relations with two positive terms,
+    ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)`` for ``p < 0``, else
+    ``I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)``.
 
     The log integrand has one peak ``t*``, the positive root of
-    ``t^2 - b t - c1 w`` with ``b = c1 + p - w``; ``t* < c1`` for ``p < 0``
-    and ``c1 < t* < c1 + p`` for ``p > 0``.  It is concave for ``p < 0``,
-    and right of the peak for any ``p``; left of the peak its slope is at
-    least the smaller of ``c1`` and its slope at any point further right.
-    With ``t = t* e^d`` and ``r`` the rounded reciprocal of ``w + t*``,
+    ``t^2 - b t - c1 w`` with ``b = c1 + p - w``; it is concave for ``p < 0``
+    and right of the peak, and left of it its slope is at least the smaller
+    of ``c1`` and its slope further right.  With ``t = t* e^d`` and ``r`` the
+    rounded reciprocal of ``w + t*``,
 
         I = r^-p  int e^(G0(d) + P(d)) dd / int e^G0(d) dd,
         G0(d) = c1 d - t* expm1(d),   P(d) = p log((w + t* e^d) r),
 
-    because the denominator is ``Gamma(c1) / (t*^c1 e^-t*)``.  Both
-    integrals run over the same nodes, so no Gamma function, power of
-    ``t*`` or large exponent is ever formed, and ``x I`` does not underflow
-    at huge ``x`` (``w`` up to 1e300, the range of the double-double
-    products).
-
-    The window covers where either integrand is within ``e^-40`` of its
-    peak.  Each end is the nearer of two tangent steps, which both
-    over-cover because the tangent's slope is capped at ``c1``: one from
-    ``-/+9`` peak widths, the other from past ``t = w`` on the left and from
-    where ``t* e^d`` passes ``c1 + 40`` on the right.  The nodes are
-    ``d = j h`` for integer ``j``.  Level 0 takes the step of
-    :func:`_trapezoid_step` at ``_TRAP_TOL / 100``, so that levels 0 and 1
-    agree to ``_TRAP_TOL``, for ``c1 + |p|``, which bounds the integrands'
-    growth in a strip ``|Im d| < b`` by ``(cos b)^-(c1 + |p|)``.  In log
-    space, where ``|p|`` reaches the hundreds, it takes the growth at the
-    largest peak, ``max(c1, t*)``, and leaves the rest to the escalation;
-    V_q and V_q' keep the bound, which fixes their bits.  Each level halves
-    the step and adds only the odd nodes, and level 0 is summed from the
-    nodes of level 1.  A column stops, unconverged, before a level that
-    would take more than ``_TRAP_NODE_MAX`` nodes.  All columns share the
-    step, so they share the node rows; outside a column's own window its
-    terms are set to values that add exact zeros to its sums, which are
-    exact (:func:`_split`), so no column's value depends on the others on
-    the V_q path.
+    since the denominator is ``Gamma(c1) / (t*^c1 e^-t*)``: no Gamma
+    function, power of ``t*`` or large exponent is formed, and ``x I`` does
+    not underflow at huge ``x`` (``w`` up to 1e300).  The window covers where
+    either integrand is within ``e^-40`` of its peak; each end is the nearer
+    of two tangent steps (slope capped at ``c1``), from ``-/+9`` peak widths
+    and from past ``t = w`` (left) or ``t* e^d = c1 + 40`` (right).  On the
+    nodes ``d = j h``, level 0 takes the step of :func:`_trapezoid_step` at
+    ``_TRAP_TOL / 100`` for the growth ``(cos b)^-(c1 + |p|)`` in a strip
+    ``|Im d| < b`` (in log space, where ``|p|`` reaches the hundreds, for the
+    largest peak, ``max(c1, t*)``), so that levels 0 and 1 agree.  Each level
+    halves the step and adds the odd nodes; level 0 is summed from level 1's
+    nodes.  A column stops, unconverged, before a level of more than
+    ``_TRAP_NODE_MAX`` nodes.  Columns share the node rows; outside its
+    window a column's terms add exact zeros to its exact sums (:func:`_split`),
+    so its bits do not depend on its batch, except in log space with ``p > 0``
+    (the columns share the largest peak's step).  One column runs the same
+    steps on NumPy scalars (whose ``exp`` and ``log`` round as the arrays' do,
+    unlike ``math``'s), with maxima and minima by comparison and bookkeeping
+    in Python floats.
 
     The error estimate is the last level difference plus ``eps`` times the
     value, times the node count plus ``10 sqrt(c1)`` (the cancellation in
-    ``G0`` near the peak).  In log space it adds ``4 |p|`` ulps (the
-    rounding of ``P``) and twice the size of each term of the exponent of
-    ``w^power r^-p``.  A column whose peak or window is not finite (``w``
-    beyond 1e300, or a divergent integral) comes back 0 with a zero estimate
-    and unconverged.
+    ``G0``); in log space plus ``4 |p|`` ulps (the rounding of ``P``) and
+    twice each term of the exponent of ``w^power r^-p``.  A column whose peak
+    or window is not finite (``w`` beyond 1e300, a divergent integral) comes
+    back 0, with a zero estimate, unconverged.
     """
     if c1 <= 0.5:  # lift the order: two terms, both positive
         if p < 0.0:  # I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)
@@ -314,24 +309,85 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         else:  # I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)
             one = trapezoid_columns(c1, p - 1.0, w, x, power + 1.0)
             two, weight = trapezoid_columns(c1 + 1.0, p - 1.0, w, x, power), c1
-        return Columns(
-            one.value + weight * two.value, one.abs_err + weight * two.abs_err,
-            one.points + two.points, one.converged & two.converged,
-        )
+        return Columns(one.value + weight * two.value, one.abs_err + weight * two.abs_err,
+                       one.points + two.points, one.converged & two.converged)
+
+    many = isinstance(w, np.ndarray) and w.ndim > 0
+    w = w if many else np.float64(w)  # a NumPy scalar gives inf or NaN where a float raises
+    maximum, minimum, fmax, fmin = _ARRAY_OPS if many else _SCALAR_OPS
+    double_double = power == 0.0 and p < 0.0 and float(2.0 * p).is_integer()
 
     def window_end(d):  # where the tangent to G0 + P at d falls to -40
         t = peak * np.exp(d)
         g = c1 * d - peak * np.expm1(d) + p * np.log((w + t) / width)
         slope = c1 - t * (1.0 - p / (w + t))
-        return d - (_TRAP_DROP + g) / np.minimum(slope, c1)
+        return d - (_TRAP_DROP + g) / minimum(slope, c1)
 
-    double_double = power == 0.0 and p < 0.0 and float(2.0 * p).is_integer()
+    def ratio(sums, c):  # r^-p M / M0 from the exact sums of the columns c
+        if many:
+            return ratio_scale[c] * ((sums[0] + sums[2] / bits) / (sums[1] + sums[3] / bits))
+        m_hi, g_hi, m_lo, g_lo = sums.ravel().tolist()  # NumPy's division, in a scalar
+        return np.array([ratio_scale * (np.float64(m_hi + m_lo / bits) / (g_hi + g_lo / bits))])
+
+    def level(k: int, cols: np.ndarray) -> np.ndarray:
+        if k == 1:  # level 0 summed its nodes, and kept its value
+            return state[4, cols]
+        h = step * 0.5 ** max(k, 1)
+        f, l = (first, last) if k == 0 else (np.ceil(lo / h), np.floor(hi / h))
+        fit = fits if k == 0 else ok & (l - f < _TRAP_NODE_MAX)
+        if many:  # a contiguous run of columns is indexed by a slice, which is faster
+            c = slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] + 1 == cols.size else cols
+            f, l, fit = f[c], l[c], fit[c]
+            sub = fit.nonzero()[0]
+        else:  # one column takes its scalars as they are
+            c, sub = slice(0, 1), cols[:bool(fit)]
+        if sub.size < cols.size:
+            out = np.full(cols.size, np.nan)
+            if not sub.size:
+                return out
+            c, f, l = cols[sub], f[sub], l[sub]
+        j0, j1 = (min(f.tolist()), max(l.tolist()) + 1.0) if many else (float(f), float(l) + 1.0)
+        peak_c, recip_c, w_c = (v[c, None] for v in (peak, recip, w)) if many else (peak, recip, w)
+        # the odd nodes at later levels; all of level 1's at level 0
+        j = np.arange(j0 + (j0 % 2 == 0), j1, 2.0) if k else np.arange(j0, j1)
+        nodes = j * h
+        terms = np.empty((2, sub.size, j.size))
+        g, g0 = terms[0], terms[1]
+        np.multiply(peak_c, np.exp(nodes), g)
+        g += w_c
+        g *= recip_c
+        np.log(g, g)
+        g *= p
+        np.multiply(peak_c, np.expm1(nodes), g0)
+        np.subtract(c1 * nodes, g0, g0)
+        g += g0
+        if sub.size > 1:  # outside its window, a column's terms add exact zeros
+            outside = (j < f[:, None]) | (j > l[:, None])
+            np.copyto(terms, floors[:, c, None], where=outside)
+        np.exp(terms, terms)
+        # the sums (hi and lo, of each integrand) are laid out as in state
+        parts = _split(terms, scales[:, c, None] if many else scales[:, None, None], bits)
+        sums = np.add.reduce(parts, axis=-1).reshape(4, -1)
+        if k:
+            used[c] = l - f + 1.0
+            state[:4, c] += sums
+            value = ratio(state[:4, c], c)
+        else:
+            state[:4, c] = sums
+            state[4, c] = ratio(sums, c)
+            value = ratio(np.add.reduce(parts[..., int(j0 % 2)::2], axis=-1).reshape(4, -1), c)
+        if sub.size < cols.size:
+            out[sub] = value
+            return out
+        return value
+
     with np.errstate(all="ignore"):
         # the positive root; b - s or b + s would cancel, so the root of
         # larger size is formed first and the other from their product
         b = c1 + p - w
-        big = 0.5 * b + np.copysign(0.5 * np.hypot(b, 2.0 * math.sqrt(c1) * np.sqrt(w)), b)
-        peak = np.maximum(big, -c1 * (w / big))
+        copysign = np.copysign if many else math.copysign
+        big = 0.5 * b + copysign(0.5 * np.hypot(b, 2.0 * math.sqrt(c1) * np.sqrt(w)), b)
+        peak = maximum(big, -c1 * (w / big))
         width = w + peak
         # the growth bound of the step; in log space, that at the peak
         c = c1 + abs(p)
@@ -344,11 +400,12 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         d0 = np.log(c1 / peak)
         top0 = c1 * d0 - (c1 - peak)
         lo0, hi0 = _gamma_window(c1)
-        left = np.fmax(window_end(-_TRAP_REACH * sigma),
-                       window_end(np.minimum(np.log(w / peak), 0.0) - 2.0))
-        right = np.fmin(window_end(_TRAP_REACH * sigma),
-                        window_end(np.log1p((c1 + _TRAP_DROP) / peak)))
-        lo, hi = np.minimum(left, d0 + lo0), np.maximum(right, d0 + hi0)
+        # the tangents' starting points; a batch takes all four in one array
+        starts = (-_TRAP_REACH * sigma, minimum(np.log(w / peak), 0.0) - 2.0,
+                  _TRAP_REACH * sigma, np.log1p((c1 + _TRAP_DROP) / peak))
+        ends = window_end(np.array(starts)) if many else [window_end(d) for d in starts]
+        lo = minimum(fmax(ends[0], ends[1]), d0 + lo0)
+        hi = maximum(fmin(ends[2], ends[3]), d0 + hi0)
         # the double-double products need w below 1e300
         ok = (peak > 0.0) & (top0 < 700.0) & (hi - lo > 4.0 * step) & (width < 1e300)
         # level 1's nodes, from which level 0 is summed too
@@ -358,115 +415,55 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         # whatever rounding r carries; r^-p (x r^-p) for the levels' values,
         # the final value is exact
         recip = 1.0 / width
-        zero = 0.0 * peak
         if not double_double:  # the levels' values are the ratios alone
             scale = 1.0
         elif x is None:
-            scale = recip ** -p
+            scale = _c_pow(recip, -p)
         else:
-            scale = (x * recip) * recip ** (-p - 1.0)
+            scale = (x * recip) * _c_pow(recip, -p - 1.0)
         # e^G peaks at 1, and e^G0 at e^top0 is scaled by unit below 2; the
         # split sums of both, in units of 1/bits and 1/bits^2, stay below
         # 2^53 over all levels, and terms below e^-60 of that add zeros
         unit = np.exp2(-np.floor(top0 / math.log(2.0)) - 1.0)
         bits = 2.0 ** (51 - _TRAP_NODE_MAX.bit_length())
-        # one row per quantity, one entry per column; rows 11-12 are the
-        # floors and 13-14 the split scales of the two integrands
-        table = np.array([lo, hi, first, last, fits, peak, recip, w + zero, scale * unit,
-                          zero if x is None else x, ok, zero - 60.0, top0 - 60.0, zero + bits,
-                          bits * unit]).reshape(15, -1)
-    ok = table[10] > 0.0
-    # level 1's node counts, for the columns it fits
-    used = np.where(table[4] > 0.0, table[3] - table[2] + 1.0, 0.0).astype(int)
-    # per column: the exact sums (hi, lo) of both integrals, level 1's value
-    state = np.full((5, ok.size), np.nan)
-
-    def ratio(sums, c):  # r^-p M / M0 from the exact sums of the columns c
-        return table[8, c] * ((sums[0] + sums[2] / bits) / (sums[1] + sums[3] / bits))
-
-    def level(k: int, cols: np.ndarray) -> np.ndarray:
-        # level 0 is summed from the nodes of level 1, whose value it keeps
-        if k == 1:
-            return state[4, cols]
-        h = step * 0.5 ** max(k, 1)
-        # a contiguous run of columns is indexed by a slice, which is faster
-        c = slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] + 1 == cols.size else cols
-        if k == 0:
-            first, last, fits = table[2:5, c]
-            fits = fits > 0.0
-        else:
-            first, last = np.ceil(table[0, c] / h), np.floor(table[1, c] / h)
-            fits = ok[c] & (last - first < _TRAP_NODE_MAX)
-        out = np.full(cols.size, np.nan)
-        sub = fits.nonzero()[0]
-        if not sub.size:
-            return out
-        if sub.size < cols.size:
-            c, first, last = cols[sub], first[sub], last[sub]
-        j0, j1 = min(first.tolist()), max(last.tolist()) + 1.0
-        # the odd nodes at later levels; all of level 1's at level 0
-        j = np.arange(j0 + (j0 % 2 == 0), j1, 2.0) if k else np.arange(j0, j1)
-        nodes = j * h
-        peak_c, recip_c, w_c = table[5:8, c, None]
-        terms = np.empty((2, first.size, j.size))
-        g, g0 = terms
-        np.multiply(peak_c, np.exp(nodes), out=g)
-        g += w_c
-        g *= recip_c
-        np.log(g, out=g)
-        g *= p
-        np.multiply(peak_c, np.expm1(nodes), out=g0)
-        np.subtract(c1 * nodes, g0, out=g0)
-        g += g0
-        if first.size > 1:  # outside its window, a column's terms add exact zeros
-            outside = (j < first[:, None]) | (j > last[:, None])
-            np.copyto(terms, table[11:13, c, None], where=outside)
-        np.exp(terms, out=terms)
-        # the sums (hi and lo, of each integrand) are laid out as in state
-        parts = _split(terms, table[13:15, c, None], bits)
-        if k:
-            used[c] = last - first + 1.0
-            state[:4, c] += parts.sum(axis=-1).reshape(4, -1)
-            out[sub] = ratio(state[:4, c], c)
-            return out
-        even = parts[..., int(j0 % 2)::2].sum(axis=-1).reshape(4, -1)  # level 0's nodes
-        state[:4, c] = parts.sum(axis=-1).reshape(4, -1)
-        state[4, c], out[sub] = ratio(np.stack((state[:4, c], even), axis=1), c)
-        return out
-
-    levels = tuple(range(_TRAP_NODE_MAX.bit_length() + 1))
-    got = escalate_columns(level, ok.size, levels, _TRAP_TOL)
-    done = got.converged & ok
-    rounding = _EPS * (used + 10.0 * math.sqrt(c1))
-    if not double_double:
-        with np.errstate(all="ignore"):
+        ratio_scale = scale * unit
+        # per column: the split scales and floors of both integrands, level
+        # 1's node count where it fits, their exact sums and level 1's value
+        scales = np.array([unit * 0.0 + bits, bits * unit])
+        floors = np.array([top0 * 0.0 - 60.0, top0 - 60.0])
+        used = (np.where(fits, last - first + 1.0, 0.0).astype(int) if many
+                else np.array([int(last - first + 1.0) if fits else 0]))
+        state = np.empty((5, used.size))
+        state.fill(np.nan)
+        got = escalate_columns(level, used.size, tuple(range(_TRAP_NODE_MAX.bit_length() + 1)),
+                               _TRAP_TOL)
+        if double_double and not many:  # in Python floats, which round as the arrays do
+            done = bool(ok and got.converged[0])
+            value = float(got.value[0]) if ok else 0.0
+            if done:
+                m_hi, g_hi, m_lo, g_lo = state[:4, 0].tolist()
+                u = float(unit)
+                value = _dd_value((m_hi * u, m_lo * u / bits), (g_hi, g_lo / bits), float(recip),
+                                  None if x is None else float(x), p, math.sqrt)
+            rounding = _EPS * (used.tolist()[0] + 10.0 * math.sqrt(c1))
+            abs_err = float(got.abs_err[0]) + rounding * value if ok else 0.0
+            return Columns(np.array([value]), np.array([abs_err]), used, np.array([done]))
+        done = got.converged & ok
+        if not double_double:  # log space; one column in NumPy scalars
+            val, err, n = (v if many else v[0] for v in (got.value, got.abs_err, used))
             # w^power r^-p = e^((power + p) log w - p log(w r)), w r = hi + lo
-            hi, lo = _two_prod(table[7], table[6])
-            terms = np.array([(power + p) * np.log(table[7]), -p * (np.log(hi) + lo / hi),
-                              np.log(got.value)])
-            value = np.exp(terms.sum(axis=0))
-            rounding += _EPS * (4.0 * abs(p) + 2.0 * np.abs(terms).sum(axis=0))
+            hi, lo = _two_prod(w, recip)
+            terms = ((power + p) * np.log(w), -p * (np.log(hi) + lo / hi), np.log(val))
+            value = np.exp(terms[0] + terms[1] + terms[2])
+            size = abs(terms[0]) + abs(terms[1]) + abs(terms[2])
+            rounding = _EPS * (n + 10.0 * math.sqrt(c1)) + _EPS * (4.0 * abs(p) + 2.0 * size)
             keep = ok & (value > 0.0)
             value = np.where(keep, value, 0.0)
-            abs_err = np.where(keep, value * (got.abs_err / got.value + rounding), 0.0)
-        return Columns(value, abs_err, used, done)
-    if ok.size == 1:  # in Python floats, which round as the arrays do
-        value = abs_err = 0.0
-        if done[0]:
-            m_hi, g_hi, m_lo, g_lo = state[:4, 0].tolist()
-            unit = float(table[14, 0]) / bits
-            value = _dd_value((m_hi * unit, m_lo * unit / bits), (g_hi, g_lo / bits),
-                              float(table[6, 0]), None if x is None else float(table[9, 0]),
-                              p, math.sqrt)
-        elif ok[0]:
-            value = float(got.value[0])
-        if ok[0]:
-            abs_err = float(got.abs_err[0]) + float(rounding[0]) * value
-        return Columns(np.array([value]), np.array([abs_err]), used, done)
-    with np.errstate(all="ignore"):
-        unit = table[14] / bits
+            abs_err = np.where(keep, value * (err / val + rounding), 0.0)
+            return Columns(value.reshape(-1), abs_err.reshape(-1), used, done)
+        rounding = _EPS * (used + 10.0 * math.sqrt(c1))
         exact = _dd_value((state[0] * unit, state[2] * unit / bits), (state[1], state[3] / bits),
-                          table[6], None if x is None else table[9], p, np.sqrt)
+                          recip, x, p, np.sqrt)
     value = np.where(done, exact, np.where(ok, got.value, 0.0))
     abs_err = np.where(ok, got.abs_err + rounding * value, 0.0)
     return Columns(value, abs_err, used, done)

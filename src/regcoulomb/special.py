@@ -365,7 +365,8 @@ def _psi_beyond_range(a: float, c: float, x: float) -> None:
 
 
 def _psi_asymptotic(a: float, c: float, x: float) -> tuple[float, float]:
-    """Divergent large-x series truncated at its smallest term."""
+    """Divergent large-x series truncated at its smallest term; x^-a adds
+    the rounding of its exponent, 2 eps |a log x| relative."""
     b = a - c + 1.0
     term = 1.0
     total = 1.0
@@ -382,7 +383,7 @@ def _psi_asymptotic(a: float, c: float, x: float) -> tuple[float, float]:
     prefactor = math.exp(-a * math.log(x))
     value = prefactor * total
     est = prefactor * (smallest + _EPS * abs(total) * (k + 1.0))
-    return value, est
+    return value, est + 2.0 * _EPS * abs(a * math.log(x) * value)
 
 
 def psi_eval(a: float, c: float, x: float) -> PsiEval:
@@ -693,15 +694,6 @@ def _kratzel_quadrature(rho: float, nu: float, log_t: float) -> float:
         s = nu - rho * np.exp(log_a + rho * d) + np.exp(log_b - d)
         return float(np.where(g <= -40.0, d, d - (40.0 + g) / s))
 
-    width = 1.0 / math.sqrt(rho * rho * big + small)
-    top = abs(nu) + 40.0
-    with np.errstate(all="ignore"):
-        left = np.fmax(end(-9.0 * width), end(-math.log1p(top / small) if small else -math.inf))
-        right = np.fmin(end(9.0 * width), end(math.log1p(top / big) / rho if big else math.inf))
-    step = min(1.0, width)
-    if not (math.isfinite(left) and math.isfinite(right) and step > 0.0):
-        raise NumericalError(f"Kraetzel window not finite for rho={rho}, nu={nu}, t=e^{log_t}")
-
     def level(k: int, cols: np.ndarray) -> np.ndarray:
         h = step * 0.5 ** k
         j = np.arange(math.ceil(left / h), math.floor(right / h) + 1.0)
@@ -709,7 +701,16 @@ def _kratzel_quadrature(rho: float, nu: float, log_t: float) -> float:
             return np.full(cols.size, np.nan)
         return np.full(cols.size, h * np.exp(drop(j * h)).sum())
 
-    got = escalate_columns(level, 1, tuple(range(_KRATZEL_NODE_MAX.bit_length())), _TRAP_TOL)
+    width = 1.0 / math.sqrt(rho * rho * big + small)
+    top = abs(nu) + 40.0
+    step = min(1.0, width)
+    with np.errstate(all="ignore"):
+        left = np.fmax(end(-9.0 * width), end(-math.log1p(top / small) if small else -math.inf))
+        right = np.fmin(end(9.0 * width), end(math.log1p(top / big) / rho if big else math.inf))
+        if not (math.isfinite(left) and math.isfinite(right) and step > 0.0):
+            raise NumericalError(
+                f"Kraetzel window not finite for rho={rho}, nu={nu}, t=e^{log_t}")
+        got = escalate_columns(level, 1, tuple(range(_KRATZEL_NODE_MAX.bit_length())), _TRAP_TOL)
     scaled = float(got.value[0])
     if not (got.converged[0] and 0.0 < scaled < math.inf):
         raise NumericalError(f"Kraetzel quadrature failed for rho={rho}, nu={nu}, t=e^{log_t}")

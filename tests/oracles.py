@@ -187,8 +187,10 @@ def kratzel_quad_reference(rho: float, nu: float, t: float) -> float:
 def kratzel_mpmath(rho: float, nu: float, t: float) -> float:
     """The Kraetzel integral, t > 0, with mpmath at 30 digits, in v = log u:
     integral e^F(v) dv with F(v) = nu v - e^(rho v) - t e^-v.  The peak of F
-    is found by bisection on F', and ``mp.quad`` sums, split at the peak,
-    between the points where F has fallen 120 below it."""
+    is found by bisection on F', and ``mp.quad`` sums between the points
+    where F has fallen 120 below it, over 64 equal pieces and split at the
+    peak: at large rho the sharp right edge of e^(-u^rho) defeats tanh-sinh
+    over one wide piece."""
     with mp.workdps(30):
         rho, nu, t = mp.mpf(rho), mp.mpf(nu), mp.mpf(t)
 
@@ -212,5 +214,6 @@ def kratzel_mpmath(rho: float, nu: float, t: float) -> float:
             while big_f(lo + sign * d) - top > -120:
                 d *= 2
             ends.append(lo + sign * d)
-        value = mp.quad(lambda v: mp.exp(big_f(v) - top), [ends[0], lo, ends[1]])
+        pieces = sorted([ends[0] + (ends[1] - ends[0]) * k / 64 for k in range(65)] + [lo])
+        value = mp.quad(lambda v: mp.exp(big_f(v) - top), pieces)
         return float(mp.exp(top) * value)

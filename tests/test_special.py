@@ -523,6 +523,7 @@ class TestKratzel:
         (46.0, -1.17, 2.5e-11),  # e^(rho v) at the peak underflows
         (4.0, 25.0, 2700.0),
         (1.0, 3.0, 1e5),        # beyond the Bessel form's range
+        (38.998694844402806, -0.5943483766202426, 5.584944670329157e-4),  # a sharp right edge
     ])
     def test_general_rho_matches_mpmath(self, rho, nu, t):
         assert rel_diff(kratzel_z(rho, nu, t), kratzel_mpmath(rho, nu, t)) <= 1e-12

@@ -2,6 +2,7 @@
 engine itself, its independence of the batch a column is evaluated in, and
 its values and error estimates against mpmath."""
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -57,6 +58,71 @@ class TestTrapezoidColumns:
         monkeypatch.setattr(quadrature, "_TRAP_NODE_MAX", 60)
         got = trapezoid_columns(2.0, -0.5, np.float64(1.0))
         assert not got.converged[0] and got.points[0] <= 60
+
+
+def _columns(got, i=None):
+    """The (value, estimate, node count, convergence) of every column of
+    ``got``, or of its column ``i``."""
+    rows = list(zip(got.value.tolist(), got.abs_err.tolist(), got.points.tolist(),
+                    got.converged.tolist()))
+    return rows if i is None else rows[i]
+
+
+class TestBatchIndependence:
+    """A one-column call gives the bits of the same column in a batch, on
+    every branch of the rule.  (In log space with p > 0 the columns share the
+    step of the largest peak, so there they agree only to rounding.)"""
+
+    @pytest.mark.parametrize("c1, p, power, times_x", [
+        (3.7, -0.5, 0.0, False),     # double-double, V_q
+        (3.7, -1.5, 0.0, True),      # double-double with the factor x, V_q'
+        (4.2, -11.5, 7.3, False),    # log space, the Tricomi form (a, c) = (4.2, -6.3)
+        (0.3, -0.5, 0.0, False),     # lifted, p < 0
+        (0.3, -1.5, 0.0, True),      # lifted, p < 0, with the factor x
+        (0.3, 0.5, 0.0, False),      # lifted, p >= 0
+    ])
+    def test_one_column_equals_its_batch_column(self, c1, p, power, times_x):
+        xs = np.exp(np.random.default_rng(5).uniform(-6.0, 4.0, 40))
+        ws = xs * xs
+        batch = trapezoid_columns(c1, p, ws, xs if times_x else None, power)
+        assert all(_columns(batch, i)[3] for i in range(xs.size))
+        for i, (x, w) in enumerate(zip(xs, ws)):
+            one = trapezoid_columns(c1, p, float(w) if i % 2 else w, x if times_x else None, power)
+            assert _columns(one) == [_columns(batch, i)], (i, w)
+
+    def test_columns_that_escalate_past_level_one(self, monkeypatch):
+        # a coarse first step: the columns leave at later levels, not together
+        levels, escalate = [], quadrature.escalate_columns
+
+        def logged(level, *args):
+            def logged_level(k, cols):
+                levels.append((k, cols.size))
+                return level(k, cols)
+            return escalate(logged_level, *args)
+
+        monkeypatch.setattr(quadrature, "escalate_columns", logged)
+        monkeypatch.setattr(quadrature, "_trapezoid_step", lambda c, tol: 3.0)
+        xs = np.exp(np.random.default_rng(6).uniform(-7.0, 5.0, 30))
+        for p, factor, power in ((-0.5, None, 0.0), (-1.5, xs, 0.0), (-2.5, None, 1.5)):
+            levels.clear()
+            batch = trapezoid_columns(2.4, p, xs * xs, factor, power)
+            assert batch.converged.all()
+            assert max(levels)[0] >= 4 and len({size for _, size in levels}) > 1, levels
+            for i, x in enumerate(xs):
+                one = trapezoid_columns(2.4, p, x * x, None if factor is None else x, power)
+                assert _columns(one) == [_columns(batch, i)], (p, i)
+
+    @pytest.mark.parametrize("w", [0.0, 1e320])
+    def test_unusable_columns_alone_and_in_a_batch(self, w):
+        # c1 + p <= 0 diverges at w = 0; 1e320 is beyond the double range
+        batch = trapezoid_columns(1.5, -1.5, np.array([1.0, w, 2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for one in (trapezoid_columns(1.5, -1.5, w), trapezoid_columns(1.5, -1.5, np.float64(w)),
+                        trapezoid_columns(1.5, -1.5, w, w), trapezoid_columns(1.5, -1.5, w, power=2.0)):
+                assert _columns(one) == [(0.0, 0.0, 0, False)]
+        assert _columns(batch, 1) == (0.0, 0.0, 0, False)
+        assert batch.converged[[0, 2]].all()
 
 
 class TestScalarIsABatchOfOne:
