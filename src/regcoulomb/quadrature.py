@@ -223,9 +223,9 @@ def _gamma_window(c1: float) -> tuple[float, float]:
 
 
 def _c_pow(base, e: float):
-    """``base ** e`` by the C library's ``pow``, also elementwise for an array
-    (NumPy's array power rounds otherwise on a few inputs in a hundred)."""
-    return np.array([r ** e for r in base.tolist()]) if isinstance(base, np.ndarray) else base ** e
+    """``base ** e`` by NumPy's scalar power (the C library's ``pow``), also for
+    each entry of an array, whose power rounds otherwise on a few in a hundred."""
+    return np.array([r ** e for r in base]) if isinstance(base, np.ndarray) else base ** e
 
 
 # NumPy's maximum, minimum, fmax and fmin; for two scalars the same value (NaN

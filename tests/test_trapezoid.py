@@ -62,9 +62,9 @@ class TestTrapezoidColumns:
 
 def _columns(got, i=None):
     """The (value, estimate, node count, convergence) of every column of
-    ``got``, or of its column ``i``."""
-    rows = list(zip(got.value.tolist(), got.abs_err.tolist(), got.points.tolist(),
-                    got.converged.tolist()))
+    ``got``, or of its column ``i``, with the floats as ``float.hex``."""
+    rows = list(zip(map(float.hex, got.value.tolist()), map(float.hex, got.abs_err.tolist()),
+                    got.points.tolist(), got.converged.tolist()))
     return rows if i is None else rows[i]
 
 
@@ -120,9 +120,19 @@ class TestBatchIndependence:
             warnings.simplefilter("error")
             for one in (trapezoid_columns(1.5, -1.5, w), trapezoid_columns(1.5, -1.5, np.float64(w)),
                         trapezoid_columns(1.5, -1.5, w, w), trapezoid_columns(1.5, -1.5, w, power=2.0)):
-                assert _columns(one) == [(0.0, 0.0, 0, False)]
-        assert _columns(batch, 1) == (0.0, 0.0, 0, False)
+                assert _columns(one) == [("0x0.0p+0", "0x0.0p+0", 0, False)]
+        assert _columns(batch, 1) == ("0x0.0p+0", "0x0.0p+0", 0, False)
         assert batch.converged[[0, 2]].all()
+
+    @pytest.mark.parametrize("c1, p", [(1.5, -2.5), (0.6, -1.5), (3.0, -0.5)])
+    def test_tiny_arguments_alone_and_in_a_batch(self, c1, p):
+        # where c1 + p < 0 the reciprocal 1/(w + t*) nears the double range,
+        # and its power r^-p overflows: inf, as in the one-column call
+        ws = np.array([5e-324, 1e-300, 1e-200, 1e-130, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = trapezoid_columns(c1, p, ws)
+            assert [_columns(trapezoid_columns(c1, p, w))[0] for w in ws.tolist()] == _columns(batch)
 
 
 class TestScalarIsABatchOfOne:
