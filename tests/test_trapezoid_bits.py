@@ -2,13 +2,12 @@
 and convergence flags of V_q, V_q' and the Tricomi form at seeded points,
 as ``float.hex`` strings in ``data/trapezoid_bits.json``.  A change that
 moves any of them fails here; a change that means to must regenerate the
-file (``python tests/test_trapezoid_bits.py``) and say why.
+file (``PYTHONPATH=src python tests/test_trapezoid_bits.py``) and say why.
 
 Each order's abscissas are checked one column at a time and as one batch,
 so the file pins both paths."""
 import json
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +91,6 @@ def test_tricomi_columns_reproduce_the_pinned_bits(pinned):
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
     data = _generate()
     DATA.write_text("{\n" + ",\n".join(
         f'"{key}": [\n' + ",\n".join(json.dumps(group) for group in groups) + "\n]"
