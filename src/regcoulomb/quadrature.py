@@ -262,9 +262,9 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     None), assembled in double-double arithmetic and rounded once; elsewhere
     ``w^power I`` for ``w > 0``, formed in log space, so that the Tricomi
     function ``w^(1-c) I(a, c-a-1; w)`` does not overflow where ``I`` would.
-    Orders ``c1 <= 1/2`` are lifted by relations with two positive terms,
-    ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)`` for ``p < 0``, else
-    ``I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)``.
+    Orders ``c1 <= 1/2`` are lifted by relations with positive terms: while
+    ``p >= 0``, ``I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)``, a loop of
+    about ``p`` columns, and then ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)``.
 
     The log integrand has one peak ``t*``, the positive root of
     ``t^2 - b t - c1 w`` with ``b = c1 + p - w``; it is concave for ``p < 0``
@@ -299,18 +299,22 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     value, times the node count plus ``10 sqrt(c1)`` (the cancellation in
     ``G0``); in log space plus ``4 |p|`` ulps (the rounding of ``P``) and
     twice each term of the exponent of ``w^power r^-p``.  A column whose peak
-    or window is not finite (``w`` beyond 1e300, a divergent integral) comes
-    back 0, with a zero estimate, unconverged.
+    or window is not finite (``w`` beyond 1e300, a divergent integral), or
+    whose log-space value is not positive, comes back 0 with an infinite
+    estimate, unconverged, so that it cannot pass for a value in a sum.
     """
-    if c1 <= 0.5:  # lift the order: two terms, both positive
-        if p < 0.0:  # I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)
-            one = trapezoid_columns(c1 + 1.0, p, w, x, power)
-            two, weight = trapezoid_columns(c1 + 1.0, p - 1.0, w, x, power), -p
-        else:  # I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)
-            one = trapezoid_columns(c1, p - 1.0, w, x, power + 1.0)
-            two, weight = trapezoid_columns(c1 + 1.0, p - 1.0, w, x, power), c1
-        return Columns(one.value + weight * two.value, one.abs_err + weight * two.abs_err,
-                       one.points + two.points, one.converged & two.converged)
+    if c1 <= 0.5:  # lift the order: terms that are all positive
+        terms = []  # I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1) while p >= 0
+        while p >= 0.0:
+            terms.append((c1, p - 1.0, power))
+            p, power = p - 1.0, power + 1.0
+        terms.append((-p, p - 1.0, power))  # I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)
+        got = trapezoid_columns(c1 + 1.0, p, w, x, power)
+        for weight, p, power in reversed(terms):
+            two = trapezoid_columns(c1 + 1.0, p, w, x, power)
+            got = Columns(got.value + weight * two.value, got.abs_err + weight * two.abs_err,
+                          got.points + two.points, got.converged & two.converged)
+        return got
 
     many = isinstance(w, np.ndarray) and w.ndim > 0
     w = w if many else np.float64(w)  # a NumPy scalar gives inf or NaN where a float raises
@@ -446,7 +450,7 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
                 value = _dd_value((m_hi * u, m_lo * u / bits), (g_hi, g_lo / bits), float(recip),
                                   None if x is None else float(x), p, math.sqrt)
             rounding = _EPS * (used.tolist()[0] + 10.0 * math.sqrt(c1))
-            abs_err = float(got.abs_err[0]) + rounding * value if ok else 0.0
+            abs_err = float(got.abs_err[0]) + rounding * value if ok else math.inf
             return Columns(np.array([value]), np.array([abs_err]), used, np.array([done]))
         done = got.converged & ok
         if not double_double:  # log space; one column in NumPy scalars
@@ -459,11 +463,11 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
             rounding = _EPS * (n + 10.0 * math.sqrt(c1)) + _EPS * (4.0 * abs(p) + 2.0 * size)
             keep = ok & (value > 0.0)
             value = np.where(keep, value, 0.0)
-            abs_err = np.where(keep, value * (err / val + rounding), 0.0)
+            abs_err = np.where(keep, value * (err / val + rounding), np.inf)
             return Columns(value.reshape(-1), abs_err.reshape(-1), used, done)
         rounding = _EPS * (used + 10.0 * math.sqrt(c1))
         exact = _dd_value((state[0] * unit, state[2] * unit / bits), (state[1], state[3] / bits),
                           recip, x, p, np.sqrt)
     value = np.where(done, exact, np.where(ok, got.value, 0.0))
-    abs_err = np.where(ok, got.abs_err + rounding * value, 0.0)
+    abs_err = np.where(ok, got.abs_err + rounding * value, np.inf)
     return Columns(value, abs_err, used, done)

@@ -34,12 +34,16 @@ The Tricomi function is evaluated by a router that tries, in order:
   range, it raises at once;
 * the large-x asymptotic series
       psi ~ x^{-a} sum_k (-1)^k (a)_k (a-c+1)_k / (k! x^k),
-  truncated at its smallest term;
-* the integral representation (a > 0, DLMF 13.4.4)
-      psi = x^{1-c}/Gamma(a) int_0^inf e^{-s} s^{a-1} (x + s)^{c-a-1} ds,
+  truncated at its smallest term, or where its terms fall below a quarter
+  of an ulp of the sum;
+* the integral representation (DLMF 13.4.4) under Kummer's transformation
+  psi(a, c, x) = x^{1-c} psi(1+a-c, 2-c, x) (DLMF 13.2.40),
+      psi = x^{1-c} I(a, c-a-1; x) = I(1+a-c, -a; x),
+      I(c1, p; x) = 1/Gamma(c1) int_0^inf e^{-s} s^{c1-1} (x + s)^p ds,
   one call of the trapezoid rule in log s
-  (:func:`~regcoulomb.quadrature.trapezoid_columns`), with x^{1-c} and the
-  rule's normalising power formed in log space.
+  (:func:`~regcoulomb.quadrature.trapezoid_columns`) on the form of larger
+  order (the second for c < 1), for a > 0 or 1+a-c > 0: at a = 1/2 V_q's
+  own double-double column, elsewhere in log space.
 
 The Kraetzel function Z_1^nu is the Bessel closed form where it stays in
 the double range; elsewhere, and for rho != 1, its integral in log u is a
@@ -313,7 +317,8 @@ def _gamma_rounding(scale: float, *args: float) -> float:
 
 
 def _psi_series(a: float, c: float, x: float) -> tuple[float, float] | None:
-    """Two-term Kummer expansion of psi; None when either series stalls.
+    """Two-term Kummer expansion of psi; None when either series stalls, a
+    term is lost or the value is below the normal double range.
 
     The estimate counts the rounding of the series sums, of the Gamma
     coefficients and their arguments, and of the power ``x^(1-c)``."""
@@ -326,6 +331,9 @@ def _psi_series(a: float, c: float, x: float) -> tuple[float, float] | None:
         return _psi_beyond_range(a, c, x)  # a coefficient would be inf, or inf * 0
     coef1 = gamma1 * rgamma(a - c + 1.0)
     coef2 = gamma2 * rgamma(a)
+    # 1/Gamma(y) is 0 where Gamma(y) overflows: a term would be dropped
+    if (gamma1 and not coef1 and a - c + 1.0 > 0.0) or (gamma2 and not coef2 and a > 0.0):
+        return None
     try:  # as a Python float, an overflowing product is inf, with no warning
         tail = coef2 * x ** (1.0 - c)
     except OverflowError:  # the power x^(1-c) overflows
@@ -338,6 +346,8 @@ def _psi_series(a: float, c: float, x: float) -> tuple[float, float] | None:
     est += 2.0 * _EPS * abs(value)
     if not (math.isfinite(value) and math.isfinite(est)):
         return _psi_beyond_range(a, c, x)
+    if abs(value) < sys.float_info.min:  # digits, and the estimate, are lost
+        return None
     return value, est
 
 
@@ -365,24 +375,25 @@ def _psi_beyond_range(a: float, c: float, x: float) -> None:
 
 
 def _psi_asymptotic(a: float, c: float, x: float) -> tuple[float, float]:
-    """Divergent large-x series truncated at its smallest term; x^-a adds
-    the rounding of its exponent, 2 eps |a log x| relative."""
+    """Divergent large-x series truncated at its smallest term, or at one
+    too small to change the sum; the estimate takes the first omitted term,
+    and x^-a adds the rounding of its exponent, 2 eps |a log x| relative."""
     b = a - c + 1.0
-    term = 1.0
-    total = 1.0
-    smallest = 1.0
+    term = total = 1.0
     k = 0
     while k < 400:
         nxt = term * (-(a + k) * (b + k) / ((k + 1.0) * x))
-        if abs(nxt) >= smallest:
+        if abs(nxt) >= abs(term) or abs(nxt) <= 0.25 * _EPS * abs(total):
             break
         term = nxt
         total += term
-        smallest = abs(term)
         k += 1
-    prefactor = math.exp(-a * math.log(x))
+    try:
+        prefactor = math.exp(-a * math.log(x))
+    except OverflowError:  # psi ~ x^-a, at a < 0
+        raise NumericalError(f"psi({a}, {c}, {x}) overflows: x^-a is out of range") from None
     value = prefactor * total
-    est = prefactor * (smallest + _EPS * abs(total) * (k + 1.0))
+    est = prefactor * (abs(nxt) + _EPS * abs(total) * (k + 1.0))
     return value, est + 2.0 * _EPS * abs(a * math.log(x) * value)
 
 
@@ -390,70 +401,53 @@ def psi_eval(a: float, c: float, x: float) -> PsiEval:
     """Tricomi psi(a, c, x) with error estimate and route tag.
 
     Routes among the Kummer expansion, the large-x asymptotic series, and
-    the integral representation; each candidate is accepted only when its
-    own error estimate meets the accuracy target.
+    the integral representation (for a <= 0 too, where 1+a-c > 0); each
+    candidate is accepted when its own error estimate meets the accuracy
+    target, or else the one with the smallest positive estimate, if within
+    1e-8 relative.  A psi above the double range or below its normal
+    numbers (where digits are lost) raises ``NumericalError``.
     """
     _check_confluent(a, c)
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"tricomi psi requires x > 0, got {x}")
 
-    best: PsiEval | None = None
-
+    tried: list[PsiEval] = []  # candidates short of the target
     if x <= 1.0 and abs(c - round(c)) > _PSI_C_INTEGER_GAP:
         got = _psi_series(a, c, x)
         if got is not None:
             value, est = got
-            if value != 0.0 and est <= _PSI_SERIES_SAFETY * _PSI_REL_TARGET * abs(value):
+            if est <= _PSI_SERIES_SAFETY * _PSI_REL_TARGET * abs(value):
                 return PsiEval(value, est, "series")
-            best = PsiEval(value, est, "series")
+            tried.append(PsiEval(value, est, "series"))
 
     if x >= max(30.0, 4.0 * abs(a) * abs(a - c + 1.0)):
         value, est = _psi_asymptotic(a, c, x)
-        if math.isfinite(value) and value != 0.0:
+        if math.isfinite(value) and abs(value) >= sys.float_info.min:
             if est <= _PSI_REL_TARGET * abs(value):
                 return PsiEval(value, est, "asymptotic")
-            if best is None or est < best.abs_err_est:
-                best = PsiEval(value, est, "asymptotic")
+            tried.append(PsiEval(value, est, "asymptotic"))
 
-    if a > 0.0:
-        got = trapezoid_columns(a, c - a - 1.0, np.float64(x), power=1.0 - c)
+    # psi = x^(1-c) I(a, c-a-1; x) = I(1+a-c, -a; x): the larger order
+    c1, p, power = (1.0 + a - c, -a, 0.0) if c < 1.0 else (a, c - a - 1.0, 1.0 - c)
+    if c1 > 0.0:
+        got = trapezoid_columns(c1, p, x, power=power)
         value, est = float(got.value[0]), float(got.abs_err[0])
         if value == math.inf:
             raise NumericalError(f"psi({a}, {c}, {x}) overflows: its integral exceeds the double range")
-        if value > 0.0:
-            candidate = PsiEval(value, est, "quadrature")
+        if value < sys.float_info.min and got.converged[0]:
+            raise NumericalError(f"psi({a}, {c}, {x}) underflows: below the normal doubles")
+        if value >= sys.float_info.min:
             if got.converged[0]:
-                return candidate
-            if best is None or est < best.abs_err_est:
-                best = candidate
-    elif 1.0 + a - c > 0.0:
-        # a <= 0 away from the Kummer region: the argument-shift identity
-        # psi(a, c, x) = x^{1-c} psi(1+a-c, 2-c, x) has a positive shifted
-        # first parameter, so the shifted evaluation can use the integral
-        # routes (and cannot land back in this branch).
-        shifted = psi_eval(1.0 + a - c, 2.0 - c, x)
-        log_value = (1.0 - c) * math.log(x) + math.log(shifted.value)
-        if log_value >= 709.0:
-            raise NumericalError(
-                f"psi({a}, {c}, {x}) overflows via the shift identity"
-            )
-        value = math.exp(log_value)
-        est = value * (shifted.abs_err_est / shifted.value) + 4.0 * _EPS * value
-        candidate = PsiEval(value, est, shifted.method)
-        if est <= _PSI_REL_TARGET * value:
-            return candidate
-        if best is None or est < best.abs_err_est:
-            best = candidate
-    elif best is None:
-        raise DomainError(
-            f"tricomi psi with a <= 0 is supported only where the Kummer "
-            f"expansion applies (x <= 1, c away from integers) or where the "
-            f"shift identity gives a positive first parameter (1+a-c > 0); "
-            f"got a={a}, c={c}, x={x}"
-        )
+                return PsiEval(value, est, "quadrature")
+            tried.append(PsiEval(value, est, "quadrature"))
+    elif not tried:
+        raise DomainError(f"tricomi psi with a <= 0 needs x <= 1 with c away from the integers "
+                          f"(the Kummer expansion) or 1+a-c > 0; got a={a}, c={c}, x={x}")
 
-    if best is not None and best.abs_err_est <= _PSI_REL_CEILING * abs(best.value):
+    best = min(tried, key=lambda got: got.abs_err_est, default=None)
+    # an estimate of 0 belongs to a value that underflowed or was lost
+    if best is not None and 0.0 < best.abs_err_est <= _PSI_REL_CEILING * abs(best.value):
         return best
     raise NumericalError(
         f"no evaluation route reached the accuracy target for psi({a}, {c}, {x})"

@@ -315,7 +315,7 @@ class TestPsiRoutes:
         assert psi_eval(0.7, -24.0, 0.02).method.startswith("quadrature")
 
     def test_negative_first_parameter_routed_through_shift_identity(self):
-        # supported whenever 1 + a - c > 0; cross-checked against scipy
+        # supported whenever 1 + a - c > 0, by Kummer's transformation; cross-checked against scipy
         for a, c, x in ((-0.2, 0.3, 2.0), (-0.5, 0.3, 5.0), (-1.3, -0.9, 12.0)):
             got = psi_eval(a, c, x)
             assert rel_diff(got.value, psi_scipy_reference(a, c, x)) < 1e-9
@@ -375,6 +375,16 @@ class TestPsiRoutes:
         assert _mp_rel(got.value, want) <= 1e-15
         assert _mp_rel(via_psi.value, want) <= 1e-15
 
+    @pytest.mark.parametrize("x", [40.0, 1e3, 1e6, 1e100, 1e150])
+    def test_asymptotic_route_within_its_estimate(self, x):
+        # vq's band x > 30 is checked in test_potential.TestHonestEstimates
+        for a, c in ((0.5, 0.2), (1.7, 2.4), (2.0, 3.5), (-0.3, 0.5)):
+            got = psi_eval(a, c, x)
+            assert got.method == "asymptotic"
+            with mp.workdps(40):
+                want = mp.hyperu(mp.mpf(a), mp.mpf(c), mp.mpf(x))
+                assert abs(mp.mpf(got.value) - want) <= got.abs_err_est, (a, c, x)
+
     def test_agrees_with_scipy_implementation(self):
         worst = 0.0
         for a in (0.5, 2.0, 5.0):
@@ -385,29 +395,32 @@ class TestPsiRoutes:
         assert worst < 1e-9
 
 
-def _psi_quad_mpmath(a: float, c: float, w: float) -> mp.mpf:
-    """psi(a, c, w) = w^(1-c) (1/Gamma(a)) int_0^inf t^(a-1) e^-t (w+t)^(c-a-1) dt
-    by ``mp.quad`` at 20 digits in v = log t (hyperu is not safe at large
-    order), over 6 equal pieces between the points where the log integrand
-    has fallen 60 below its peak."""
-    with mp.workdps(20):
+def _psi_quad_mpmath(a: float, c: float, w: float, dps: int = 20) -> mp.mpf:
+    """psi(a, c, w) = w^(1-c) I(a, c-a-1; w), or I(1+a-c, -a; w) for a <= 0,
+    with I(c1, p; w) = (1/Gamma(c1)) int_0^inf t^(c1-1) e^-t (w+t)^p dt, by
+    ``mp.quad`` in v = log t (hyperu is not safe at large order), between
+    the points where the log integrand has fallen 60 below its peak, split
+    at 2^k/4 from the peak so that tanh-sinh sees the peak and the long flat
+    tail of a small order apart.  For a > 0 and c < 1 this is not the form
+    the library integrates."""
+    with mp.workdps(dps):
         a, c, w = mp.mpf(a), mp.mpf(c), mp.mpf(w)
-        p = c - a - 1
-        b = a + p - w
-        top = mp.log((b + mp.sqrt(b * b + 4 * a * w)) / 2)
+        c1, p, lead = (a, c - a - 1, (1 - c) * mp.log(w)) if a > 0 else (1 + a - c, -a, 0)
+        b = c1 + p - w
+        top = mp.log((b + mp.sqrt(b * b + 4 * c1 * w)) / 2)
 
         def log_f(v):
-            return a * v - mp.exp(v) + p * mp.log(w + mp.exp(v))
+            return c1 * v - mp.exp(v) + p * mp.log(w + mp.exp(v))
 
-        ends = []
+        pieces = [top]
         for sign in (-1, 1):
-            d = mp.mpf(1)
+            d = mp.mpf(1) / 4
             while log_f(top + sign * d) - log_f(top) > -60:
+                pieces.append(top + sign * d)
                 d *= 2
-            ends.append(top + sign * d)
-        shift = log_f(top) - mp.loggamma(a) - (c - 1) * mp.log(w)
-        pieces = [ends[0] + (ends[1] - ends[0]) * k / 6 for k in range(7)]
-        return mp.exp(shift) * mp.quad(lambda v: mp.exp(log_f(v) - log_f(top)), pieces)
+            pieces.append(top + sign * d)
+        shift = log_f(top) - mp.loggamma(c1) + lead
+        return mp.exp(shift) * mp.quad(lambda v: mp.exp(log_f(v) - log_f(top)), sorted(pieces))
 
 
 class TestPsiIntegralRouteErrorEstimate:
@@ -435,6 +448,110 @@ class TestPsiIntegralRouteErrorEstimate:
                 assert abs(mp.mpf(got.value) - want) <= got.abs_err_est, (a, c, w)
             assert got.abs_err_est <= 1e-12 * got.value, (a, c, w)
         assert checked >= 70
+
+
+class TestPsiHardPoints:
+    """Points where the integral route's lift runs deep or a Kummer
+    coefficient leaves the double range: each gives a value within its
+    estimate of ``mp.quad`` or a ``NumericalError``, never a wrong value
+    with a small estimate or a ``RecursionError``."""
+
+    @pytest.mark.parametrize("a, c, x", [
+        (0.5, 477.0476115610467, 164.68961293816145),       # 1.36037333407e83
+        (0.01685173699616166, 533.3049918049168, 5.309392232432265),  # 4.0e833
+        (0.5, 1200.0, 500.0),                                # 3.94301827922e150
+        (0.3, 2000.0, 10.0),                                 # 6.1e3733
+        (129.16076503133894, -43.705863227124865, 0.10799251866988892),  # 3.41620623419e-260
+        (132.73195482599627, -49.93554955686012, 0.0012746584945807582),  # 1.0995e-271
+    ])
+    def test_value_within_its_estimate_or_a_numerical_error(self, a, c, x):
+        try:
+            got = psi_eval(a, c, x)
+        except NumericalError:
+            return
+        want = _psi_quad_mpmath(a, c, x, 30)
+        with mp.workdps(30):
+            assert abs(mp.mpf(got.value) - want) <= got.abs_err_est, (got, want)
+
+    def test_a_term_whose_gamma_quotient_is_out_of_range_is_not_dropped(self):
+        # 1/Gamma(173.87) is 0 in doubles: the expansion's first term,
+        # Gamma(44.7)/Gamma(173.87) Phi = 3.4e-260, would be lost
+        assert _psi_series(129.16076503133894, -43.705863227124865, 0.10799251866988892) is None
+        got = psi_eval(129.16076503133894, -43.705863227124865, 0.10799251866988892)
+        assert rel_diff(got.value, 3.41620623419e-260) < 1e-10
+
+    def test_underflow_is_a_numerical_error(self):
+        # psi = 2.4e-483 is below the double range
+        with pytest.raises(NumericalError, match="underflows"):
+            psi_eval(238.72619424122993, -9.791420555396293, 0.0012555946096614813)
+
+    def test_asymptotic_power_beyond_the_double_range_is_a_numerical_error(self):
+        # psi(-20, 1/2, 1e20) ~ x^20 = 1e400
+        with pytest.raises(NumericalError, match="overflows"):
+            psi_eval(-20.0, 0.5, 1e20)
+
+    @pytest.mark.parametrize("a, c, x, expected", [
+        (-5.977791147803613, 0.022684151674200966, 3.0790960409725336e-08, 0.0578276850583),
+        (-1.606140675698569, 0.005175756796660342, 0.2519113227738409, -0.464536997817),
+    ])
+    def test_series_fallback_is_honest(self, a, c, x, expected):
+        # the series misses the 3e-12 target, no other route applies (a <= 0
+        # and 1+a-c <= 0), and the fallback accepts it within 1e-8
+        got = psi_eval(a, c, x)
+        assert got.method == "series"
+        target = special._PSI_SERIES_SAFETY * special._PSI_REL_TARGET
+        assert got.abs_err_est > target * abs(got.value)
+        with mp.workdps(60):
+            want = mp.hyperu(mp.mpf(a), mp.mpf(c), mp.mpf(x))
+            assert abs(mp.mpf(got.value) - want) <= got.abs_err_est
+        assert rel_diff(got.value, expected) < 1e-11
+
+    def test_seeded_sweep_of_large_parameters(self):
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(250):  # most of the box is beyond the double range
+            a, c = rng.uniform(0.0, 1000.0) or 1e-3, rng.uniform(-50.0, 500.0)
+            x = 10.0 ** rng.uniform(-3.0, 4.0)
+            try:
+                got = psi_eval(a, c, x)
+            except NumericalError:
+                continue
+            checked += 1
+            want = _psi_quad_mpmath(a, c, x)
+            with mp.workdps(20):
+                assert abs(mp.mpf(got.value) - want) <= got.abs_err_est, (a, c, x)
+        assert checked >= 40
+
+
+class TestPsiKummerTransformation:
+    def test_v_q_tricomi_form_is_v_q_own_column(self, monkeypatch):
+        # psi(1/2, 1/2-q, x^2) = I(q+1, -1/2; x^2): one double-double column,
+        # the bits of vq(q, x, method="quadrature")
+        calls = []
+        column = special.trapezoid_columns
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return column(*args, **kwargs)
+
+        monkeypatch.setattr(special, "trapezoid_columns", counted)
+        got = psi_eval(0.5, -2.0, 1.0)
+        assert (got.method, len(calls)) == ("quadrature", 1)
+        assert got.value == vq(2.5, 1.0, method="quadrature").value
+
+    def test_psi_eval_does_not_call_itself(self, monkeypatch):
+        # a <= 0 takes the transformed integral directly, not psi_eval again
+        calls = []
+        route = special.psi_eval
+
+        def counted(*args):
+            calls.append(args)
+            return route(*args)
+
+        monkeypatch.setattr(special, "psi_eval", counted)
+        for a, c, x in ((-0.2, 0.3, 2.0), (-0.5, 0.3, 5.0), (-1.3, -0.9, 12.0)):
+            assert counted(a, c, x).method == "quadrature"
+        assert len(calls) == 3
 
 
 class TestPsiInvariants:
@@ -521,7 +638,7 @@ class TestKratzel:
         (0.2, 7.438, 0.334),    # the peak is at u ~ 7e7
         (0.15, 2.0, 1e-6),      # a long right tail
         (46.0, -1.17, 2.5e-11),  # e^(rho v) at the peak underflows
-        (4.0, 25.0, 2700.0),
+        (4.0, 25.0, 1500.0),    # Z = 5.8e-238; at t = 2700 it underflows to 0 on both sides
         (1.0, 3.0, 1e5),        # beyond the Bessel form's range
         (38.998694844402806, -0.5943483766202426, 5.584944670329157e-4),  # a sharp right edge
     ])

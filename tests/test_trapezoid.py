@@ -120,8 +120,8 @@ class TestBatchIndependence:
             warnings.simplefilter("error")
             for one in (trapezoid_columns(1.5, -1.5, w), trapezoid_columns(1.5, -1.5, np.float64(w)),
                         trapezoid_columns(1.5, -1.5, w, w), trapezoid_columns(1.5, -1.5, w, power=2.0)):
-                assert _columns(one) == [("0x0.0p+0", "0x0.0p+0", 0, False)]
-        assert _columns(batch, 1) == ("0x0.0p+0", "0x0.0p+0", 0, False)
+                assert _columns(one) == [("0x0.0p+0", "inf", 0, False)]
+        assert _columns(batch, 1) == ("0x0.0p+0", "inf", 0, False)
         assert batch.converged[[0, 2]].all()
 
     @pytest.mark.parametrize("c1, p", [(1.5, -2.5), (0.6, -1.5), (3.0, -0.5)])
