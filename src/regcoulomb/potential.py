@@ -369,7 +369,9 @@ def vq_many(q: float, xs) -> np.ndarray:
     xs = _abscissas(xs)
     values = np.empty(xs.shape)
     batch = (xs > 0.0) & _routes_to_quadrature(qv, xs) & (qv not in (-1.0, 0.0))
-    for i in (~batch).nonzero()[0].tolist():
+    closed = (xs > 0.0) & (qv == 0.0)  # vq's closed form, without its dispatch
+    values[closed] = [SQRT_PI * erfc_scaled(x) for x in xs[closed].tolist()]
+    for i in (~(batch | closed)).nonzero()[0].tolist():
         try:
             values[i] = vq(qv, xs[i]).value
         except NumericalError:

@@ -18,7 +18,10 @@ abscissa) at once, at most :data:`COLUMN_CHUNK` in flight.  A scalar call
 is one column of the same rule, not a second implementation: the same
 set-up and node pass on NumPy scalars, its bookkeeping in Python floats,
 which round as the arrays do.  It costs little more than its one node pass
-and gives the bits of the same column in any batch.
+and gives the bits of the same column in any batch: a node pass sums
+integer parts whose sums are exact (:func:`_split`), so any order of
+summation gives the same bits, and the chunk's sums come from one matrix
+product (BLAS's order and threading included).
 """
 from __future__ import annotations
 
@@ -187,7 +190,8 @@ def _split(terms: np.ndarray, scale, bits: float) -> np.ndarray:
     broadcast; a power of two, with every ``t`` below ``2 bits``), stacked
     on a new first axis, so that ``t = hi + lo / bits`` up to ``1 / bits``.
     Sums of the parts are exact, so they do not depend on the order of the
-    terms or on zeros around them.  ``terms`` is overwritten."""
+    terms or on zeros around them: this is what lets a node pass take them
+    from a matrix product.  ``terms`` is overwritten."""
     parts = np.empty((2,) + terms.shape)
     np.multiply(terms, scale, out=terms)
     np.floor(terms, out=parts[0])
@@ -222,10 +226,18 @@ def _gamma_window(c1: float) -> tuple[float, float]:
     return end(-reach), min(end(reach), end(math.log(2.0 + _TRAP_DROP / c1)))
 
 
-def _c_pow(base, e: float):
-    """``base ** e`` by NumPy's scalar power (the C library's ``pow``), also for
-    each entry of an array, whose power rounds otherwise on a few in a hundred."""
-    return np.array([r ** e for r in base]) if isinstance(base, np.ndarray) else base ** e
+def _pows(bases, e: float):
+    """``bases ** e`` by the C library's ``pow``: a NumPy scalar's power, and
+    an array's entry by entry in Python floats (NumPy's array power rounds
+    otherwise on a few in a hundred), with inf where a power overflows."""
+    if not isinstance(bases, np.ndarray):
+        return bases ** e
+    floats = bases.tolist()
+    try:
+        return np.array([base ** e for base in floats])
+    except ArithmeticError:  # an overflow, or a zero to a negative power
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.array([np.float64(base) ** e for base in floats])
 
 
 # NumPy's maximum, minimum, fmax and fmin; for two scalars the same value (NaN
@@ -264,7 +276,10 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     function ``w^(1-c) I(a, c-a-1; w)`` does not overflow where ``I`` would.
     Orders ``c1 <= 1/2`` are lifted by relations with positive terms: while
     ``p >= 0``, ``I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)``, a loop of
-    about ``p`` columns, and then ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)``.
+    about ``p`` columns, and then ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)``;
+    where the loop runs, a term whose every column fails (those of largest
+    ``p`` fail first, and are evaluated first) ends the call, 0 and
+    unconverged with an infinite estimate.
 
     The log integrand has one peak ``t*``, the positive root of
     ``t^2 - b t - c1 w`` with ``b = c1 + p - w``; it is concave for ``p < 0``
@@ -308,10 +323,15 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         while p >= 0.0:
             terms.append((c1, p - 1.0, power))
             p, power = p - 1.0, power + 1.0
-        terms.append((-p, p - 1.0, power))  # I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)
-        got = trapezoid_columns(c1 + 1.0, p, w, x, power)
-        for weight, p, power in reversed(terms):
-            two = trapezoid_columns(c1 + 1.0, p, w, x, power)
+        terms += [(-p, p - 1.0, power), (1.0, p, power)]  # I(c1+1, p) - p I(c1+1, p-1)
+        cols = []  # from the largest p down, whose columns are the first to fail
+        for _, p, power in terms:
+            cols.append(trapezoid_columns(c1 + 1.0, p, w, x, power))
+            if len(terms) > 2 and np.isinf(cols[-1].abs_err).all():  # the loop ran; the sum fails
+                n = cols[-1].value.size
+                return Columns(np.zeros(n), cols[-1].abs_err, cols[-1].points, np.zeros(n, bool))
+        got = cols.pop()  # summed from the smallest p up
+        for (weight, _, _), two in zip(terms[-2::-1], cols[::-1]):
             got = Columns(got.value + weight * two.value, got.abs_err + weight * two.abs_err,
                           got.points + two.points, got.converged & two.converged)
         return got
@@ -319,6 +339,8 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     many = isinstance(w, np.ndarray) and w.ndim > 0
     w = w if many else np.float64(w)  # a NumPy scalar gives inf or NaN where a float raises
     maximum, minimum, fmax, fmin = _ARRAY_OPS if many else _SCALAR_OPS
+    # the node pass's outer products; a batch's by einsum, faster than broadcasting
+    outer = (lambda a, b, out: np.einsum("i,j->ij", a[:, 0], b, out=out)) if many else np.multiply
     double_double = power == 0.0 and p < 0.0 and float(2.0 * p).is_integer()
 
     def window_end(d):  # where the tangent to G0 + P at d falls to -40
@@ -357,29 +379,34 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         nodes = j * h
         terms = np.empty((2, sub.size, j.size))
         g, g0 = terms[0], terms[1]
-        np.multiply(peak_c, np.exp(nodes), g)
+        outer(peak_c, np.exp(nodes), g)
         g += w_c
         g *= recip_c
         np.log(g, g)
         g *= p
-        np.multiply(peak_c, np.expm1(nodes), g0)
+        outer(peak_c, np.expm1(nodes), g0)
         np.subtract(c1 * nodes, g0, g0)
         g += g0
-        if sub.size > 1:  # outside its window, a column's terms add exact zeros
-            outside = (j < f[:, None]) | (j > l[:, None])
-            np.copyto(terms, floors[:, c, None], where=outside)
+        if sub.size > 1:  # outside its window (before the last start or after
+            # the first end), a column's terms add exact zeros
+            head, tail = np.searchsorted(j, (max(f.tolist()), min(l.tolist())), "right")
+            np.copyto(terms[..., :head], -np.inf, where=j[:head] < f[:, None])
+            np.copyto(terms[..., tail:], -np.inf, where=j[tail:] > l[:, None])
         np.exp(terms, terms)
-        # the sums (hi and lo, of each integrand) are laid out as in state
+        # the sums (hi and lo, of each integrand; as in state) from one product,
+        # whose exact sums do not depend on its order; level 0's of even nodes too
         parts = _split(terms, scales[:, c, None] if many else scales[:, None, None], bits)
-        sums = np.add.reduce(parts, axis=-1).reshape(4, -1)
+        weights = np.ones((j.size, 1 if k else 2))
+        weights[1 - int(j0 % 2)::2, 1:] = 0.0  # the odd nodes
+        sums = (parts.reshape(-1, j.size) @ weights).reshape(4, sub.size, -1)
         if k:
             used[c] = l - f + 1.0
-            state[:4, c] += sums
+            state[:4, c] += sums[..., 0]
             value = ratio(state[:4, c], c)
         else:
-            state[:4, c] = sums
-            state[4, c] = ratio(sums, c)
-            value = ratio(np.add.reduce(parts[..., int(j0 % 2)::2], axis=-1).reshape(4, -1), c)
+            state[:4, c] = sums[..., 0]
+            state[4, c] = ratio(sums[..., 0], c)
+            value = ratio(sums[..., 1], c)
         if sub.size < cols.size:
             out[sub] = value
             return out
@@ -422,19 +449,18 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         if not double_double:  # the levels' values are the ratios alone
             scale = 1.0
         elif x is None:
-            scale = _c_pow(recip, -p)
+            scale = _pows(recip, -p)
         else:
-            scale = (x * recip) * _c_pow(recip, -p - 1.0)
+            scale = (x * recip) * _pows(recip, -p - 1.0)
         # e^G peaks at 1, and e^G0 at e^top0 is scaled by unit below 2; the
         # split sums of both, in units of 1/bits and 1/bits^2, stay below
-        # 2^53 over all levels, and terms below e^-60 of that add zeros
+        # 2^53 over all levels
         unit = np.exp2(-np.floor(top0 / math.log(2.0)) - 1.0)
         bits = 2.0 ** (51 - _TRAP_NODE_MAX.bit_length())
         ratio_scale = scale * unit
-        # per column: the split scales and floors of both integrands, level
-        # 1's node count where it fits, their exact sums and level 1's value
+        # per column: the split scales of both integrands, level 1's node
+        # count where it fits, their exact sums and level 1's value
         scales = np.array([unit * 0.0 + bits, bits * unit])
-        floors = np.array([top0 * 0.0 - 60.0, top0 - 60.0])
         used = (np.where(fits, last - first + 1.0, 0.0).astype(int) if many
                 else np.array([int(last - first + 1.0) if fits else 0]))
         state = np.empty((5, used.size))

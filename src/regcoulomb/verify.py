@@ -36,18 +36,23 @@ Reports are deterministic: records are sorted canonically by
 (suite, q, x, y) regardless of evaluation order.
 
 Checks run an array at a time: a suite builds both sides of one inequality
-at every point of an order (or order pair) as NumPy arrays, and the
-collector judges the whole array at once, making records only for the
-failures (for every check under ``emit_checks``).  NumPy's ``+ - * /`` and
+at every point of an order (or order pair) as NumPy arrays.  The collector
+keeps the arrays of asserted checks and judges them together, 64 at a time
+and the rest when a result is read, making records only for the failures
+(for every check under ``emit_checks``).  NumPy's ``+ - * /`` and
 comparisons round as Python floats do, but its ``pow``, ``exp`` and ``log``
 need not, so those stay Python float operations, one entry at a time; the
-report is the one a per-check loop gives.
+report is the one a per-check loop gives.  :func:`run_suite` runs each suite
+under one ``errstate`` that silences floating-point warnings (a side that is
+not finite is an evaluation error), and the judging holds its own
+(:func:`_judged`), so a collector used outside a run does not warn either.
 
-Values come from one memo per run, read an order at a time; the misses go
-to one :func:`vq_many` or :func:`vq_prime_many` call.  A point the batch
-could not evaluate is tried once by the scalar :func:`vq` or
-:func:`vq_prime`, and the error that raises is memoised in its place and
-recorded by each check that needs the point.  Overflow is per point too: a
+Values come from one memo per run, ``(prime, q) -> {x: value}``, read an
+order at a time; the misses go to one :func:`vq_many` or
+:func:`vq_prime_many` call.  A point the batch could not evaluate is tried
+once by the scalar :func:`vq` or :func:`vq_prime`; the memo keeps NaN
+there, and ``(prime, q) -> {x: error}`` keeps the error it raised, which
+each check that needs the point records.  Overflow is per point too: a
 check whose side is not finite, though built from finite values, is an
 evaluation error at that check's (q, x), and the suite's other checks run.
 """
@@ -62,6 +67,7 @@ import numpy as np
 from .bounds import mills_bounds, vq_lower_exp, vq_lower_kratzel, vq_upper_agm
 from .errors import DomainError, NumericalError, UsageError
 from .potential import mills, vq, vq_many, vq_prime, vq_prime_many
+from .quadrature import _pows
 from .special import ln_gamma
 
 DEFAULT_REL_TOL = 1e-9
@@ -82,6 +88,8 @@ ODE_RESIDUAL_TOL = 1e-8
 _MILLS_X_MAX = 1e77
 #: weights alpha of the convexity suite's midpoint checks, H(x, y; alpha)
 _MIDPOINT_WEIGHTS = (0.3, 0.5)
+#: most arrays of checks the collector keeps before judging them together
+_FOLD_ARRAYS = 64
 
 DEFAULT_Q_VALUES = (-0.45, -0.25, 0.0, 0.3, 0.5, 1.0, 2.0, 3.5, 5.0)
 _DEFAULT_X_COUNT = 60
@@ -256,10 +264,7 @@ class ObservationRecord:
 
 
 def _record_key(rec) -> tuple:
-    def val(v):
-        return float("-inf") if v is None else v
-
-    return (rec.suite, val(rec.q), val(rec.x), val(rec.y))
+    return tuple(-math.inf if v is None else v for v in (rec.suite, rec.q, rec.x, rec.y))
 
 
 @dataclass(frozen=True)
@@ -305,59 +310,79 @@ class VerificationReport:
 
 class _Collector:
     """Accumulates check outcomes for one suite run.  Each call records a
-    whole array of checks of one label at one order."""
+    whole array of checks of one label at one order; the asserted ones are
+    judged and folded in together when a result is read."""
 
     def __init__(self, rel_tol: float, emit_checks: bool = False) -> None:
         self.rel_tol = rel_tol
         self.emit_checks = emit_checks
-        self.violations: list[ViolationRecord] = []
-        self.observations: list[ObservationRecord] = []
+        self._violations: list[ViolationRecord] = []
+        self._observations: list[ObservationRecord] = []
         self.errors: list[ObservationRecord] = []
         self.n_checks = 0
-        self.min_margin = math.inf
-        self.max_margin = -math.inf
+        self._min_margin = math.inf
+        self._max_margin = -math.inf
+        self._pending: list[tuple] = []  # the arguments of each _record call
 
-    def _record(
-        self,
-        label: str,
-        lhs: np.ndarray,
-        rhs: np.ndarray,
-        margin: np.ndarray,
-        ok: np.ndarray,
-        q: Optional[float],
-        x,
-        y,
-    ) -> None:
-        """Count an array of asserted checks, track their margins, and keep
+    violations = property(lambda self: self._folded()._violations)
+    observations = property(lambda self: self._folded()._observations)
+    min_margin = property(lambda self: self._folded()._min_margin)
+    max_margin = property(lambda self: self._folded()._max_margin)
+
+    def _record(self, label: str, lhs: np.ndarray, rhs: np.ndarray, margin: Optional[np.ndarray],
+                ok: Optional[np.ndarray], q: Optional[float], x, y) -> None:
+        """Count an array of asserted checks and keep it for :meth:`_folded`;
+        ``margin`` and ``ok`` are None for ``lhs < rhs`` under the tolerance policy."""
+        self.n_checks += lhs.size
+        self._pending.append((label, lhs, rhs, margin, ok, q, x, y))
+        if len(self._pending) == _FOLD_ARRAYS:
+            self._folded()
+
+    def _folded(self) -> _Collector:
+        """Judge the pending checks at once, track their margins, and keep
         the records of the failures (of every check under ``emit_checks``).
 
         The margins fold in as ``min``/``max`` over them in order would:
         NaN is skipped and the first of equal values is kept, which shows in
         the sign of a zero.
         """
-        self.n_checks += ok.size
+        pending, self._pending = self._pending, []
+        if not pending:
+            return self
+        margin, ok = _judged(*(np.concatenate([entry[k] for entry in pending]) for k in (1, 2)),
+                             self.rel_tol)
+        ends = np.cumsum([entry[1].size for entry in pending])
+        for entry, end in zip(pending, ends.tolist()):
+            if entry[3] is not None:
+                margin[end - entry[1].size:end], ok[end - entry[1].size:end] = entry[3:5]
         real = margin[~np.isnan(margin)]
         if real.size:  # argmin/argmax return the first extremum; fmin need not
             low, high = float(real[real.argmin()]), float(real[real.argmax()])
-            self.min_margin = low if low < self.min_margin else self.min_margin
-            self.max_margin = high if high > self.max_margin else self.max_margin
-        idx = np.arange(ok.size) if self.emit_checks else (~ok).nonzero()[0]
-        entries = zip(_items(x, idx), _items(y, idx), lhs[idx].tolist(),
-                      rhs[idx].tolist(), margin[idx].tolist(), ok[idx].tolist())
-        for xk, yk, lk, rk, mk, good in entries:
-            if not good:
-                self.violations.append(ViolationRecord(label, q, xk, yk, lk, rk, mk))
-            if self.emit_checks:
-                self.observations.append(ObservationRecord(
-                    label, q, xk, yk, lk, rk, "pass" if good else "VIOLATION"
-                ))
+            self._min_margin = low if low < self._min_margin else self._min_margin
+            self._max_margin = high if high > self._max_margin else self._max_margin
+        picked = np.arange(ok.size) if self.emit_checks else (~ok).nonzero()[0]
+        for k in np.unique(np.searchsorted(ends, picked, "right")).tolist():
+            label, lhs, rhs, _, _, q, x, y = pending[k]
+            cut = slice(ends[k] - lhs.size, ends[k])
+            idx = np.arange(lhs.size) if self.emit_checks else (~ok[cut]).nonzero()[0]
+            entries = zip(_items(x, idx), _items(y, idx), lhs[idx].tolist(),
+                          rhs[idx].tolist(), margin[cut][idx].tolist(), ok[cut][idx].tolist())
+            for xk, yk, lk, rk, mk, good in entries:
+                if not good:
+                    self._violations.append(ViolationRecord(label, q, xk, yk, lk, rk, mk))
+                if self.emit_checks:
+                    self._observations.append(ObservationRecord(
+                        label, q, xk, yk, lk, rk, "pass" if good else "VIOLATION"
+                    ))
+        return self
 
     def _finite(self, label: str, lhs, rhs, q: Optional[float], x, y) -> tuple:
         """``(finite, lhs, rhs, x, y)``: the mask of the entries at which lhs
         and rhs are finite, and the arrays at those entries.  Every suite
         builds its sides from finite values, so each other entry overflowed
         and is recorded as an evaluation error at (q, x)."""
-        lhs, rhs = np.broadcast_arrays(np.atleast_1d(lhs), np.atleast_1d(rhs))
+        if not (type(lhs) is type(rhs) is np.ndarray and lhs.ndim == 1 and lhs.shape == rhs.shape):
+            lhs, rhs = np.broadcast_arrays(np.atleast_1d(lhs), np.atleast_1d(rhs))
         finite = np.isfinite(lhs) & np.isfinite(rhs)
         if finite.all():
             return finite, lhs, rhs, x, y
@@ -368,25 +393,20 @@ class _Collector:
             ), q, xk)
         return finite, lhs[finite], rhs[finite], _at(x, finite), _at(y, finite)
 
-    def assert_less(
-        self, label: str, lhs, rhs, q: Optional[float] = None, x=None, y=None
-    ) -> None:
+    def assert_less(self, label: str, lhs, rhs, q: Optional[float] = None, x=None, y=None) -> None:
         """Assert lhs < rhs under the tolerance policy at each entry of the
         arrays (or scalars) ``lhs``/``rhs``, located by ``x`` and ``y``."""
         _, lhs, rhs, x, y = self._finite(label, lhs, rhs, q, x, y)
-        with np.errstate(over="ignore"):
-            self._record(label, lhs, rhs, rhs - lhs, _less(lhs, rhs, self.rel_tol), q, x, y)
+        self._record(label, lhs, rhs, None, None, q, x, y)
 
-    def assert_residual(
-        self, label: str, residual, cap: float, q: Optional[float] = None, x=None
-    ) -> None:
+    def assert_residual(self, label: str, residual, cap: float, q: Optional[float] = None,
+                        x=None) -> None:
         """Assert the non-strict residual bound |residual| <= cap."""
         _, size, cap, x, _ = self._finite(label, np.abs(residual), cap, q, x, None)
         self._record(label, size, cap, cap - size, size <= cap, q, x, None)
 
-    def observe_less(
-        self, label: str, lhs, rhs, q: Optional[float] = None, x=None, y=None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def observe_less(self, label: str, lhs, rhs, q: Optional[float] = None, x=None,
+                     y=None) -> tuple[np.ndarray, np.ndarray]:
         """Record non-asserted inequalities; returns the masks of the
         entries compared (finite on both sides) and of those that held."""
         checked, lhs, rhs, x, y = self._finite(label, lhs, rhs, q, x, y)
@@ -397,43 +417,38 @@ class _Collector:
         entries = zip(_items(x, idx), _items(y, idx), lhs[idx].tolist(),
                       rhs[idx].tolist(), ok[idx].tolist())
         for xk, yk, lk, rk, good in entries:
-            self.observations.append(ObservationRecord(
+            self._observations.append(ObservationRecord(
                 label, q, xk, yk, lk, rk, "holds" if good else "fails (not asserted)"
             ))
         return checked, held
 
     def note(self, label: str, note: str) -> None:
-        self.observations.append(ObservationRecord(label, None, None, None, None, None, note))
+        self._observations.append(ObservationRecord(label, None, None, None, None, None, note))
 
-    def record_error(
-        self, label: str, exc: Exception, q: Optional[float], x: Optional[float]
-    ) -> None:
-        self.errors.append(
-            ObservationRecord(
-                f"{label}[evaluation-error]", q, x, None, None, None, str(exc)
-            )
-        )
+    def record_error(self, label: str, exc: Exception, q: Optional[float],
+                     x: Optional[float]) -> None:
+        self.errors.append(ObservationRecord(
+            f"{label}[evaluation-error]", q, x, None, None, None, str(exc)))
 
     def report(self, suite: str, grid: Grid) -> VerificationReport:
         has = self.n_checks > 0
-        return VerificationReport(
-            suite=suite,
-            grid=grid,
-            rel_tol=self.rel_tol,
-            n_checks=self.n_checks,
-            violations=tuple(sorted(self.violations, key=_record_key)),
-            observations=tuple(sorted(self.observations, key=_record_key)),
-            errors=tuple(sorted(self.errors, key=_record_key)),
-            min_margin=self.min_margin if has else None,
-            max_margin=self.max_margin if has else None,
-        )
+        records = [tuple(sorted(r, key=_record_key))
+                   for r in (self.violations, self.observations, self.errors)]
+        return VerificationReport(suite, grid, self.rel_tol, self.n_checks, *records,
+                                  *((self.min_margin, self.max_margin) if has else (None, None)))
 
 
 def _less(lhs: np.ndarray, rhs: np.ndarray, rel_tol: float) -> np.ndarray:
     """:func:`strictly_less` at each entry.  ``fmax`` keeps the floor where
     rel_tol |rhs| is NaN, as ``max`` does; the verdict is False there anyway."""
+    return _judged(lhs, rhs, rel_tol)[1]
+
+
+def _judged(lhs: np.ndarray, rhs: np.ndarray, rel_tol: float) -> tuple:
+    """The margins ``rhs - lhs`` and the verdicts of :func:`_less`, under
+    one ``errstate``."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return lhs < rhs - np.fmax(ABS_TOL_FLOOR, rel_tol * np.abs(rhs))
+        return rhs - lhs, lhs < rhs - np.fmax(ABS_TOL_FLOOR, rel_tol * np.abs(rhs))
 
 
 def _items(value, idx: np.ndarray) -> list:
@@ -458,9 +473,8 @@ class _Evaluator:
         # (prime, q) -> {x: the error the scalar evaluation raised}
         self._errors: dict[tuple[bool, float], dict[float, Exception]] = {}
 
-    def values(
-        self, q: float, xs: Sequence[float], prime: bool = False
-    ) -> tuple[np.ndarray, dict[float, Exception]]:
+    def values(self, q: float, xs: Sequence[float],
+               prime: bool = False) -> tuple[np.ndarray, dict[float, Exception]]:
         """V_q (or V_q' if ``prime``) at every x of ``xs``, NaN where the
         evaluation failed, and the errors of the failing x by x.  Misses are
         evaluated in one batch; a point the batch could not evaluate is tried
@@ -470,16 +484,16 @@ class _Evaluator:
         todo = [x for x in dict.fromkeys(xs) if x not in memo]
         if todo:
             try:
-                got = (vq_prime_many if prime else vq_many)(q, todo).tolist()
+                got = (vq_prime_many if prime else vq_many)(q, todo)
             except DomainError:
-                got = [math.nan] * len(todo)
-            for x, value in zip(todo, got):
-                if math.isnan(value):
-                    value = _scalar(q, x, prime)
-                    if isinstance(value, Exception):
-                        errors[x], value = value, math.nan
-                memo[x] = value
-        return np.array([memo[x] for x in xs]), errors
+                got = np.full(len(todo), math.nan)
+            memo.update(zip(todo, got.tolist()))
+            for x in map(todo.__getitem__, np.isnan(got).nonzero()[0].tolist()):
+                try:
+                    memo[x] = vq_prime(q, x, "integral") if prime else vq(q, x).value
+                except (DomainError, NumericalError) as exc:
+                    errors[x] = exc
+        return np.fromiter(map(memo.__getitem__, xs), float, len(xs)), errors
 
     def rows(self, col: _Collector, label: str, q: float, xs: Sequence[float],
              *columns: tuple[float, bool]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -492,38 +506,20 @@ class _Evaluator:
         return x[ok], [v[ok] for v, _ in got]
 
 
-def _scalar(q: float, x: float, prime: bool) -> float | Exception:
-    try:
-        return vq_prime(q, x, "integral") if prime else vq(q, x).value
-    except (DomainError, NumericalError) as exc:
-        return exc
-
-
 def _evaluated(col: _Collector, label: str, q: float, at: np.ndarray,
-               columns: list[tuple[np.ndarray, dict, np.ndarray]]) -> np.ndarray:
-    """The mask of the entries at which every column evaluated.  A column
-    is ``(values, errors, points)``: its value at each entry (NaN where it
-    failed), its errors by point, and each entry's point.  At each other
-    entry the first failing column's error is recorded under ``label`` at
-    (q, at)."""
-    failed = np.logical_or.reduce([np.isnan(v) for v, _, _ in columns])
+               columns: list[tuple[np.ndarray, dict, np.ndarray]]) -> np.ndarray | slice:
+    """The index of the entries at which every column evaluated: a mask, or
+    ``slice(None)`` where all did.  A column is ``(values, errors, points)``:
+    its value at each entry (NaN where it failed), its errors by point, and
+    each entry's point.  At each other entry the first failing column's
+    error is recorded under ``label`` at (q, at)."""
+    failed = np.isnan([v for v, _, _ in columns]).any(axis=0)
+    if not failed.any():
+        return slice(None)
     for k in failed.nonzero()[0].tolist():
         error = next(errors[points[k]] for v, errors, points in columns if math.isnan(v[k]))
         col.record_error(label, error, q, float(at[k]))
     return ~failed
-
-
-def _pows(bases: np.ndarray, exponent: float) -> np.ndarray:
-    """``bases ** exponent`` in Python float arithmetic, entry by entry (NumPy's
-    pow can round differently), with inf where a power overflows."""
-    return np.array([_pow(base, exponent) for base in bases.tolist()])
-
-
-def _pow(base: float, exponent: float) -> float:
-    try:
-        return base ** exponent
-    except ArithmeticError:  # an overflow, or a zero to a negative power
-        return math.inf
 
 
 def _exp(value: float) -> float:
@@ -544,30 +540,24 @@ def _monotonicity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
         )
         x1, v1, vp1, w1 = x[:-1], v[:-1], vp[:-1], w[:-1]
         x2, v2, vp2, w2 = x[1:], v[1:], vp[1:], w[1:]
-        with np.errstate(over="ignore", invalid="ignore"):
+        col.assert_less(
+            "monotonicity:x-logslope-decreasing",
+            x2 * vp2 / v2, x1 * vp1 / v1, q, x1, x2,
+        )
+        col.assert_less(
+            "monotonicity:x2-slope-decreasing",
+            x2 * x2 * vp2, x1 * x1 * vp1, q, x1, x2,
+        )
+        if q >= 0.0:
+            col.assert_less("monotonicity:slope-over-x-increasing", vp1 / x1, vp2 / x2, q, x1, x2)
             col.assert_less(
-                "monotonicity:x-logslope-decreasing",
-                x2 * vp2 / v2, x1 * vp1 / v1, q, x1, x2,
+                "monotonicity:normalized-slope-increasing",
+                vp1 / (x1 * v1), vp2 / (x2 * v2), q, x1, x2,
             )
-            col.assert_less(
-                "monotonicity:x2-slope-decreasing",
-                x2 * x2 * vp2, x1 * x1 * vp1, q, x1, x2,
-            )
-            if q >= 0.0:
-                col.assert_less(
-                    "monotonicity:slope-over-x-increasing",
-                    vp1 / x1, vp2 / x2, q, x1, x2,
-                )
-                col.assert_less(
-                    "monotonicity:normalized-slope-increasing",
-                    vp1 / (x1 * v1), vp2 / (x2 * v2), q, x1, x2,
-                )
-            col.assert_less(
-                "monotonicity:order-ratio-increasing", w1 / v1, w2 / v2, q, x1, x2
-            )
-            col.assert_less(
-                "monotonicity:order-difference-increasing", w1 - v1, w2 - v2, q, x1, x2
-            )
+        col.assert_less("monotonicity:order-ratio-increasing", w1 / v1, w2 / v2, q, x1, x2)
+        col.assert_less(
+            "monotonicity:order-difference-increasing", w1 - v1, w2 - v2, q, x1, x2
+        )
 
 
 def _power_means(order: float, powered: np.ndarray, i: np.ndarray, j: np.ndarray,
@@ -576,19 +566,22 @@ def _power_means(order: float, powered: np.ndarray, i: np.ndarray, j: np.ndarray
     ``powered`` = u ** order (log u at order 0, the geometric mean); inf
     where a power overflows.  Powers, logs and exponentials stay Python
     float operations (NumPy's can round differently)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mixed = alpha * powered[i] + (1.0 - alpha) * powered[j]
+    mixed = alpha * powered[i] + (1.0 - alpha) * powered[j]
     if order == 0.0:
         return np.array([_exp(m) for m in mixed.tolist()])
     # an overflowed sum stays inf, though inf ** (1/order) is 0 for order < 0
     return np.where(np.isfinite(mixed), _pows(mixed, 1.0 / order), np.inf)
 
 
-def _powered(order: float, members: np.ndarray) -> np.ndarray:
-    """The members' powers (logs at order 0) that :func:`_power_means` takes."""
+def _midpoint_means(order: float, members: np.ndarray, i: np.ndarray,
+                    j: np.ndarray) -> list[np.ndarray]:
+    """:func:`_power_means` of the members at each midpoint weight, from their
+    powers (logs at order 0)."""
     if order == 0.0:
-        return np.array([math.log(m) for m in members.tolist()])
-    return _pows(members, order)
+        powered = np.array([math.log(m) for m in members.tolist()])
+    else:
+        powered = _pows(members, order)
+    return [_power_means(order, powered, i, j, alpha) for alpha in _MIDPOINT_WEIGHTS]
 
 
 def _convexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
@@ -596,61 +589,55 @@ def _convexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     pair_x = np.array(grid.pair_x_values())
     i, j = np.triu_indices(pair_x.size, 1)
     x1, x2 = pair_x[i], pair_x[j]
-    specs = []
-    for spec in default_convexity_specs():
-        powered = _powered(spec.a, pair_x)
-        means = [_power_means(spec.a, powered, i, j, alpha) for alpha in _MIDPOINT_WEIGHTS]
-        specs.append((spec, _pows(grid_x, 1.0 - spec.a), means))
+    specs = [(spec, f"a={spec.a:g},b={spec.b:g},{spec.direction}")
+             for spec in default_convexity_specs()]
+    # x^(1-a) and the argument means depend on the spec only through a
+    by_order = {a: (_pows(grid_x, 1.0 - a), _midpoint_means(a, pair_x, i, j))
+                for a in dict.fromkeys(spec.a for spec, _ in specs)}
     for q in grid.q_values:
-        admitted = [entry for entry in specs if entry[0].admits(q)]
+        admitted = [(spec, tag) for spec, tag in specs if spec.admits(q)]
         if not admitted:
             continue
-        # one batch for the argument means of every admitted spec.  V is not
-        # evaluated at a mean that overflowed: inf stands in for it, so its
-        # check records an evaluation error
-        all_means = [t for *_, spec_means in admitted for t in spec_means]
-        means = np.concatenate(all_means)
+        # one batch for the argument means of every admitted order a.  V is
+        # not evaluated at a mean that overflowed: inf stands in for it, so
+        # its check records an evaluation error
+        orders = list(dict.fromkeys(spec.a for spec, _ in admitted))
+        means = np.array([by_order[a][1] for a in orders])
         finite = np.isfinite(means)
         got, errors = ev.values(q, pair_x.tolist() + means[finite].tolist())
         v_pair = got[:pair_x.size]
-        v_means = np.full(means.size, math.inf)
+        v1, v2 = v_pair[i], v_pair[j]
+        v_means = np.full(means.shape, math.inf)
         v_means[finite] = got[pair_x.size:]
-        v_means = iter(np.split(v_means, len(all_means)))
-        monitor_columns = [ev.values(q, grid.x_values, True), ev.values(q, grid.x_values)]
-        (vp, _), (v, _) = monitor_columns
+        v_means = dict(zip(orders, v_means))
+        monitor_columns = [(*ev.values(q, grid.x_values, p), grid_x) for p in (True, False)]
+        (vp, _, _), (v, _, _) = monitor_columns
         evaluated = ~(np.isnan(vp) | np.isnan(v))
         x, vp, v = grid_x[evaluated], vp[evaluated], v[evaluated]
-        # V^(b-1) and the value means depend on the spec only through b
-        powers: dict[float, np.ndarray] = {}
-        value_means: dict[tuple[float, float], np.ndarray] = {}
-        for spec, x_power, arg_means in admitted:
+        by_value: dict = {}  # V^(b-1) and the value means depend on the spec only through b
+        for spec, tag in admitted:
             a, b, convex = spec.a, spec.b, spec.direction == "convex"
-            tag = f"a={a:g},b={b:g},{spec.direction}"
+            x_power, arg_means = by_order[a]
 
             # (i) monitor route: M(x) = x^{1-a} V'(x) V(x)^{b-1}, increasing
             # exactly when V_q is (a, b)-convex
             label = f"convexity:monitor[{tag}]"
-            _evaluated(col, label, q, grid_x, [(c, e, grid_x) for c, e in monitor_columns])
-            if b not in powers:
-                powers[b] = _pows(v, b - 1.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                monitor = x_power[evaluated] * vp * powers[b]
+            evaluated = _evaluated(col, label, q, grid_x, monitor_columns)
+            if b not in by_value:
+                by_value[b] = (_pows(v, b - 1.0), _midpoint_means(b, v_pair, i, j))
+            v_power, value_means = by_value[b]
+            monitor = x_power[evaluated] * vp * v_power
             lhs, rhs = (monitor[:-1], monitor[1:]) if convex else (monitor[1:], monitor[:-1])
             col.assert_less(label, lhs, rhs, q, x[:-1], x[1:])
 
             # (ii) midpoint route: compare V at the argument mean with the
             # value mean, strictly, for distinct pair members
-            for alpha, t in zip(_MIDPOINT_WEIGHTS, arg_means):
-                v_at_mean = next(v_means)
+            for alpha, t, v_at_mean, mean_of_v in zip(_MIDPOINT_WEIGHTS, arg_means, v_means[a],
+                                                      value_means):
                 label = f"convexity:midpoint[{tag},alpha={alpha:g}]"
                 ok = _evaluated(col, label, q, x1, [
-                    (v_at_mean, errors, t), (v_pair[i], errors, x1), (v_pair[j], errors, x2)
+                    (v_at_mean, errors, t), (v1, errors, x1), (v2, errors, x2)
                 ])
-                if (b, alpha) not in value_means:
-                    value_means[(b, alpha)] = _power_means(
-                        b, _powered(b, v_pair), i, j, alpha
-                    )
-                mean_of_v = value_means[(b, alpha)]
                 lhs, rhs = (v_at_mean, mean_of_v) if convex else (mean_of_v, v_at_mean)
                 col.assert_less(label, lhs[ok], rhs[ok], q, x1[ok], x2[ok])
 
@@ -667,28 +654,24 @@ def _three_orders(q: float) -> tuple[tuple[float, bool], ...]:
 def _turan_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     for q in grid.q_values:
         x, (v0, v1, v2) = ev.rows(col, "turan", q, grid.x_values, *_three_orders(q))
-        with np.errstate(over="ignore", invalid="ignore"):
-            prod = v0 * v2
-            col.assert_less("turan:upper", v1 * v1, (q + 2.0) / (q + 1.0) * prod, q, x)
-            col.assert_less("turan:improved-upper", v1 * v1, prod, q, x)
-            if q > -0.5:
-                col.assert_less("turan:lower", _turan_constant(q) * prod, v1 * v1, q, x)
-            col.assert_less(
-                "turan:order-bound", (2.0 * q + 1.0) * v0, 2.0 * (q + 1.0) * v1, q, x
-            )
-            col.assert_less(
-                "turan:shifted-lower",
-                -v0 * v1, (q + 1.0) * v1 * v1 - (q + 2.0) * prod, q, x,
-            )
+        prod = v0 * v2
+        col.assert_less("turan:upper", v1 * v1, (q + 2.0) / (q + 1.0) * prod, q, x)
+        col.assert_less("turan:improved-upper", v1 * v1, prod, q, x)
+        if q > -0.5:
+            col.assert_less("turan:lower", _turan_constant(q) * prod, v1 * v1, q, x)
+        col.assert_less("turan:order-bound", (2.0 * q + 1.0) * v0, 2.0 * (q + 1.0) * v1, q, x)
+        col.assert_less(
+            "turan:shifted-lower",
+            -v0 * v1, (q + 1.0) * v1 * v1 - (q + 2.0) * prod, q, x,
+        )
 
     # sharpness of the lower constant as x -> 0, at fixed representative
     # orders: the ratio approaches the constant like x^{min(2q+1, 2)}
     label = "turan:lower-sharpness-limit"
     for q in SHARPNESS_Q:
         x, (v0, v1, v2) = ev.rows(col, label, q, (SHARPNESS_X,), *_three_orders(q))
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio = v1 * v1 / (v0 * v2)
-            col.assert_residual(label, ratio - _turan_constant(q), SHARPNESS_TOL, q, x)
+        ratio = v1 * v1 / (v0 * v2)
+        col.assert_residual(label, ratio - _turan_constant(q), SHARPNESS_TOL, q, x)
 
 
 def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
@@ -702,12 +685,9 @@ def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
             orders = ((q1, False), (q2, False), (mid, False))
             x, (g1, g2, gm) = ev.rows(col, "logconvexity", q1, xs, *orders)
             w1, w2, wm = (_exp(ln_gamma(q + 1.0)) for q in (q1, q2, mid))
-            with np.errstate(over="ignore", invalid="ignore"):
-                f1, f2, fm = w1 * g1, w2 * g2, wm * gm
-                col.assert_less(
-                    "logconvexity:gamma-weighted-midpoint", fm * fm, f1 * f2, q1, x, q2
-                )
-                checked, held = col.observe_less(label, gm * gm, g1 * g2, q1, x, q2)
+            f1, f2, fm = w1 * g1, w2 * g2, wm * gm
+            col.assert_less("logconvexity:gamma-weighted-midpoint", fm * fm, f1 * f2, q1, x, q2)
+            checked, held = col.observe_less(label, gm * gm, g1 * g2, q1, x, q2)
             at = np.searchsorted(xs, x)
             open_total[at] += checked
             open_held[at] += held
@@ -726,22 +706,19 @@ def _simon_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     for q in grid.q_values:
         x, (v0, v1, v2) = ev.rows(col, "simon", q, grid.x_values, *_three_orders(q))
         # x^2 underflows to 0 below about 1e-162: such sides are not finite
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            gap = v0 * v2 - v1 * v1
-            col.assert_less("simon:product-gap-bound", gap, v1 * v2 / x, q, x)
-            col.assert_less(
-                "simon:product-gap-bound-quadratic", gap, v1 * v2 / (x * x), q, x
-            )
-            col.assert_less("simon:two-sided-upper", v1 * v1 - v0 * v2, 0.0, q, x)
+        gap = v0 * v2 - v1 * v1
+        col.assert_less("simon:product-gap-bound", gap, v1 * v2 / x, q, x)
+        col.assert_less("simon:product-gap-bound-quadratic", gap, v1 * v2 / (x * x), q, x)
+        col.assert_less("simon:two-sided-upper", v1 * v1 - v0 * v2, 0.0, q, x)
 
-            # product-ratio forms: both exponent variants fail numerically
-            # for x beyond roughly 2.26, so they are observed, not asserted
-            for label, exponent in ((printed, -2.0 * (q + 3.0)), (rederived, -(2.0 * q + 7.0))):
-                checked, held = col.observe_less(
-                    label, v0 * v2, v1 * v1 * (1.0 + _pows(x, exponent) * v2), q, x
-                )
-                tallies[label][0] += int(checked.sum())
-                tallies[label][1] += int((checked & ~held).sum())
+        # product-ratio forms: both exponent variants fail numerically
+        # for x beyond roughly 2.26, so they are observed, not asserted
+        for label, exponent in ((printed, -2.0 * (q + 3.0)), (rederived, -(2.0 * q + 7.0))):
+            checked, held = col.observe_less(
+                label, v0 * v2, v1 * v1 * (1.0 + _pows(x, exponent) * v2), q, x
+            )
+            tallies[label][0] += int(checked.sum())
+            tallies[label][1] += int((checked & ~held).sum())
     for label, form in ((printed, "x^(-2(q+3))"), (rederived, "x^(-2q-7)")):
         total, failed = tallies[label]
         col.note(
@@ -757,29 +734,24 @@ def _bounds_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
     # order-indexed bounds and envelopes
     for q in grid.q_values:
         x, (v,) = ev.rows(col, "bounds", q, grid.x_values, (q, False))
-        with np.errstate(over="ignore", invalid="ignore"):
-            if q >= 0.0:
-                xr, (vr, v_prev) = ev.rows(
-                    col, "bounds:order-ratio", q, x.tolist(), (q, False), (q - 1.0, False)
-                )
-                xsq2 = 2.0 * xr * xr
-                col.assert_less(
-                    "bounds:order-ratio-lower", xsq2 / (xsq2 + 1.0), vr / v_prev, q, xr
-                )
-                col.assert_less("bounds:order-decreasing", vr, v_prev, q, xr)
-
-            envelopes = [("bounds:envelope-lower-exp", vq_lower_exp, True)]
-            if q > -0.75:
-                envelopes.append(("bounds:envelope-upper-agm", vq_upper_agm, False))
-            envelopes.append(("bounds:envelope-lower-kratzel", vq_lower_kratzel, True))
-            got = _envelopes(col, q, x, [fn for _, fn, _ in envelopes])
-            for (label, _, lower), (bound, ok) in zip(envelopes, got):
-                lhs, rhs = (bound, v) if lower else (v, bound)
-                col.assert_less(label, lhs[ok], rhs[ok], q, x[ok])
-
-            col.assert_less(
-                "bounds:x-vq-increasing", x[:-1] * v[:-1], x[1:] * v[1:], q, x[:-1], x[1:]
+        if q >= 0.0:
+            xr, (vr, v_prev) = ev.rows(
+                col, "bounds:order-ratio", q, x.tolist(), (q, False), (q - 1.0, False)
             )
+            xsq2 = 2.0 * xr * xr
+            col.assert_less("bounds:order-ratio-lower", xsq2 / (xsq2 + 1.0), vr / v_prev, q, xr)
+            col.assert_less("bounds:order-decreasing", vr, v_prev, q, xr)
+
+        envelopes = [("bounds:envelope-lower-exp", vq_lower_exp, True)]
+        if q > -0.75:
+            envelopes.append(("bounds:envelope-upper-agm", vq_upper_agm, False))
+        envelopes.append(("bounds:envelope-lower-kratzel", vq_lower_kratzel, True))
+        got = _envelopes(col, q, x, [fn for _, fn, _ in envelopes])
+        for (label, _, lower), (bound, ok) in zip(envelopes, got):
+            lhs, rhs = (bound, v) if lower else (v, bound)
+            col.assert_less(label, lhs[ok], rhs[ok], q, x[ok])
+
+        col.assert_less("bounds:x-vq-increasing", x[:-1] * v[:-1], x[1:] * v[1:], q, x[:-1], x[1:])
 
 
 def _envelopes(col: _Collector, q: float, xs: np.ndarray, fns: list) -> list[tuple]:
@@ -905,8 +877,9 @@ def run_suite(config: VerifyConfig) -> VerificationReport:
     ev = _Evaluator()
     col = _Collector(config.rel_tol, config.emit_checks)
     for suite in selected:
-        try:
-            _SUITE_IMPLS[suite](grid, col, ev)
+        try:  # a side that overflows is an evaluation error, recorded by the collector
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                _SUITE_IMPLS[suite](grid, col, ev)
         except ArithmeticError as exc:  # e.g. float overflow at extreme q or x
             col.record_error(suite, exc, None, None)
 

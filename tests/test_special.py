@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regcoulomb.quadrature as quadrature
 import regcoulomb.special as special
 from regcoulomb import vq, vq_lower_kratzel, vq_via_psi
 from regcoulomb.errors import DivergenceError, DomainError, NumericalError
@@ -472,6 +473,38 @@ class TestPsiHardPoints:
         want = _psi_quad_mpmath(a, c, x, 30)
         with mp.workdps(30):
             assert abs(mp.mpf(got.value) - want) <= got.abs_err_est, (got, want)
+
+    @pytest.mark.parametrize("a, c, x", [(0.3, 2000.0, 10.0), (0.5, 1200.0, 500.0)])
+    def test_a_lift_stops_at_its_first_failing_term(self, monkeypatch, a, c, x):
+        # c1 = a and p = c - a - 1 lift through about c columns, and those of
+        # largest p cannot be evaluated: the lift takes them first and stops
+        calls = []
+        column = quadrature.trapezoid_columns
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return column(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "trapezoid_columns", counted)
+        monkeypatch.setattr(special, "trapezoid_columns", counted)
+        with pytest.raises(NumericalError):
+            psi_eval(a, c, x)
+        assert len(calls) == 2
+        assert calls[1][:2] == (a + 1.0, c - a - 2.0)  # the term of largest p
+
+    @pytest.mark.parametrize("w", [0.7, np.array([0.05, 0.7, 3.0, 40.0])])
+    def test_a_lift_sums_its_terms_from_the_smallest_p_up(self, w):
+        # w^-1.5 I(0.3, 2.5; w) from the columns I(1.3, p) at p = 1.5, 0.5
+        # and -0.5 (weight c1 = 0.3, a power of w more at each step down), at
+        # p = -1.5 (weight 1/2) and the base p = -0.5, summed base first
+        got = quadrature.trapezoid_columns(0.3, 2.5, w, power=-1.5)
+        col = [quadrature.trapezoid_columns(1.3, p, w, power=power) for p, power
+               in ((1.5, -1.5), (0.5, -0.5), (-0.5, 0.5), (-1.5, 1.5), (-0.5, 1.5))]
+        want = col[4].value + 0.5 * col[3].value
+        for k in (2, 1, 0):
+            want = want + 0.3 * col[k].value
+        assert got.value.tolist() == want.tolist()
+        assert got.converged.all()
 
     def test_a_term_whose_gamma_quotient_is_out_of_range_is_not_dropped(self):
         # 1/Gamma(173.87) is 0 in doubles: the expansion's first term,

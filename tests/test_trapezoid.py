@@ -112,6 +112,24 @@ class TestBatchIndependence:
                 one = trapezoid_columns(2.4, p, x * x, None if factor is None else x, power)
                 assert _columns(one) == [_columns(batch, i)], (p, i)
 
+    @pytest.mark.parametrize("c1, p, times_x", [
+        (2.6, -0.5, False),          # V_q
+        (2.6, -1.5, True),           # V_q', with the factor x
+        (0.35, -0.5, False),         # lifted, p < 0
+    ])
+    def test_one_chunk_of_the_most_different_windows(self, c1, p, times_x):
+        # one chunk of COLUMN_CHUNK columns whose windows and node rows differ
+        # as much as they can: the exact sums of each column do not depend on
+        # the others, whichever order the sums take.  (The lifted order's
+        # second column, I(1.35, -1.5), is unusable below w = 1e-50.)
+        ws = np.geomspace(1e-250, 1e250, COLUMN_CHUNK)
+        xs = np.sqrt(ws)
+        batch = trapezoid_columns(c1, p, ws, xs if times_x else None)
+        assert batch.converged[ws > 1e-50].all()
+        for i, (x, w) in enumerate(zip(xs.tolist(), ws.tolist())):
+            one = trapezoid_columns(c1, p, w, x if times_x else None)
+            assert _columns(one) == [_columns(batch, i)], (i, w)
+
     @pytest.mark.parametrize("w", [0.0, 1e320])
     def test_unusable_columns_alone_and_in_a_batch(self, w):
         # c1 + p <= 0 diverges at w = 0; 1e320 is beyond the double range

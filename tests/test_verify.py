@@ -2,6 +2,7 @@
 specifications, suite runs, report shape, and the self-test fixture."""
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,70 @@ class TestArrayCollector:
         assert col.n_checks == 1 and not col.violations
         assert [(e.suite, e.q, e.x) for e in col.errors] == [
             ("t[evaluation-error]", 0.5, x) for x in (2.0, 3.0, 4.0)]
+
+
+    def test_a_scalar_side(self):
+        # simon's two-sided upper bound compares an array with the float 0.0
+        lhs = np.array([-1.0, 0.5, -2e-12, -0.0])
+        col = verify_mod._Collector(DEFAULT_REL_TOL)
+        col.assert_less("t", lhs, 0.0, 0.5, np.array([1.0, 2.0, 3.0, 4.0]))
+        verdicts = [verify_mod.strictly_less(v, 0.0) for v in lhs.tolist()]
+        assert col.n_checks == 4
+        assert (col.min_margin, col.max_margin) == (-0.5, 1.0)
+        assert [(v.x, v.lhs, v.rhs) for v in col.violations] == [
+            (x, v, 0.0) for x, v, good in zip((1.0, 2.0, 3.0, 4.0), lhs.tolist(), verdicts)
+            if not good]
+
+    @pytest.mark.parametrize("margin, low, high", [
+        ([1.0, math.nan, 0.5], 0.5, 1.0),
+        ([math.nan, -0.0, 0.0, 2.0], -0.0, 2.0),      # argmin stops at the NaN
+        ([math.nan, math.nan], math.inf, -math.inf),  # nothing to fold
+    ])
+    def test_all_pass_arrays_with_nan_margins(self, margin, low, high):
+        col = verify_mod._Collector(DEFAULT_REL_TOL)
+        margin = np.array(margin)
+        ok = np.ones(margin.size, dtype=bool)
+        x = np.arange(margin.size, dtype=float)
+        col._record("t", margin, margin, margin, ok, 0.5, x, None)
+        assert col.n_checks == margin.size and not col.violations
+        assert (repr(col.min_margin), repr(col.max_margin)) == (repr(low), repr(high))
+
+    def test_arrays_that_finite_empties(self):
+        col = verify_mod._Collector(DEFAULT_REL_TOL)
+        x = np.array([1.0, 2.0])
+        col.assert_less("t", np.array([math.inf, math.nan]), np.array([1.0, 2.0]), 0.5, x)
+        checked, held = col.observe_less("u", np.array([1.0, -math.inf]),
+                                         np.array([math.nan, 1.0]), 0.5, x, x)
+        assert checked.tolist() == held.tolist() == [False, False]
+        assert col.n_checks == 0 and not col.violations and not col.observations
+        assert (col.min_margin, col.max_margin) == (math.inf, -math.inf)
+        assert [(e.suite, e.x) for e in col.errors] == [
+            ("t[evaluation-error]", 1.0), ("t[evaluation-error]", 2.0),
+            ("u[evaluation-error]", 1.0), ("u[evaluation-error]", 2.0)]
+
+    def test_no_warning_outside_run_suite(self):
+        # margins and guard bands that overflow, and sides that are not finite
+        lhs, rhs = np.array([-1e308, 1.0, 1e308]), np.array([1e308, 2.0, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            col = verify_mod._Collector(DEFAULT_REL_TOL)
+            col.assert_less("t", lhs, rhs, 0.5, np.array([1.0, 2.0, 3.0]))
+            col.observe_less("u", lhs, rhs, 0.5, np.array([1.0, 2.0, 3.0]))
+            ok = verify_mod._less(np.array([math.inf, math.nan, 1.0]),
+                                  np.array([math.inf, 1.0, 1.7e308]), DEFAULT_REL_TOL)
+            assert col.n_checks == 3 and col.max_margin == math.inf  # judged here
+            assert [v.x for v in col.violations] == [3.0]
+        assert ok.tolist() == [False, False, True]
+
+    def test_single_point_report_echoes_every_check(self):
+        # emit_checks, as the CLI sets it at one (q, x): one observation per
+        # asserted check, with the verdict of the tolerance policy
+        report = run_suite(VerifyConfig(grid=Grid((1.0,), (2.0,)), emit_checks=True))
+        echoed = [o for o in report.observations if o.note in ("pass", "VIOLATION")]
+        assert report.passed and report.n_checks == len(echoed) > 20
+        for o in echoed:
+            if "residual" not in o.suite and "sharpness" not in o.suite:
+                assert (o.note == "pass") == verify_mod.strictly_less(o.lhs, o.rhs), o
 
 
 # ---------------------------------------------------------------------------
