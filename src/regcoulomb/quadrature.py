@@ -11,17 +11,16 @@ in ``v = log t``, for ``c1 > 0``, real ``p`` and ``w >= 0``: V_q and V_q'
 are ``I(q+1, -1/2; x^2)`` and ``x I(q+1, -3/2; x^2)``, the Tricomi function
 is ``psi(a, c, w) = w^(1-c) I(a, c-a-1; w)`` (DLMF 13.4.4).  The branch
 point of ``(w + t)^p`` at ``t = -w`` lies at ``Im v = pi`` for every ``w``,
-so one rule serves every argument.  It and the Kraetzel integral
-(``special._kratzel_quadrature``) run on one escalation loop,
-:func:`escalate_columns`, over many integrands ("columns", e.g. one per
-abscissa) at once, at most :data:`COLUMN_CHUNK` in flight.  A scalar call
-is one column of the same rule, not a second implementation: the same
-set-up and node pass on NumPy scalars, its bookkeeping in Python floats,
-which round as the arrays do.  It costs little more than its one node pass
-and gives the bits of the same column in any batch: a node pass sums
-integer parts whose sums are exact (:func:`_split`), so any order of
-summation gives the same bits, and the chunk's sums come from one matrix
-product (BLAS's order and threading included).
+so one rule serves every argument.  It evaluates many integrands
+("columns", e.g. one per abscissa) at once, at most :data:`COLUMN_CHUNK`
+in flight, and its first node pass decides: it gives levels 0 and 1, and
+only the columns that disagree enter :func:`escalate_columns`, the one
+escalation loop, which the Kraetzel integral (``special._kratzel_quadrature``)
+runs on too.  A scalar call is one column of the same rule, not a second
+implementation: its set-up and node pass on NumPy scalars, its agreement
+test and assembly in Python floats, which round as the arrays do.  It gives
+the bits of the same column in any batch: a node pass sums integer parts
+whose sums are exact (:func:`_split`), in any order, BLAS's included.
 """
 from __future__ import annotations
 
@@ -47,6 +46,8 @@ _TRAP_NODE_MAX = 1280
 _TRAP_TOL = 1e-11
 # Veltkamp's constant 2^27 + 1: splits a double into halves with exact products
 _SPLIT = 134217729.0
+# a node pass's weights, from an even node on: every node, and the even ones
+_WEIGHTS = np.tile([[1.0, 1.0], [1.0, 0.0]], (_TRAP_NODE_MAX + 2, 1))
 
 
 class Columns(NamedTuple):
@@ -89,12 +90,12 @@ def escalate_columns(level: Callable[[int, np.ndarray], np.ndarray], n_cols: int
 
     ``level(n, cols)`` returns the values at ladder entry ``n`` (a level
     number) of the columns ``cols`` (an index array into ``range(n_cols)``),
-    under the caller's ``np.errstate(all="ignore")``.  A column leaves the
-    active set at the first level that agrees with the previous one to
-    ``rel_tol``; one that never agrees reports its closest pair of
-    consecutive levels (or its last level when none was finite) with
-    ``converged`` false.  A single column compares in Python floats, and
-    returns at its first agreement.
+    under the caller's ``np.errstate(all="ignore")``; it may hand back values
+    its caller already has (the trapezoid rule seeds each column with the
+    level-0/1 pair of its first pass).  A column leaves the active set at the
+    first level that agrees with the previous one to ``rel_tol``; one that
+    never agrees reports its closest pair of consecutive levels (or its last
+    level when none was finite) with ``converged`` false.
     """
     out = Columns(np.empty(n_cols), np.empty(n_cols), np.empty(n_cols, dtype=int),
                   np.zeros(n_cols, dtype=bool))
@@ -104,25 +105,14 @@ def escalate_columns(level: Callable[[int, np.ndarray], np.ndarray], n_cols: int
         tried = []  # (active, values, differences) of each later level
         for n in node_counts[1:]:
             val = level(n, active)
-            if n_cols == 1:  # in Python floats, which round as the arrays do
-                size = abs(val.tolist()[0])
-                diff = abs(val.tolist()[0] - prev.tolist()[0]) / max(size, _TINY)
-                if diff <= rel_tol:
-                    return Columns(val, np.array([diff * size + _EPS * size]),
-                                   np.array([n]), np.array([True]))
             size = np.abs(val)
             diff = np.abs(val - prev) / np.maximum(size, _TINY)
             tried.append((active, val, diff))
             done = diff <= rel_tol
-            flags = done.tolist()
-            if all(flags):
-                out.accept(active, val, diff, size, n)
-                active = active[:0]
+            out.accept(active[done], val[done], diff[done], size[done], n)
+            active, prev = active[~done], val[~done]
+            if not active.size:
                 break
-            if any(flags):
-                out.accept(active[done], val[done], diff[done], size[done], n)
-                active, val = active[~done], val[~done]
-            prev = val
         if active.size:
             out.settle(active, prev, tried, node_counts[-1])
     return out
@@ -276,10 +266,11 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     function ``w^(1-c) I(a, c-a-1; w)`` does not overflow where ``I`` would.
     Orders ``c1 <= 1/2`` are lifted by relations with positive terms: while
     ``p >= 0``, ``I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)``, a loop of
-    about ``p`` columns, and then ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)``;
-    where the loop runs, a term whose every column fails (those of largest
-    ``p`` fail first, and are evaluated first) ends the call, 0 and
-    unconverged with an infinite estimate.
+    about ``p`` columns, and then ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)``.
+    A column of a term that fails (unconverged, with no finite estimate)
+    fails the sum: 0, unconverged, with an infinite estimate.  Where the loop
+    runs, a term whose every column fails (those of largest ``p`` fail first,
+    and are evaluated first) ends the call with that result.
 
     The log integrand has one peak ``t*``, the positive root of
     ``t^2 - b t - c1 w`` with ``b = c1 + p - w``; it is concave for ``p < 0``
@@ -299,16 +290,20 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     nodes ``d = j h``, level 0 takes the step of :func:`_trapezoid_step` at
     ``_TRAP_TOL / 100`` for the growth ``(cos b)^-(c1 + |p|)`` in a strip
     ``|Im d| < b`` (in log space, where ``|p|`` reaches the hundreds, for the
-    largest peak, ``max(c1, t*)``), so that levels 0 and 1 agree.  Each level
-    halves the step and adds the odd nodes; level 0 is summed from level 1's
-    nodes.  A column stops, unconverged, before a level of more than
-    ``_TRAP_NODE_MAX`` nodes.  Columns share the node rows; outside its
-    window a column's terms add exact zeros to its exact sums (:func:`_split`),
-    so its bits do not depend on its batch, except in log space with ``p > 0``
-    (the columns share the largest peak's step).  One column runs the same
+    largest peak, ``max(c1, t*)``), so that levels 0 and 1 agree.  The first
+    pass decides: it sums level 1's nodes, and level 0's from their even ones,
+    and a column whose two levels agree is done.  Only the others enter
+    :func:`escalate_columns`, seeded with that pair, where each level halves
+    the step and adds the odd nodes.  A column stops, unconverged, before a
+    level of more than ``_TRAP_NODE_MAX`` nodes.  Columns share the node rows;
+    outside its window a column's terms add exact zeros to its exact sums
+    (:func:`_split`), so its bits do not depend on its batch, except in log
+    space with ``p > 0`` (the columns share the largest peak's step).  One
+    column (a float, a NumPy scalar or a one-element array) runs the same
     steps on NumPy scalars (whose ``exp`` and ``log`` round as the arrays' do,
-    unlike ``math``'s), with maxima and minima by comparison and bookkeeping
-    in Python floats.
+    unlike ``math``'s), with maxima and minima by comparison, and its
+    agreement test and double-double value in Python floats; where it
+    escalates, or in log space, it goes on as a batch of one.
 
     The error estimate is the last level difference plus ``eps`` times the
     value, times the node count plus ``10 sqrt(c1)`` (the cancellation in
@@ -330,13 +325,17 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
             if len(terms) > 2 and np.isinf(cols[-1].abs_err).all():  # the loop ran; the sum fails
                 n = cols[-1].value.size
                 return Columns(np.zeros(n), cols[-1].abs_err, cols[-1].points, np.zeros(n, bool))
+        failed = np.any([~col.converged & ~np.isfinite(col.abs_err) for col in cols], axis=0)
         got = cols.pop()  # summed from the smallest p up
         for (weight, _, _), two in zip(terms[-2::-1], cols[::-1]):
             got = Columns(got.value + weight * two.value, got.abs_err + weight * two.abs_err,
                           got.points + two.points, got.converged & two.converged)
-        return got
+        return Columns(np.where(failed, 0.0, got.value), np.where(failed, np.inf, got.abs_err),
+                       got.points, got.converged)
 
-    many = isinstance(w, np.ndarray) and w.ndim > 0
+    if isinstance(w, np.ndarray) and w.size == 1:  # one column, as for a float
+        w, x = w.item(), x if x is None else np.ravel(x)[0]
+    many = isinstance(w, np.ndarray)
     w = w if many else np.float64(w)  # a NumPy scalar gives inf or NaN where a float raises
     maximum, minimum, fmax, fmin = _ARRAY_OPS if many else _SCALAR_OPS
     # the node pass's outer products; a batch's by einsum, faster than broadcasting
@@ -349,35 +348,18 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         slope = c1 - t * (1.0 - p / (w + t))
         return d - (_TRAP_DROP + g) / minimum(slope, c1)
 
-    def ratio(sums, c):  # r^-p M / M0 from the exact sums of the columns c
-        if many:
-            return ratio_scale[c] * ((sums[0] + sums[2] / bits) / (sums[1] + sums[3] / bits))
-        m_hi, g_hi, m_lo, g_lo = sums.ravel().tolist()  # NumPy's division, in a scalar
-        return np.array([ratio_scale * (np.float64(m_hi + m_lo / bits) / (g_hi + g_lo / bits))])
+    def ratio(m_hi, g_hi, m_lo, g_lo, scale):  # r^-p M / M0 from the exact sums
+        return scale * ((m_hi + m_lo / bits) / (g_hi + g_lo / bits))
 
-    def level(k: int, cols: np.ndarray) -> np.ndarray:
-        if k == 1:  # level 0 summed its nodes, and kept its value
-            return state[4, cols]
-        h = step * 0.5 ** max(k, 1)
-        f, l = (first, last) if k == 0 else (np.ceil(lo / h), np.floor(hi / h))
-        fit = fits if k == 0 else ok & (l - f < _TRAP_NODE_MAX)
-        if many:  # a contiguous run of columns is indexed by a slice, which is faster
-            c = slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] + 1 == cols.size else cols
-            f, l, fit = f[c], l[c], fit[c]
-            sub = fit.nonzero()[0]
-        else:  # one column takes its scalars as they are
-            c, sub = slice(0, 1), cols[:bool(fit)]
-        if sub.size < cols.size:
-            out = np.full(cols.size, np.nan)
-            if not sub.size:
-                return out
-            c, f, l = cols[sub], f[sub], l[sub]
+    def node_pass(k: int, c, f, l):
+        # the exact sums (M's hi, M0's hi, M's lo, M0's lo) of the columns c over level k's
+        # new nodes f to l: at level 1 all, and level 0's even ones; later, the odd ones
+        h = step * 0.5 ** k
         j0, j1 = (min(f.tolist()), max(l.tolist()) + 1.0) if many else (float(f), float(l) + 1.0)
         peak_c, recip_c, w_c = (v[c, None] for v in (peak, recip, w)) if many else (peak, recip, w)
-        # the odd nodes at later levels; all of level 1's at level 0
-        j = np.arange(j0 + (j0 % 2 == 0), j1, 2.0) if k else np.arange(j0, j1)
+        j = np.arange(j0, j1) if k == 1 else np.arange(j0 + (j0 % 2 == 0), j1, 2.0)
         nodes = j * h
-        terms = np.empty((2, sub.size, j.size))
+        terms = np.empty((2, f.size, j.size))
         g, g0 = terms[0], terms[1]
         outer(peak_c, np.exp(nodes), g)
         g += w_c
@@ -387,30 +369,32 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         outer(peak_c, np.expm1(nodes), g0)
         np.subtract(c1 * nodes, g0, g0)
         g += g0
-        if sub.size > 1:  # outside its window (before the last start or after
+        if f.size > 1:  # outside its window (before the last start or after
             # the first end), a column's terms add exact zeros
             head, tail = np.searchsorted(j, (max(f.tolist()), min(l.tolist())), "right")
             np.copyto(terms[..., :head], -np.inf, where=j[:head] < f[:, None])
             np.copyto(terms[..., tail:], -np.inf, where=j[tail:] > l[:, None])
         np.exp(terms, terms)
-        # the sums (hi and lo, of each integrand; as in state) from one product,
-        # whose exact sums do not depend on its order; level 0's of even nodes too
+        # one product, whose exact sums do not depend on its order
         parts = _split(terms, scales[:, c, None] if many else scales[:, None, None], bits)
-        weights = np.ones((j.size, 1 if k else 2))
-        weights[1 - int(j0 % 2)::2, 1:] = 0.0  # the odd nodes
-        sums = (parts.reshape(-1, j.size) @ weights).reshape(4, sub.size, -1)
-        if k:
+        sums = parts.reshape(-1, j.size) @ _WEIGHTS[int(j0 % 2):][:j.size, :2 if k == 1 else 1]
+        return sums.reshape(4, f.size, -1) if many else sums.T.tolist()  # one column's as floats
+
+    def level(k: int, cols: np.ndarray) -> np.ndarray:
+        # the columns bad[cols]: levels 0 and 1 from the first pass, later ones add odd nodes
+        c = bad[cols]
+        if k < 2:
+            return (level0, value)[k][c]
+        h = step * 0.5 ** k
+        f, l = np.ceil(lo[c] / h), np.floor(hi[c] / h)
+        sub = (ok[c] & (l - f < _TRAP_NODE_MAX)).nonzero()[0]
+        out = np.full(cols.size, np.nan)
+        if sub.size:
+            c, f, l = c[sub], f[sub], l[sub]
             used[c] = l - f + 1.0
-            state[:4, c] += sums[..., 0]
-            value = ratio(state[:4, c], c)
-        else:
-            state[:4, c] = sums[..., 0]
-            state[4, c] = ratio(sums[..., 0], c)
-            value = ratio(sums[..., 1], c)
-        if sub.size < cols.size:
-            out[sub] = value
-            return out
-        return value
+            sums[:, c, 0] += node_pass(k, c, f, l)[..., 0]
+            out[sub] = ratio(*sums[:, c, 0], ratio_scale[c])
+        return out
 
     with np.errstate(all="ignore"):
         # the positive root; b - s or b + s would cancel, so the root of
@@ -458,42 +442,59 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         unit = np.exp2(-np.floor(top0 / math.log(2.0)) - 1.0)
         bits = 2.0 ** (51 - _TRAP_NODE_MAX.bit_length())
         ratio_scale = scale * unit
-        # per column: the split scales of both integrands, level 1's node
-        # count where it fits, their exact sums and level 1's value
+        # the split scales of both integrands; level 1's node count where it fits
         scales = np.array([unit * 0.0 + bits, bits * unit])
         used = (np.where(fits, last - first + 1.0, 0.0).astype(int) if many
                 else np.array([int(last - first + 1.0) if fits else 0]))
-        state = np.empty((5, used.size))
-        state.fill(np.nan)
-        got = escalate_columns(level, used.size, tuple(range(_TRAP_NODE_MAX.bit_length() + 1)),
-                               _TRAP_TOL)
-        if double_double and not many:  # in Python floats, which round as the arrays do
-            done = bool(ok and got.converged[0])
-            value = float(got.value[0]) if ok else 0.0
-            if done:
-                m_hi, g_hi, m_lo, g_lo = state[:4, 0].tolist()
-                u = float(unit)
-                value = _dd_value((m_hi * u, m_lo * u / bits), (g_hi, g_lo / bits), float(recip),
-                                  None if x is None else float(x), p, math.sqrt)
+        # the first pass decides: level 1's nodes, whose even ones are level
+        # 0's, and the columns whose two levels agree are done
+        if many:
+            sums = np.full((4, used.size, 2), np.nan)
+            fit = fits.nonzero()[0]
+            for start in range(0, fit.size, COLUMN_CHUNK):
+                c = fit[start:start + COLUMN_CHUNK]
+                sums[:, c] = node_pass(1, c, first[c], last[c])
+            value, level0 = ratio(*sums, ratio_scale[:, None]).T
+        else:  # in Python floats, which round as the arrays do
+            one, zero = node_pass(1, None, first, last) if fits else ([np.nan] * 4,) * 2
+            value, level0 = (ratio(*half, float(ratio_scale)) for half in (one, zero))
+        size = abs(value)
+        diff = abs(value - level0) / maximum(size, _TINY)
+        done, err = diff <= _TRAP_TOL, diff * size + _EPS * size
+        if not (many or done):  # a column that escalates does so as a batch of one
+            many, scales, sums = True, scales[:, None], np.array([one, zero]).T.reshape(4, 1, 2)
+            peak, recip, w, lo, hi, ok, ratio_scale, value, level0, done, err = (
+                np.reshape(v, 1) for v in (peak, recip, w, lo, hi, ok, ratio_scale, value, level0,
+                                           done, err))
+        if many:  # only the columns that disagree escalate, from their level-0/1 pair
+            bad = (~done).nonzero()[0]
+            if bad.size:
+                got = escalate_columns(level, bad.size,
+                                       tuple(range(_TRAP_NODE_MAX.bit_length() + 1)), _TRAP_TOL)
+                value[bad], err[bad], done[bad] = got.value, got.abs_err, got.converged
+            done &= ok
+        elif double_double:  # converged; the value in Python floats
+            m_hi, g_hi, m_lo, g_lo = one
+            u = float(unit)
+            value = _dd_value((m_hi * u, m_lo * u / bits), (g_hi, g_lo / bits), float(recip),
+                              None if x is None else float(x), p, math.sqrt)
             rounding = _EPS * (used.tolist()[0] + 10.0 * math.sqrt(c1))
-            abs_err = float(got.abs_err[0]) + rounding * value if ok else math.inf
-            return Columns(np.array([value]), np.array([abs_err]), used, np.array([done]))
-        done = got.converged & ok
-        if not double_double:  # log space; one column in NumPy scalars
-            val, err, n = (v if many else v[0] for v in (got.value, got.abs_err, used))
+            return Columns(np.array([value]), np.array([err + rounding * value]), used,
+                           np.array([True]))
+        if not double_double:  # log space (one converged column on NumPy scalars)
             # w^power r^-p = e^((power + p) log w - p log(w r)), w r = hi + lo
             hi, lo = _two_prod(w, recip)
-            terms = ((power + p) * np.log(w), -p * (np.log(hi) + lo / hi), np.log(val))
-            value = np.exp(terms[0] + terms[1] + terms[2])
+            terms = ((power + p) * np.log(w), -p * (np.log(hi) + lo / hi), np.log(value))
+            exact = np.exp(terms[0] + terms[1] + terms[2])
             size = abs(terms[0]) + abs(terms[1]) + abs(terms[2])
-            rounding = _EPS * (n + 10.0 * math.sqrt(c1)) + _EPS * (4.0 * abs(p) + 2.0 * size)
-            keep = ok & (value > 0.0)
-            value = np.where(keep, value, 0.0)
-            abs_err = np.where(keep, value * (err / val + rounding), np.inf)
-            return Columns(value.reshape(-1), abs_err.reshape(-1), used, done)
+            rounding = _EPS * (used + 10.0 * math.sqrt(c1)) + _EPS * (4.0 * abs(p) + 2.0 * size)
+            keep = ok & (exact > 0.0)
+            err = np.where(keep, exact * (np.divide(err, value) + rounding), np.inf)
+            return Columns(np.where(keep, exact, 0.0).reshape(-1), err, used, np.reshape(done, -1))
         rounding = _EPS * (used + 10.0 * math.sqrt(c1))
-        exact = _dd_value((state[0] * unit, state[2] * unit / bits), (state[1], state[3] / bits),
-                          recip, x, p, np.sqrt)
-    value = np.where(done, exact, np.where(ok, got.value, 0.0))
-    abs_err = np.where(ok, got.abs_err + rounding * value, np.inf)
+        m_hi, g_hi, m_lo, g_lo = sums[..., 0]
+        exact = _dd_value((m_hi * unit, m_lo * unit / bits), (g_hi, g_lo / bits), recip, x, p,
+                          np.sqrt)
+    value = np.where(done, exact, np.where(ok, value, 0.0))
+    abs_err = np.where(ok, err + rounding * value, np.inf)
     return Columns(value, abs_err, used, done)

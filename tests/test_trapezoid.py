@@ -152,6 +152,83 @@ class TestBatchIndependence:
             batch = trapezoid_columns(c1, p, ws)
             assert [_columns(trapezoid_columns(c1, p, w))[0] for w in ws.tolist()] == _columns(batch)
 
+    @pytest.mark.parametrize("w", [1e-120, 1e-60, 1e-250])
+    def test_a_lifted_sum_with_a_failed_term_fails(self, w):
+        # I(0.35, -0.5) = I(1.35, -0.5) + 0.5 I(1.35, -1.5), whose second term
+        # cannot be evaluated here (NaN at 1e-120 and 1e-60, 0 and inf at
+        # 1e-250): the sum is 0, unconverged, with an infinite estimate
+        failed = ("0x0.0p+0", "inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = trapezoid_columns(0.35, -0.5, np.array([w, 1.0, w]))
+            for one in (trapezoid_columns(0.35, -0.5, w),
+                        trapezoid_columns(0.35, -0.5, np.float64(w))):
+                assert _columns(one)[0][:2] == failed and not one.converged[0]
+                assert _columns(batch, 0) == _columns(batch, 2) == _columns(one)[0]
+        assert _columns(batch, 1) == _columns(trapezoid_columns(0.35, -0.5, 1.0))[0]
+        assert batch.converged[1]
+
+    def test_a_forced_quadrature_call_at_a_failed_lift_is_a_numerical_error(self):
+        with pytest.raises(NumericalError) as raised:
+            potential.vq_quadrature(-0.65, 1e-60)
+        assert "nan" not in str(raised.value)
+
+    @pytest.mark.parametrize("c1, p, power, times_x", [
+        (3.7, -0.5, 0.0, False),     # double-double, V_q
+        (3.7, -1.5, 0.0, True),      # with the factor x, V_q'
+        (4.2, -11.5, 7.3, False),    # log space
+        (0.3, -0.5, 0.0, False),     # lifted
+    ])
+    def test_a_one_element_array_takes_the_one_column_path(self, monkeypatch, c1, p, power,
+                                                           times_x):
+        xs = np.exp(np.random.default_rng(9).uniform(-6.0, 4.0, 12))
+        batch = [_columns(trapezoid_columns(c1, p, x * x, x if times_x else None, power))
+                 for x in xs.tolist()]
+        monkeypatch.setattr(quadrature, "_ARRAY_OPS", None)  # a batch's set-up fails
+        for x, want in zip(xs, batch):
+            got = trapezoid_columns(c1, p, np.array([x * x]), np.array([x]) if times_x else None,
+                                    power)
+            assert _columns(got) == want, x
+        q = c1 - 1.0
+        assert vq_many(q, xs[:1]).tolist() == [vq(q, xs[0]).value]
+
+
+class TestFirstPass:
+    """The first node pass decides: it gives levels 0 and 1, and only the
+    columns that disagree enter the escalation loop."""
+
+    def test_one_pass_per_chunk_of_converging_columns(self, monkeypatch):
+        passes, split = [], quadrature._split
+
+        def refuse(*args):
+            raise AssertionError("a converging column escalated")
+
+        monkeypatch.setattr(quadrature, "_split", lambda *args: passes.append(1) or split(*args))
+        monkeypatch.setattr(quadrature, "escalate_columns", refuse)
+        assert trapezoid_columns(3.7, -0.5, 2.0).converged[0] and len(passes) == 1
+        xs = np.exp(np.random.default_rng(8).uniform(-3.0, 3.0, 2 * COLUMN_CHUNK + 2))
+        passes.clear()
+        assert trapezoid_columns(3.7, -0.5, xs * xs).converged.all() and len(passes) == 3
+
+    def test_only_the_columns_that_disagree_escalate(self, monkeypatch):
+        # a step at the edge of agreement: some columns settle at the first
+        # pass, and a batch escalates just those that escalate alone
+        sizes, escalate = [], quadrature.escalate_columns
+
+        def logged(level, n_cols, *args):
+            sizes.append(n_cols)
+            return escalate(level, n_cols, *args)
+
+        monkeypatch.setattr(quadrature, "escalate_columns", logged)
+        monkeypatch.setattr(quadrature, "_trapezoid_step", lambda c, tol: 0.32)
+        xs = np.exp(np.random.default_rng(10).uniform(-6.0, 4.0, 30))
+        batch = trapezoid_columns(2.4, -0.5, xs * xs)
+        assert batch.converged.all() and len(sizes) == 1 and 0 < sizes[0] < xs.size
+        escalated, sizes[:] = sizes[0], []
+        for i, x in enumerate(xs.tolist()):
+            assert _columns(trapezoid_columns(2.4, -0.5, x * x)) == [_columns(batch, i)], x
+        assert sizes == [1] * escalated
+
 
 class TestScalarIsABatchOfOne:
     @pytest.mark.parametrize("q", [-0.95, -0.5, -0.2, 0.7, 3.3, 11.0, 250.0])

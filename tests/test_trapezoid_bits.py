@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import regcoulomb.quadrature as quadrature
 from regcoulomb.quadrature import trapezoid_columns
 
 DATA = Path(__file__).parent / "data" / "trapezoid_bits.json"
@@ -88,6 +89,26 @@ def test_tricomi_columns_reproduce_the_pinned_bits(pinned):
         for row in rows:
             w = np.float64(float.fromhex(row[0]))
             assert [w.hex()] + _record(_tricomi(a, c, w)) == row, (a, c, w)
+
+
+def test_unconverged_columns_climb_the_whole_ladder(pinned, monkeypatch):
+    # the first pass settles only the columns that converge; an unconverged
+    # one still enters the escalation loop and runs up to its last level
+    levels, escalate = [], quadrature.escalate_columns
+
+    def logged(level, *args):
+        return escalate(lambda k, cols: levels.append(k) or level(k, cols), *args)
+
+    monkeypatch.setattr(quadrature, "escalate_columns", logged)
+    unconverged = [(float.fromhex(q_hex), row, prime)
+                   for key, prime in (("v", False), ("v_prime", True))
+                   for q_hex, rows in pinned[key] for row in rows if not row[4]]
+    assert len(unconverged) == 10
+    for q, row, prime in unconverged:
+        levels.clear()
+        x = np.float64(float.fromhex(row[0]))
+        assert [x.hex()] + _record(_laplace(q, x, prime)) == row, (q, x)
+        assert max(levels) == quadrature._TRAP_NODE_MAX.bit_length(), (q, x)
 
 
 if __name__ == "__main__":
