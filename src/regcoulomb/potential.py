@@ -219,9 +219,9 @@ def _accepted(got: Columns) -> np.ndarray:
 def vq_quadrature(q: float, x: float) -> EvalResult:
     """V_q(x) by quadrature of int_0^inf e^-t t^q (x^2+t)^{-1/2} dt / Gamma(q+1).
 
-    A peak-centred trapezoid rule in log t (:func:`trapezoid_columns`)
-    halves its step until two levels agree to 1e-11 relative, within 1,280
-    nodes; the call is :func:`vq_many`'s quadrature path for one point.
+    A peak-centred trapezoid rule in log t (:func:`trapezoid_columns`),
+    whose step is chosen so that two levels agree to 1e-11 relative, within
+    1,280 nodes; the call is :func:`vq_many`'s quadrature path for one point.
     """
     qv = _order_value(q)
     x = _check_x(x, positive=True)

@@ -1,7 +1,7 @@
 """The quadrature rule behind every integral of the library: a trapezoid
 rule in a log variable, centred on the peak of a log-concave (or unimodal)
-integrand, with step halving (Trefethen & Weideman, "The exponentially
-convergent trapezoidal rule", SIAM Review 56, 2014).
+integrand (Trefethen & Weideman, "The exponentially convergent trapezoidal
+rule", SIAM Review 56, 2014).
 
 :func:`trapezoid_columns` evaluates the Laguerre-type family
 
@@ -13,35 +13,36 @@ is ``psi(a, c, w) = w^(1-c) I(a, c-a-1; w)`` (DLMF 13.4.4).  The branch
 point of ``(w + t)^p`` at ``t = -w`` lies at ``Im v = pi`` for every ``w``,
 so one rule serves every argument.  It evaluates many integrands
 ("columns", e.g. one per abscissa) at once, at most :data:`COLUMN_CHUNK`
-in flight, and its first node pass decides: it gives levels 0 and 1, and
-only the columns that disagree enter :func:`escalate_columns`, the one
-escalation loop, which the Kraetzel integral (``special._kratzel_quadrature``)
-runs on too.  A scalar call is one column of the same rule, not a second
-implementation: its set-up and node pass on NumPy scalars, its agreement
-test and assembly in Python floats, which round as the arrays do.  It gives
-the bits of the same column in any batch: a node pass sums integer parts
-whose sums are exact (:func:`_split`), in any order, BLAS's included.
+in one node pass, and that pass is final: it gives levels 0 and 1, a
+column whose two levels agree is done, and any other comes back
+unconverged.  (Only the Kraetzel integral, ``special._kratzel_quadrature``,
+halves its step further, in a loop of its own.)  A scalar call is one
+column of the same rule, not a second implementation: its set-up and node
+pass on NumPy scalars, its agreement test and assembly in Python floats,
+which round as the arrays do.  It gives the bits of the same column in any
+batch: a node pass sums integer parts whose sums are exact (:func:`_split`),
+in any order, BLAS's included.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
-#: most columns one pass of the escalation loop evaluates at once
+#: most columns one node pass evaluates at once
 COLUMN_CHUNK = 64
 
 # trapezoid rule: the window reaches to where the log integrand has fallen
 # this far below its peak, searched from this many peak widths out
 _TRAP_DROP = 40.0
 _TRAP_REACH = 9.0
-# a column stops, unconverged, before a level that would take more nodes than
-# this, and accepts a level that agrees with the previous one to _TRAP_TOL
+# a column is unconverged where level 1 would take more nodes than this, and
+# done where levels 0 and 1 agree to _TRAP_TOL
 _TRAP_NODE_MAX = 1280
 _TRAP_TOL = 1e-11
 # Veltkamp's constant 2^27 + 1: splits a double into halves with exact products
@@ -51,71 +52,14 @@ _WEIGHTS = np.tile([[1.0, 1.0], [1.0, 0.0]], (_TRAP_NODE_MAX + 2, 1))
 
 
 class Columns(NamedTuple):
-    """Results of a many-column escalating quadrature run, one entry per
-    column: the value, its error estimate, the node count of the accepted
-    level (the last level when unconverged), and whether it converged."""
+    """Results of a many-column quadrature run, one entry per column: the
+    value, its error estimate, the node count of level 1 (0 where the column
+    was not evaluated), and whether it converged."""
 
     value: np.ndarray
     abs_err: np.ndarray
     points: np.ndarray
     converged: np.ndarray
-
-    def accept(self, cols, val, diff, size, n: int) -> None:
-        """The columns ``cols`` converged at the ``n``-node level ``val``,
-        which differs from the previous level by ``diff`` relative."""
-        self.value[cols] = val
-        self.abs_err[cols] = diff * size + _EPS * size
-        self.points[cols] = n
-        self.converged[cols] = True
-
-    def settle(self, cols, last, tried, n: int) -> None:
-        """The columns ``cols`` never converged, and ended at the ``n``-node
-        level ``last``: each takes its first closest pair of consecutive
-        levels among ``tried``, or ``last`` (error inf) when no difference
-        was finite."""
-        self.points[cols] = n
-        best, best_diff = np.full(cols.size, np.nan), np.full(cols.size, np.inf)
-        for level_cols, val, diff in tried:
-            at = np.searchsorted(level_cols, cols)
-            better = diff[at] < best_diff
-            best[better], best_diff[better] = val[at][better], diff[at][better]
-        finite = np.isfinite(best)
-        self.value[cols] = np.where(finite, best, last)
-        self.abs_err[cols] = np.where(finite, best_diff, np.inf) * np.abs(self.value[cols])
-
-
-def escalate_columns(level: Callable[[int, np.ndarray], np.ndarray], n_cols: int,
-                     node_counts: tuple[int, ...], rel_tol: float) -> Columns:
-    """The escalation loop of every trapezoid sum.
-
-    ``level(n, cols)`` returns the values at ladder entry ``n`` (a level
-    number) of the columns ``cols`` (an index array into ``range(n_cols)``),
-    under the caller's ``np.errstate(all="ignore")``; it may hand back values
-    its caller already has (the trapezoid rule seeds each column with the
-    level-0/1 pair of its first pass).  A column leaves the active set at the
-    first level that agrees with the previous one to ``rel_tol``; one that
-    never agrees reports its closest pair of consecutive levels (or its last
-    level when none was finite) with ``converged`` false.
-    """
-    out = Columns(np.empty(n_cols), np.empty(n_cols), np.empty(n_cols, dtype=int),
-                  np.zeros(n_cols, dtype=bool))
-    for start in range(0, n_cols, COLUMN_CHUNK):
-        active = np.arange(start, min(start + COLUMN_CHUNK, n_cols))
-        prev = level(node_counts[0], active)
-        tried = []  # (active, values, differences) of each later level
-        for n in node_counts[1:]:
-            val = level(n, active)
-            size = np.abs(val)
-            diff = np.abs(val - prev) / np.maximum(size, _TINY)
-            tried.append((active, val, diff))
-            done = diff <= rel_tol
-            out.accept(active[done], val[done], diff[done], size[done], n)
-            active, prev = active[~done], val[~done]
-            if not active.size:
-                break
-        if active.size:
-            out.settle(active, prev, tried, node_counts[-1])
-    return out
 
 
 # perfbench/tracer.py wraps or reads these names when it installs (ROADMAP
@@ -290,28 +234,27 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     nodes ``d = j h``, level 0 takes the step of :func:`_trapezoid_step` at
     ``_TRAP_TOL / 100`` for the growth ``(cos b)^-(c1 + |p|)`` in a strip
     ``|Im d| < b`` (in log space, where ``|p|`` reaches the hundreds, for the
-    largest peak, ``max(c1, t*)``), so that levels 0 and 1 agree.  The first
-    pass decides: it sums level 1's nodes, and level 0's from their even ones,
-    and a column whose two levels agree is done.  Only the others enter
-    :func:`escalate_columns`, seeded with that pair, where each level halves
-    the step and adds the odd nodes.  A column stops, unconverged, before a
-    level of more than ``_TRAP_NODE_MAX`` nodes.  Columns share the node rows;
-    outside its window a column's terms add exact zeros to its exact sums
+    largest peak, ``max(c1, t*)``), so that levels 0 and 1 agree.  One node
+    pass is final: it sums level 1's nodes, and level 0's from their even
+    ones; a column whose two levels agree is done, and any other comes back
+    unconverged with level 1's value.  Columns share the node rows; outside
+    its window a column's terms add exact zeros to its exact sums
     (:func:`_split`), so its bits do not depend on its batch, except in log
     space with ``p > 0`` (the columns share the largest peak's step).  One
     column (a float, a NumPy scalar or a one-element array) runs the same
     steps on NumPy scalars (whose ``exp`` and ``log`` round as the arrays' do,
     unlike ``math``'s), with maxima and minima by comparison, and its
-    agreement test and double-double value in Python floats; where it
-    escalates, or in log space, it goes on as a batch of one.
+    agreement test and double-double value in Python floats.
 
-    The error estimate is the last level difference plus ``eps`` times the
-    value, times the node count plus ``10 sqrt(c1)`` (the cancellation in
-    ``G0``); in log space plus ``4 |p|`` ulps (the rounding of ``P``) and
-    twice each term of the exponent of ``w^power r^-p``.  A column whose peak
-    or window is not finite (``w`` beyond 1e300, a divergent integral), or
-    whose log-space value is not positive, comes back 0 with an infinite
-    estimate, unconverged, so that it cannot pass for a value in a sum.
+    The error estimate is the difference of levels 0 and 1 plus ``eps``
+    times the value, times the node count plus ``10 sqrt(c1)`` (the
+    cancellation in ``G0``); in log space plus ``4 |p|`` ulps (the rounding
+    of ``P``) and twice each term of the exponent of ``w^power r^-p``.  A
+    column whose peak or window is not finite (``w`` beyond 1e300, a
+    divergent integral), whose level 1 would take more than
+    ``_TRAP_NODE_MAX`` nodes, or whose log-space value is not positive,
+    comes back 0 with an infinite estimate, unconverged, so that it cannot
+    pass for a value in a sum.
     """
     if c1 <= 0.5:  # lift the order: terms that are all positive
         terms = []  # I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1) while p >= 0
@@ -351,14 +294,13 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     def ratio(m_hi, g_hi, m_lo, g_lo, scale):  # r^-p M / M0 from the exact sums
         return scale * ((m_hi + m_lo / bits) / (g_hi + g_lo / bits))
 
-    def node_pass(k: int, c, f, l):
-        # the exact sums (M's hi, M0's hi, M's lo, M0's lo) of the columns c over level k's
-        # new nodes f to l: at level 1 all, and level 0's even ones; later, the odd ones
-        h = step * 0.5 ** k
+    def node_pass(c, f, l):
+        # the exact sums (M's hi, M0's hi, M's lo, M0's lo) of the columns c over level 1's
+        # nodes f to l, and over level 0's, their even ones
         j0, j1 = (min(f.tolist()), max(l.tolist()) + 1.0) if many else (float(f), float(l) + 1.0)
         peak_c, recip_c, w_c = (v[c, None] for v in (peak, recip, w)) if many else (peak, recip, w)
-        j = np.arange(j0, j1) if k == 1 else np.arange(j0 + (j0 % 2 == 0), j1, 2.0)
-        nodes = j * h
+        j = np.arange(j0, j1)
+        nodes = j * (0.5 * step)
         terms = np.empty((2, f.size, j.size))
         g, g0 = terms[0], terms[1]
         outer(peak_c, np.exp(nodes), g)
@@ -377,24 +319,8 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         np.exp(terms, terms)
         # one product, whose exact sums do not depend on its order
         parts = _split(terms, scales[:, c, None] if many else scales[:, None, None], bits)
-        sums = parts.reshape(-1, j.size) @ _WEIGHTS[int(j0 % 2):][:j.size, :2 if k == 1 else 1]
-        return sums.reshape(4, f.size, -1) if many else sums.T.tolist()  # one column's as floats
-
-    def level(k: int, cols: np.ndarray) -> np.ndarray:
-        # the columns bad[cols]: levels 0 and 1 from the first pass, later ones add odd nodes
-        c = bad[cols]
-        if k < 2:
-            return (level0, value)[k][c]
-        h = step * 0.5 ** k
-        f, l = np.ceil(lo[c] / h), np.floor(hi[c] / h)
-        sub = (ok[c] & (l - f < _TRAP_NODE_MAX)).nonzero()[0]
-        out = np.full(cols.size, np.nan)
-        if sub.size:
-            c, f, l = c[sub], f[sub], l[sub]
-            used[c] = l - f + 1.0
-            sums[:, c, 0] += node_pass(k, c, f, l)[..., 0]
-            out[sub] = ratio(*sums[:, c, 0], ratio_scale[c])
-        return out
+        sums = parts.reshape(-1, j.size) @ _WEIGHTS[int(j0 % 2):][:j.size]
+        return sums.reshape(4, f.size, 2) if many else sums.T.tolist()  # one column's as floats
 
     with np.errstate(all="ignore"):
         # the positive root; b - s or b + s would cancel, so the root of
@@ -438,7 +364,8 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
             scale = (x * recip) * _pows(recip, -p - 1.0)
         # e^G peaks at 1, and e^G0 at e^top0 is scaled by unit below 2; the
         # split sums of both, in units of 1/bits and 1/bits^2, stay below
-        # 2^53 over all levels
+        # 2^53 for up to 2^11 nodes, more than level 1 takes.  bits fixes
+        # where the split rounds each term: any other bits would move every value
         unit = np.exp2(-np.floor(top0 / math.log(2.0)) - 1.0)
         bits = 2.0 ** (51 - _TRAP_NODE_MAX.bit_length())
         ratio_scale = scale * unit
@@ -446,55 +373,46 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         scales = np.array([unit * 0.0 + bits, bits * unit])
         used = (np.where(fits, last - first + 1.0, 0.0).astype(int) if many
                 else np.array([int(last - first + 1.0) if fits else 0]))
-        # the first pass decides: level 1's nodes, whose even ones are level
-        # 0's, and the columns whose two levels agree are done
+        # one node pass is final: level 1's nodes, whose even ones are level
+        # 0's; the columns whose two levels agree are done
         if many:
             sums = np.full((4, used.size, 2), np.nan)
             fit = fits.nonzero()[0]
             for start in range(0, fit.size, COLUMN_CHUNK):
                 c = fit[start:start + COLUMN_CHUNK]
-                sums[:, c] = node_pass(1, c, first[c], last[c])
+                sums[:, c] = node_pass(c, first[c], last[c])
             value, level0 = ratio(*sums, ratio_scale[:, None]).T
         else:  # in Python floats, which round as the arrays do
-            one, zero = node_pass(1, None, first, last) if fits else ([np.nan] * 4,) * 2
+            one, zero = node_pass(None, first, last) if fits else ([np.nan] * 4,) * 2
             value, level0 = (ratio(*half, float(ratio_scale)) for half in (one, zero))
         size = abs(value)
         diff = abs(value - level0) / maximum(size, _TINY)
         done, err = diff <= _TRAP_TOL, diff * size + _EPS * size
-        if not (many or done):  # a column that escalates does so as a batch of one
-            many, scales, sums = True, scales[:, None], np.array([one, zero]).T.reshape(4, 1, 2)
-            peak, recip, w, lo, hi, ok, ratio_scale, value, level0, done, err = (
-                np.reshape(v, 1) for v in (peak, recip, w, lo, hi, ok, ratio_scale, value, level0,
-                                           done, err))
-        if many:  # only the columns that disagree escalate, from their level-0/1 pair
-            bad = (~done).nonzero()[0]
-            if bad.size:
-                got = escalate_columns(level, bad.size,
-                                       tuple(range(_TRAP_NODE_MAX.bit_length() + 1)), _TRAP_TOL)
-                value[bad], err[bad], done[bad] = got.value, got.abs_err, got.converged
-            done &= ok
-        elif double_double:  # converged; the value in Python floats
-            m_hi, g_hi, m_lo, g_lo = one
-            u = float(unit)
-            value = _dd_value((m_hi * u, m_lo * u / bits), (g_hi, g_lo / bits), float(recip),
-                              None if x is None else float(x), p, math.sqrt)
-            rounding = _EPS * (used.tolist()[0] + 10.0 * math.sqrt(c1))
-            return Columns(np.array([value]), np.array([err + rounding * value]), used,
-                           np.array([True]))
-        if not double_double:  # log space (one converged column on NumPy scalars)
+        if not double_double:  # log space, for a batch or one column on NumPy scalars
             # w^power r^-p = e^((power + p) log w - p log(w r)), w r = hi + lo
             hi, lo = _two_prod(w, recip)
             terms = ((power + p) * np.log(w), -p * (np.log(hi) + lo / hi), np.log(value))
             exact = np.exp(terms[0] + terms[1] + terms[2])
             size = abs(terms[0]) + abs(terms[1]) + abs(terms[2])
             rounding = _EPS * (used + 10.0 * math.sqrt(c1)) + _EPS * (4.0 * abs(p) + 2.0 * size)
-            keep = ok & (exact > 0.0)
+            keep = fits & (exact > 0.0)
             err = np.where(keep, exact * (np.divide(err, value) + rounding), np.inf)
             return Columns(np.where(keep, exact, 0.0).reshape(-1), err, used, np.reshape(done, -1))
+        if not many:  # one column, in Python floats
+            if done:
+                m_hi, g_hi, m_lo, g_lo = one
+                u = float(unit)
+                value = _dd_value((m_hi * u, m_lo * u / bits), (g_hi, g_lo / bits), float(recip),
+                                  None if x is None else float(x), p, math.sqrt)
+            elif not fits:
+                value, err = 0.0, math.inf
+            rounding = _EPS * (used.tolist()[0] + 10.0 * math.sqrt(c1))
+            return Columns(np.array([value]), np.array([err + rounding * value]), used,
+                           np.array([done]))
         rounding = _EPS * (used + 10.0 * math.sqrt(c1))
         m_hi, g_hi, m_lo, g_lo = sums[..., 0]
         exact = _dd_value((m_hi * unit, m_lo * unit / bits), (g_hi, g_lo / bits), recip, x, p,
                           np.sqrt)
-    value = np.where(done, exact, np.where(ok, value, 0.0))
-    abs_err = np.where(ok, err + rounding * value, np.inf)
+    value = np.where(done, exact, np.where(fits, value, 0.0))
+    abs_err = np.where(fits, err + rounding * value, np.inf)
     return Columns(value, abs_err, used, done)

@@ -47,7 +47,7 @@ The Tricomi function is evaluated by a router that tries, in order:
 
 The Kraetzel function Z_1^nu is the Bessel closed form where it stays in
 the double range; elsewhere, and for rho != 1, its integral in log u is a
-trapezoid sum on the same escalation loop.  No route needs SciPy.
+trapezoid sum whose step halves until two levels agree.  No route needs SciPy.
 
 Every branch produces a running error estimate and is accepted only when
 that estimate meets the target, so the router degrades gracefully rather
@@ -65,7 +65,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError, NumericalError
 # perfbench's tracer wraps the two retired engine names in this module
 from .quadrature import expsinh_escalating, laguerre_escalating  # noqa: F401
-from .quadrature import _TRAP_TOL, _two_prod, escalate_columns, trapezoid_columns
+from .quadrature import _TINY, _TRAP_TOL, _two_prod, trapezoid_columns
 
 _EPS = float(np.finfo(float).eps)
 
@@ -652,9 +652,9 @@ def _kratzel_quadrature(rho: float, nu: float, log_t: float) -> float:
     each end is the nearer of two tangent steps, which both over-cover, from
     9 peak widths out and from where ``A e^(rho d)`` (on the right) or
     ``B e^-d`` (on the left) passes ``|nu| + 40``.  The nodes are ``d = j h``;
-    the step starts at the peak width (at most 1) and halves on
-    :func:`~regcoulomb.quadrature.escalate_columns` until two levels agree
-    to 1e-11, within ``_KRATZEL_NODE_MAX`` nodes.
+    the step starts at the peak width (at most 1) and halves until two
+    consecutive levels agree to 1e-11 relative, within ``_KRATZEL_NODE_MAX``
+    nodes.
     """
     log_rho = math.log(rho)
 
@@ -688,12 +688,10 @@ def _kratzel_quadrature(rho: float, nu: float, log_t: float) -> float:
         s = nu - rho * np.exp(log_a + rho * d) + np.exp(log_b - d)
         return float(np.where(g <= -40.0, d, d - (40.0 + g) / s))
 
-    def level(k: int, cols: np.ndarray) -> np.ndarray:
+    def level(k: int) -> float:  # the sum at step h = step / 2^k; NaN past the node budget
         h = step * 0.5 ** k
         j = np.arange(math.ceil(left / h), math.floor(right / h) + 1.0)
-        if j.size > _KRATZEL_NODE_MAX:
-            return np.full(cols.size, np.nan)
-        return np.full(cols.size, h * np.exp(drop(j * h)).sum())
+        return math.nan if j.size > _KRATZEL_NODE_MAX else float(h * np.exp(drop(j * h)).sum())
 
     width = 1.0 / math.sqrt(rho * rho * big + small)
     top = abs(nu) + 40.0
@@ -704,8 +702,12 @@ def _kratzel_quadrature(rho: float, nu: float, log_t: float) -> float:
         if not (math.isfinite(left) and math.isfinite(right) and step > 0.0):
             raise NumericalError(
                 f"Kraetzel window not finite for rho={rho}, nu={nu}, t=e^{log_t}")
-        got = escalate_columns(level, 1, tuple(range(_KRATZEL_NODE_MAX.bit_length())), _TRAP_TOL)
-    scaled = float(got.value[0])
-    if not (got.converged[0] and 0.0 < scaled < math.inf):
+        scaled, converged = level(0), False
+        for k in range(1, _KRATZEL_NODE_MAX.bit_length()):
+            prev, scaled = scaled, level(k)
+            if abs(scaled - prev) / max(abs(scaled), _TINY) <= _TRAP_TOL:
+                converged = True
+                break
+    if not (converged and 0.0 < scaled < math.inf):
         raise NumericalError(f"Kraetzel quadrature failed for rho={rho}, nu={nu}, t=e^{log_t}")
     return head + math.log(scaled)

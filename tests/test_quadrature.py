@@ -1,12 +1,11 @@
-"""Tests for the escalation loop and for the trapezoid rule at general
-(c1, p, w): real p of either sign, and the factor w^power of the Tricomi
-function, against mpmath."""
+"""Tests for the trapezoid rule at general (c1, p, w): real p of either
+sign, and the factor w^power of the Tricomi function, against mpmath."""
 import mpmath as mp
 import numpy as np
 import pytest
 
 import regcoulomb.quadrature as quadrature
-from regcoulomb.quadrature import escalate_columns, trapezoid_columns
+from regcoulomb.quadrature import trapezoid_columns
 
 
 def _mp_rel(got, want):
@@ -19,31 +18,6 @@ def _binomial_integral(c1, p, w):
     with mp.workdps(40):
         return mp.fsum(mp.binomial(p, k) * mp.mpf(w) ** (p - k) * mp.rf(c1, k)
                        for k in range(p + 1))
-
-
-class TestEscalateColumns:
-    def test_columns_leave_at_their_own_level(self):
-        # column i changes for the last time at level i + 1
-        def level(n, cols):
-            return 1.0 + np.where(cols >= n, 1.0 / (n + 1.0), 0.0)
-
-        got = escalate_columns(level, 3, (0, 1, 2, 3, 4), 1e-11)
-        assert got.converged.all()
-        assert got.points.tolist() == [2, 3, 4]
-        assert got.value.tolist() == [1.0, 1.0, 1.0]
-
-    def test_single_level_cannot_confirm_convergence(self):
-        got = escalate_columns(lambda n, cols: np.full(cols.size, 2.0), 2, (0,), 1e-11)
-        assert not got.converged.any()
-        assert got.value.tolist() == [2.0, 2.0]
-        assert np.isinf(got.abs_err).all()
-
-    def test_unconverged_columns_keep_their_closest_pair(self):
-        steps = {0: 1.0, 1: 2.0, 2: 2.1, 3: 3.0}
-        got = escalate_columns(lambda n, cols: np.full(cols.size, steps[n]), 1, (0, 1, 2, 3), 1e-11)
-        assert not got.converged[0]
-        assert got.value[0] == 2.1
-        assert got.abs_err[0] == pytest.approx(0.1)
 
 
 class TestGeneralExponent:

@@ -60,6 +60,26 @@ class TestTrapezoidColumns:
         assert not got.converged[0] and got.points[0] <= 60
 
 
+def _level_one(c1, p, w, h, x=None, power=0.0):
+    """The trapezoid sum of step ``h`` about the peak, the rule's level 1,
+    at 30 digits: ``(x) w^power r^-p sum e^(G0 + P) / sum e^G0`` over every
+    node ``d = j h`` down to ``e^-60``, as :func:`trapezoid_columns` states it."""
+    with mp.workdps(30):
+        c1, p, w = mp.mpf(c1), mp.mpf(p), mp.mpf(w)
+        b = c1 + p - w
+        t = (b + mp.sqrt(b * b + 4 * c1 * w)) / 2
+        num = den = mp.mpf(0)
+        for j0, sign in ((0, 1), (-1, -1)):
+            for j in range(j0, sign * 10 ** 6, sign):
+                g0 = c1 * j * h - t * mp.expm1(j * h)
+                g = g0 + p * mp.log((w + t * mp.exp(j * h)) / (w + t))
+                if g0 < -60 and g < -60:
+                    break
+                num, den = num + mp.exp(g), den + mp.exp(g0)
+        value = (w + t) ** p * num / den * w ** power
+        return float(value if x is None else x * value)
+
+
 def _columns(got, i=None):
     """The (value, estimate, node count, convergence) of every column of
     ``got``, or of its column ``i``, with the floats as ``float.hex``."""
@@ -90,27 +110,23 @@ class TestBatchIndependence:
             one = trapezoid_columns(c1, p, float(w) if i % 2 else w, x if times_x else None, power)
             assert _columns(one) == [_columns(batch, i)], (i, w)
 
-    def test_columns_that_escalate_past_level_one(self, monkeypatch):
-        # a coarse first step: the columns leave at later levels, not together
-        levels, escalate = [], quadrature.escalate_columns
-
-        def logged(level, *args):
-            def logged_level(k, cols):
-                levels.append((k, cols.size))
-                return level(k, cols)
-            return escalate(logged_level, *args)
-
-        monkeypatch.setattr(quadrature, "escalate_columns", logged)
+    def test_a_coarse_step_leaves_every_column_unconverged(self, monkeypatch):
+        # levels 0 and 1 disagree everywhere: one node pass, and each column
+        # comes back with level 1's value and a finite estimate
+        passes, split = [], quadrature._split
+        monkeypatch.setattr(quadrature, "_split", lambda *args: passes.append(1) or split(*args))
         monkeypatch.setattr(quadrature, "_trapezoid_step", lambda c, tol: 3.0)
         xs = np.exp(np.random.default_rng(6).uniform(-7.0, 5.0, 30))
         for p, factor, power in ((-0.5, None, 0.0), (-1.5, xs, 0.0), (-2.5, None, 1.5)):
-            levels.clear()
+            passes.clear()
             batch = trapezoid_columns(2.4, p, xs * xs, factor, power)
-            assert batch.converged.all()
-            assert max(levels)[0] >= 4 and len({size for _, size in levels}) > 1, levels
+            assert not batch.converged.any() and len(passes) == 1
+            assert np.isfinite(batch.abs_err).all() and (batch.points > 0).all()
             for i, x in enumerate(xs):
                 one = trapezoid_columns(2.4, p, x * x, None if factor is None else x, power)
                 assert _columns(one) == [_columns(batch, i)], (p, i)
+                want = _level_one(2.4, p, x * x, 1.5, None if factor is None else x, power)
+                assert rel_diff(batch.value[i], want) <= 1e-13, (p, i)
 
     @pytest.mark.parametrize("c1, p, times_x", [
         (2.6, -0.5, False),          # V_q
@@ -155,8 +171,8 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("w", [1e-120, 1e-60, 1e-250])
     def test_a_lifted_sum_with_a_failed_term_fails(self, w):
         # I(0.35, -0.5) = I(1.35, -0.5) + 0.5 I(1.35, -1.5), whose second term
-        # cannot be evaluated here (NaN at 1e-120 and 1e-60, 0 and inf at
-        # 1e-250): the sum is 0, unconverged, with an infinite estimate
+        # cannot be evaluated here (0 with an infinite estimate): the sum is 0,
+        # unconverged, with an infinite estimate
         failed = ("0x0.0p+0", "inf")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -167,6 +183,22 @@ class TestBatchIndependence:
                 assert _columns(batch, 0) == _columns(batch, 2) == _columns(one)[0]
         assert _columns(batch, 1) == _columns(trapezoid_columns(0.35, -0.5, 1.0))[0]
         assert batch.converged[1]
+
+    @pytest.mark.parametrize("c1, w, x", [(1.35, 1e-120, None), (1.5593, 0.0, 9.4e-250)])
+    def test_a_window_past_the_node_budget_alone_and_in_a_batch(self, c1, w, x):
+        # a finite window whose level 1 would take more than _TRAP_NODE_MAX
+        # nodes: 0 with an infinite estimate, not NaN (9.4e-250 squared is 0)
+        failed = ("0x0.0p+0", "inf", 0, False)
+        usable = trapezoid_columns(c1, -1.5, 2.0, None if x is None else 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _columns(trapezoid_columns(c1, -1.5, w, x)) == [failed]
+            batch = trapezoid_columns(c1, -1.5, np.array([w, 2.0]),
+                                      None if x is None else np.array([x, 1.5]))
+        assert _columns(batch) == [failed] + _columns(usable) and usable.converged[0]
+        with pytest.raises(NumericalError) as raised:
+            potential.vq_quadrature(-0.43556563308250607, 5.3819573466137544e-30)
+        assert "nan" not in str(raised.value)
 
     def test_a_forced_quadrature_call_at_a_failed_lift_is_a_numerical_error(self):
         with pytest.raises(NumericalError) as raised:
@@ -194,40 +226,33 @@ class TestBatchIndependence:
 
 
 class TestFirstPass:
-    """The first node pass decides: it gives levels 0 and 1, and only the
-    columns that disagree enter the escalation loop."""
+    """One node pass is final: it gives levels 0 and 1, the columns whose
+    two levels agree are done, and the others come back unconverged."""
 
     def test_one_pass_per_chunk_of_converging_columns(self, monkeypatch):
         passes, split = [], quadrature._split
-
-        def refuse(*args):
-            raise AssertionError("a converging column escalated")
-
         monkeypatch.setattr(quadrature, "_split", lambda *args: passes.append(1) or split(*args))
-        monkeypatch.setattr(quadrature, "escalate_columns", refuse)
         assert trapezoid_columns(3.7, -0.5, 2.0).converged[0] and len(passes) == 1
         xs = np.exp(np.random.default_rng(8).uniform(-3.0, 3.0, 2 * COLUMN_CHUNK + 2))
         passes.clear()
         assert trapezoid_columns(3.7, -0.5, xs * xs).converged.all() and len(passes) == 3
 
-    def test_only_the_columns_that_disagree_escalate(self, monkeypatch):
-        # a step at the edge of agreement: some columns settle at the first
-        # pass, and a batch escalates just those that escalate alone
-        sizes, escalate = [], quadrature.escalate_columns
-
-        def logged(level, n_cols, *args):
-            sizes.append(n_cols)
-            return escalate(level, n_cols, *args)
-
-        monkeypatch.setattr(quadrature, "escalate_columns", logged)
+    def test_only_the_columns_that_disagree_are_unconverged(self, monkeypatch):
+        # a step at the edge of agreement: some columns are done after the
+        # one pass, the others keep level 1's value, in a batch as alone
+        passes, split = [], quadrature._split
+        monkeypatch.setattr(quadrature, "_split", lambda *args: passes.append(1) or split(*args))
         monkeypatch.setattr(quadrature, "_trapezoid_step", lambda c, tol: 0.32)
         xs = np.exp(np.random.default_rng(10).uniform(-6.0, 4.0, 30))
         batch = trapezoid_columns(2.4, -0.5, xs * xs)
-        assert batch.converged.all() and len(sizes) == 1 and 0 < sizes[0] < xs.size
-        escalated, sizes[:] = sizes[0], []
+        assert 0 < batch.converged.sum() < xs.size and len(passes) == 1
         for i, x in enumerate(xs.tolist()):
+            passes.clear()
             assert _columns(trapezoid_columns(2.4, -0.5, x * x)) == [_columns(batch, i)], x
-        assert sizes == [1] * escalated
+            assert len(passes) == 1
+            if not batch.converged[i]:
+                assert 0.0 < batch.abs_err[i] < 1e-10 * batch.value[i], x
+                assert rel_diff(batch.value[i], _level_one(2.4, -0.5, x * x, 0.16)) <= 1e-13, x
 
 
 class TestScalarIsABatchOfOne:

@@ -91,24 +91,19 @@ def test_tricomi_columns_reproduce_the_pinned_bits(pinned):
             assert [w.hex()] + _record(_tricomi(a, c, w)) == row, (a, c, w)
 
 
-def test_unconverged_columns_climb_the_whole_ladder(pinned, monkeypatch):
-    # the first pass settles only the columns that converge; an unconverged
-    # one still enters the escalation loop and runs up to its last level
-    levels, escalate = [], quadrature.escalate_columns
-
-    def logged(level, *args):
-        return escalate(lambda k, cols: levels.append(k) or level(k, cols), *args)
-
-    monkeypatch.setattr(quadrature, "escalate_columns", logged)
+def test_unconverged_columns_make_no_node_pass(pinned, monkeypatch):
+    # the pinned unconverged columns (x beyond 1e150) are not evaluated: no
+    # node pass runs, and they keep their pinned bits, 0 with an infinite estimate
+    passes, split = [], quadrature._split
+    monkeypatch.setattr(quadrature, "_split", lambda *args: passes.append(1) or split(*args))
     unconverged = [(float.fromhex(q_hex), row, prime)
                    for key, prime in (("v", False), ("v_prime", True))
                    for q_hex, rows in pinned[key] for row in rows if not row[4]]
     assert len(unconverged) == 10
     for q, row, prime in unconverged:
-        levels.clear()
         x = np.float64(float.fromhex(row[0]))
         assert [x.hex()] + _record(_laplace(q, x, prime)) == row, (q, x)
-        assert max(levels) == quadrature._TRAP_NODE_MAX.bit_length(), (q, x)
+        assert row[1:] == ["0x0.0p+0", "inf", 0, False] and not passes, (q, x)
 
 
 if __name__ == "__main__":
