@@ -8,7 +8,7 @@ Quick start::
     from regcoulomb import vq, vq_many, mills, vq_envelope, run_suite, VerifyConfig
 
     vq(0.5, 1.0).value          # V_q(x) with error estimate and route tag
-    vq_many(0.5, [0.5, 1, 2])   # V_q at many x at once, as an array
+    vq_many(0.5, [0.5, 1, 2])   # V_q at many x (or (q, x) points) at once
     mills(2.0)                  # Mills ratio of the standard normal
     vq_envelope(0, 1.0)         # closed-form envelopes around V_0(1)
     run_suite(VerifyConfig())   # verify every property on the default grid

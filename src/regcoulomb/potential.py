@@ -25,9 +25,10 @@ beyond.  Every result carries its evaluation route and an error estimate.
 The quadrature has one path, :func:`_laplace_integrals`: the peak-centred
 trapezoid rule in log t (:func:`~regcoulomb.quadrature.trapezoid_columns`)
 for V_q and V_q', which share one integrand with exponent -1/2 or -3/2.
-``vq_many`` and ``vq_prime_many`` evaluate one order at many arguments,
-routing each as the scalar call would and passing the quadrature points to
-it together; a scalar call is its batch of one, and gets the same bits.
+``vq_many`` and ``vq_prime_many`` evaluate many (q, x) points, an order
+broadcast against the arguments, routing each as the scalar call would and
+passing the quadrature points of every order to it together; a scalar call
+is its batch of one, and gets the same bits.
 """
 from __future__ import annotations
 
@@ -149,9 +150,12 @@ def vq_neg1(x: float) -> float:
     return 1.0 / x
 
 
-def _near_half_integer(q: float) -> bool:
+def _near_half_integer(q):
+    """Whether the order ``q`` (a float, or an array of them) lies within
+    the gap of a half-integer."""
     shifted = q + 0.5
-    return abs(shifted - round(shifted)) <= _HALF_INTEGER_GAP
+    nearest = np.round(shifted) if isinstance(shifted, np.ndarray) else round(shifted)
+    return abs(shifted - nearest) <= _HALF_INTEGER_GAP
 
 
 def _vq_series(q: float, x: float) -> EvalResult:
@@ -338,47 +342,57 @@ def vq(q: float, x: float, method: str = "auto") -> EvalResult:
     return _from_psi(psi_eval(0.5, 0.5 - qv, _square(x)))
 
 
-def _routes_to_quadrature(qv: float, x):
-    """Whether the "auto" route sends x > 0 (a float or an array) at an order
-    other than 0 and -1 to quadrature: the central band, and small x at
-    half-integer orders and at orders beyond the fused expansion's reach."""
-    small_x_too = _near_half_integer(qv) or qv > _SERIES_Q_MAX
+def _routes_to_quadrature(qv, x):
+    """Whether the "auto" route sends x > 0 at an order other than 0 and -1
+    (floats, or arrays of them) to quadrature: the central band, and small x
+    at half-integer orders and at orders beyond the fused expansion's reach."""
+    small_x_too = _near_half_integer(qv) | (qv > _SERIES_Q_MAX)
     return (x < _ASYMPTOTIC_X_MIN) & ((x > _SERIES_X_MAX) | small_x_too)
 
 
-def _abscissas(xs, *, positive: bool = False) -> np.ndarray:
-    """``xs`` as a float array; the first x outside the domain raises as in
-    :func:`_check_x`."""
-    xs = np.array(xs, dtype=float)
-    bad = ~np.isfinite(xs) | (xs < 0.0) | (positive & (xs == 0.0))
-    for x in xs[bad][:1]:
-        _check_x(x, positive=positive)
-    return xs
+def _points(q, xs, *, prime: bool) -> tuple:
+    """The orders ``q`` and arguments ``xs`` broadcast against each other,
+    flattened, and their shape.  The first order outside the domain raises
+    as in :func:`_order_value`, and then the first x as in :func:`_check_x`;
+    for V_q' (``prime``) neither the sentinel order -1 nor x = 0 is in it."""
+    qs, xs = np.asarray(q, dtype=float), np.asarray(xs, dtype=float)
+    bad = ~np.isfinite(qs) | (qs < -1.0) | ((qs == -1.0) & prime)
+    for qv in qs[bad][:1].tolist():
+        _order_value(qv, allow_sentinel=not prime)
+    bad = ~np.isfinite(xs) | (xs < 0.0) | ((xs == 0.0) & prime)
+    for x in xs[bad][:1].tolist():
+        _check_x(x, positive=prime)
+    qs, xs = np.broadcast_arrays(qs, xs)
+    return qs.ravel(), xs.ravel(), xs.shape
 
 
-def vq_many(q: float, xs) -> np.ndarray:
-    """V_q at every x of ``xs``, as ``vq(q, x).value`` would give it.
+def vq_many(q, xs) -> np.ndarray:
+    """V_q at every point of the orders ``q`` broadcast against the
+    arguments ``xs``, as ``vq(q, x).value`` would give it, in their
+    broadcast shape: one order at many x, or an order per x, e.g.
+    ``vq_many([0.5, 2.0, -1.0], [1.0, 3.0, 2.0])`` or, for a grid,
+    ``vq_many(np.array(qs)[:, None], xs)``.
 
-    Each x takes the route ``vq(q, x)`` takes.  The quadrature points are
-    evaluated together, up to ``COLUMN_CHUNK`` (64) per pass; the other routes
-    (closed form, series, asymptotic, sentinel and x = 0) go point by point.
-    A point whose evaluation fails numerically comes back NaN; a domain
-    error for any point raises, as ``vq`` does.
+    Each point takes the route ``vq(q, x)`` takes.  The quadrature points
+    are evaluated together, in one call of the rule whatever their orders,
+    up to ``COLUMN_CHUNK`` (64) per pass; the other routes (closed form,
+    series, asymptotic, sentinel and x = 0) go point by point.  A point whose
+    evaluation fails numerically comes back NaN; a domain error for any
+    point raises, as ``vq`` does.
     """
-    qv = _order_value(q, allow_sentinel=True)
-    xs = _abscissas(xs)
+    qs, xs, shape = _points(q, xs, prime=False)
     values = np.empty(xs.shape)
-    batch = (xs > 0.0) & _routes_to_quadrature(qv, xs) & (qv not in (-1.0, 0.0))
-    closed = (xs > 0.0) & (qv == 0.0)  # vq's closed form, without its dispatch
+    batch = (xs > 0.0) & _routes_to_quadrature(qs, xs) & (qs != -1.0) & (qs != 0.0)
+    closed = (xs > 0.0) & (qs == 0.0)  # vq's closed form, without its dispatch
     values[closed] = [SQRT_PI * erfc_scaled(x) for x in xs[closed].tolist()]
     for i in (~(batch | closed)).nonzero()[0].tolist():
         try:
-            values[i] = vq(qv, xs[i]).value
+            values[i] = vq(qs[i], xs[i]).value
         except NumericalError:
             values[i] = np.nan
     if batch.any():
-        values[batch] = _accepted(_laplace_integrals(qv, xs[batch], False))
-    return values
+        values[batch] = _accepted(_laplace_integrals(qs[batch], xs[batch], False))
+    return values.reshape(shape)
 
 
 def vq_prime(q: float, x: float, method: str = "integral") -> float:
@@ -415,13 +429,14 @@ def vq_prime(q: float, x: float, method: str = "integral") -> float:
     return 2.0 * x * (v_q - v_prev)
 
 
-def vq_prime_many(q: float, xs) -> np.ndarray:
-    """V_q' at every x > 0 of ``xs``, as ``vq_prime(q, x)`` ("integral")
-    would give it, evaluated together.  A point whose quadrature does not
-    converge comes back NaN; a domain error for any point raises."""
-    qv = _order_value(q)
-    xs = _abscissas(xs, positive=True)
-    return -_accepted(_laplace_integrals(qv, xs, True))
+def vq_prime_many(q, xs) -> np.ndarray:
+    """V_q' at every point of the orders ``q`` broadcast against the
+    arguments ``xs`` > 0, as ``vq_prime(q, x)`` ("integral") would give it,
+    evaluated together in their broadcast shape (see :func:`vq_many`).  A
+    point whose quadrature does not converge comes back NaN; a domain error
+    for any point raises."""
+    qs, xs, shape = _points(q, xs, prime=True)
+    return -_accepted(_laplace_integrals(qs, xs, True)).reshape(shape)
 
 
 def vq_next(q: float, vq_value: float, vq_prev: float, x: float) -> float:

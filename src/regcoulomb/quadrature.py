@@ -12,11 +12,12 @@ are ``I(q+1, -1/2; x^2)`` and ``x I(q+1, -3/2; x^2)``, the Tricomi function
 is ``psi(a, c, w) = w^(1-c) I(a, c-a-1; w)`` (DLMF 13.4.4).  The branch
 point of ``(w + t)^p`` at ``t = -w`` lies at ``Im v = pi`` for every ``w``,
 so one rule serves every argument.  It evaluates many integrands
-("columns", e.g. one per abscissa) at once, at most :data:`COLUMN_CHUNK`
-in one node pass, and that pass is final: it gives levels 0 and 1, a
-column whose two levels agree is done, and any other comes back
-unconverged.  (Only the Kraetzel integral, ``special._kratzel_quadrature``,
-halves its step further, in a loop of its own.)  A scalar call is one
+("columns", e.g. one per abscissa, each of its own order where the orders
+are arrays) at once, at most :data:`COLUMN_CHUNK` in one node pass, and
+that pass is final: it gives levels 0 and 1, a column whose two levels
+agree is done, and any other comes back unconverged.  (Only the Kraetzel
+integral, ``special._kratzel_quadrature``, halves its step further, in a
+loop of its own.)  A scalar call is one
 column of the same rule, not a second implementation: its set-up and node
 pass on NumPy scalars, its agreement test and assembly in Python floats,
 which round as the arrays do.  It gives the bits of the same column in any
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +38,8 @@ _TINY = float(np.finfo(float).tiny)
 
 #: most columns one node pass evaluates at once
 COLUMN_CHUNK = 64
+# most columns of a double-double batch whose set-up runs at once
+_SET_UP_MAX = 32 * COLUMN_CHUNK
 
 # trapezoid rule: the window reaches to where the log integrand has fallen
 # this far below its peak, searched from this many peak widths out
@@ -63,7 +67,7 @@ class Columns(NamedTuple):
 
 
 # perfbench/tracer.py wraps or reads these names when it installs (ROADMAP
-# item 5 replaces it with an in-library collector).  They stand for the
+# item 7 replaces it with an in-library collector).  They stand for the
 # retired Gauss-Laguerre and exp-sinh rules: no route calls them.
 GL_NODE_MAX = 0
 
@@ -135,14 +139,20 @@ def _split(terms: np.ndarray, scale, bits: float) -> np.ndarray:
     return parts
 
 
-def _dd_value(m, g, r, x, p: float, sqrt):
+def _dd_value(m, g, r, x, p, sqrt):
     """``(x) r^-p m / g`` rounded once, from the double-double sums
     ``m = (hi, lo)`` and ``g``, a double ``r``, and ``x`` (``None`` for no
-    factor x); ``p`` is a negative half-integer."""
+    factor x); ``p`` is a negative half-integer, or an array of one per
+    column, whose columns each take their own count of factors."""
     s = _dd_sqrt(r, sqrt)
     scale = s if x is None else _dd_mul((x, 0.0), s)
-    for _ in range(round(-2.0 * p) - 1):
-        scale = _dd_mul(scale, s)
+    if isinstance(p, float):
+        for _ in range(round(-2.0 * p) - 1):
+            scale = _dd_mul(scale, s)
+    else:  # each column takes its own count of factors s
+        for k in range(round(-2.0 * p.min()) - 1):
+            more = _dd_mul(scale, s)
+            scale = [np.where(-2.0 * p - 1.0 > k, *two) for two in zip(more, scale)]
     hi, lo = _dd_mul(_dd_div(_two_sum(*m), _two_sum(*g)), scale)
     return hi + lo
 
@@ -160,18 +170,31 @@ def _gamma_window(c1: float) -> tuple[float, float]:
     return end(-reach), min(end(reach), end(math.log(2.0 + _TRAP_DROP / c1)))
 
 
-def _pows(bases, e: float):
+def _pows(bases, e):
     """``bases ** e`` by the C library's ``pow``: a NumPy scalar's power, and
     an array's entry by entry in Python floats (NumPy's array power rounds
-    otherwise on a few in a hundred), with inf where a power overflows."""
+    otherwise on a few in a hundred), with inf where a power overflows.  The
+    exponent ``e`` is a float, or an array of one per base."""
     if not isinstance(bases, np.ndarray):
         return bases ** e
-    floats = bases.tolist()
+    floats = bases.ravel().tolist()
+    exponents = e.ravel().tolist() if isinstance(e, np.ndarray) else repeat(e)
     try:
-        return np.array([base ** e for base in floats])
+        powers = list(map(pow, floats, exponents))
     except ArithmeticError:  # an overflow, or a zero to a negative power
         with np.errstate(over="ignore", divide="ignore"):
-            return np.array([np.float64(base) ** e for base in floats])
+            powers = list(map(pow, map(np.float64, floats), exponents))
+    return np.array(powers).reshape(bases.shape)
+
+
+def _per_order(fn, c, *args):
+    """``fn(c, *args)`` for a float ``c``; for an array, ``fn`` of each
+    distinct entry, spread back over the entries (along the last axis where
+    ``fn`` gives a tuple)."""
+    if not isinstance(c, np.ndarray):
+        return fn(c, *args)
+    distinct, at = np.unique(c, return_inverse=True)
+    return np.array([fn(v, *args) for v in distinct.tolist()])[at].T
 
 
 # NumPy's maximum, minimum, fmax and fmin; for two scalars the same value (NaN
@@ -197,6 +220,19 @@ def _trapezoid_step(c: float, tol: float) -> float:
     return h
 
 
+def _lift_sum(cols: list[Columns], weights: list) -> Columns:
+    """The sum ``cols[-1] + sum_k weights[k] cols[k]`` of a lift's terms,
+    from the last (the smallest p) up.  Where a term failed (unconverged,
+    with no finite estimate) the sum fails: 0, with an infinite estimate."""
+    failed = np.any([~col.converged & ~np.isfinite(col.abs_err) for col in cols], axis=0)
+    got = cols[-1]
+    for weight, two in zip(weights[::-1], cols[-2::-1]):
+        got = Columns(got.value + weight * two.value, got.abs_err + weight * two.abs_err,
+                      got.points + two.points, got.converged & two.converged)
+    return Columns(np.where(failed, 0.0, got.value), np.where(failed, np.inf, got.abs_err),
+                   got.points, got.converged)
+
+
 def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Columns:
     """Trapezoid evaluation, in ``v = log t``, of
 
@@ -205,14 +241,17 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     for ``c1 > 0``, real ``p`` and the columns ``w >= 0`` (a float for one
     column, or an array).  Where ``p`` is a negative half-integer and
     ``power`` is 0 (V_q and V_q'), the value is ``x I`` (``I`` when ``x`` is
-    None), assembled in double-double arithmetic and rounded once; elsewhere
-    ``w^power I`` for ``w > 0``, formed in log space, so that the Tricomi
-    function ``w^(1-c) I(a, c-a-1; w)`` does not overflow where ``I`` would.
+    None), assembled in double-double arithmetic and rounded once; there
+    ``c1`` and ``p`` may be arrays too, an order per column, broadcast
+    against ``w`` (and ``x``).  Elsewhere the value is ``w^power I`` for
+    ``w > 0``, formed in log space, so that the Tricomi function
+    ``w^(1-c) I(a, c-a-1; w)`` does not overflow where ``I`` would.
     Orders ``c1 <= 1/2`` are lifted by relations with positive terms: while
     ``p >= 0``, ``I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)``, a loop of
-    about ``p`` columns, and then ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)``.
-    A column of a term that fails (unconverged, with no finite estimate)
-    fails the sum: 0, unconverged, with an infinite estimate.  Where the loop
+    about ``p`` columns, and then ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)``,
+    whose two terms join the batch where the orders are arrays.  A column
+    of a term that fails (unconverged, with no finite estimate) fails the
+    sum: 0, unconverged, with an infinite estimate.  Where the loop
     runs, a term whose every column fails (those of largest ``p`` fail first,
     and are evaluated first) ends the call with that result.
 
@@ -237,10 +276,12 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     largest peak, ``max(c1, t*)``), so that levels 0 and 1 agree.  One node
     pass is final: it sums level 1's nodes, and level 0's from their even
     ones; a column whose two levels agree is done, and any other comes back
-    unconverged with level 1's value.  Columns share the node rows; outside
-    its window a column's terms add exact zeros to its exact sums
-    (:func:`_split`), so its bits do not depend on its batch, except in log
-    space with ``p > 0`` (the columns share the largest peak's step).  One
+    unconverged with level 1's value.  Columns share the node rows, sorted
+    by step, order and window, and a run of one step and order forms its
+    nodes once; outside its window a column's terms add exact zeros to its
+    exact sums (:func:`_split`), so its bits do not depend on its batch,
+    except in log space with ``p > 0`` (the columns share the largest peak's
+    step).  Each column keeps its own step, window and level scale.  One
     column (a float, a NumPy scalar or a one-element array) runs the same
     steps on NumPy scalars (whose ``exp`` and ``log`` round as the arrays' do,
     unlike ``math``'s), with maxima and minima by comparison, and its
@@ -256,6 +297,31 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     comes back 0 with an infinite estimate, unconverged, so that it cannot
     pass for a value in a sum.
     """
+    if isinstance(c1, np.ndarray) or isinstance(p, np.ndarray):  # an order per column
+        c1, p, w, *x = (v.ravel() for v in np.broadcast_arrays(
+            *(np.asarray(v, float) for v in (c1, p, w) + (() if x is None else (x,)))))
+        x = x[0] if x else None
+        if power != 0.0 or not np.all((p < 0.0) & (2.0 * p == np.floor(2.0 * p))):
+            raise ValueError("orders per column need a negative half-integer p and power 0")
+        if not w.size:
+            return Columns(np.zeros(0), np.zeros(0), np.zeros(0, int), np.zeros(0, bool))
+        if w.size > 1:
+            lift = c1 <= 0.5
+            if not lift.any():
+                return _blocks(c1, p, w, x)
+            # both terms of I(c1+1, p) - p I(c1+1, p-1) in one batch
+            up, n = lift.nonzero()[0], w.size
+            both = _blocks(
+                np.concatenate([np.where(lift, c1 + 1.0, c1), c1[up] + 1.0]),
+                np.concatenate([p, p[up] - 1.0]), np.concatenate([w, w[up]]),
+                None if x is None else np.concatenate([x, x[up]]))
+            got = Columns(*(v[:n] for v in both))
+            summed = _lift_sum([Columns(*(v[n:] for v in both)), Columns(*(v[up] for v in got))],
+                               [-p[up]])
+            for column, v in zip(got, summed):
+                column[up] = v
+            return got
+        c1, p = c1.item(), p.item()  # one column, as for floats
     if c1 <= 0.5:  # lift the order: terms that are all positive
         terms = []  # I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1) while p >= 0
         while p >= 0.0:
@@ -268,22 +334,36 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
             if len(terms) > 2 and np.isinf(cols[-1].abs_err).all():  # the loop ran; the sum fails
                 n = cols[-1].value.size
                 return Columns(np.zeros(n), cols[-1].abs_err, cols[-1].points, np.zeros(n, bool))
-        failed = np.any([~col.converged & ~np.isfinite(col.abs_err) for col in cols], axis=0)
-        got = cols.pop()  # summed from the smallest p up
-        for (weight, _, _), two in zip(terms[-2::-1], cols[::-1]):
-            got = Columns(got.value + weight * two.value, got.abs_err + weight * two.abs_err,
-                          got.points + two.points, got.converged & two.converged)
-        return Columns(np.where(failed, 0.0, got.value), np.where(failed, np.inf, got.abs_err),
-                       got.points, got.converged)
+        return _lift_sum(cols, [weight for weight, _, _ in terms[:-1]])
+    return _columns(c1, p, w, x, power)
 
+
+def _blocks(c1: np.ndarray, p: np.ndarray, w: np.ndarray, x) -> Columns:
+    """:func:`_columns` of a double-double batch of two or more columns with
+    orders ``c1 > 1/2``, in blocks of at most ``_SET_UP_MAX`` columns of
+    adjacent orders: the memory a block's set-up takes stays bounded."""
+    ordered = np.lexsort((c1, c1 + abs(p)))
+    got = [_columns(c1[k], p[k], w[k], None if x is None else x[k], 0.0)
+           for k in np.array_split(ordered, -(-w.size // _SET_UP_MAX))]
+    blocks = [np.concatenate(field) for field in zip(*got)]
+    for field in blocks:
+        field[ordered] = field.copy()
+    return Columns(*blocks)
+
+
+def _columns(c1, p, w, x, power: float) -> Columns:
+    """The rule of :func:`trapezoid_columns` for orders ``c1 > 1/2``: one
+    column, or a batch whose set-up runs at once."""
     if isinstance(w, np.ndarray) and w.size == 1:  # one column, as for a float
         w, x = w.item(), x if x is None else np.ravel(x)[0]
     many = isinstance(w, np.ndarray)
+    double_double = isinstance(p, np.ndarray) or (
+        power == 0.0 and p < 0.0 and float(2.0 * p).is_integer())
     w = w if many else np.float64(w)  # a NumPy scalar gives inf or NaN where a float raises
     maximum, minimum, fmax, fmin = _ARRAY_OPS if many else _SCALAR_OPS
     # the node pass's outer products; a batch's by einsum, faster than broadcasting
-    outer = (lambda a, b, out: np.einsum("i,j->ij", a[:, 0], b, out=out)) if many else np.multiply
-    double_double = power == 0.0 and p < 0.0 and float(2.0 * p).is_integer()
+    outer = (lambda a, b, out: np.einsum("i,j->ij", a, b, out=out)) if many else np.multiply
+    root = np.sqrt(c1) if many else math.sqrt(c1)
 
     def window_end(d):  # where the tangent to G0 + P at d falls to -40
         t = peak * np.exp(d)
@@ -296,20 +376,29 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
 
     def node_pass(c, f, l):
         # the exact sums (M's hi, M0's hi, M's lo, M0's lo) of the columns c over level 1's
-        # nodes f to l, and over level 0's, their even ones
+        # nodes f to l, and over level 0's, their even ones.  A run of columns with one
+        # step and order (sorting made them adjacent) forms its nodes once
         j0, j1 = (min(f.tolist()), max(l.tolist()) + 1.0) if many else (float(f), float(l) + 1.0)
-        peak_c, recip_c, w_c = (v[c, None] for v in (peak, recip, w)) if many else (peak, recip, w)
         j = np.arange(j0, j1)
-        nodes = j * (0.5 * step)
         terms = np.empty((2, f.size, j.size))
         g, g0 = terms[0], terms[1]
-        outer(peak_c, np.exp(nodes), g)
+        runs, w_c, recip_c, p_c = [(g, g0, step, c1, peak)], w, recip, p
+        if many:
+            h, o = step[c], orders[c]
+            new = np.flatnonzero((h[1:] != h[:-1]) | (o[1:] != o[:-1])) + 1
+            cuts = [0, *new.tolist(), c.size]
+            runs = [(g[a:b], g0[a:b], h[a], o[a], peak[c[a:b]]) for a, b in zip(cuts, cuts[1:])]
+            w_c, recip_c, p_c = (v[c, None] if isinstance(v, np.ndarray) else v
+                                 for v in (w, recip, p))
+        for g_r, g0_r, h, c1_r, peak_r in runs:
+            nodes = j * (0.5 * h)
+            outer(peak_r, np.exp(nodes), g_r)
+            outer(peak_r, np.expm1(nodes), g0_r)
+            np.subtract(c1_r * nodes, g0_r, g0_r)
         g += w_c
         g *= recip_c
         np.log(g, g)
-        g *= p
-        outer(peak_c, np.expm1(nodes), g0)
-        np.subtract(c1 * nodes, g0, g0)
+        g *= p_c
         g += g0
         if f.size > 1:  # outside its window (before the last start or after
             # the first end), a column's terms add exact zeros
@@ -327,20 +416,23 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         # larger size is formed first and the other from their product
         b = c1 + p - w
         copysign = np.copysign if many else math.copysign
-        big = 0.5 * b + copysign(0.5 * np.hypot(b, 2.0 * math.sqrt(c1) * np.sqrt(w)), b)
+        big = 0.5 * b + copysign(0.5 * np.hypot(b, 2.0 * root * np.sqrt(w)), b)
         peak = maximum(big, -c1 * (w / big))
         width = w + peak
         # the growth bound of the step; in log space, that at the peak
         c = c1 + abs(p)
         if not double_double:
             c = min(c, float(np.fmax.reduce(peak, axis=None, initial=c1)))
-        step = _trapezoid_step(c, _TRAP_TOL / 100.0)
+        if many:
+            step = np.broadcast_to(_per_order(_trapezoid_step, c, _TRAP_TOL / 100.0), w.shape)
+        else:
+            step = _trapezoid_step(c, _TRAP_TOL / 100.0)
         sigma = 1.0 / np.sqrt(peak * (peak / width) + c1 * (w / width))
         # e^G0 peaks at t = c1, d = d0, where it is e^top0; its window about
         # d0 depends on c1 alone
         d0 = np.log(c1 / peak)
         top0 = c1 * d0 - (c1 - peak)
-        lo0, hi0 = _gamma_window(c1)
+        lo0, hi0 = _per_order(_gamma_window, c1) if many else _gamma_window(c1)
         # the tangents' starting points; a batch takes all four in one array
         starts = (-_TRAP_REACH * sigma, minimum(np.log(w / peak), 0.0) - 2.0,
                   _TRAP_REACH * sigma, np.log1p((c1 + _TRAP_DROP) / peak))
@@ -378,6 +470,8 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         if many:
             sums = np.full((4, used.size, 2), np.nan)
             fit = fits.nonzero()[0]
+            orders = np.broadcast_to(c1, w.shape)  # by step, order and window start
+            fit = fit[np.lexsort((first[fit], orders[fit], step[fit]))]
             for start in range(0, fit.size, COLUMN_CHUNK):
                 c = fit[start:start + COLUMN_CHUNK]
                 sums[:, c] = node_pass(c, first[c], last[c])
@@ -394,7 +488,7 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
             terms = ((power + p) * np.log(w), -p * (np.log(hi) + lo / hi), np.log(value))
             exact = np.exp(terms[0] + terms[1] + terms[2])
             size = abs(terms[0]) + abs(terms[1]) + abs(terms[2])
-            rounding = _EPS * (used + 10.0 * math.sqrt(c1)) + _EPS * (4.0 * abs(p) + 2.0 * size)
+            rounding = _EPS * (used + 10.0 * root) + _EPS * (4.0 * abs(p) + 2.0 * size)
             keep = fits & (exact > 0.0)
             err = np.where(keep, exact * (np.divide(err, value) + rounding), np.inf)
             return Columns(np.where(keep, exact, 0.0).reshape(-1), err, used, np.reshape(done, -1))
@@ -406,10 +500,10 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
                                   None if x is None else float(x), p, math.sqrt)
             elif not fits:
                 value, err = 0.0, math.inf
-            rounding = _EPS * (used.tolist()[0] + 10.0 * math.sqrt(c1))
+            rounding = _EPS * (used.tolist()[0] + 10.0 * root)
             return Columns(np.array([value]), np.array([err + rounding * value]), used,
                            np.array([done]))
-        rounding = _EPS * (used + 10.0 * math.sqrt(c1))
+        rounding = _EPS * (used + 10.0 * root)
         m_hi, g_hi, m_lo, g_lo = sums[..., 0]
         exact = _dd_value((m_hi * unit, m_lo * unit / bits), (g_hi, g_lo / bits), recip, x, p,
                           np.sqrt)

@@ -47,19 +47,22 @@ under one ``errstate`` that silences floating-point warnings (a side that is
 not finite is an evaluation error), and the judging holds its own
 (:func:`_judged`), so a collector used outside a run does not warn either.
 
-Values come from one memo per run, ``(prime, q) -> {x: value}``, read an
-order at a time; the misses go to one :func:`vq_many` or
-:func:`vq_prime_many` call.  A point the batch could not evaluate is tried
-once by the scalar :func:`vq` or :func:`vq_prime`; the memo keeps NaN
-there, and ``(prime, q) -> {x: error}`` keeps the error it raised, which
-each check that needs the point records.  Overflow is per point too: a
-check whose side is not finite, though built from finite values, is an
-evaluation error at that check's (q, x), and the suite's other checks run.
+Values come from one table per run, planned before any suite runs: each
+suite lists the ``(prime, q, xs)`` points it reads (convexity's argument
+means among them), and the union is evaluated by one :func:`vq_many` and
+one :func:`vq_prime_many` call, with an order per point.  A point they
+could not evaluate (every point, where the call raises) is tried once by
+the scalar :func:`vq` or :func:`vq_prime`; the table keeps NaN there, with
+the error it raised, which each check that needs the point records.
+Overflow is per point too: a check whose side is not finite, though built
+from finite values, is an evaluation error at that check's (q, x), and the
+suite's other checks run.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -464,36 +467,47 @@ def _at(value, mask: np.ndarray):
     return value[mask] if isinstance(value, np.ndarray) else value
 
 
-class _Evaluator:
-    """One memo of V_q and V_q' values per run (see the module docstring)."""
+class _Table:
+    """V_q and V_q' at every point a run's suites read, evaluated before
+    they run (see the module docstring)."""
 
-    def __init__(self) -> None:
-        # (prime, q) -> {x: value}, NaN where the evaluation failed
-        self._memo: dict[tuple[bool, float], dict[float, float]] = {}
-        # (prime, q) -> {x: the error the scalar evaluation raised}
-        self._errors: dict[tuple[bool, float], dict[float, Exception]] = {}
+    def __init__(self, points: Iterable[tuple[bool, float, Sequence[float]]]) -> None:
+        # (prime, q) -> (its x, increasing; the values there, NaN where the
+        # evaluation failed; {x: the error the scalar evaluation raised})
+        self._rows: dict[tuple[bool, float], tuple[np.ndarray, np.ndarray, dict]] = {}
+        points = list(points)
+        for prime in (False, True):
+            asked = [(q, xs) for p, q, xs in points if p == prime]
+            # the distinct points q + x i, by order and then x (both parts exact)
+            z = np.unique(np.concatenate([q + 1j * np.asarray(xs, float)
+                                          for q, xs in asked] + [[]]))
+            qs, xs = z.real.copy(), z.imag.copy()
+            del z
+            try:
+                values = (vq_prime_many if prime else vq_many)(qs, xs)
+            except (DomainError, ArithmeticError):  # at some point: each goes to the scalar call
+                values = np.full(qs.size, math.nan)
+            new = (np.flatnonzero(qs[1:] != qs[:-1]) + 1).tolist()
+            cuts = [0, *new, qs.size] if qs.size else [0]
+            for a, b in zip(cuts, cuts[1:]):
+                self._rows[prime, qs[a].item()] = (xs[a:b], values[a:b], {})
+            for q, x in zip(qs[np.isnan(values)].tolist(), xs[np.isnan(values)].tolist()):
+                row = self._rows[prime, q]
+                try:  # once, by the scalar call, which says why it fails
+                    row[1][np.searchsorted(row[0], x)] = (
+                        vq_prime(q, x, "integral") if prime else vq(q, x).value)
+                except (DomainError, ArithmeticError) as exc:
+                    row[2][x] = exc
 
     def values(self, q: float, xs: Sequence[float],
                prime: bool = False) -> tuple[np.ndarray, dict[float, Exception]]:
         """V_q (or V_q' if ``prime``) at every x of ``xs``, NaN where the
-        evaluation failed, and the errors of the failing x by x.  Misses are
-        evaluated in one batch; a point the batch could not evaluate is tried
-        once by the scalar call, and the error it raises is memoised."""
-        memo = self._memo.setdefault((prime, q), {})
-        errors = self._errors.setdefault((prime, q), {})
-        todo = [x for x in dict.fromkeys(xs) if x not in memo]
-        if todo:
-            try:
-                got = (vq_prime_many if prime else vq_many)(q, todo)
-            except DomainError:
-                got = np.full(len(todo), math.nan)
-            memo.update(zip(todo, got.tolist()))
-            for x in map(todo.__getitem__, np.isnan(got).nonzero()[0].tolist()):
-                try:
-                    memo[x] = vq_prime(q, x, "integral") if prime else vq(q, x).value
-                except (DomainError, NumericalError) as exc:
-                    errors[x] = exc
-        return np.fromiter(map(memo.__getitem__, xs), float, len(xs)), errors
+        evaluation failed, and the errors of the failing x by x."""
+        at, values, errors = self._rows[prime, q]
+        idx = np.searchsorted(at, xs)
+        if not np.array_equal(at[idx], xs):
+            raise KeyError(f"not every x of order {q} (prime={prime}) was planned")
+        return values[idx], errors
 
     def rows(self, col: _Collector, label: str, q: float, xs: Sequence[float],
              *columns: tuple[float, bool]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -507,13 +521,16 @@ class _Evaluator:
 
 
 def _evaluated(col: _Collector, label: str, q: float, at: np.ndarray,
-               columns: list[tuple[np.ndarray, dict, np.ndarray]]) -> np.ndarray | slice:
+               columns: list[tuple[np.ndarray, dict, np.ndarray]],
+               failed: Optional[np.ndarray] = None) -> np.ndarray | slice:
     """The index of the entries at which every column evaluated: a mask, or
     ``slice(None)`` where all did.  A column is ``(values, errors, points)``:
     its value at each entry (NaN where it failed), its errors by point, and
     each entry's point.  At each other entry the first failing column's
-    error is recorded under ``label`` at (q, at)."""
-    failed = np.isnan([v for v, _, _ in columns]).any(axis=0)
+    error is recorded under ``label`` at (q, at).  ``failed``, where given,
+    is the mask of the entries at which some column is NaN."""
+    if failed is None:
+        failed = np.isnan([v for v, _, _ in columns]).any(axis=0)
     if not failed.any():
         return slice(None)
     for k in failed.nonzero()[0].tolist():
@@ -533,7 +550,17 @@ def _exp(value: float) -> float:
 # suite implementations
 
 
-def _monotonicity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
+def _grid_points(grid: Grid, *shifts: tuple[float, bool]) -> list[tuple]:
+    """The points ``(prime, q + shift, grid x)`` of a suite at every grid
+    order q, for each ``(shift, prime)``."""
+    return [(prime, q + shift, grid.x_values) for q in grid.q_values for shift, prime in shifts]
+
+
+#: the shifts of :func:`_three_orders`
+_THREE = ((0.0, False), (1.0, False), (2.0, False))
+
+
+def _monotonicity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
     for q in grid.q_values:
         x, (v, vp, w) = ev.rows(
             col, "monotonicity", q, grid.x_values, (q, False), (q, True), (q + 1.0, False)
@@ -584,45 +611,63 @@ def _midpoint_means(order: float, members: np.ndarray, i: np.ndarray,
     return [_power_means(order, powered, i, j, alpha) for alpha in _MIDPOINT_WEIGHTS]
 
 
-def _convexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
+@lru_cache(maxsize=64)
+def _argument_means(pair_x: tuple[float, ...], a: float) -> np.ndarray:
+    """The argument means H_a(x, y; alpha) of the convexity midpoints, one
+    row per weight alpha, over the pairs ``np.triu_indices`` of ``pair_x``;
+    inf where a mean overflowed.  Shared, so read-only."""
+    means = np.array(_midpoint_means(a, np.array(pair_x), *np.triu_indices(len(pair_x), 1)))
+    means.flags.writeable = False
+    return means
+
+
+def _convexity_points(grid: Grid) -> Iterable[tuple]:
+    specs = default_convexity_specs()
+    pair_x = grid.pair_x_values()
+    for q in grid.q_values:
+        orders = dict.fromkeys(spec.a for spec in specs if spec.admits(q))
+        if orders:
+            means = np.array([_argument_means(pair_x, a) for a in orders])
+            yield False, q, np.concatenate([pair_x, means[np.isfinite(means)]])
+            yield from ((True, q, grid.x_values), (False, q, grid.x_values))
+
+
+def _convexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
     grid_x = np.array(grid.x_values)
-    pair_x = np.array(grid.pair_x_values())
-    i, j = np.triu_indices(pair_x.size, 1)
-    x1, x2 = pair_x[i], pair_x[j]
+    pair_x = grid.pair_x_values()
+    i, j = np.triu_indices(len(pair_x), 1)
+    x1, x2 = np.array(pair_x)[i], np.array(pair_x)[j]
     specs = [(spec, f"a={spec.a:g},b={spec.b:g},{spec.direction}")
              for spec in default_convexity_specs()]
-    # x^(1-a) and the argument means depend on the spec only through a
-    by_order = {a: (_pows(grid_x, 1.0 - a), _midpoint_means(a, pair_x, i, j))
-                for a in dict.fromkeys(spec.a for spec, _ in specs)}
+    # x^(1-a) depends on the spec only through a
+    x_powers = {a: _pows(grid_x, 1.0 - a) for a in dict.fromkeys(spec.a for spec, _ in specs)}
     for q in grid.q_values:
         admitted = [(spec, tag) for spec, tag in specs if spec.admits(q)]
         if not admitted:
             continue
-        # one batch for the argument means of every admitted order a.  V is
-        # not evaluated at a mean that overflowed: inf stands in for it, so
-        # its check records an evaluation error
-        orders = list(dict.fromkeys(spec.a for spec, _ in admitted))
-        means = np.array([by_order[a][1] for a in orders])
-        finite = np.isfinite(means)
-        got, errors = ev.values(q, pair_x.tolist() + means[finite].tolist())
-        v_pair = got[:pair_x.size]
+        v_pair, errors = ev.values(q, pair_x)
         v1, v2 = v_pair[i], v_pair[j]
+        # V is not evaluated at an argument mean that overflowed: inf stands
+        # in for it, so its check records an evaluation error
+        orders = list(dict.fromkeys(spec.a for spec, _ in admitted))
+        means = np.array([_argument_means(pair_x, a) for a in orders])
+        finite = np.isfinite(means)
         v_means = np.full(means.shape, math.inf)
-        v_means[finite] = got[pair_x.size:]
+        v_means[finite] = ev.values(q, means[finite])[0]
         v_means = dict(zip(orders, v_means))
         monitor_columns = [(*ev.values(q, grid.x_values, p), grid_x) for p in (True, False)]
         (vp, _, _), (v, _, _) = monitor_columns
-        evaluated = ~(np.isnan(vp) | np.isnan(v))
-        x, vp, v = grid_x[evaluated], vp[evaluated], v[evaluated]
+        monitor_failed, pair_failed = np.isnan(vp) | np.isnan(v), np.isnan(v1) | np.isnan(v2)
+        x, vp, v = grid_x[~monitor_failed], vp[~monitor_failed], v[~monitor_failed]
         by_value: dict = {}  # V^(b-1) and the value means depend on the spec only through b
         for spec, tag in admitted:
             a, b, convex = spec.a, spec.b, spec.direction == "convex"
-            x_power, arg_means = by_order[a]
+            x_power, arg_means = x_powers[a], _argument_means(pair_x, a)
 
             # (i) monitor route: M(x) = x^{1-a} V'(x) V(x)^{b-1}, increasing
             # exactly when V_q is (a, b)-convex
             label = f"convexity:monitor[{tag}]"
-            evaluated = _evaluated(col, label, q, grid_x, monitor_columns)
+            evaluated = _evaluated(col, label, q, grid_x, monitor_columns, monitor_failed)
             if b not in by_value:
                 by_value[b] = (_pows(v, b - 1.0), _midpoint_means(b, v_pair, i, j))
             v_power, value_means = by_value[b]
@@ -637,7 +682,7 @@ def _convexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
                 label = f"convexity:midpoint[{tag},alpha={alpha:g}]"
                 ok = _evaluated(col, label, q, x1, [
                     (v_at_mean, errors, t), (v1, errors, x1), (v2, errors, x2)
-                ])
+                ], pair_failed | np.isnan(v_at_mean))
                 lhs, rhs = (v_at_mean, mean_of_v) if convex else (mean_of_v, v_at_mean)
                 col.assert_less(label, lhs[ok], rhs[ok], q, x1[ok], x2[ok])
 
@@ -647,11 +692,15 @@ def _turan_constant(q: float) -> float:
 
 
 def _three_orders(q: float) -> tuple[tuple[float, bool], ...]:
-    """The columns V_q, V_{q+1}, V_{q+2} of :meth:`_Evaluator.rows`."""
+    """The columns V_q, V_{q+1}, V_{q+2} of :meth:`_Table.rows`."""
     return (q, False), (q + 1.0, False), (q + 2.0, False)
 
 
-def _turan_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
+def _turan_points(grid: Grid) -> list[tuple]:
+    return _grid_points(grid, *_THREE) + _grid_points(Grid(SHARPNESS_Q, (SHARPNESS_X,)), *_THREE)
+
+
+def _turan_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
     for q in grid.q_values:
         x, (v0, v1, v2) = ev.rows(col, "turan", q, grid.x_values, *_three_orders(q))
         prod = v0 * v2
@@ -674,7 +723,13 @@ def _turan_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
         col.assert_residual(label, ratio - _turan_constant(q), SHARPNESS_TOL, q, x)
 
 
-def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
+def _logconvexity_points(grid: Grid) -> list[tuple]:
+    qs = grid.q_values
+    mids = tuple(0.5 * (q1 + q2) for k, q1 in enumerate(qs) for q2 in qs[k + 1:])
+    return [(False, q, grid.pair_x_values()) for q in qs + mids]
+
+
+def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
     xs, qs = grid.pair_x_values(), grid.q_values
     label = "logconvexity:unweighted-midpoint[open-problem]"
     open_total = np.zeros(len(xs), dtype=int)
@@ -699,7 +754,7 @@ def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
         )
 
 
-def _simon_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
+def _simon_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
     printed = "simon:product-ratio-bound[printed-exponent]"
     rederived = "simon:product-ratio-bound[rederived-exponent]"
     tallies = {printed: [0, 0], rederived: [0, 0]}  # compared, failed
@@ -728,7 +783,12 @@ def _simon_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
         )
 
 
-def _bounds_impl(grid: Grid, col: _Collector, ev: _Evaluator) -> None:
+def _bounds_points(grid: Grid) -> list[tuple]:
+    return _grid_points(grid, (0.0, False)) + _grid_points(
+        Grid(tuple(q for q in grid.q_values if q >= 0.0), grid.x_values), (-1.0, False))
+
+
+def _bounds_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
     _mills_checks(grid.x_values, col)
 
     # order-indexed bounds and envelopes
@@ -813,14 +873,16 @@ def _mills_checks(xs: Sequence[float], col: _Collector) -> None:
     )
 
 
-#: the suite registry: each suite's implementation, in canonical order
+#: the suite registry, in canonical order: each suite's points (the V_q and
+#: V_q' values it reads, as ``(prime, q, xs)``) and its implementation
 _SUITE_IMPLS = {
-    "monotonicity": _monotonicity_impl,
-    "convexity": _convexity_impl,
-    "turan": _turan_impl,
-    "logconvexity": _logconvexity_impl,
-    "simon": _simon_impl,
-    "bounds": _bounds_impl,
+    "monotonicity": (lambda grid: _grid_points(grid, (0.0, False), (0.0, True), (1.0, False)),
+                     _monotonicity_impl),
+    "convexity": (_convexity_points, _convexity_impl),
+    "turan": (_turan_points, _turan_impl),
+    "logconvexity": (_logconvexity_points, _logconvexity_impl),
+    "simon": (lambda grid: _grid_points(grid, *_THREE), _simon_impl),
+    "bounds": (_bounds_points, _bounds_impl),
 }
 SUITES = tuple(_SUITE_IMPLS)
 
@@ -874,12 +936,12 @@ def run_suite(config: VerifyConfig) -> VerificationReport:
     if grid.is_empty:
         raise UsageError("verification grid is empty")
 
-    ev = _Evaluator()
+    ev = _Table(point for suite in selected for point in _SUITE_IMPLS[suite][0](grid))
     col = _Collector(config.rel_tol, config.emit_checks)
     for suite in selected:
         try:  # a side that overflows is an evaluation error, recorded by the collector
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                _SUITE_IMPLS[suite](grid, col, ev)
+                _SUITE_IMPLS[suite][1](grid, col, ev)
         except ArithmeticError as exc:  # e.g. float overflow at extreme q or x
             col.record_error(suite, exc, None, None)
 

@@ -25,7 +25,7 @@ from regcoulomb import (
     vq_prime_many,
 )
 from regcoulomb.quadrature import COLUMN_CHUNK
-from regcoulomb.verify import _Evaluator
+from regcoulomb.verify import _Table
 
 from oracles import kratzel_bessel_reference, rel_diff
 
@@ -99,6 +99,46 @@ class TestVqMany:
         assert vq_many(0.5, []).shape == (0,)
 
 
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestBroadcastShapes:
+    """Both batch calls return the broadcast shape of (q, xs), with the
+    scalar call's value at every entry."""
+
+    def test_a_scalar_argument(self):
+        # vq_many raised on a 0-d array; vq_prime_many returned shape (1,)
+        assert vq_many(0.5, 5.0).shape == vq_prime_many(0.5, 5.0).shape == ()
+        assert _hex(vq_many(0.5, 5.0)) == _hex(vq(0.5, 5.0).value)
+        assert _hex(vq_prime_many(0.5, 5.0)) == _hex(vq_prime(0.5, 5.0))
+
+    def test_a_two_dimensional_argument(self):
+        # vq_prime_many raised a TypeError: the level scale walked a nested list
+        xs = [[1.0, 2.0], [3.0, 4.0]]
+        for many, scalar in ((vq_many, lambda q, x: vq(q, x).value), (vq_prime_many, vq_prime)):
+            got = many(0.5, xs)
+            assert got.shape == (2, 2)
+            assert _hex(got) == _hex([scalar(0.5, x) for row in xs for x in row])
+
+    def test_an_order_per_point_and_a_grid_of_orders(self):
+        qs = np.array([-0.75, -1.0, 0.0, 2.5, 600.0, -0.5])
+        xs = np.array([1e-3, 0.7, 3.0, 45.0])
+        grid = vq_many(qs[:, None], xs)
+        assert grid.shape == (6, 4)
+        assert _hex(grid) == _hex([vq(q, x).value for q in qs for x in xs])
+        qs, xs = qs[qs != -1.0], xs[[0, 1, 2, 3, 1]]
+        assert _hex(vq_prime_many(qs, xs)) == _hex([vq_prime(q, x) for q, x in zip(qs, xs)])
+
+    def test_the_first_order_outside_the_domain_raises(self):
+        with pytest.raises(DomainError, match="got -1.5"):
+            vq_many([0.5, -1.5, -2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match="sentinel"):
+            vq_prime_many([0.5, -1.0], 1.0)
+        with pytest.raises(DomainError, match="x > 0"):
+            vq_prime_many([0.5, 1.0], [1.0, 0.0])
+
+
 class TestVqPrimeMany:
     @pytest.mark.parametrize("q", GRID.q_values)
     def test_matches_scalar_at_every_grid_point(self, q):
@@ -159,7 +199,7 @@ class TestVerifierPrefetch:
         edge = run_suite(VerifyConfig(grid=EDGE_GRID))
         assert len(edge.errors) == 278
         def nan_batch(q, xs):
-            return np.full(len(xs), np.nan)
+            return np.full(np.broadcast(q, xs).shape, np.nan)
 
         monkeypatch.setattr(verify, "vq_many", nan_batch)
         monkeypatch.setattr(verify, "vq_prime_many", nan_batch)
@@ -169,11 +209,33 @@ class TestVerifierPrefetch:
 
     def test_unconverged_points_are_not_memoised(self):
         # the value table holds the scalar call's error, never a value
-        values, errors = _Evaluator().values(-0.9999, [1e160, 1.0], prime=True)
+        table = _Table([(True, -0.9999, (1e160, 1.0))])
+        values, errors = table.values(-0.9999, [1e160, 1.0], prime=True)
         assert math.isnan(values[0]) and math.isfinite(values[1])
         assert list(errors) == [1e160]
         with pytest.raises(ArithmeticError, match="did not converge"):
             raise errors[1e160]
+
+    def test_a_domain_error_at_one_order_leaves_the_other_orders_values(self):
+        # V_q(0) diverges for q <= -1/2: the table's one call raises, and each
+        # order is then evaluated apart, so only that point is an error
+        table = _Table([(False, -0.75, (0.0, 1.0)), (False, 0.5, (0.0, 1.0))])
+        values, errors = table.values(0.5, [0.0, 1.0])
+        assert _hex(values) == _hex([vq(0.5, 0.0).value, vq(0.5, 1.0).value]) and not errors
+        values, errors = table.values(-0.75, [0.0, 1.0])
+        assert math.isnan(values[0]) and _hex(values[1:]) == _hex(vq(-0.75, 1.0).value)
+        assert list(errors) == [0.0] and isinstance(errors[0.0], DomainError)
+
+    def test_an_overflow_at_one_point_is_an_error_at_that_point(self):
+        # the fused expansion's x^(2q+1) overflows at q = -0.99, x = 5e-324,
+        # where vq raises OverflowError: the checks there are evaluation
+        # errors, and no suite stops
+        with pytest.raises(OverflowError):
+            vq(-0.99, 5e-324)
+        report = run_suite(VerifyConfig(grid=Grid((-0.99, 0.5), (5e-324, 1.0))))
+        assert all(e.x is not None for e in report.errors)
+        assert any(e.q == -0.99 and e.x == 5e-324 and "range" in e.note for e in report.errors)
+        assert report.n_checks > 7
 
     def test_no_failing_point_is_evaluated_twice(self, monkeypatch):
         calls, failed = [], set()
@@ -194,6 +256,30 @@ class TestVerifierPrefetch:
         assert len(report.errors) == 278
         # one scalar call per distinct failing point, and only for those
         assert sorted(calls) == sorted(failed)
+
+
+class TestCallsPerReport:
+    def test_a_default_report_evaluates_in_a_few_large_calls(self, monkeypatch):
+        # the verifier evaluates the union of its points in one call per
+        # exponent (V and V'), whose lifted columns take one more; its node
+        # passes are full chunks but for a few
+        import regcoulomb.quadrature as quadrature
+
+        calls, passes = [], []
+        column, split = quadrature.trapezoid_columns, quadrature._split
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[2]))
+            return column(*args, **kwargs)
+
+        for module in (quadrature, potential):
+            monkeypatch.setattr(module, "trapezoid_columns", counted)
+        monkeypatch.setattr(quadrature, "_split", lambda terms, *args:
+                            passes.append(terms.shape[1]) or split(terms, *args))
+        report = run_suite(VerifyConfig())
+        assert report.n_checks == 55181 and not report.errors
+        assert len(calls) <= 8
+        assert sum(size <= 16 for size in passes) <= 5
 
 
 class TestKratzelClosedForm:

@@ -110,6 +110,42 @@ class TestBatchIndependence:
             one = trapezoid_columns(c1, p, float(w) if i % 2 else w, x if times_x else None, power)
             assert _columns(one) == [_columns(batch, i)], (i, w)
 
+    def test_a_batch_of_mixed_orders_gives_each_column_its_own_bits(self):
+        # orders next to -1, lifted ones (c1 <= 1/2), half-integers and 600,
+        # at x from 1e-30 to 1e150: for V, for V' (with the factor x), and
+        # with an exponent per column
+        qs = np.array([-1.0 + 1e-7, -0.999, -0.75, -0.55, -0.5, -0.25, 0.0, 0.5, 1.5, 2.5, 7.3,
+                       600.0])
+        q, x = (v.ravel() for v in np.meshgrid(qs, np.geomspace(1e-30, 1e150, 19)))
+        ps = np.resize([-0.5, -1.5, -2.5], q.size)
+        for p, factor in ((-0.5, None), (-1.5, x), (ps, None)):
+            batch = trapezoid_columns(q + 1.0, p, x * x, factor)
+            for i, (qi, xi, pi) in enumerate(zip(q.tolist(), x.tolist(), np.resize(p, q.size))):
+                one = trapezoid_columns(qi + 1.0, float(pi), xi * xi,
+                                        None if factor is None else xi)
+                assert _columns(one) == [_columns(batch, i)], (qi, xi, pi)
+            assert batch.converged.sum() > q.size // 2
+
+    def test_one_chunk_of_many_steps(self, monkeypatch):
+        # COLUMN_CHUNK columns of eight orders, and so of more than five steps,
+        # in one node pass: each column keeps the bits it has alone
+        passes, split = [], quadrature._split
+        monkeypatch.setattr(quadrature, "_split", lambda *args: passes.append(1) or split(*args))
+        c1 = np.repeat([0.7, 1.05, 1.3, 2.0, 3.7, 9.0, 40.0, 250.0], COLUMN_CHUNK // 8)
+        xs = np.exp(np.random.default_rng(11).permutation(np.linspace(-4.0, 3.0, COLUMN_CHUNK)))
+        steps = {quadrature._trapezoid_step(c + 0.5, quadrature._TRAP_TOL / 100.0) for c in c1}
+        assert len(steps) >= 5
+        batch = trapezoid_columns(c1, -0.5, xs * xs)
+        assert len(passes) == 1 and batch.converged.all()
+        for i, (c, x) in enumerate(zip(c1.tolist(), xs.tolist())):
+            assert _columns(trapezoid_columns(c, -0.5, x * x)) == [_columns(batch, i)], (c, x)
+
+    def test_orders_per_column_need_the_double_double_path(self):
+        with pytest.raises(ValueError, match="half-integer"):
+            trapezoid_columns(np.array([1.5, 2.5]), 0.25, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="power 0"):
+            trapezoid_columns(np.array([1.5, 2.5]), -0.5, np.array([1.0, 2.0]), power=1.0)
+
     def test_a_coarse_step_leaves_every_column_unconverged(self, monkeypatch):
         # levels 0 and 1 disagree everywhere: one node pass, and each column
         # comes back with level 1's value and a finite estimate
@@ -263,6 +299,27 @@ class TestScalarIsABatchOfOne:
         assert [vq(q, x).value for x in xs] == got.tolist()
         assert {vq(q, x).method for x in xs} == {"quadrature"}
         assert [vq_prime(q, x) for x in xs] == vq_prime_many(q, xs).tolist()
+
+    def test_mixed_orders_equal_the_scalar_calls_bit_for_bit(self):
+        # one batch of orders from next to -1 through the sentinel, lifted
+        # orders, 0, half-integers and 600, at x from 1e-30 to 1e150; NaN
+        # where the scalar call raises a numerical error
+        qs = np.array([-1.0 + 1e-7, -0.75, -0.55, -1.0, 0.0, -0.5, 0.5, 1.5, 2.5, 600.0])
+        q, x = (v.ravel() for v in np.meshgrid(qs, np.geomspace(1e-30, 1e150, 23)))
+
+        def scalar(fn, *args):
+            try:
+                return float(fn(*args)).hex()
+            except NumericalError:
+                return "nan"
+
+        got = [v.hex() for v in vq_many(q, x).tolist()]
+        points = zip(q.tolist(), x.tolist())
+        assert got == [scalar(lambda a, b: vq(a, b).value, a, b) for a, b in points]
+        q, x = q[q != -1.0], x[q != -1.0]
+        got = [v.hex() for v in vq_prime_many(q, x).tolist()]
+        assert got == [scalar(vq_prime, a, b) for a, b in zip(q.tolist(), x.tolist())]
+        assert "nan" in got and got.count("nan") < len(got) // 4
 
 
 @settings(max_examples=120, deadline=None)
