@@ -504,8 +504,9 @@ class _Table:
         """V_q (or V_q' if ``prime``) at every x of ``xs``, NaN where the
         evaluation failed, and the errors of the failing x by x."""
         at, values, errors = self._rows[prime, q]
-        idx = np.searchsorted(at, xs)
-        if not np.array_equal(at[idx], xs):
+        xs = np.asarray(xs)
+        idx = at.searchsorted(xs)
+        if not (at[idx] == xs).all():
             raise KeyError(f"not every x of order {q} (prime={prime}) was planned")
         return values[idx], errors
 
@@ -515,7 +516,7 @@ class _Table:
         and each column's values there.  At the other x the first failing
         column's error is recorded under ``label`` at (q, x)."""
         x = np.array(xs)
-        got = [self.values(order, xs, prime) for order, prime in columns]
+        got = [self.values(order, x, prime) for order, prime in columns]
         ok = _evaluated(col, label, q, x, [(v, errors, x) for v, errors in got])
         return x[ok], [v[ok] for v, _ in got]
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import regcoulomb.potential as potential
+import regcoulomb.quadrature as quadrature
 import regcoulomb.verify as verify
 from regcoulomb import (
     DomainError,
@@ -217,8 +218,8 @@ class TestVerifierPrefetch:
             raise errors[1e160]
 
     def test_a_domain_error_at_one_order_leaves_the_other_orders_values(self):
-        # V_q(0) diverges for q <= -1/2: the table's one call raises, and each
-        # order is then evaluated apart, so only that point is an error
+        # V_q(0) diverges for q <= -1/2: the table's one call raises, every
+        # point then goes to the scalar call, and only that point is an error
         table = _Table([(False, -0.75, (0.0, 1.0)), (False, 0.5, (0.0, 1.0))])
         values, errors = table.values(0.5, [0.0, 1.0])
         assert _hex(values) == _hex([vq(0.5, 0.0).value, vq(0.5, 1.0).value]) and not errors
@@ -261,10 +262,7 @@ class TestVerifierPrefetch:
 class TestCallsPerReport:
     def test_a_default_report_evaluates_in_a_few_large_calls(self, monkeypatch):
         # the verifier evaluates the union of its points in one call per
-        # exponent (V and V'), whose lifted columns take one more; its node
-        # passes are full chunks but for a few
-        import regcoulomb.quadrature as quadrature
-
+        # exponent (V and V'); its node passes are full chunks but for a few
         calls, passes = [], []
         column, split = quadrature.trapezoid_columns, quadrature._split
 

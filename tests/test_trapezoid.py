@@ -127,7 +127,7 @@ class TestBatchIndependence:
             assert batch.converged.sum() > q.size // 2
 
     def test_one_chunk_of_many_steps(self, monkeypatch):
-        # COLUMN_CHUNK columns of eight orders, and so of more than five steps,
+        # COLUMN_CHUNK columns of eight orders, and so of at least five steps,
         # in one node pass: each column keeps the bits it has alone
         passes, split = [], quadrature._split
         monkeypatch.setattr(quadrature, "_split", lambda *args: passes.append(1) or split(*args))
