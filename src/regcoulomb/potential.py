@@ -174,7 +174,10 @@ def _vq_series(q: float, x: float) -> EvalResult:
     if math.isinf(gamma_lead):  # q > 171.1: coef1 would be inf * 0
         raise NumericalError(f"small-x expansion failed for q={q}, x={x}")
     coef1 = gamma_lead * rgamma(q + 1.0)
-    coef2 = gamma(-q - 0.5) / SQRT_PI * math.exp((2.0 * q + 1.0) * math.log(x))
+    try:  # x^(2q+1) overflows only at q < -1/2 and tiny x, where V_q(x) does too
+        coef2 = gamma(-q - 0.5) / SQRT_PI * math.exp((2.0 * q + 1.0) * math.log(x))
+    except OverflowError:
+        raise NumericalError(f"V_q(x) is beyond the double range for q={q}, x={x}") from None
     v1, abs1, ok1 = _phi_series(0.5, 0.5 - q, big_x)
     v2, abs2, ok2 = _phi_series(q + 1.0, q + 1.5, big_x)
     if not (ok1 and ok2):

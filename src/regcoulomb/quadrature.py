@@ -15,14 +15,13 @@ so one rule serves every argument.  It evaluates many integrands
 ("columns", e.g. one per abscissa, each of its own order where the orders
 are arrays) at once, at most :data:`COLUMN_CHUNK` in one node pass, and
 that pass is final: it gives levels 0 and 1, a column whose two levels
-agree is done, and any other comes back unconverged.  (Only the Kraetzel
-integral, ``special._kratzel_quadrature``, halves its step further, in a
-loop of its own.)  A scalar call is one
-column of the same rule, not a second implementation: its set-up and node
-pass on NumPy scalars, its agreement test and assembly in Python floats,
-which round as the arrays do.  It gives the bits of the same column in any
-batch: a node pass sums integer parts whose sums are exact (:func:`_split`),
-in any order, BLAS's included.
+agree is done, and any other comes back unconverged.  (The Kraetzel sum,
+``special._kratzel_quadrature``, is one such pass too, with the same window
+rule, :func:`_tangent_end`.)  A scalar call is one column of the same rule,
+not a second implementation: its set-up and node pass on NumPy scalars, its
+agreement test and assembly in Python floats, which round as the arrays do.
+It gives the bits of the same column in any batch: a node pass sums integer
+parts whose sums are exact (:func:`_split`), in any order, BLAS's included.
 """
 from __future__ import annotations
 
@@ -157,6 +156,12 @@ def _dd_value(m, g, r, x, p, sqrt):
     return hi + lo
 
 
+def _tangent_end(d, g, slope):
+    """Where the tangent at ``d`` to a concave log integrand, at ``g`` from its
+    peak with slope ``slope``, falls to -40: an end of its window."""
+    return d - (_TRAP_DROP + g) / slope
+
+
 def _gamma_window(c1: float) -> tuple[float, float]:
     """The window of ``e^(c1 u - c1 expm1(u))``, the Gamma(c1) integrand in
     ``u = log(t / c1)`` over its peak value, out to ``e^-40``: the tangent
@@ -164,7 +169,7 @@ def _gamma_window(c1: float) -> tuple[float, float]:
     and from where ``c1 e^u`` passes ``2 c1 + 40``."""
 
     def end(u: float) -> float:
-        return u - (_TRAP_DROP + c1 * (u - math.expm1(u))) / (c1 * -math.expm1(u))
+        return _tangent_end(u, c1 * (u - math.expm1(u)), c1 * -math.expm1(u))
 
     reach = _TRAP_REACH / math.sqrt(c1)
     return end(-reach), min(end(reach), end(math.log(2.0 + _TRAP_DROP / c1)))
@@ -368,8 +373,7 @@ def _columns(c1, p, w, x, power: float) -> Columns:
     def window_end(d):  # where the tangent to G0 + P at d falls to -40
         t = peak * np.exp(d)
         g = c1 * d - peak * np.expm1(d) + p * np.log((w + t) / width)
-        slope = c1 - t * (1.0 - p / (w + t))
-        return d - (_TRAP_DROP + g) / minimum(slope, c1)
+        return _tangent_end(d, g, minimum(c1 - t * (1.0 - p / (w + t)), c1))
 
     def ratio(m_hi, g_hi, m_lo, g_lo, scale):  # r^-p M / M0 from the exact sums
         return scale * ((m_hi + m_lo / bits) / (g_hi + g_lo / bits))

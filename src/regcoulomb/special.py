@@ -46,8 +46,8 @@ The Tricomi function is evaluated by a router that tries, in order:
   own double-double column, elsewhere in log space.
 
 The Kraetzel function Z_1^nu is the Bessel closed form where it stays in
-the double range; elsewhere, and for rho != 1, its integral in log u is a
-trapezoid sum whose step halves until two levels agree.  No route needs SciPy.
+the double range; elsewhere, and for rho != 1, its integral in log u is one
+trapezoid node pass on a step fixed in advance.  No route needs SciPy.
 
 Every branch produces a running error estimate and is accepted only when
 that estimate meets the target, so the router degrades gracefully rather
@@ -65,7 +65,8 @@ import numpy as np
 from .errors import DivergenceError, DomainError, NumericalError
 # perfbench's tracer wraps the two retired engine names in this module
 from .quadrature import expsinh_escalating, laguerre_escalating  # noqa: F401
-from .quadrature import _TINY, _TRAP_TOL, _two_prod, trapezoid_columns
+from .quadrature import (_TRAP_DROP, _TRAP_REACH, _TRAP_TOL, _tangent_end, _trapezoid_step,
+                         _two_prod, trapezoid_columns)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -85,7 +86,7 @@ _BESSEL_MAX_ORDER = 10_000
 _STEED_MAX_TERMS = 1000
 # log of the largest double, rounded down
 _LOG_MAX = 709.0
-# most nodes a level of the Kraetzel trapezoid sum takes
+# most nodes level 1 of the Kraetzel trapezoid sum takes
 _KRATZEL_NODE_MAX = 1 << 15
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -470,14 +471,10 @@ def kratzel_z(rho: float, nu: float, t: float) -> float:
         raise DomainError(f"kratzel_z requires t >= 0, got {t}")
     if t == 0.0:
         if nu <= 0.0:
-            raise DivergenceError(
-                f"Z_rho^nu(0) diverges for nu <= 0, got nu={nu}"
-            )
+            raise DivergenceError(f"Z_rho^nu(0) diverges for nu <= 0, got nu={nu}")
         value = gamma(nu / rho) / rho
         if not math.isfinite(value):
-            raise NumericalError(
-                f"Z_{rho}^{nu}(0) = Gamma(nu/rho)/rho overflows"
-            )
+            raise NumericalError(f"Z_{rho}^{nu}(0) = Gamma(nu/rho)/rho overflows")
         return value
 
     if rho == 1.0:
@@ -649,12 +646,15 @@ def _kratzel_quadrature(rho: float, nu: float, log_t: float) -> float:
         F(v) - F(v*) = nu d - A expm1(rho d) - B expm1(-d)
 
     is concave, and is integrated over the window where it stays above -40:
-    each end is the nearer of two tangent steps, which both over-cover, from
+    each end is the nearer of two tangent steps (:func:`_tangent_end`), from
     9 peak widths out and from where ``A e^(rho d)`` (on the right) or
-    ``B e^-d`` (on the left) passes ``|nu| + 40``.  The nodes are ``d = j h``;
-    the step starts at the peak width (at most 1) and halves until two
-    consecutive levels agree to 1e-11 relative, within ``_KRATZEL_NODE_MAX``
-    nodes.
+    ``B e^-d`` (on the left) passes ``|nu| + 40``.  As ``nu = rho A - B``,
+    the integrand grows by at most ``cos(max(rho, 1) b)^-(A + B)`` in the
+    strip ``|Im d| < b``, for which :func:`_trapezoid_step` gives level 0's
+    step ``h``.  One pass on the nodes ``d = j h / 2`` is final: level 1 sums
+    them all and level 0 the even ones, by ``math.fsum``.  Levels that
+    disagree beyond ``_TRAP_TOL``, or more than ``_KRATZEL_NODE_MAX`` nodes,
+    raise ``NumericalError``.
     """
     log_rho = math.log(rho)
 
@@ -683,31 +683,22 @@ def _kratzel_quadrature(rho: float, nu: float, log_t: float) -> float:
 
         return nu * d - grow(log_a, big, rho * d) - grow(log_b, small, -d)
 
-    def end(d: float) -> float:  # where the tangent at d falls to -40
-        g = drop(np.float64(d))
-        s = nu - rho * np.exp(log_a + rho * d) + np.exp(log_b - d)
-        return float(np.where(g <= -40.0, d, d - (40.0 + g) / s))
-
-    def level(k: int) -> float:  # the sum at step h = step / 2^k; NaN past the node budget
-        h = step * 0.5 ** k
-        j = np.arange(math.ceil(left / h), math.floor(right / h) + 1.0)
-        return math.nan if j.size > _KRATZEL_NODE_MAX else float(h * np.exp(drop(j * h)).sum())
-
     width = 1.0 / math.sqrt(rho * rho * big + small)
-    top = abs(nu) + 40.0
-    step = min(1.0, width)
+    top = abs(nu) + _TRAP_DROP
+    step = _trapezoid_step(big + small, _TRAP_TOL / 100.0) / max(rho, 1.0)
     with np.errstate(all="ignore"):
-        left = np.fmax(end(-9.0 * width), end(-math.log1p(top / small) if small else -math.inf))
-        right = np.fmin(end(9.0 * width), end(math.log1p(top / big) / rho if big else math.inf))
-        if not (math.isfinite(left) and math.isfinite(right) and step > 0.0):
-            raise NumericalError(
-                f"Kraetzel window not finite for rho={rho}, nu={nu}, t=e^{log_t}")
-        scaled, converged = level(0), False
-        for k in range(1, _KRATZEL_NODE_MAX.bit_length()):
-            prev, scaled = scaled, level(k)
-            if abs(scaled - prev) / max(abs(scaled), _TINY) <= _TRAP_TOL:
-                converged = True
-                break
-    if not (converged and 0.0 < scaled < math.inf):
-        raise NumericalError(f"Kraetzel quadrature failed for rho={rho}, nu={nu}, t=e^{log_t}")
+        starts = np.array([-_TRAP_REACH * width, -math.log1p(top / small) if small else -math.inf,
+                           _TRAP_REACH * width, math.log1p(top / big) / rho if big else math.inf])
+        ends = _tangent_end(starts, drop(starts),
+                            nu - rho * np.exp(log_a + rho * starts) + np.exp(log_b - starts))
+        left, right = np.fmax(ends[0], ends[1]), np.fmin(ends[2], ends[3])
+        first, last = np.ceil(2.0 * left / step), np.floor(2.0 * right / step)
+        if not 0.0 <= last - first < _KRATZEL_NODE_MAX:  # NaN or +-inf if the window is not finite
+            raise NumericalError(f"Kraetzel window [{left:.6g}, {right:.6g}] takes more than "
+                                 f"{_KRATZEL_NODE_MAX} nodes for rho={rho}, nu={nu}, t=e^{log_t}")
+        terms = np.exp(drop(np.arange(first, last + 1.0) * (0.5 * step)))
+    scaled = 0.5 * step * math.fsum(terms.tolist())  # level 1, and level 0 from the even nodes
+    coarse = step * math.fsum(terms[int(first) % 2::2].tolist())
+    if not (0.0 < scaled < math.inf and abs(scaled - coarse) <= _TRAP_TOL * scaled):
+        raise NumericalError(f"Kraetzel levels 0 and 1 disagree: rho={rho}, nu={nu}, t=e^{log_t}")
     return head + math.log(scaled)

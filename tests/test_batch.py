@@ -15,6 +15,7 @@ import regcoulomb.verify as verify
 from regcoulomb import (
     DomainError,
     Grid,
+    NumericalError,
     VerifyConfig,
     default_grid,
     kratzel_z,
@@ -81,6 +82,14 @@ class TestVqMany:
         _check_against_scalar(-0.5, xs[2:], got[2:])
         with pytest.raises(ArithmeticError):
             vq(-0.5, 1e-200)
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-320])
+    def test_series_beyond_the_double_range_is_a_numerical_error(self, x):
+        # V_{-0.99}(x) is about 7e316: x^(2q+1) overflows on the series route
+        with pytest.raises(NumericalError, match="beyond the double range"):
+            vq(-0.99, x)
+        got = vq_many(-0.99, [x, 1.0])
+        assert np.isnan(got[0]) and got[1] == vq(-0.99, 1.0).value
 
     def test_orders_next_to_minus_one_match_the_oracle(self):
         # these points did not converge before the trapezoid rule
@@ -228,10 +237,10 @@ class TestVerifierPrefetch:
         assert list(errors) == [0.0] and isinstance(errors[0.0], DomainError)
 
     def test_an_overflow_at_one_point_is_an_error_at_that_point(self):
-        # the fused expansion's x^(2q+1) overflows at q = -0.99, x = 5e-324,
-        # where vq raises OverflowError: the checks there are evaluation
-        # errors, and no suite stops
-        with pytest.raises(OverflowError):
+        # V_q(x) is beyond the double range at q = -0.99, x = 5e-324, where
+        # vq raises NumericalError: the checks there are evaluation errors,
+        # and no suite stops
+        with pytest.raises(NumericalError):
             vq(-0.99, 5e-324)
         report = run_suite(VerifyConfig(grid=Grid((-0.99, 0.5), (5e-324, 1.0))))
         assert all(e.x is not None for e in report.errors)

@@ -678,35 +678,50 @@ class TestKratzel:
     def test_general_rho_matches_mpmath(self, rho, nu, t):
         assert rel_diff(kratzel_z(rho, nu, t), kratzel_mpmath(rho, nu, t)) <= 1e-12
 
-    @pytest.mark.parametrize("rho, nu, t, level, bits", [
-        (0.4649655211956474, 0.9202626649024923, 64.21652362419835, 2, "0x1.151b4cc35b741p-5"),
-        (3.4793713454897577, -1.006527134073036, 25.554236421132316, 2, "0x1.27208e6f44894p-33"),
-        (15.675659152273422, -4.24134980843822, 17.44980483177437, 3, "0x1.da94d97cd8e54p-30"),
-        (9.867273234010394, 15.501893754263374, 0.37276697189812136, 3, "0x1.feb3e227fc663p-5"),
-        (5.896539967965036, -2.6467839439900205, 0.39697361430703515, 4, "0x1.0ad1ab3ddbac9p+4"),
-        (10.568367245462158, 2.318018725312178, 0.001020799623161732, 4, "0x1.92b2294efb51ap-2"),
-        (43.65185953202943, 2.460030575421891, 0.07654485632320475, 5, "0x1.640b6e5d02a7ap-2"),
-        (28.00805079972624, 0.30338668877450026, 1.804277636795943, 5, "0x1.c86c716503f49p-5"),
-        (27.227987818224317, -3.6742581285394547, 3.3865612530222005, 6, "0x1.64acf3d11297dp-6"),
-        (18.567400709864405, -1.1644135510347606, 0.25538946116362105, 7, "0x1.e2fae26f4a0efp+1"),
+    @pytest.mark.parametrize("rho, nu, t, bits", [
+        (0.4649655211956474, 0.9202626649024923, 64.21652362419835, "0x1.151b4cc35b741p-5"),
+        (3.4793713454897577, -1.006527134073036, 25.554236421132316, "0x1.27208e6f44894p-33"),
+        (15.675659152273422, -4.24134980843822, 17.44980483177437, "0x1.da94d97cd8e54p-30"),
+        (9.867273234010394, 15.501893754263374, 0.37276697189812136, "0x1.feb3e227fc667p-5"),
+        (5.896539967965036, -2.6467839439900205, 0.39697361430703515, "0x1.0ad1ab3ddbac9p+4"),
+        (10.568367245462158, 2.318018725312178, 0.001020799623161732, "0x1.92b2294efb519p-2"),
+        (43.65185953202943, 2.460030575421891, 0.07654485632320475, "0x1.640b6e5d02a7ap-2"),
+        (28.00805079972624, 0.30338668877450026, 1.804277636795943, "0x1.c86c716503f49p-5"),
+        (27.227987818224317, -3.6742581285394547, 3.3865612530222005, "0x1.64acf3d11297dp-6"),
+        (18.567400709864405, -1.1644135510347606, 0.25538946116362105, "0x1.e2fae26f4a0f1p+1"),
     ])
     def test_general_rho_reproduces_the_pinned_bits_and_levels(self, monkeypatch, rho, nu, t,
-                                                               level, bits):
-        # the trapezoid sum halves its step until two levels agree; each
-        # level takes one np.arange of its nodes, so the calls count them
-        levels = []
+                                                               bits):
+        # one node pass on a step fixed in advance gives both levels: the
+        # call forms its nodes by one np.arange
+        aranges = []
 
         class Counting:
             def __getattr__(self, name):
                 return getattr(np, name)
 
             def arange(self, *args):
-                levels.append(len(levels))
+                aranges.append(args)
                 return np.arange(*args)
 
         monkeypatch.setattr(special, "np", Counting())
         assert kratzel_z(rho, nu, t).hex() == bits
-        assert levels[-1] == level, levels
+        assert len(aranges) == 1, aranges
+
+    @pytest.mark.filterwarnings("error")
+    def test_levels_that_disagree_raise(self, monkeypatch):
+        # a step four times too coarse: levels 0 and 1 differ beyond 1e-11
+        step = special._trapezoid_step
+        monkeypatch.setattr(special, "_trapezoid_step", lambda *args: 4.0 * step(*args))
+        with pytest.raises(NumericalError, match="levels 0 and 1 disagree"):
+            kratzel_z(0.4649655211956474, 0.9202626649024923, 64.21652362419835)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_window_past_the_node_budget_raises(self):
+        # a sharp right edge (rho = 1000) needs a fine step, and a flat left
+        # tail (t = 1e-8) a long window
+        with pytest.raises(NumericalError, match=f"more than {special._KRATZEL_NODE_MAX} nodes"):
+            kratzel_z(1000.0, 1.0, 1e-8)
 
     def test_extreme_arguments_give_a_value_zero_or_a_numerical_error(self):
         # nu in [-30, 60] and t across the whole double range: a value, 0.0
