@@ -35,8 +35,9 @@ to 1e-9, so floating-point ties can never be mistaken for confirmation.
 Reports are deterministic: records are sorted canonically by
 (suite, q, x, y) regardless of evaluation order.
 
-Checks run an array at a time: a suite builds both sides of one inequality
-at every point of an order (or order pair) as NumPy arrays.  The collector
+Checks run an array at a time: a suite judges each label in one call, on
+NumPy arrays that hold both sides of the inequality at every point of every
+order it admits, with each entry's order beside its x (and y).  The collector
 keeps the arrays of asserted checks and judges them together, 64 at a time
 and the rest when a result is read, making records only for the failures
 (for every check under ``emit_checks``).  NumPy's ``+ - * /`` and
@@ -63,6 +64,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -313,8 +316,9 @@ class VerificationReport:
 
 class _Collector:
     """Accumulates check outcomes for one suite run.  Each call records a
-    whole array of checks of one label at one order; the asserted ones are
-    judged and folded in together when a result is read."""
+    whole array of checks of one label, located by arrays (or scalars) of
+    orders q and abscissas x and y; the asserted ones are judged and folded
+    in together when a result is read."""
 
     def __init__(self, rel_tol: float, emit_checks: bool = False) -> None:
         self.rel_tol = rel_tol
@@ -333,7 +337,7 @@ class _Collector:
     max_margin = property(lambda self: self._folded()._max_margin)
 
     def _record(self, label: str, lhs: np.ndarray, rhs: np.ndarray, margin: Optional[np.ndarray],
-                ok: Optional[np.ndarray], q: Optional[float], x, y) -> None:
+                ok: Optional[np.ndarray], q, x, y) -> None:
         """Count an array of asserted checks and keep it for :meth:`_folded`;
         ``margin`` and ``ok`` are None for ``lhs < rhs`` under the tolerance policy."""
         self.n_checks += lhs.size
@@ -368,60 +372,60 @@ class _Collector:
             label, lhs, rhs, _, _, q, x, y = pending[k]
             cut = slice(ends[k] - lhs.size, ends[k])
             idx = np.arange(lhs.size) if self.emit_checks else (~ok[cut]).nonzero()[0]
-            entries = zip(_items(x, idx), _items(y, idx), lhs[idx].tolist(),
+            entries = zip(_items(q, idx), _items(x, idx), _items(y, idx), lhs[idx].tolist(),
                           rhs[idx].tolist(), margin[cut][idx].tolist(), ok[cut][idx].tolist())
-            for xk, yk, lk, rk, mk, good in entries:
+            for qk, xk, yk, lk, rk, mk, good in entries:
                 if not good:
-                    self._violations.append(ViolationRecord(label, q, xk, yk, lk, rk, mk))
+                    self._violations.append(ViolationRecord(label, qk, xk, yk, lk, rk, mk))
                 if self.emit_checks:
                     self._observations.append(ObservationRecord(
-                        label, q, xk, yk, lk, rk, "pass" if good else "VIOLATION"
+                        label, qk, xk, yk, lk, rk, "pass" if good else "VIOLATION"
                     ))
         return self
 
-    def _finite(self, label: str, lhs, rhs, q: Optional[float], x, y) -> tuple:
-        """``(finite, lhs, rhs, x, y)``: the mask of the entries at which lhs
-        and rhs are finite, and the arrays at those entries.  Every suite
+    def _finite(self, label: str, lhs, rhs, q, x, y) -> tuple:
+        """``(finite, lhs, rhs, q, x, y)``: the mask of the entries at which
+        lhs and rhs are finite, and the arrays at those entries.  Every suite
         builds its sides from finite values, so each other entry overflowed
         and is recorded as an evaluation error at (q, x)."""
         if not (type(lhs) is type(rhs) is np.ndarray and lhs.ndim == 1 and lhs.shape == rhs.shape):
             lhs, rhs = np.broadcast_arrays(np.atleast_1d(lhs), np.atleast_1d(rhs))
         finite = np.isfinite(lhs) & np.isfinite(rhs)
         if finite.all():
-            return finite, lhs, rhs, x, y
+            return finite, lhs, rhs, q, x, y
         bad = (~finite).nonzero()[0]
-        for xk, lk, rk in zip(_items(x, bad), lhs[bad].tolist(), rhs[bad].tolist()):
+        for qk, xk, lk, rk in zip(_items(q, bad), _items(x, bad), lhs[bad].tolist(),
+                                  rhs[bad].tolist()):
             self.record_error(label, NumericalError(
                 f"the check's arithmetic is not finite (lhs={lk!r}, rhs={rk!r})"
-            ), q, xk)
-        return finite, lhs[finite], rhs[finite], _at(x, finite), _at(y, finite)
+            ), qk, xk)
+        return (finite, lhs[finite], rhs[finite], *(_at(v, finite) for v in (q, x, y)))
 
-    def assert_less(self, label: str, lhs, rhs, q: Optional[float] = None, x=None, y=None) -> None:
+    def assert_less(self, label: str, lhs, rhs, q=None, x=None, y=None) -> None:
         """Assert lhs < rhs under the tolerance policy at each entry of the
-        arrays (or scalars) ``lhs``/``rhs``, located by ``x`` and ``y``."""
-        _, lhs, rhs, x, y = self._finite(label, lhs, rhs, q, x, y)
+        arrays (or scalars) ``lhs``/``rhs``, located by ``q``, ``x`` and ``y``."""
+        _, lhs, rhs, q, x, y = self._finite(label, lhs, rhs, q, x, y)
         self._record(label, lhs, rhs, None, None, q, x, y)
 
-    def assert_residual(self, label: str, residual, cap: float, q: Optional[float] = None,
-                        x=None) -> None:
+    def assert_residual(self, label: str, residual, cap: float, q=None, x=None) -> None:
         """Assert the non-strict residual bound |residual| <= cap."""
-        _, size, cap, x, _ = self._finite(label, np.abs(residual), cap, q, x, None)
+        _, size, cap, q, x, _ = self._finite(label, np.abs(residual), cap, q, x, None)
         self._record(label, size, cap, cap - size, size <= cap, q, x, None)
 
-    def observe_less(self, label: str, lhs, rhs, q: Optional[float] = None, x=None,
+    def observe_less(self, label: str, lhs, rhs, q=None, x=None,
                      y=None) -> tuple[np.ndarray, np.ndarray]:
         """Record non-asserted inequalities; returns the masks of the
         entries compared (finite on both sides) and of those that held."""
-        checked, lhs, rhs, x, y = self._finite(label, lhs, rhs, q, x, y)
+        checked, lhs, rhs, q, x, y = self._finite(label, lhs, rhs, q, x, y)
         ok = _less(lhs, rhs, self.rel_tol)
         held = np.zeros_like(checked)
         held[checked] = ok
         idx = np.arange(ok.size) if self.emit_checks else (~ok).nonzero()[0]
-        entries = zip(_items(x, idx), _items(y, idx), lhs[idx].tolist(),
+        entries = zip(_items(q, idx), _items(x, idx), _items(y, idx), lhs[idx].tolist(),
                       rhs[idx].tolist(), ok[idx].tolist())
-        for xk, yk, lk, rk, good in entries:
+        for qk, xk, yk, lk, rk, good in entries:
             self._observations.append(ObservationRecord(
-                label, q, xk, yk, lk, rk, "holds" if good else "fails (not asserted)"
+                label, qk, xk, yk, lk, rk, "holds" if good else "fails (not asserted)"
             ))
         return checked, held
 
@@ -472,71 +476,79 @@ class _Table:
     they run (see the module docstring)."""
 
     def __init__(self, points: Iterable[tuple[bool, float, Sequence[float]]]) -> None:
-        # (prime, q) -> (its x, increasing; the values there, NaN where the
-        # evaluation failed; {x: the error the scalar evaluation raised})
-        self._rows: dict[tuple[bool, float], tuple[np.ndarray, np.ndarray, dict]] = {}
+        # prime -> (the distinct points as q + x i, increasing; V or V' there)
+        self._points: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
+        # (prime, q, x) -> the error the scalar evaluation raised
+        self._errors: dict[tuple[bool, float, float], Exception] = {}
         points = list(points)
         for prime in (False, True):
-            asked = [(q, xs) for p, q, xs in points if p == prime]
-            # the distinct points q + x i, by order and then x (both parts exact)
-            z = np.unique(np.concatenate([q + 1j * np.asarray(xs, float)
-                                          for q, xs in asked] + [[]]))
-            qs, xs = z.real.copy(), z.imag.copy()
-            del z
+            asked = [(q, np.asarray(xs, float)) for p, q, xs in points if p == prime]
+            qs = np.repeat([q for q, _ in asked], [xs.size for _, xs in asked])
+            xs = np.concatenate([xs for _, xs in asked] + [[]])
+            at = np.lexsort((xs, qs))  # the distinct points, by order and then x
+            qs, xs = qs[at], xs[at]
+            new = np.ones(qs.size, dtype=bool)
+            new[1:] = (qs[1:] != qs[:-1]) | (xs[1:] != xs[:-1])
+            qs, xs = qs[new], xs[new]
             try:
                 values = (vq_prime_many if prime else vq_many)(qs, xs)
             except (DomainError, ArithmeticError):  # at some point: each goes to the scalar call
                 values = np.full(qs.size, math.nan)
-            new = (np.flatnonzero(qs[1:] != qs[:-1]) + 1).tolist()
-            cuts = [0, *new, qs.size] if qs.size else [0]
-            for a, b in zip(cuts, cuts[1:]):
-                self._rows[prime, qs[a].item()] = (xs[a:b], values[a:b], {})
-            for q, x in zip(qs[np.isnan(values)].tolist(), xs[np.isnan(values)].tolist()):
-                row = self._rows[prime, q]
+            for k in np.isnan(values).nonzero()[0].tolist():
+                q, x = qs[k].item(), xs[k].item()
                 try:  # once, by the scalar call, which says why it fails
-                    row[1][np.searchsorted(row[0], x)] = (
-                        vq_prime(q, x, "integral") if prime else vq(q, x).value)
+                    values[k] = vq_prime(q, x, "integral") if prime else vq(q, x).value
                 except (DomainError, ArithmeticError) as exc:
-                    row[2][x] = exc
+                    self._errors[prime, q, x] = exc
+            self._points[prime] = (_keys(qs, xs), values)
 
-    def values(self, q: float, xs: Sequence[float],
-               prime: bool = False) -> tuple[np.ndarray, dict[float, Exception]]:
-        """V_q (or V_q' if ``prime``) at every x of ``xs``, NaN where the
-        evaluation failed, and the errors of the failing x by x."""
-        at, values, errors = self._rows[prime, q]
-        xs = np.asarray(xs)
-        idx = at.searchsorted(xs)
-        if not (at[idx] == xs).all():
-            raise KeyError(f"not every x of order {q} (prime={prime}) was planned")
-        return values[idx], errors
+    def values(self, q, xs, prime: bool = False) -> tuple[np.ndarray, dict[tuple, Exception]]:
+        """V_q (or V_q' if ``prime``) at each point (q, x), the order ``q``
+        an array of one per x or a float, NaN where the evaluation failed;
+        and the errors of the failing points by (q, x)."""
+        keys, values = self._points[prime]
+        want = _keys(q, np.asarray(xs, float))
+        idx = keys.searchsorted(want)
+        if not ((idx < keys.size).all() and (keys[idx] == want).all()):
+            raise KeyError(f"not every point (q, x) (prime={prime}) was planned")
+        got = values[idx]
+        failed = want[np.isnan(got)].tolist()
+        return got, {(z.real, z.imag): self._errors[prime, z.real, z.imag] for z in failed}
 
-    def rows(self, col: _Collector, label: str, q: float, xs: Sequence[float],
-             *columns: tuple[float, bool]) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The x of ``xs`` at which every ``(order, prime)`` column evaluated,
-        and each column's values there.  At the other x the first failing
-        column's error is recorded under ``label`` at (q, x)."""
-        x = np.array(xs)
-        got = [self.values(order, x, prime) for order, prime in columns]
-        ok = _evaluated(col, label, q, x, [(v, errors, x) for v, errors in got])
-        return x[ok], [v[ok] for v, _ in got]
+    def rows(self, col: _Collector, label: str, q: np.ndarray, x: np.ndarray,
+             *columns: tuple[np.ndarray, bool]) -> tuple[np.ndarray | slice, list[np.ndarray]]:
+        """The index of the entries (q, x) at which every ``(orders, prime)``
+        column evaluated, and each column's values there.  At the other
+        entries the first failing column's error is recorded under ``label``
+        at (q, x)."""
+        got = [(*self.values(orders, x, prime), orders) for orders, prime in columns]
+        ok = _evaluated(col, label, q, x, [(v, errors, orders, x) for v, errors, orders in got],
+                        np.isnan([v for v, _, _ in got]).any(axis=0))
+        return ok, [v[ok] for v, _, _ in got]
 
 
-def _evaluated(col: _Collector, label: str, q: float, at: np.ndarray,
-               columns: list[tuple[np.ndarray, dict, np.ndarray]],
-               failed: Optional[np.ndarray] = None) -> np.ndarray | slice:
-    """The index of the entries at which every column evaluated: a mask, or
-    ``slice(None)`` where all did.  A column is ``(values, errors, points)``:
-    its value at each entry (NaN where it failed), its errors by point, and
-    each entry's point.  At each other entry the first failing column's
-    error is recorded under ``label`` at (q, at).  ``failed``, where given,
-    is the mask of the entries at which some column is NaN."""
-    if failed is None:
-        failed = np.isnan([v for v, _, _ in columns]).any(axis=0)
+def _keys(q, x: np.ndarray) -> np.ndarray:
+    """The points (q, x) as q + x i, exactly: they sort by q and then x."""
+    z = np.empty(x.shape, complex)
+    z.real, z.imag = q, x
+    return z
+
+
+def _evaluated(col: _Collector, label: str, q: np.ndarray, at: np.ndarray,
+               columns: list[tuple[np.ndarray, dict, np.ndarray, np.ndarray]],
+               failed: np.ndarray) -> np.ndarray | slice:
+    """The index of the entries at which every column evaluated: ``~failed``,
+    or ``slice(None)`` where all did.  A column is ``(values, errors,
+    orders, points)``: its value at each entry (NaN where it failed), its
+    errors by (order, point), and each entry's order and point.  At each
+    failed entry the first failing column's error is recorded under
+    ``label`` at (q, at)."""
     if not failed.any():
         return slice(None)
     for k in failed.nonzero()[0].tolist():
-        error = next(errors[points[k]] for v, errors, points in columns if math.isnan(v[k]))
-        col.record_error(label, error, q, float(at[k]))
+        error = next(errors[orders[k], points[k]]
+                     for v, errors, orders, points in columns if math.isnan(v[k]))
+        col.record_error(label, error, float(q[k]), float(at[k]))
     return ~failed
 
 
@@ -548,68 +560,64 @@ def _exp(value: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# suite implementations
+# suite implementations: each label is checked in one call over every order
+# it admits, on flat arrays of points laid out order-major
 
 
 def _grid_points(grid: Grid, *shifts: tuple[float, bool]) -> list[tuple]:
     """The points ``(prime, q + shift, grid x)`` of a suite at every grid
     order q, for each ``(shift, prime)``."""
-    return [(prime, q + shift, grid.x_values) for q in grid.q_values for shift, prime in shifts]
+    xs = np.array(grid.x_values)
+    return [(prime, q + shift, xs) for q in grid.q_values for shift, prime in shifts]
 
 
-#: the shifts of :func:`_three_orders`
+def _block(qs: Sequence[float], xs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The q and the x of each point (q, x) of ``qs`` x ``xs``, order-major."""
+    return np.repeat(np.asarray(qs, float), len(xs)), np.tile(np.asarray(xs, float), len(qs))
+
+
+def _consecutive(q: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Each array at the first and at the second member of every pair of
+    consecutive entries of one order: ``[a1, a2, b1, b2, ...]``."""
+    same = q[1:] == q[:-1]
+    return [part[same] for a in arrays for part in (a[:-1], a[1:])]
+
+
+#: the shifts of V_q, V_{q+1} and V_{q+2}
 _THREE = ((0.0, False), (1.0, False), (2.0, False))
 
 
 def _monotonicity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
-    for q in grid.q_values:
-        x, (v, vp, w) = ev.rows(
-            col, "monotonicity", q, grid.x_values, (q, False), (q, True), (q + 1.0, False)
-        )
-        x1, v1, vp1, w1 = x[:-1], v[:-1], vp[:-1], w[:-1]
-        x2, v2, vp2, w2 = x[1:], v[1:], vp[1:], w[1:]
-        col.assert_less(
-            "monotonicity:x-logslope-decreasing",
-            x2 * vp2 / v2, x1 * vp1 / v1, q, x1, x2,
-        )
-        col.assert_less(
-            "monotonicity:x2-slope-decreasing",
-            x2 * x2 * vp2, x1 * x1 * vp1, q, x1, x2,
-        )
-        if q >= 0.0:
-            col.assert_less("monotonicity:slope-over-x-increasing", vp1 / x1, vp2 / x2, q, x1, x2)
-            col.assert_less(
-                "monotonicity:normalized-slope-increasing",
-                vp1 / (x1 * v1), vp2 / (x2 * v2), q, x1, x2,
-            )
-        col.assert_less("monotonicity:order-ratio-increasing", w1 / v1, w2 / v2, q, x1, x2)
-        col.assert_less(
-            "monotonicity:order-difference-increasing", w1 - v1, w2 - v2, q, x1, x2
-        )
-
-
-def _power_means(order: float, powered: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 alpha: float) -> np.ndarray:
-    """Weighted power means H_order(u_i, u_j; alpha) of the members u, from
-    ``powered`` = u ** order (log u at order 0, the geometric mean); inf
-    where a power overflows.  Powers, logs and exponentials stay Python
-    float operations (NumPy's can round differently)."""
-    mixed = alpha * powered[i] + (1.0 - alpha) * powered[j]
-    if order == 0.0:
-        return np.array([_exp(m) for m in mixed.tolist()])
-    # an overflowed sum stays inf, though inf ** (1/order) is 0 for order < 0
-    return np.where(np.isfinite(mixed), _pows(mixed, 1.0 / order), np.inf)
+    q, x = _block(grid.q_values, grid.x_values)
+    ok, (v, vp, w) = ev.rows(col, "monotonicity", q, x, (q, False), (q, True), (q + 1.0, False))
+    q1, _, x1, x2, v1, v2, vp1, vp2, w1, w2 = _consecutive(q[ok], q[ok], x[ok], v, vp, w)
+    col.assert_less("monotonicity:x-logslope-decreasing", x2 * vp2 / v2, x1 * vp1 / v1, q1, x1, x2)
+    col.assert_less("monotonicity:x2-slope-decreasing", x2 * x2 * vp2, x1 * x1 * vp1, q1, x1, x2)
+    up = q1 >= 0.0
+    col.assert_less("monotonicity:slope-over-x-increasing",
+                    *(s[up] for s in (vp1 / x1, vp2 / x2, q1, x1, x2)))
+    col.assert_less("monotonicity:normalized-slope-increasing",
+                    *(s[up] for s in (vp1 / (x1 * v1), vp2 / (x2 * v2), q1, x1, x2)))
+    col.assert_less("monotonicity:order-ratio-increasing", w1 / v1, w2 / v2, q1, x1, x2)
+    col.assert_less("monotonicity:order-difference-increasing", w1 - v1, w2 - v2, q1, x1, x2)
 
 
 def _midpoint_means(order: float, members: np.ndarray, i: np.ndarray,
-                    j: np.ndarray) -> list[np.ndarray]:
-    """:func:`_power_means` of the members at each midpoint weight, from their
-    powers (logs at order 0)."""
-    if order == 0.0:
-        powered = np.array([math.log(m) for m in members.tolist()])
+                    j: np.ndarray) -> np.ndarray:
+    """The weighted power means H_order(u_i, u_j; alpha) of the members u
+    along the last axis, one row per midpoint weight alpha; inf where a power
+    overflows.  Powers, logs and exponentials stay Python float operations
+    (NumPy's can round differently)."""
+    if order == 0.0:  # the geometric mean, from the logs
+        powered = np.array([math.log(m) for m in members.ravel().tolist()]).reshape(members.shape)
     else:
         powered = _pows(members, order)
-    return [_power_means(order, powered, i, j, alpha) for alpha in _MIDPOINT_WEIGHTS]
+    mixed = np.array([alpha * powered[..., i] + (1.0 - alpha) * powered[..., j]
+                      for alpha in _MIDPOINT_WEIGHTS])
+    if order == 0.0:
+        return np.array([_exp(m) for m in mixed.ravel().tolist()]).reshape(mixed.shape)
+    # an overflowed sum stays inf, though inf ** (1/order) is 0 for order < 0
+    return np.where(np.isfinite(mixed), _pows(mixed, 1.0 / order), np.inf)
 
 
 @lru_cache(maxsize=64)
@@ -617,84 +625,94 @@ def _argument_means(pair_x: tuple[float, ...], a: float) -> np.ndarray:
     """The argument means H_a(x, y; alpha) of the convexity midpoints, one
     row per weight alpha, over the pairs ``np.triu_indices`` of ``pair_x``;
     inf where a mean overflowed.  Shared, so read-only."""
-    means = np.array(_midpoint_means(a, np.array(pair_x), *np.triu_indices(len(pair_x), 1)))
+    means = _midpoint_means(a, np.array(pair_x), *np.triu_indices(len(pair_x), 1))
     means.flags.writeable = False
     return means
 
 
 def _convexity_points(grid: Grid) -> Iterable[tuple]:
-    specs = default_convexity_specs()
-    pair_x = grid.pair_x_values()
+    specs, xs, pair_x = default_convexity_specs(), np.array(grid.x_values), grid.pair_x_values()
     for q in grid.q_values:
         orders = dict.fromkeys(spec.a for spec in specs if spec.admits(q))
         if orders:
             means = np.array([_argument_means(pair_x, a) for a in orders])
             yield False, q, np.concatenate([pair_x, means[np.isfinite(means)]])
-            yield from ((True, q, grid.x_values), (False, q, grid.x_values))
+            yield from ((True, q, xs), (False, q, xs))
 
 
 def _convexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
-    grid_x = np.array(grid.x_values)
-    pair_x = grid.pair_x_values()
+    specs = default_convexity_specs()
+    qs = np.array([q for q in grid.q_values if any(spec.admits(q) for spec in specs)])
+    grid_x, pair_x = np.array(grid.x_values), grid.pair_x_values()
     i, j = np.triu_indices(len(pair_x), 1)
-    x1, x2 = np.array(pair_x)[i], np.array(pair_x)[j]
-    specs = [(spec, f"a={spec.a:g},b={spec.b:g},{spec.direction}")
-             for spec in default_convexity_specs()]
-    # x^(1-a) depends on the spec only through a
-    x_powers = {a: _pows(grid_x, 1.0 - a) for a in dict.fromkeys(spec.a for spec, _ in specs)}
-    for q in grid.q_values:
-        admitted = [(spec, tag) for spec, tag in specs if spec.admits(q)]
-        if not admitted:
+    # V' and V at the monitor's points, kept where both evaluated
+    q, x = _block(qs, grid_x)
+    (vp, vp_errors), (v, v_errors) = (ev.values(q, x, prime) for prime in (True, False))
+    monitor_columns = [(vp, vp_errors, q, x), (v, v_errors, q, x)]
+    kept = ~(np.isnan(vp) | np.isnan(v))
+    mq, mx, vp, v = q[kept], x[kept], vp[kept], v[kept]
+    # V at the pairs' members, a row per order
+    v_pair, pair_errors = ev.values(*_block(qs, pair_x))
+    v_pair = v_pair.reshape(qs.size, len(pair_x))
+
+    # x^(1-a) depends on a spec only through a, V^(b-1) and the value means
+    # only through b, and the orders it admits only through q_min
+    x_powers = {a: np.tile(_pows(grid_x, 1.0 - a), qs.size)[kept] for a in {s.a for s in specs}}
+    by_value: dict = {}
+    for _, group in groupby(specs, attrgetter("q_min")):
+        group = list(group)
+        rows, on = group[0].admits(qs), group[0].admits(mq)
+        if not rows.any():
             continue
-        v_pair, errors = ev.values(q, pair_x)
-        v1, v2 = v_pair[i], v_pair[j]
-        # V is not evaluated at an argument mean that overflowed: inf stands
-        # in for it, so its check records an evaluation error
-        orders = list(dict.fromkeys(spec.a for spec, _ in admitted))
-        means = np.array([_argument_means(pair_x, a) for a in orders])
-        finite = np.isfinite(means)
-        v_means = np.full(means.shape, math.inf)
-        v_means[finite] = ev.values(q, means[finite])[0]
-        v_means = dict(zip(orders, v_means))
-        monitor_columns = [(*ev.values(q, grid.x_values, p), grid_x) for p in (True, False)]
-        (vp, _, _), (v, _, _) = monitor_columns
-        monitor_failed, pair_failed = np.isnan(vp) | np.isnan(v), np.isnan(v1) | np.isnan(v2)
-        x, vp, v = grid_x[~monitor_failed], vp[~monitor_failed], v[~monitor_failed]
-        by_value: dict = {}  # V^(b-1) and the value means depend on the spec only through b
-        for spec, tag in admitted:
+        monitor_failed = ~kept & group[0].admits(q)
+        q1, _, x1, x2 = _consecutive(mq[on], mq[on], mx[on])
+        pq, px1 = _block(qs[rows], np.array(pair_x)[i])
+        px2 = np.tile(np.array(pair_x)[j], rows.sum())
+        pv1, pv2 = v_pair[rows][:, i].ravel(), v_pair[rows][:, j].ravel()
+        pair_columns = [(pv1, pair_errors, pq, px1), (pv2, pair_errors, pq, px2)]
+        pair_failed = np.isnan(pv1) | np.isnan(pv2)
+        # a -> (t, V, failed, errors) at each weight: the argument means t; V
+        # there, inf where t overflowed (its check records an evaluation
+        # error); the pairs at which some V failed; and the errors at the t
+        at_means = {}
+        for a in dict.fromkeys(spec.a for spec in group):
+            means = _argument_means(pair_x, a)
+            finite = np.isfinite(means)
+            t = np.unique(means[finite])  # looked up in increasing order
+            got, errors = ev.values(*_block(qs[rows], t))
+            v_means = np.full((rows.sum(), *means.shape), math.inf)
+            v_means[:, finite] = got.reshape(rows.sum(), -1)[:, t.searchsorted(means[finite])]
+            v_means = v_means.transpose(1, 0, 2).reshape(len(means), -1)
+            at_means[a] = [(np.tile(mean, rows.sum()), at, pair_failed | np.isnan(at), errors)
+                           for mean, at in zip(means, v_means)]
+        for spec in group:
             a, b, convex = spec.a, spec.b, spec.direction == "convex"
-            x_power, arg_means = x_powers[a], _argument_means(pair_x, a)
+            tag = f"a={a:g},b={b:g},{spec.direction}"
+            if b not in by_value:
+                by_value[b] = (_pows(v, b - 1.0), _midpoint_means(b, v_pair, i, j))
+            v_power, value_means = by_value[b]
 
             # (i) monitor route: M(x) = x^{1-a} V'(x) V(x)^{b-1}, increasing
             # exactly when V_q is (a, b)-convex
             label = f"convexity:monitor[{tag}]"
-            evaluated = _evaluated(col, label, q, grid_x, monitor_columns, monitor_failed)
-            if b not in by_value:
-                by_value[b] = (_pows(v, b - 1.0), _midpoint_means(b, v_pair, i, j))
-            v_power, value_means = by_value[b]
-            monitor = x_power[evaluated] * vp * v_power
-            lhs, rhs = (monitor[:-1], monitor[1:]) if convex else (monitor[1:], monitor[:-1])
-            col.assert_less(label, lhs, rhs, q, x[:-1], x[1:])
+            _evaluated(col, label, q, x, monitor_columns, monitor_failed)
+            m1, m2 = _consecutive(mq[on], (x_powers[a] * vp * v_power)[on])
+            col.assert_less(label, *((m1, m2) if convex else (m2, m1)), q1, x1, x2)
 
             # (ii) midpoint route: compare V at the argument mean with the
             # value mean, strictly, for distinct pair members
-            for alpha, t, v_at_mean, mean_of_v in zip(_MIDPOINT_WEIGHTS, arg_means, v_means[a],
-                                                      value_means):
+            for alpha, (t, v_at_mean, failed, errors), mean_of_v in zip(
+                    _MIDPOINT_WEIGHTS, at_means[a], value_means):
                 label = f"convexity:midpoint[{tag},alpha={alpha:g}]"
-                ok = _evaluated(col, label, q, x1, [
-                    (v_at_mean, errors, t), (v1, errors, x1), (v2, errors, x2)
-                ], pair_failed | np.isnan(v_at_mean))
+                ok = _evaluated(col, label, pq, px1,
+                                [(v_at_mean, errors, pq, t), *pair_columns], failed)
+                mean_of_v = mean_of_v[rows].ravel()
                 lhs, rhs = (v_at_mean, mean_of_v) if convex else (mean_of_v, v_at_mean)
-                col.assert_less(label, lhs[ok], rhs[ok], q, x1[ok], x2[ok])
+                col.assert_less(label, lhs[ok], rhs[ok], pq[ok], px1[ok], px2[ok])
 
 
-def _turan_constant(q: float) -> float:
+def _turan_constant(q):
     return (q + 2.0) * (2.0 * q + 1.0) / ((q + 1.0) * (2.0 * q + 3.0))
-
-
-def _three_orders(q: float) -> tuple[tuple[float, bool], ...]:
-    """The columns V_q, V_{q+1}, V_{q+2} of :meth:`_Table.rows`."""
-    return (q, False), (q + 1.0, False), (q + 2.0, False)
 
 
 def _turan_points(grid: Grid) -> list[tuple]:
@@ -702,86 +720,70 @@ def _turan_points(grid: Grid) -> list[tuple]:
 
 
 def _turan_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
-    for q in grid.q_values:
-        x, (v0, v1, v2) = ev.rows(col, "turan", q, grid.x_values, *_three_orders(q))
-        prod = v0 * v2
-        col.assert_less("turan:upper", v1 * v1, (q + 2.0) / (q + 1.0) * prod, q, x)
-        col.assert_less("turan:improved-upper", v1 * v1, prod, q, x)
-        if q > -0.5:
-            col.assert_less("turan:lower", _turan_constant(q) * prod, v1 * v1, q, x)
-        col.assert_less("turan:order-bound", (2.0 * q + 1.0) * v0, 2.0 * (q + 1.0) * v1, q, x)
-        col.assert_less(
-            "turan:shifted-lower",
-            -v0 * v1, (q + 1.0) * v1 * v1 - (q + 2.0) * prod, q, x,
-        )
+    q, x = _block(grid.q_values, grid.x_values)
+    ok, (v0, v1, v2) = ev.rows(col, "turan", q, x, *((q + s, p) for s, p in _THREE))
+    q, x, prod = q[ok], x[ok], v0 * v2
+    col.assert_less("turan:upper", v1 * v1, (q + 2.0) / (q + 1.0) * prod, q, x)
+    col.assert_less("turan:improved-upper", v1 * v1, prod, q, x)
+    up = q > -0.5
+    col.assert_less("turan:lower", *(s[up] for s in (_turan_constant(q) * prod, v1 * v1, q, x)))
+    col.assert_less("turan:order-bound", (2.0 * q + 1.0) * v0, 2.0 * (q + 1.0) * v1, q, x)
+    col.assert_less("turan:shifted-lower", -v0 * v1, (q + 1.0) * v1 * v1 - (q + 2.0) * prod, q, x)
 
     # sharpness of the lower constant as x -> 0, at fixed representative
     # orders: the ratio approaches the constant like x^{min(2q+1, 2)}
     label = "turan:lower-sharpness-limit"
-    for q in SHARPNESS_Q:
-        x, (v0, v1, v2) = ev.rows(col, label, q, (SHARPNESS_X,), *_three_orders(q))
-        ratio = v1 * v1 / (v0 * v2)
-        col.assert_residual(label, ratio - _turan_constant(q), SHARPNESS_TOL, q, x)
+    q, x = _block(SHARPNESS_Q, (SHARPNESS_X,))
+    ok, (v0, v1, v2) = ev.rows(col, label, q, x, *((q + s, p) for s, p in _THREE))
+    ratio = v1 * v1 / (v0 * v2)
+    col.assert_residual(label, ratio - _turan_constant(q[ok]), SHARPNESS_TOL, q[ok], x[ok])
 
 
 def _logconvexity_points(grid: Grid) -> list[tuple]:
-    qs = grid.q_values
+    qs, pair_x = grid.q_values, np.array(grid.pair_x_values())
     mids = tuple(0.5 * (q1 + q2) for k, q1 in enumerate(qs) for q2 in qs[k + 1:])
-    return [(False, q, grid.pair_x_values()) for q in qs + mids]
+    return [(False, q, pair_x) for q in qs + mids]
 
 
 def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
     xs, qs = grid.pair_x_values(), grid.q_values
+    # q1 < q2 and their midpoint at each pair of orders, and the weights Gamma(q + 1)
+    orders = np.array([(q1, q2, 0.5 * (q1 + q2)) for k, q1 in enumerate(qs) for q2 in qs[k + 1:]])
+    weights = np.array([_exp(ln_gamma(q + 1.0)) for q in orders.ravel().tolist()])
+    (q1, q2, mid), (w1, w2, wm) = (np.repeat(a.reshape(-1, 3), len(xs), axis=0).T
+                                   for a in (orders, weights))
+    x = np.tile(np.asarray(xs, float), len(orders))
+    ok, (g1, g2, gm) = ev.rows(col, "logconvexity", q1, x, (q1, False), (q2, False), (mid, False))
+    q1, q2, x, f1, f2, fm = q1[ok], q2[ok], x[ok], w1[ok] * g1, w2[ok] * g2, wm[ok] * gm
+    col.assert_less("logconvexity:gamma-weighted-midpoint", fm * fm, f1 * f2, q1, x, q2)
     label = "logconvexity:unweighted-midpoint[open-problem]"
-    open_total = np.zeros(len(xs), dtype=int)
-    open_held = np.zeros(len(xs), dtype=int)
-    for i, q1 in enumerate(qs):
-        for q2 in qs[i + 1:]:
-            mid = 0.5 * (q1 + q2)
-            orders = ((q1, False), (q2, False), (mid, False))
-            x, (g1, g2, gm) = ev.rows(col, "logconvexity", q1, xs, *orders)
-            w1, w2, wm = (_exp(ln_gamma(q + 1.0)) for q in (q1, q2, mid))
-            f1, f2, fm = w1 * g1, w2 * g2, wm * gm
-            col.assert_less("logconvexity:gamma-weighted-midpoint", fm * fm, f1 * f2, q1, x, q2)
-            checked, held = col.observe_less(label, gm * gm, g1 * g2, q1, x, q2)
-            at = np.searchsorted(xs, x)
-            open_total[at] += checked
-            open_held[at] += held
-    for x, held, total in zip(xs, open_held.tolist(), open_total.tolist()):
-        col.note(
-            label,
-            f"open problem, never asserted: strict midpoint log-convexity of "
-            f"q -> V_q held at {held} of {total} pairs at x={x:g}",
-        )
+    checked, held = col.observe_less(label, gm * gm, g1 * g2, q1, x, q2)
+    at = np.searchsorted(xs, x)
+    for x, held, total in zip(xs, *(np.bincount(at[mask], minlength=len(xs)).tolist()
+                                    for mask in (held, checked))):
+        col.note(label, f"open problem, never asserted: strict midpoint log-convexity of "
+                 f"q -> V_q held at {held} of {total} pairs at x={x:g}")
 
 
 def _simon_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
-    printed = "simon:product-ratio-bound[printed-exponent]"
-    rederived = "simon:product-ratio-bound[rederived-exponent]"
-    tallies = {printed: [0, 0], rederived: [0, 0]}  # compared, failed
-    for q in grid.q_values:
-        x, (v0, v1, v2) = ev.rows(col, "simon", q, grid.x_values, *_three_orders(q))
-        # x^2 underflows to 0 below about 1e-162: such sides are not finite
-        gap = v0 * v2 - v1 * v1
-        col.assert_less("simon:product-gap-bound", gap, v1 * v2 / x, q, x)
-        col.assert_less("simon:product-gap-bound-quadratic", gap, v1 * v2 / (x * x), q, x)
-        col.assert_less("simon:two-sided-upper", v1 * v1 - v0 * v2, 0.0, q, x)
+    q, x = _block(grid.q_values, grid.x_values)
+    ok, (v0, v1, v2) = ev.rows(col, "simon", q, x, *((q + s, p) for s, p in _THREE))
+    q, x, gap = q[ok], x[ok], v0 * v2 - v1 * v1
+    # x^2 underflows to 0 below about 1e-162: such sides are not finite
+    col.assert_less("simon:product-gap-bound", gap, v1 * v2 / x, q, x)
+    col.assert_less("simon:product-gap-bound-quadratic", gap, v1 * v2 / (x * x), q, x)
+    col.assert_less("simon:two-sided-upper", v1 * v1 - v0 * v2, 0.0, q, x)
 
-        # product-ratio forms: both exponent variants fail numerically
-        # for x beyond roughly 2.26, so they are observed, not asserted
-        for label, exponent in ((printed, -2.0 * (q + 3.0)), (rederived, -(2.0 * q + 7.0))):
-            checked, held = col.observe_less(
-                label, v0 * v2, v1 * v1 * (1.0 + _pows(x, exponent) * v2), q, x
-            )
-            tallies[label][0] += int(checked.sum())
-            tallies[label][1] += int((checked & ~held).sum())
-    for label, form in ((printed, "x^(-2(q+3))"), (rederived, "x^(-2q-7)")):
-        total, failed = tallies[label]
-        col.note(
-            label,
-            f"not asserted: the {form} product-ratio form failed at "
-            f"{failed} of {total} grid points (fails for large x)",
-        )
+    # product-ratio forms: both exponent variants fail numerically for x
+    # beyond roughly 2.26, so they are observed, not asserted
+    for label, exponent, form in (
+        ("simon:product-ratio-bound[printed-exponent]", -2.0 * (q + 3.0), "x^(-2(q+3))"),
+        ("simon:product-ratio-bound[rederived-exponent]", -(2.0 * q + 7.0), "x^(-2q-7)"),
+    ):
+        checked, held = col.observe_less(
+            label, v0 * v2, v1 * v1 * (1.0 + _pows(x, exponent) * v2), q, x)
+        col.note(label, f"not asserted: the {form} product-ratio form failed at "
+                 f"{(checked & ~held).sum()} of {checked.sum()} grid points (fails for large x)")
 
 
 def _bounds_points(grid: Grid) -> list[tuple]:
@@ -793,42 +795,41 @@ def _bounds_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
     _mills_checks(grid.x_values, col)
 
     # order-indexed bounds and envelopes
-    for q in grid.q_values:
-        x, (v,) = ev.rows(col, "bounds", q, grid.x_values, (q, False))
-        if q >= 0.0:
-            xr, (vr, v_prev) = ev.rows(
-                col, "bounds:order-ratio", q, x.tolist(), (q, False), (q - 1.0, False)
-            )
-            xsq2 = 2.0 * xr * xr
-            col.assert_less("bounds:order-ratio-lower", xsq2 / (xsq2 + 1.0), vr / v_prev, q, xr)
-            col.assert_less("bounds:order-decreasing", vr, v_prev, q, xr)
+    q, x = _block(grid.q_values, grid.x_values)
+    ok, (v,) = ev.rows(col, "bounds", q, x, (q, False))
+    q, x = q[ok], x[ok]
+    qr, xr = q[q >= 0.0], x[q >= 0.0]
+    ok, (vr, v_prev) = ev.rows(col, "bounds:order-ratio", qr, xr, (qr, False), (qr - 1.0, False))
+    qr, xr = qr[ok], xr[ok]
+    xsq2 = 2.0 * xr * xr
+    col.assert_less("bounds:order-ratio-lower", xsq2 / (xsq2 + 1.0), vr / v_prev, qr, xr)
+    col.assert_less("bounds:order-decreasing", vr, v_prev, qr, xr)
 
-        envelopes = [("bounds:envelope-lower-exp", vq_lower_exp, True)]
-        if q > -0.75:
-            envelopes.append(("bounds:envelope-upper-agm", vq_upper_agm, False))
-        envelopes.append(("bounds:envelope-lower-kratzel", vq_lower_kratzel, True))
-        got = _envelopes(col, q, x, [fn for _, fn, _ in envelopes])
-        for (label, _, lower), (bound, ok) in zip(envelopes, got):
-            lhs, rhs = (bound, v) if lower else (v, bound)
-            col.assert_less(label, lhs[ok], rhs[ok], q, x[ok])
+    for label, bound, ok, lower in _envelopes(col, q, x):
+        lhs, rhs = (bound, v) if lower else (v, bound)
+        col.assert_less(label, lhs[ok], rhs[ok], q[ok], x[ok])
 
-        col.assert_less("bounds:x-vq-increasing", x[:-1] * v[:-1], x[1:] * v[1:], q, x[:-1], x[1:])
+    q1, _, x1, x2, v1, v2 = _consecutive(q, q, x, v)
+    col.assert_less("bounds:x-vq-increasing", x1 * v1, x2 * v2, q1, x1, x2)
 
 
-def _envelopes(col: _Collector, q: float, xs: np.ndarray, fns: list) -> list[tuple]:
-    """``(values, evaluated)`` of each envelope function of ``fns`` over
-    ``xs``.  The first that fails at an x is recorded as the envelope's
-    evaluation error there, and the later ones are not evaluated."""
-    values = np.zeros((len(fns), xs.size))
-    reached = np.zeros(xs.size, dtype=int)
-    for k, x in enumerate(xs.tolist()):
+def _envelopes(col: _Collector, q: np.ndarray, x: np.ndarray) -> list[tuple]:
+    """``(label, values, evaluated, lower)`` of each V_q envelope at the
+    points (q, x), the upper one at q > -0.75 only.  At each point the first
+    that fails is recorded as the envelope's error, and the later ones skipped."""
+    envelopes = (("bounds:envelope-lower-exp", vq_lower_exp, True),
+                 ("bounds:envelope-upper-agm", vq_upper_agm, False),
+                 ("bounds:envelope-lower-kratzel", vq_lower_kratzel, True))
+    values, done = ([[value] * x.size for _ in envelopes] for value in (0.0, False))
+    for k, (qk, xk) in enumerate(zip(q.tolist(), x.tolist())):
         try:
-            for row, fn in enumerate(fns):
-                values[row, k] = fn(q, x)
-                reached[k] += 1
+            for row, (_, fn, lower) in enumerate(envelopes):
+                if lower or qk > -0.75:
+                    values[row][k], done[row][k] = fn(qk, xk), True
         except (DomainError, ArithmeticError) as exc:
-            col.record_error("bounds:envelope", exc, q, x)
-    return [(values[row], reached > row) for row in range(len(fns))]
+            col.record_error("bounds:envelope", exc, qk, xk)
+    return [(label, np.array(value), np.array(ok), lower)
+            for (label, _, lower), value, ok in zip(envelopes, values, done)]
 
 
 def _mills_checks(xs: Sequence[float], col: _Collector) -> None:
@@ -869,9 +870,8 @@ def _mills_checks(xs: Sequence[float], col: _Collector) -> None:
     col.assert_less("bounds:mills-upper-f5", m, f5, x=x)
     beyond = has_f3 & (x > 1.0)
     col.assert_less("bounds:f3-below-f2-beyond-1", f3[beyond], f2[beyond], x=x[beyond])
-    col.assert_residual(
-        "bounds:mills-ode-residual", np.array(residual), ODE_RESIDUAL_TOL, x=np.array(residual_x)
-    )
+    col.assert_residual("bounds:mills-ode-residual", np.array(residual), ODE_RESIDUAL_TOL,
+                        x=np.array(residual_x))
 
 
 #: the suite registry, in canonical order: each suite's points (the V_q and

@@ -222,9 +222,9 @@ class TestVerifierPrefetch:
         table = _Table([(True, -0.9999, (1e160, 1.0))])
         values, errors = table.values(-0.9999, [1e160, 1.0], prime=True)
         assert math.isnan(values[0]) and math.isfinite(values[1])
-        assert list(errors) == [1e160]
+        assert list(errors) == [(-0.9999, 1e160)]
         with pytest.raises(ArithmeticError, match="did not converge"):
-            raise errors[1e160]
+            raise errors[-0.9999, 1e160]
 
     def test_a_domain_error_at_one_order_leaves_the_other_orders_values(self):
         # V_q(0) diverges for q <= -1/2: the table's one call raises, every
@@ -234,7 +234,25 @@ class TestVerifierPrefetch:
         assert _hex(values) == _hex([vq(0.5, 0.0).value, vq(0.5, 1.0).value]) and not errors
         values, errors = table.values(-0.75, [0.0, 1.0])
         assert math.isnan(values[0]) and _hex(values[1:]) == _hex(vq(-0.75, 1.0).value)
-        assert list(errors) == [0.0] and isinstance(errors[0.0], DomainError)
+        assert list(errors) == [(-0.75, 0.0)] and isinstance(errors[-0.75, 0.0], DomainError)
+
+    @pytest.mark.parametrize("q, xs", [
+        (1.0, [3.0]),         # above the largest planned x of the order
+        (1.0, [0.5, 2.0]),    # below the smallest
+        (1.0, [1.5]),         # between two planned x
+        (2.0, [1.0]),         # an order that was not planned
+        (1.0, [2.0, 3.0]),    # one planned point and one past the end
+    ])
+    def test_an_unplanned_point_is_a_key_error(self, q, xs):
+        table = _Table([(False, 1.0, (1.0, 2.0))])
+        with pytest.raises(KeyError, match="planned"):
+            table.values(q, xs)
+        with pytest.raises(KeyError, match="planned"):
+            table.values(np.full(len(xs), q), xs)
+        with pytest.raises(KeyError, match="planned"):
+            table.values(1.0, [1.0], prime=True)  # no V' was planned
+        assert _hex(table.values(1.0, [2.0, 1.0])[0]) == _hex([vq(1.0, 2.0).value,
+                                                                vq(1.0, 1.0).value])
 
     def test_an_overflow_at_one_point_is_an_error_at_that_point(self):
         # V_q(x) is beyond the double range at q = -0.99, x = 5e-324, where
@@ -287,6 +305,17 @@ class TestCallsPerReport:
         assert report.n_checks == 55181 and not report.errors
         assert len(calls) <= 8
         assert sum(size <= 16 for size in passes) <= 5
+
+    def test_each_check_label_is_judged_in_a_few_calls(self, monkeypatch):
+        # a suite checks each label over every order it admits in one call,
+        # not once per order: 116 arrays of checks for a default report
+        calls = []
+        record = verify._Collector._record
+        monkeypatch.setattr(verify._Collector, "_record",
+                            lambda self, *args: calls.append(args[0]) or record(self, *args))
+        report = run_suite(VerifyConfig())
+        assert report.n_checks == 55181
+        assert len(calls) <= 150
 
 
 class TestKratzelClosedForm:

@@ -483,6 +483,58 @@ class TestRunSuite:
                 "bounds:envelope-lower-kratzel"} <= labels
 
 
+#: the suites whose checks stay within one grid order (logconvexity pairs them)
+_ONE_ORDER_SUITES = tuple(name for name in SUITES if name != "logconvexity")
+
+
+@st.composite
+def _small_grids(draw):
+    """Three or four orders, a negative one and q = 0 (the closed form) among
+    them, and three or four abscissas with x = 1e-100, where V_q' (q < 1/2)
+    and V_{-1/2} fail to evaluate."""
+    qs = {0.0, draw(st.sampled_from([-0.75, -0.5, -0.45, -0.25]))}
+    qs |= set(draw(st.lists(st.sampled_from([-0.9, 0.3, 0.5, 1.0, 2.0, 3.5]),
+                            min_size=1, max_size=2)))
+    xs = {1e-100} | set(draw(st.lists(st.sampled_from([1e-3, 0.2, 0.7, 1.0, 3.0, 8.0]),
+                                      min_size=2, max_size=3)))
+    return Grid(tuple(sorted(qs)), tuple(sorted(xs)))
+
+
+class TestOrdersStayApart:
+    """A report over several orders is its single-order reports merged: a
+    suite that checks a label over all its orders in one call never mixes
+    one order's values into another order's checks."""
+
+    @staticmethod
+    def order_free(record) -> bool:
+        # the Mills checks, the notes and the Turan sharpness limit do not
+        # depend on the grid's orders: each report has them once
+        return record.q is None or record.suite.startswith("turan:lower-sharpness-limit")
+
+    def own_checks(self, report) -> int:
+        echoed = [o for o in report.observations if o.note in ("pass", "VIOLATION")]
+        assert len(echoed) == report.n_checks
+        return sum(not self.order_free(o) for o in echoed)
+
+    @pytest.mark.parametrize("suite", _ONE_ORDER_SUITES)
+    @settings(max_examples=8, deadline=None)
+    @given(grid=_small_grids())
+    def test_a_report_is_its_orders_merged(self, suite, grid):
+        def run(qs):
+            grid_here = Grid(qs, grid.x_values)
+            return run_suite(VerifyConfig(suites=(suite,), grid=grid_here, emit_checks=True))
+
+        whole, singles = run(grid.q_values), [run((q,)) for q in grid.q_values]
+        assert self.own_checks(whole) == sum(map(self.own_checks, singles))
+        for part in ("violations", "observations", "errors"):
+            merged = sorted((r for one in singles for r in getattr(one, part)
+                             if not self.order_free(r)), key=verify_mod._record_key)
+            assert [r for r in getattr(whole, part) if not self.order_free(r)] == merged, part
+        for side, pick in (("min_margin", min), ("max_margin", max)):
+            margins = [getattr(one, side) for one in singles if getattr(one, side) is not None]
+            assert getattr(whole, side) == (pick(margins) if margins else None), side
+
+
 class TestSuiteRegistry:
     @staticmethod
     def records(report):
