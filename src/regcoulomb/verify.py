@@ -38,12 +38,12 @@ Reports are deterministic: records are sorted canonically by
 Checks run an array at a time: a suite judges each label in one call, on
 NumPy arrays that hold both sides of the inequality at every point of every
 order it admits, with each entry's order beside its x (and y).  The collector
-keeps the arrays of asserted checks and judges them together, 64 at a time
-and the rest when a result is read, making records only for the failures
-(for every check under ``emit_checks``).  NumPy's ``+ - * /`` and
-comparisons round as Python floats do, but its ``pow``, ``exp`` and ``log``
-need not, so those stay Python float operations, one entry at a time; the
-report is the one a per-check loop gives.  :func:`run_suite` runs each suite
+keeps the arrays of asserted checks and judges them together, some thousands
+of checks at a time and the rest when a result is read, making records only
+for the failures (for every check under ``emit_checks``).  NumPy's ``+ - * /``
+and comparisons round as Python floats do, but its ``pow``, ``exp`` and
+``log`` need not, so those stay Python float operations, one entry at a time;
+the report is the one a per-check loop gives.  :func:`run_suite` runs each suite
 under one ``errstate`` that silences floating-point warnings (a side that is
 not finite is an evaluation error), and the judging holds its own
 (:func:`_judged`), so a collector used outside a run does not warn either.
@@ -94,8 +94,8 @@ ODE_RESIDUAL_TOL = 1e-8
 _MILLS_X_MAX = 1e77
 #: weights alpha of the convexity suite's midpoint checks, H(x, y; alpha)
 _MIDPOINT_WEIGHTS = (0.3, 0.5)
-#: most arrays of checks the collector keeps before judging them together
-_FOLD_ARRAYS = 64
+#: checks the collector keeps before judging them together (bounds a fold's memory)
+_FOLD_CHECKS = 4096
 
 DEFAULT_Q_VALUES = (-0.45, -0.25, 0.0, 0.3, 0.5, 1.0, 2.0, 3.5, 5.0)
 _DEFAULT_X_COUNT = 60
@@ -342,7 +342,7 @@ class _Collector:
         ``margin`` and ``ok`` are None for ``lhs < rhs`` under the tolerance policy."""
         self.n_checks += lhs.size
         self._pending.append((label, lhs, rhs, margin, ok, q, x, y))
-        if len(self._pending) == _FOLD_ARRAYS:
+        if sum(entry[1].size for entry in self._pending) >= _FOLD_CHECKS:
             self._folded()
 
     def _folded(self) -> _Collector:
@@ -475,12 +475,11 @@ class _Table:
     """V_q and V_q' at every point a run's suites read, evaluated before
     they run (see the module docstring)."""
 
-    def __init__(self, points: Iterable[tuple[bool, float, Sequence[float]]]) -> None:
+    def __init__(self, points: Sequence[tuple[bool, float, Sequence[float]]]) -> None:
         # prime -> (the distinct points as q + x i, increasing; V or V' there)
         self._points: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
         # (prime, q, x) -> the error the scalar evaluation raised
         self._errors: dict[tuple[bool, float, float], Exception] = {}
-        points = list(points)
         for prime in (False, True):
             asked = [(q, np.asarray(xs, float)) for p, q, xs in points if p == prime]
             qs = np.repeat([q for q, _ in asked], [xs.size for _, xs in asked])
@@ -490,6 +489,7 @@ class _Table:
             new = np.ones(qs.size, dtype=bool)
             new[1:] = (qs[1:] != qs[:-1]) | (xs[1:] != xs[:-1])
             qs, xs = qs[new], xs[new]
+            del at, new  # before the evaluation, which sets the peak memory
             try:
                 values = (vq_prime_many if prime else vq_many)(qs, xs)
             except (DomainError, ArithmeticError):  # at some point: each goes to the scalar call
@@ -937,7 +937,7 @@ def run_suite(config: VerifyConfig) -> VerificationReport:
     if grid.is_empty:
         raise UsageError("verification grid is empty")
 
-    ev = _Table(point for suite in selected for point in _SUITE_IMPLS[suite][0](grid))
+    ev = _Table([point for suite in selected for point in _SUITE_IMPLS[suite][0](grid)])
     col = _Collector(config.rel_tol, config.emit_checks)
     for suite in selected:
         try:  # a side that overflows is an evaluation error, recorded by the collector
