@@ -683,8 +683,8 @@ def _convexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
             v_means = np.full((rows.sum(), *means.shape), math.inf)
             v_means[:, finite] = got.reshape(rows.sum(), -1)[:, t.searchsorted(means[finite])]
             v_means = v_means.transpose(1, 0, 2).reshape(len(means), -1)
-            at_means[a] = [(np.tile(mean, rows.sum()), at, pair_failed | np.isnan(at), errors)
-                           for mean, at in zip(means, v_means)]
+            at_means[a] = [(np.tile(mean, rows.sum()), v_at, pair_failed | np.isnan(v_at), errors)
+                           for mean, v_at in zip(means, v_means)]
         for spec in group:
             a, b, convex = spec.a, spec.b, spec.direction == "convex"
             tag = f"a={a:g},b={b:g},{spec.direction}"
