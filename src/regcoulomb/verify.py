@@ -759,10 +759,10 @@ def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
     label = "logconvexity:unweighted-midpoint[open-problem]"
     checked, held = col.observe_less(label, gm * gm, g1 * g2, q1, x, q2)
     at = np.searchsorted(xs, x)
-    for x, held, total in zip(xs, *(np.bincount(at[mask], minlength=len(xs)).tolist()
-                                    for mask in (held, checked))):
+    for at_x, n_held, n_total in zip(xs, *(np.bincount(at[mask], minlength=len(xs)).tolist()
+                                           for mask in (held, checked))):
         col.note(label, f"open problem, never asserted: strict midpoint log-convexity of "
-                 f"q -> V_q held at {held} of {total} pairs at x={x:g}")
+                 f"q -> V_q held at {n_held} of {n_total} pairs at x={at_x:g}")
 
 
 def _simon_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
