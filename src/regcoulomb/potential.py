@@ -28,7 +28,8 @@ for V_q and V_q', which share one integrand with exponent -1/2 or -3/2.
 ``vq_many`` and ``vq_prime_many`` evaluate many (q, x) points, an order
 broadcast against the arguments, routing each as the scalar call would and
 passing the quadrature points of every order to it together; a scalar call
-is its batch of one, and gets the same bits.
+is its batch of one, and gets the same bits.  Both view one evaluator,
+which gives the scalar call's exception at each point that fails.
 """
 from __future__ import annotations
 
@@ -218,9 +219,13 @@ def _laplace_integrals(qv: float, xs: np.ndarray, prime: bool) -> Columns:
     return trapezoid_columns(qv + 1.0, -1.5 if prime else -0.5, w, xs if prime else None)
 
 
-def _accepted(got: Columns) -> np.ndarray:
-    """The converged positive values of ``got``, NaN elsewhere."""
-    return np.where(got.converged & (got.value > 0.0), got.value, np.nan)
+def _unconverged(q: float, x: float, value: float, abs_err: float, prime: bool) -> NumericalError:
+    """The error of a quadrature of V_q (of V_q' if ``prime``) at (q, x)
+    whose best estimate ``value`` did not converge, or is not positive."""
+    if prime:
+        return NumericalError(f"derivative quadrature did not converge for q={q}, x={x}")
+    return NumericalError(f"quadrature did not converge for q={q}, x={x} "
+                          f"(best estimate {value!r}, error {abs_err:.3e})")
 
 
 def vq_quadrature(q: float, x: float) -> EvalResult:
@@ -236,10 +241,7 @@ def vq_quadrature(q: float, x: float) -> EvalResult:
     value, abs_err = float(got.value[0]), float(got.abs_err[0])
     if got.converged[0] and value > 0.0:
         return EvalResult(value, abs_err, "quadrature")
-    raise NumericalError(
-        f"quadrature did not converge for q={qv}, x={x} "
-        f"(best estimate {value!r}, error {abs_err:.3e})"
-    )
+    raise _unconverged(qv, x, value, abs_err, False)
 
 
 def _map_psi_method(method: str) -> str:
@@ -353,20 +355,43 @@ def _routes_to_quadrature(qv, x):
     return (x < _ASYMPTOTIC_X_MIN) & ((x > _SERIES_X_MAX) | small_x_too)
 
 
-def _points(q, xs, *, prime: bool) -> tuple:
-    """The orders ``q`` and arguments ``xs`` broadcast against each other,
-    flattened, and their shape.  The first order outside the domain raises
-    as in :func:`_order_value`, and then the first x as in :func:`_check_x`;
-    for V_q' (``prime``) neither the sentinel order -1 nor x = 0 is in it."""
-    qs, xs = np.asarray(q, dtype=float), np.asarray(xs, dtype=float)
-    bad = ~np.isfinite(qs) | (qs < -1.0) | ((qs == -1.0) & prime)
-    for qv in qs[bad][:1].tolist():
-        _order_value(qv, allow_sentinel=not prime)
-    bad = ~np.isfinite(xs) | (xs < 0.0) | ((xs == 0.0) & prime)
-    for x in xs[bad][:1].tolist():
-        _check_x(x, positive=prime)
-    qs, xs = np.broadcast_arrays(qs, xs)
-    return qs.ravel(), xs.ravel(), xs.shape
+def _many(q, xs, prime: bool) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`vq_many` (:func:`vq_prime_many` if ``prime``) with NaN where
+    the scalar call raises, and the exception it raises there (None at the
+    other points), both in the broadcast shape.  The quadrature's failures
+    are formed from its columns; the points outside the domain go, like the
+    other routes, to the scalar call."""
+    qs, xs = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(xs, dtype=float))
+    shape, qs, xs = xs.shape, qs.ravel(), xs.ravel()
+    values, errors = np.empty(xs.shape), np.full(xs.shape, None, object)
+    inside = np.isfinite(xs) & (xs > 0.0) & np.isfinite(qs) & (qs > -1.0)
+    with np.errstate(invalid="ignore"):  # at an infinite order, which is not inside
+        batch = inside & (prime | (_routes_to_quadrature(qs, xs) & (qs != 0.0)))
+    closed = inside & (qs == 0.0) & (not prime)  # vq's closed form, without its dispatch
+    values[closed] = [SQRT_PI * erfc_scaled(x) for x in xs[closed].tolist()]
+    for i in (~(batch | closed)).nonzero()[0].tolist():
+        try:
+            values[i] = vq_prime(qs[i], xs[i]) if prime else vq(qs[i], xs[i]).value
+        except (DomainError, ArithmeticError) as exc:
+            values[i], errors[i] = np.nan, exc
+    if batch.any():
+        got = _laplace_integrals(qs[batch], xs[batch], prime)
+        ok = got.converged & (got.value > 0.0)
+        accepted = np.where(ok, got.value, np.nan)
+        values[batch] = -accepted if prime else accepted
+        at = batch.nonzero()[0][~ok]
+        for i, *failed in zip(at.tolist(), qs[at].tolist(), xs[at].tolist(),
+                              got.value[~ok].tolist(), got.abs_err[~ok].tolist()):
+            errors[i] = _unconverged(*failed, prime)
+    return values.reshape(shape), errors.reshape(shape)
+
+
+def _raised(values: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """``values``, once the first of ``errors`` that is not numerical is raised."""
+    for exc in errors[np.isnan(values)].tolist():
+        if not isinstance(exc, NumericalError):
+            raise exc
+    return values
 
 
 def vq_many(q, xs) -> np.ndarray:
@@ -380,22 +405,10 @@ def vq_many(q, xs) -> np.ndarray:
     are evaluated together, in one call of the rule whatever their orders,
     up to ``COLUMN_CHUNK`` (64) per pass; the other routes (closed form,
     series, asymptotic, sentinel and x = 0) go point by point.  A point whose
-    evaluation fails numerically comes back NaN; a domain error for any
-    point raises, as ``vq`` does.
+    evaluation fails numerically comes back NaN; the first domain error
+    raises, as ``vq`` does.
     """
-    qs, xs, shape = _points(q, xs, prime=False)
-    values = np.empty(xs.shape)
-    batch = (xs > 0.0) & _routes_to_quadrature(qs, xs) & (qs != -1.0) & (qs != 0.0)
-    closed = (xs > 0.0) & (qs == 0.0)  # vq's closed form, without its dispatch
-    values[closed] = [SQRT_PI * erfc_scaled(x) for x in xs[closed].tolist()]
-    for i in (~(batch | closed)).nonzero()[0].tolist():
-        try:
-            values[i] = vq(qs[i], xs[i]).value
-        except NumericalError:
-            values[i] = np.nan
-    if batch.any():
-        values[batch] = _accepted(_laplace_integrals(qs[batch], xs[batch], False))
-    return values.reshape(shape)
+    return _raised(*_many(q, xs, False))
 
 
 def vq_prime(q: float, x: float, method: str = "integral") -> float:
@@ -417,7 +430,7 @@ def vq_prime(q: float, x: float, method: str = "integral") -> float:
     if method == "integral":
         got = _laplace_integrals(qv, x, True)
         if not (got.converged[0] and got.value[0] > 0.0):
-            raise NumericalError(f"derivative quadrature did not converge for q={qv}, x={x}")
+            raise _unconverged(qv, x, float(got.value[0]), float(got.abs_err[0]), True)
         return -float(got.value[0])
 
     if method == "differ":
@@ -436,10 +449,9 @@ def vq_prime_many(q, xs) -> np.ndarray:
     """V_q' at every point of the orders ``q`` broadcast against the
     arguments ``xs`` > 0, as ``vq_prime(q, x)`` ("integral") would give it,
     evaluated together in their broadcast shape (see :func:`vq_many`).  A
-    point whose quadrature does not converge comes back NaN; a domain error
-    for any point raises."""
-    qs, xs, shape = _points(q, xs, prime=True)
-    return -_accepted(_laplace_integrals(qs, xs, True)).reshape(shape)
+    point whose quadrature does not converge comes back NaN; the first domain
+    error raises."""
+    return _raised(*_many(q, xs, True))
 
 
 def vq_next(q: float, vq_value: float, vq_prev: float, x: float) -> float:

@@ -217,6 +217,8 @@ def _trapezoid_step(c: float, tol: float) -> float:
     a strip in which the integrand stays analytic, of the bound
     ``(cos b)^-c e^(-2 pi b / h)``, solved for ``h`` by Newton's method."""
     log_tol = math.log(tol)
+    if math.isinf(c * log_tol):  # c beyond about 6e306: an infinite step fails every window
+        return math.inf
     h = min(0.3, math.pi * math.sqrt(-2.0 / (c * log_tol)))  # the Gaussian limit
     for _ in range(2):  # then within 2% below the root
         b = math.atan(2.0 * math.pi / (c * h))  # the best strip for this h

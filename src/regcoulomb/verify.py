@@ -50,11 +50,11 @@ not finite is an evaluation error), and the judging holds its own
 
 Values come from one table per run, planned before any suite runs: each
 suite lists the ``(prime, q, xs)`` points it reads (convexity's argument
-means among them), and the union is evaluated by one :func:`vq_many` and
-one :func:`vq_prime_many` call, with an order per point.  A point they
-could not evaluate (every point, where the call raises) is tried once by
-the scalar :func:`vq` or :func:`vq_prime`; the table keeps NaN there, with
-the error it raised, which each check that needs the point records.
+means among them), and the union is evaluated once for V_q and once for
+V_q', with an order per point, by the batch evaluator behind :func:`vq_many`
+and :func:`vq_prime_many`.  Where a point fails, the table keeps NaN and the
+exception the scalar :func:`vq` or :func:`vq_prime` raises there, which the
+batch forms itself; each check that needs the point records it.
 Overflow is per point too: a check whose side is not finite, though built
 from finite values, is an evaluation error at that check's (q, x), and the
 suite's other checks run.
@@ -72,7 +72,8 @@ import numpy as np
 
 from .bounds import mills_bounds, vq_lower_exp, vq_lower_kratzel, vq_upper_agm
 from .errors import DomainError, NumericalError, UsageError
-from .potential import mills, vq, vq_many, vq_prime, vq_prime_many
+from .potential import _many, mills, vq
+from .potential import vq_prime  # noqa: F401  (perfbench's tracer wraps it in this module)
 from .quadrature import _pows
 from .special import ln_gamma
 
@@ -476,10 +477,9 @@ class _Table:
     they run (see the module docstring)."""
 
     def __init__(self, points: Sequence[tuple[bool, float, Sequence[float]]]) -> None:
-        # prime -> (the distinct points as q + x i, increasing; V or V' there)
-        self._points: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
-        # (prime, q, x) -> the error the scalar evaluation raised
-        self._errors: dict[tuple[bool, float, float], Exception] = {}
+        # prime -> (the distinct points as q + x i, increasing; V or V' there,
+        # NaN where the evaluation failed; and its error there, None elsewhere)
+        self._points: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for prime in (False, True):
             asked = [(q, np.asarray(xs, float)) for p, q, xs in points if p == prime]
             qs = np.repeat([q for q, _ in asked], [xs.size for _, xs in asked])
@@ -490,30 +490,18 @@ class _Table:
             new[1:] = (qs[1:] != qs[:-1]) | (xs[1:] != xs[:-1])
             qs, xs = qs[new], xs[new]
             del at, new  # before the evaluation, which sets the peak memory
-            try:
-                values = (vq_prime_many if prime else vq_many)(qs, xs)
-            except (DomainError, ArithmeticError):  # at some point: each goes to the scalar call
-                values = np.full(qs.size, math.nan)
-            for k in np.isnan(values).nonzero()[0].tolist():
-                q, x = qs[k].item(), xs[k].item()
-                try:  # once, by the scalar call, which says why it fails
-                    values[k] = vq_prime(q, x, "integral") if prime else vq(q, x).value
-                except (DomainError, ArithmeticError) as exc:
-                    self._errors[prime, q, x] = exc
-            self._points[prime] = (_keys(qs, xs), values)
+            self._points[prime] = (_keys(qs, xs), *_many(qs, xs, prime))
 
-    def values(self, q, xs, prime: bool = False) -> tuple[np.ndarray, dict[tuple, Exception]]:
+    def values(self, q, xs, prime: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """V_q (or V_q' if ``prime``) at each point (q, x), the order ``q``
         an array of one per x or a float, NaN where the evaluation failed;
-        and the errors of the failing points by (q, x)."""
-        keys, values = self._points[prime]
+        and the error of the evaluation at each point, None where it did not fail."""
+        keys, values, errors = self._points[prime]
         want = _keys(q, np.asarray(xs, float))
         idx = keys.searchsorted(want)
         if not ((idx < keys.size).all() and (keys[idx] == want).all()):
             raise KeyError(f"not every point (q, x) (prime={prime}) was planned")
-        got = values[idx]
-        failed = want[np.isnan(got)].tolist()
-        return got, {(z.real, z.imag): self._errors[prime, z.real, z.imag] for z in failed}
+        return values[idx], errors[idx]
 
     def rows(self, col: _Collector, label: str, q: np.ndarray, x: np.ndarray,
              *columns: tuple[np.ndarray, bool]) -> tuple[np.ndarray | slice, list[np.ndarray]]:
@@ -521,10 +509,9 @@ class _Table:
         column evaluated, and each column's values there.  At the other
         entries the first failing column's error is recorded under ``label``
         at (q, x)."""
-        got = [(*self.values(orders, x, prime), orders) for orders, prime in columns]
-        ok = _evaluated(col, label, q, x, [(v, errors, orders, x) for v, errors, orders in got],
-                        np.isnan([v for v, _, _ in got]).any(axis=0))
-        return ok, [v[ok] for v, _, _ in got]
+        got = [self.values(orders, x, prime) for orders, prime in columns]
+        ok = _evaluated(col, label, q, x, got, np.isnan([v for v, _ in got]).any(axis=0))
+        return ok, [v[ok] for v, _ in got]
 
 
 def _keys(q, x: np.ndarray) -> np.ndarray:
@@ -535,19 +522,17 @@ def _keys(q, x: np.ndarray) -> np.ndarray:
 
 
 def _evaluated(col: _Collector, label: str, q: np.ndarray, at: np.ndarray,
-               columns: list[tuple[np.ndarray, dict, np.ndarray, np.ndarray]],
+               columns: list[tuple[np.ndarray, np.ndarray]],
                failed: np.ndarray) -> np.ndarray | slice:
     """The index of the entries at which every column evaluated: ``~failed``,
-    or ``slice(None)`` where all did.  A column is ``(values, errors,
-    orders, points)``: its value at each entry (NaN where it failed), its
-    errors by (order, point), and each entry's order and point.  At each
+    or ``slice(None)`` where all did.  A column is ``(values, errors)``: its
+    value at each entry, NaN where it failed, and its error there.  At each
     failed entry the first failing column's error is recorded under
     ``label`` at (q, at)."""
     if not failed.any():
         return slice(None)
     for k in failed.nonzero()[0].tolist():
-        error = next(errors[orders[k], points[k]]
-                     for v, errors, orders, points in columns if math.isnan(v[k]))
+        error = next(errors[k] for v, errors in columns if math.isnan(v[k]))
         col.record_error(label, error, float(q[k]), float(at[k]))
     return ~failed
 
@@ -647,13 +632,12 @@ def _convexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
     i, j = np.triu_indices(len(pair_x), 1)
     # V' and V at the monitor's points, kept where both evaluated
     q, x = _block(qs, grid_x)
-    (vp, vp_errors), (v, v_errors) = (ev.values(q, x, prime) for prime in (True, False))
-    monitor_columns = [(vp, vp_errors, q, x), (v, v_errors, q, x)]
+    monitor_columns = [ev.values(q, x, prime) for prime in (True, False)]
+    (vp, _), (v, _) = monitor_columns
     kept = ~(np.isnan(vp) | np.isnan(v))
     mq, mx, vp, v = q[kept], x[kept], vp[kept], v[kept]
-    # V at the pairs' members, a row per order
-    v_pair, pair_errors = ev.values(*_block(qs, pair_x))
-    v_pair = v_pair.reshape(qs.size, len(pair_x))
+    # V at the pairs' members, and its errors, a row per order
+    v_pair, pair_errors = (v.reshape(qs.size, len(pair_x)) for v in ev.values(*_block(qs, pair_x)))
 
     # x^(1-a) depends on a spec only through a, V^(b-1) and the value means
     # only through b, and the orders it admits only through q_min
@@ -668,23 +652,25 @@ def _convexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
         q1, _, x1, x2 = _consecutive(mq[on], mq[on], mx[on])
         pq, px1 = _block(qs[rows], np.array(pair_x)[i])
         px2 = np.tile(np.array(pair_x)[j], rows.sum())
-        pv1, pv2 = v_pair[rows][:, i].ravel(), v_pair[rows][:, j].ravel()
-        pair_columns = [(pv1, pair_errors, pq, px1), (pv2, pair_errors, pq, px2)]
+        pair_columns = [(v_pair[rows][:, k].ravel(), pair_errors[rows][:, k].ravel())
+                        for k in (i, j)]
+        (pv1, _), (pv2, _) = pair_columns
         pair_failed = np.isnan(pv1) | np.isnan(pv2)
-        # a -> (t, V, failed, errors) at each weight: the argument means t; V
-        # there, inf where t overflowed (its check records an evaluation
-        # error); the pairs at which some V failed; and the errors at the t
+        # a -> (V, errors, failed) at each weight: V at the argument means,
+        # inf where a mean overflowed (its check records an evaluation
+        # error), and its errors; and the pairs at which some V failed
         at_means = {}
         for a in dict.fromkeys(spec.a for spec in group):
             means = _argument_means(pair_x, a)
             finite = np.isfinite(means)
             t = np.unique(means[finite])  # looked up in increasing order
-            got, errors = ev.values(*_block(qs[rows], t))
-            v_means = np.full((rows.sum(), *means.shape), math.inf)
-            v_means[:, finite] = got.reshape(rows.sum(), -1)[:, t.searchsorted(means[finite])]
-            v_means = v_means.transpose(1, 0, 2).reshape(len(means), -1)
-            at_means[a] = [(np.tile(mean, rows.sum()), v_at, pair_failed | np.isnan(v_at), errors)
-                           for mean, v_at in zip(means, v_means)]
+            spread = []
+            for got, fill in zip(ev.values(*_block(qs[rows], t)), (math.inf, None)):
+                at_t = np.full((rows.sum(), *means.shape), fill, got.dtype)
+                at_t[:, finite] = got.reshape(rows.sum(), -1)[:, t.searchsorted(means[finite])]
+                spread.append(at_t.transpose(1, 0, 2).reshape(len(means), -1))
+            at_means[a] = [(v_at, errors, pair_failed | np.isnan(v_at))
+                           for v_at, errors in zip(*spread)]
         for spec in group:
             a, b, convex = spec.a, spec.b, spec.direction == "convex"
             tag = f"a={a:g},b={b:g},{spec.direction}"
@@ -701,11 +687,10 @@ def _convexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
 
             # (ii) midpoint route: compare V at the argument mean with the
             # value mean, strictly, for distinct pair members
-            for alpha, (t, v_at_mean, failed, errors), mean_of_v in zip(
+            for alpha, (v_at_mean, errors, failed), mean_of_v in zip(
                     _MIDPOINT_WEIGHTS, at_means[a], value_means):
                 label = f"convexity:midpoint[{tag},alpha={alpha:g}]"
-                ok = _evaluated(col, label, pq, px1,
-                                [(v_at_mean, errors, pq, t), *pair_columns], failed)
+                ok = _evaluated(col, label, pq, px1, [(v_at_mean, errors), *pair_columns], failed)
                 mean_of_v = mean_of_v[rows].ravel()
                 lhs, rhs = (v_at_mean, mean_of_v) if convex else (mean_of_v, v_at_mean)
                 col.assert_less(label, lhs[ok], rhs[ok], pq[ok], px1[ok], px2[ok])

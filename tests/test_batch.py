@@ -1,6 +1,7 @@
 """Tests for batched evaluation: vq_many / vq_prime_many, the verifier's
 batched value table, and the Bessel closed form of the Kraetzel function."""
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -204,37 +205,43 @@ class TestVerifierPrefetch:
         assert counts == (55181, 0, 481, 0)
 
     def test_records_equal_a_scalar_evaluated_report(self, batched_report_and_calls, monkeypatch):
-        # an all-NaN batch sends every point through the scalar calls
+        # the table's evaluator replaced by the scalar calls, point by point
         report, _ = batched_report_and_calls
         edge = run_suite(VerifyConfig(grid=EDGE_GRID))
         assert len(edge.errors) == 278
-        def nan_batch(q, xs):
-            return np.full(np.broadcast(q, xs).shape, np.nan)
 
-        monkeypatch.setattr(verify, "vq_many", nan_batch)
-        monkeypatch.setattr(verify, "vq_prime_many", nan_batch)
+        def scalar_many(qs, xs, prime):
+            values, errors = np.full(xs.shape, np.nan), np.full(xs.shape, None, object)
+            for k, (q, x) in enumerate(zip(qs.tolist(), xs.tolist())):
+                try:
+                    values[k] = vq_prime(q, x) if prime else vq(q, x).value
+                except (DomainError, ArithmeticError) as exc:
+                    errors[k] = exc
+            return values, errors
+
+        monkeypatch.setattr(verify, "_many", scalar_many)
         scalar = run_suite(VerifyConfig())
         assert scalar.to_json_dict() == report.to_json_dict()
         assert run_suite(VerifyConfig(grid=EDGE_GRID)).to_json_dict() == edge.to_json_dict()
 
     def test_unconverged_points_are_not_memoised(self):
-        # the value table holds the scalar call's error, never a value
+        # the value table holds the evaluation's error, never a value
         table = _Table([(True, -0.9999, (1e160, 1.0))])
         values, errors = table.values(-0.9999, [1e160, 1.0], prime=True)
         assert math.isnan(values[0]) and math.isfinite(values[1])
-        assert list(errors) == [(-0.9999, 1e160)]
+        assert errors[1] is None
         with pytest.raises(ArithmeticError, match="did not converge"):
-            raise errors[-0.9999, 1e160]
+            raise errors[0]
 
     def test_a_domain_error_at_one_order_leaves_the_other_orders_values(self):
-        # V_q(0) diverges for q <= -1/2: the table's one call raises, every
-        # point then goes to the scalar call, and only that point is an error
+        # V_q(0) diverges for q <= -1/2: only that point is an error
         table = _Table([(False, -0.75, (0.0, 1.0)), (False, 0.5, (0.0, 1.0))])
         values, errors = table.values(0.5, [0.0, 1.0])
-        assert _hex(values) == _hex([vq(0.5, 0.0).value, vq(0.5, 1.0).value]) and not errors
+        assert _hex(values) == _hex([vq(0.5, 0.0).value, vq(0.5, 1.0).value])
+        assert errors.tolist() == [None, None]
         values, errors = table.values(-0.75, [0.0, 1.0])
         assert math.isnan(values[0]) and _hex(values[1:]) == _hex(vq(-0.75, 1.0).value)
-        assert list(errors) == [(-0.75, 0.0)] and isinstance(errors[-0.75, 0.0], DomainError)
+        assert errors[1] is None and isinstance(errors[0], DomainError)
 
     @pytest.mark.parametrize("q, xs", [
         (1.0, [3.0]),         # above the largest planned x of the order
@@ -266,24 +273,69 @@ class TestVerifierPrefetch:
         assert report.n_checks > 7
 
     def test_no_failing_point_is_evaluated_twice(self, monkeypatch):
-        calls, failed = [], set()
+        # each error comes from the table's one evaluation of its point: the
+        # verifier makes no scalar call, and no scalar quadrature runs
+        calls = []
 
         def counting(name, fn):
-            def wrapper(q, x, *args):
-                calls.append((name, q, x))
-                try:
-                    return fn(q, x, *args)
-                except (ArithmeticError, DomainError):
-                    failed.add((name, q, x))
-                    raise
+            def wrapper(*args, **kwargs):
+                calls.append((name, args))
+                return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(verify, "vq", counting("vq", verify.vq))
-        monkeypatch.setattr(verify, "vq_prime", counting("vq_prime", verify.vq_prime))
+        for module, name in ((verify, "vq"), (verify, "vq_prime"),
+                             (potential, "vq_quadrature"), (potential, "vq_prime")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         report = run_suite(VerifyConfig(grid=EDGE_GRID))
         assert len(report.errors) == 278
-        # one scalar call per distinct failing point, and only for those
-        assert sorted(calls) == sorted(failed)
+        assert calls == []
+
+    def test_an_order_whose_step_overflows_fails_at_its_points_only(self):
+        # from q about 6e306 the trapezoid step's c log(tol) overflows; the
+        # points there are evaluation errors, and order 0.5 keeps its checks
+        report = run_suite(VerifyConfig(grid=Grid((0.5, 1e308), (1.0, 2.0))))
+        assert (report.n_checks, len(report.violations), len(report.errors)) == (136, 0, 126)
+        assert all("did not converge" in e.note for e in report.errors)
+
+
+def _scalar_call(q: float, x: float, prime: bool) -> tuple:
+    """The scalar call's value at (q, x), or NaN and the exception it raises."""
+    try:
+        return (vq_prime(q, x) if prime else vq(q, x).value), None
+    except (DomainError, ArithmeticError) as exc:
+        return math.nan, exc
+
+
+def _small_x_points() -> list:
+    rng = random.Random(3)
+    return [(rng.uniform(-0.5, 3.0), 10.0 ** rng.uniform(-300.0, -12.0)) for _ in range(300)]
+
+
+class TestFailureParity:
+    """The batch evaluator gives the scalar call's bits at each point, or
+    the exception the scalar call raises there, of its class and with its
+    message."""
+
+    @pytest.mark.parametrize("points, failures", [
+        # V' outgrows the trapezoid's node budget at 101 of them
+        (_small_x_points(), (0, 101)),
+        ([(q, x) for q in EDGE_GRID.q_values for x in (0.0,) + EDGE_GRID.x_values], (3, 10)),
+        ([(-0.75, 0.0)], (1, 1)),           # V diverges; V' needs x > 0
+        ([(-0.99, 5e-324)], (1, 1)),        # V is beyond the double range
+        ([(1e308, 1.0), (0.5, 1.0)], (1, 1)),  # the trapezoid step overflows
+    ])
+    def test_each_point_as_its_scalar_call(self, points, failures):
+        qs, xs = np.array(points, dtype=float).T
+        for prime, n_failed in zip((False, True), failures):
+            values, errors = potential._many(qs, xs, prime)
+            got, want = [], []
+            for q, x, value, error in zip(qs.tolist(), xs.tolist(), values.tolist(),
+                                          errors.tolist()):
+                got.append((value.hex(), type(error), str(error)))
+                scalar, exc = _scalar_call(q, x, prime)
+                want.append((scalar.hex(), type(exc), str(exc)))
+            assert got == want
+            assert sum(error is not None for error in errors.tolist()) == n_failed, prime
 
 
 class TestCallsPerReport:

@@ -80,6 +80,13 @@ class TestEvalCommand:
         assert result.exit_code == 3
         assert "x^2 overflows" in result.stderr
 
+    def test_huge_order_exits_3(self, runner):
+        # the trapezoid step's c log(tol) overflows: a numerical failure
+        result = runner.invoke(main, ["eval", "--q", "1e308", "--x", "1"])
+        assert result.exit_code == 3
+        assert "did not converge" in result.stderr
+        assert "ZeroDivisionError" not in result.stderr
+
     def test_numerical_failures_exit_3(self, runner):
         # exercised through the shared error-mapping wrapper
         @click.command()

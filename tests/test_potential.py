@@ -334,6 +334,17 @@ class TestOverflowWithoutWarnings:
         assert np.isnan(got[0])
         assert got[1] == vq(0.3, 1.0).value
 
+    def test_an_order_whose_step_overflows(self):
+        # from q about 6e306 the trapezoid step's c log(tol) overflows: each
+        # route fails numerically (the step was 0, and a division by it
+        # raised ZeroDivisionError), and the batch calls give NaN at that point
+        for call in (vq, vq_prime, vq_via_psi, lambda q, x: vq(q, x, method="quadrature")):
+            with pytest.raises(NumericalError):
+                call(1e308, 1.0)
+        for many, scalar in ((vq_many, lambda q, x: vq(q, x).value), (vq_prime_many, vq_prime)):
+            got = many([0.5, 1e308], [1.0, 1.0])
+            assert got[0] == scalar(0.5, 1.0) and np.isnan(got[1])
+
 
 # ---------------------------------------------------------------------------
 # order recurrence
