@@ -189,12 +189,12 @@ def cmd_verify(suites: tuple[str, ...], q_values: tuple[float, ...],
                x_values: tuple[float, ...], rel_tol: float, fmt: str) -> None:
     """Verify every selected inequality suite over a grid.
 
-    Exits 0 only if every asserted check holds; a single --q together with
-    a single --x selects single-point mode, which echoes each check with
-    its lhs/rhs values.
+    Exits 0 only if every asserted check holds; a grid of one order (--q)
+    and one abscissa (--x), repeats aside, selects single-point mode, which
+    echoes each check with its lhs/rhs values.
     """
     grid = _resolve_grid(q_values, x_values)
-    single_point = len(q_values) == 1 and len(x_values) == 1
+    single_point = grid is not None and len(grid.q_values) == len(grid.x_values) == 1
     report = run_suite(VerifyConfig(
         suites=tuple(suites),
         grid=grid,
@@ -280,12 +280,12 @@ def cmd_envelope(q: float, x_min: float, x_max: float, steps: int, fmt: str,
     log-spaced grid; the upper envelope requires q > -3/4 and its column
     is dropped (with a notice) otherwise."""
     _check_positive_range(x_min, x_max, steps)
+    rows = [vq_envelope(q, float(v)) for v in np.geomspace(x_min, x_max, steps)]
     has_upper = q > -0.75
     notice = None
     if not has_upper:
         notice = f"upper envelope requires q > -3/4; column dropped for q={q:g}"
         click.echo(f"notice: {notice}", err=True)
-    rows = [vq_envelope(q, float(v)) for v in np.geomspace(x_min, x_max, steps)]
     if fmt == "json":
         click.echo(json.dumps({
             "q": q,

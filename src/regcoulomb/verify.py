@@ -43,16 +43,17 @@ of checks at a time and the rest when a result is read, making records only
 for the failures (for every check under ``emit_checks``).  NumPy's ``+ - * /``
 and comparisons round as Python floats do, but its ``pow``, ``exp`` and
 ``log`` need not, so those stay Python float operations, one entry at a time;
-the report is the one a per-check loop gives.  :func:`run_suite` runs each suite
+the report is the one a per-check loop gives.  :func:`run_suite` judges each suite
 under one ``errstate`` that silences floating-point warnings (a side that is
 not finite is an evaluation error), and the judging holds its own
 (:func:`_judged`), so a collector used outside a run does not warn either.
 
-Values come from one table per run, planned before any suite runs: each
-suite lists the ``(prime, q, xs)`` points it reads (convexity's argument
-means among them), and the union is evaluated once for V_q and once for
-V_q', with an order per point, by the batch evaluator behind :func:`vq_many`
-and :func:`vq_prime_many`.  Where a point fails, the table keeps NaN and the
+Each suite is a generator that names the points it reads once: it lays
+them out as arrays and yields them as its asks ``(q, x, prime)`` before it
+judges anything.  A run evaluates the union of every suite's asks once for
+V_q and once for V_q', on the distinct points, by the batch evaluator behind
+:func:`vq_many` and :func:`vq_prime_many`, and sends each suite its answers
+in the order it asked.  Where a point fails, the answer holds NaN and the
 exception the scalar :func:`vq` or :func:`vq_prime` raises there, which the
 batch forms itself; each check that needs the point records it.
 Overflow is per point too: a check whose side is not finite, though built
@@ -66,7 +67,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Generator, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -472,53 +473,38 @@ def _at(value, mask: np.ndarray):
     return value[mask] if isinstance(value, np.ndarray) else value
 
 
-class _Table:
-    """V_q and V_q' at every point a run's suites read, evaluated before
-    they run (see the module docstring)."""
-
-    def __init__(self, points: Sequence[tuple[bool, float, Sequence[float]]]) -> None:
-        # prime -> (the distinct points as q + x i, increasing; V or V' there,
-        # NaN where the evaluation failed; and its error there, None elsewhere)
-        self._points: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for prime in (False, True):
-            asked = [(q, np.asarray(xs, float)) for p, q, xs in points if p == prime]
-            qs = np.repeat([q for q, _ in asked], [xs.size for _, xs in asked])
-            xs = np.concatenate([xs for _, xs in asked] + [[]])
-            at = np.lexsort((xs, qs))  # the distinct points, by order and then x
-            qs, xs = qs[at], xs[at]
-            new = np.ones(qs.size, dtype=bool)
-            new[1:] = (qs[1:] != qs[:-1]) | (xs[1:] != xs[:-1])
-            qs, xs = qs[new], xs[new]
-            del at, new  # before the evaluation, which sets the peak memory
-            self._points[prime] = (_keys(qs, xs), *_many(qs, xs, prime))
-
-    def values(self, q, xs, prime: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """V_q (or V_q' if ``prime``) at each point (q, x), the order ``q``
-        an array of one per x or a float, NaN where the evaluation failed;
-        and the error of the evaluation at each point, None where it did not fail."""
-        keys, values, errors = self._points[prime]
-        want = _keys(q, np.asarray(xs, float))
-        idx = keys.searchsorted(want)
-        if not ((idx < keys.size).all() and (keys[idx] == want).all()):
-            raise KeyError(f"not every point (q, x) (prime={prime}) was planned")
-        return values[idx], errors[idx]
-
-    def rows(self, col: _Collector, label: str, q: np.ndarray, x: np.ndarray,
-             *columns: tuple[np.ndarray, bool]) -> tuple[np.ndarray | slice, list[np.ndarray]]:
-        """The index of the entries (q, x) at which every ``(orders, prime)``
-        column evaluated, and each column's values there.  At the other
-        entries the first failing column's error is recorded under ``label``
-        at (q, x)."""
-        got = [self.values(orders, x, prime) for orders, prime in columns]
-        ok = _evaluated(col, label, q, x, got, np.isnan([v for v, _ in got]).any(axis=0))
-        return ok, [v[ok] for v, _ in got]
+def _answers(asks: Sequence[tuple[np.ndarray, np.ndarray, bool]]) -> list[tuple]:
+    """``(values, errors)`` for each ask ``(q, x, prime)``: V_q (V_q' if
+    ``prime``) at each of its points (q, x), in its order, NaN where the
+    evaluation failed, and the error there, None where it did not fail.
+    The distinct points of each exponent are evaluated in one call."""
+    answers: list = [None] * len(asks)
+    for prime in (False, True):
+        mine = [k for k, ask in enumerate(asks) if ask[2] == prime]
+        qs, xs = (np.concatenate([asks[k][i] for k in mine] + [[]]) for i in (0, 1))
+        at = np.lexsort((xs, qs))  # the distinct points, by order and then x
+        qs, xs = qs[at], xs[at]
+        new = np.ones(qs.size, dtype=bool)
+        new[1:] = (qs[1:] != qs[:-1]) | (xs[1:] != xs[:-1])
+        rank = np.empty_like(at)  # each asked point's place among the distinct ones
+        rank[at] = new.cumsum() - 1
+        qs, xs = qs[new], xs[new]
+        del at, new  # before the evaluation, which sets the peak memory
+        values, errors = _many(qs, xs, prime)
+        ends = np.cumsum([asks[k][1].size for k in mine], dtype=int)
+        for k, idx in zip(mine, np.split(rank, ends[:-1])):
+            answers[k] = values[idx], errors[idx]
+    return answers
 
 
-def _keys(q, x: np.ndarray) -> np.ndarray:
-    """The points (q, x) as q + x i, exactly: they sort by q and then x."""
-    z = np.empty(x.shape, complex)
-    z.real, z.imag = q, x
-    return z
+def _rows(col: _Collector, label: str, q: np.ndarray, x: np.ndarray,
+          columns: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray | slice, list]:
+    """The index of the entries (q, x) at which every column ``(values,
+    errors)`` evaluated, and each column's values there.  At the other
+    entries the first failing column's error is recorded under ``label``
+    at (q, x)."""
+    ok = _evaluated(col, label, q, x, columns, np.isnan([v for v, _ in columns]).any(axis=0))
+    return ok, [v[ok] for v, _ in columns]
 
 
 def _evaluated(col: _Collector, label: str, q: np.ndarray, at: np.ndarray,
@@ -545,15 +531,8 @@ def _exp(value: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# suite implementations: each label is checked in one call over every order
-# it admits, on flat arrays of points laid out order-major
-
-
-def _grid_points(grid: Grid, *shifts: tuple[float, bool]) -> list[tuple]:
-    """The points ``(prime, q + shift, grid x)`` of a suite at every grid
-    order q, for each ``(shift, prime)``."""
-    xs = np.array(grid.x_values)
-    return [(prime, q + shift, xs) for q in grid.q_values for shift, prime in shifts]
+# suite implementations: each yields its asks once, then checks each label in
+# one call over every order it admits, on flat arrays of points laid out order-major
 
 
 def _block(qs: Sequence[float], xs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -568,13 +547,15 @@ def _consecutive(q: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [part[same] for a in arrays for part in (a[:-1], a[1:])]
 
 
-#: the shifts of V_q, V_{q+1} and V_{q+2}
-_THREE = ((0.0, False), (1.0, False), (2.0, False))
+def _three(q: np.ndarray, x: np.ndarray) -> list[tuple]:
+    """The asks of V_q, V_{q+1} and V_{q+2} at the points (q, x)."""
+    return [(q + shift, x, False) for shift in (0.0, 1.0, 2.0)]
 
 
-def _monotonicity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
+def _monotonicity_impl(grid: Grid, col: _Collector) -> Generator:
     q, x = _block(grid.q_values, grid.x_values)
-    ok, (v, vp, w) = ev.rows(col, "monotonicity", q, x, (q, False), (q, True), (q + 1.0, False))
+    got = yield [(q, x, False), (q, x, True), (q + 1.0, x, False)]
+    ok, (v, vp, w) = _rows(col, "monotonicity", q, x, got)
     q1, _, x1, x2, v1, v2, vp1, vp2, w1, w2 = _consecutive(q[ok], q[ok], x[ok], v, vp, w)
     col.assert_less("monotonicity:x-logslope-decreasing", x2 * vp2 / v2, x1 * vp1 / v1, q1, x1, x2)
     col.assert_less("monotonicity:x2-slope-decreasing", x2 * x2 * vp2, x1 * x1 * vp1, q1, x1, x2)
@@ -615,39 +596,38 @@ def _argument_means(pair_x: tuple[float, ...], a: float) -> np.ndarray:
     return means
 
 
-def _convexity_points(grid: Grid) -> Iterable[tuple]:
-    specs, xs, pair_x = default_convexity_specs(), np.array(grid.x_values), grid.pair_x_values()
-    for q in grid.q_values:
-        orders = dict.fromkeys(spec.a for spec in specs if spec.admits(q))
-        if orders:
-            means = np.array([_argument_means(pair_x, a) for a in orders])
-            yield False, q, np.concatenate([pair_x, means[np.isfinite(means)]])
-            yield from ((True, q, xs), (False, q, xs))
-
-
-def _convexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
+def _convexity_impl(grid: Grid, col: _Collector) -> Generator:
     specs = default_convexity_specs()
-    qs = np.array([q for q in grid.q_values if any(spec.admits(q) for spec in specs)])
-    grid_x, pair_x = np.array(grid.x_values), grid.pair_x_values()
+    qs, grid_x, pair_x = np.array(grid.q_values), np.array(grid.x_values), grid.pair_x_values()
     i, j = np.triu_indices(len(pair_x), 1)
-    # V' and V at the monitor's points, kept where both evaluated
+    # each order region q_min (every order lies in one): its specs, orders admitted and a's
+    regions = []
+    for _, group in groupby(specs, attrgetter("q_min")):
+        group = list(group)
+        rows = group[0].admits(qs)
+        if rows.any():
+            regions.append((group, rows, dict.fromkeys(spec.a for spec in group)))
+    # V' and V at the monitor's points, V at the pairs' members, and V at
+    # each region's finite argument means, at the orders it admits
     q, x = _block(qs, grid_x)
-    monitor_columns = [ev.values(q, x, prime) for prime in (True, False)]
+    asks = [(q, x, True), (q, x, False), (*_block(qs, pair_x), False)]
+    for _, rows, orders in regions:
+        for a in orders:
+            means = _argument_means(pair_x, a)
+            asks.append((*_block(qs[rows], means[np.isfinite(means)]), False))
+    got = yield asks
+    monitor_columns, pair, at_mean_answers = got[:2], got[2], iter(got[3:])
     (vp, _), (v, _) = monitor_columns
-    kept = ~(np.isnan(vp) | np.isnan(v))
+    kept = ~(np.isnan(vp) | np.isnan(v))  # the monitor's points at which both evaluated
     mq, mx, vp, v = q[kept], x[kept], vp[kept], v[kept]
-    # V at the pairs' members, and its errors, a row per order
-    v_pair, pair_errors = (v.reshape(qs.size, len(pair_x)) for v in ev.values(*_block(qs, pair_x)))
+    v_pair, pair_errors = (v.reshape(qs.size, len(pair_x)) for v in pair)  # a row per order
 
     # x^(1-a) depends on a spec only through a, V^(b-1) and the value means
     # only through b, and the orders it admits only through q_min
     x_powers = {a: np.tile(_pows(grid_x, 1.0 - a), qs.size)[kept] for a in {s.a for s in specs}}
     by_value: dict = {}
-    for _, group in groupby(specs, attrgetter("q_min")):
-        group = list(group)
-        rows, on = group[0].admits(qs), group[0].admits(mq)
-        if not rows.any():
-            continue
+    for group, rows, orders in regions:
+        on = group[0].admits(mq)
         monitor_failed = ~kept & group[0].admits(q)
         q1, _, x1, x2 = _consecutive(mq[on], mq[on], mx[on])
         pq, px1 = _block(qs[rows], np.array(pair_x)[i])
@@ -660,15 +640,14 @@ def _convexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
         # inf where a mean overflowed (its check records an evaluation
         # error), and its errors; and the pairs at which some V failed
         at_means = {}
-        for a in dict.fromkeys(spec.a for spec in group):
+        for a, answer in zip(orders, at_mean_answers):
             means = _argument_means(pair_x, a)
             finite = np.isfinite(means)
-            t = np.unique(means[finite])  # looked up in increasing order
             spread = []
-            for got, fill in zip(ev.values(*_block(qs[rows], t)), (math.inf, None)):
-                at_t = np.full((rows.sum(), *means.shape), fill, got.dtype)
-                at_t[:, finite] = got.reshape(rows.sum(), -1)[:, t.searchsorted(means[finite])]
-                spread.append(at_t.transpose(1, 0, 2).reshape(len(means), -1))
+            for got, fill in zip(answer, (math.inf, None)):
+                at = np.full((rows.sum(), *means.shape), fill, got.dtype)
+                at[:, finite] = got.reshape(rows.sum(), -1)
+                spread.append(at.transpose(1, 0, 2).reshape(len(means), -1))
             at_means[a] = [(v_at, errors, pair_failed | np.isnan(v_at))
                            for v_at, errors in zip(*spread)]
         for spec in group:
@@ -700,13 +679,11 @@ def _turan_constant(q):
     return (q + 2.0) * (2.0 * q + 1.0) / ((q + 1.0) * (2.0 * q + 3.0))
 
 
-def _turan_points(grid: Grid) -> list[tuple]:
-    return _grid_points(grid, *_THREE) + _grid_points(Grid(SHARPNESS_Q, (SHARPNESS_X,)), *_THREE)
-
-
-def _turan_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
+def _turan_impl(grid: Grid, col: _Collector) -> Generator:
     q, x = _block(grid.q_values, grid.x_values)
-    ok, (v0, v1, v2) = ev.rows(col, "turan", q, x, *((q + s, p) for s, p in _THREE))
+    sq, sx = _block(SHARPNESS_Q, (SHARPNESS_X,))
+    got = yield _three(q, x) + _three(sq, sx)
+    ok, (v0, v1, v2) = _rows(col, "turan", q, x, got[:3])
     q, x, prod = q[ok], x[ok], v0 * v2
     col.assert_less("turan:upper", v1 * v1, (q + 2.0) / (q + 1.0) * prod, q, x)
     col.assert_less("turan:improved-upper", v1 * v1, prod, q, x)
@@ -718,27 +695,21 @@ def _turan_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
     # sharpness of the lower constant as x -> 0, at fixed representative
     # orders: the ratio approaches the constant like x^{min(2q+1, 2)}
     label = "turan:lower-sharpness-limit"
-    q, x = _block(SHARPNESS_Q, (SHARPNESS_X,))
-    ok, (v0, v1, v2) = ev.rows(col, label, q, x, *((q + s, p) for s, p in _THREE))
+    ok, (v0, v1, v2) = _rows(col, label, sq, sx, got[3:])
     ratio = v1 * v1 / (v0 * v2)
-    col.assert_residual(label, ratio - _turan_constant(q[ok]), SHARPNESS_TOL, q[ok], x[ok])
+    col.assert_residual(label, ratio - _turan_constant(sq[ok]), SHARPNESS_TOL, sq[ok], sx[ok])
 
 
-def _logconvexity_points(grid: Grid) -> list[tuple]:
-    qs, pair_x = grid.q_values, np.array(grid.pair_x_values())
-    mids = tuple(0.5 * (q1 + q2) for k, q1 in enumerate(qs) for q2 in qs[k + 1:])
-    return [(False, q, pair_x) for q in qs + mids]
-
-
-def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
+def _logconvexity_impl(grid: Grid, col: _Collector) -> Generator:
     xs, qs = grid.pair_x_values(), grid.q_values
     # q1 < q2 and their midpoint at each pair of orders, and the weights Gamma(q + 1)
     orders = np.array([(q1, q2, 0.5 * (q1 + q2)) for k, q1 in enumerate(qs) for q2 in qs[k + 1:]])
-    weights = np.array([_exp(ln_gamma(q + 1.0)) for q in orders.ravel().tolist()])
-    (q1, q2, mid), (w1, w2, wm) = (np.repeat(a.reshape(-1, 3), len(xs), axis=0).T
-                                   for a in (orders, weights))
+    q1, q2, mid = np.repeat(orders.reshape(-1, 3), len(xs), axis=0).T
     x = np.tile(np.asarray(xs, float), len(orders))
-    ok, (g1, g2, gm) = ev.rows(col, "logconvexity", q1, x, (q1, False), (q2, False), (mid, False))
+    got = yield [(q1, x, False), (q2, x, False), (mid, x, False)]
+    weights = np.array([_exp(ln_gamma(q + 1.0)) for q in orders.ravel().tolist()])
+    w1, w2, wm = np.repeat(weights.reshape(-1, 3), len(xs), axis=0).T
+    ok, (g1, g2, gm) = _rows(col, "logconvexity", q1, x, got)
     q1, q2, x, f1, f2, fm = q1[ok], q2[ok], x[ok], w1[ok] * g1, w2[ok] * g2, wm[ok] * gm
     col.assert_less("logconvexity:gamma-weighted-midpoint", fm * fm, f1 * f2, q1, x, q2)
     label = "logconvexity:unweighted-midpoint[open-problem]"
@@ -750,9 +721,10 @@ def _logconvexity_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
                  f"q -> V_q held at {n_held} of {n_total} pairs at x={at_x:g}")
 
 
-def _simon_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
+def _simon_impl(grid: Grid, col: _Collector) -> Generator:
     q, x = _block(grid.q_values, grid.x_values)
-    ok, (v0, v1, v2) = ev.rows(col, "simon", q, x, *((q + s, p) for s, p in _THREE))
+    got = yield _three(q, x)
+    ok, (v0, v1, v2) = _rows(col, "simon", q, x, got)
     q, x, gap = q[ok], x[ok], v0 * v2 - v1 * v1
     # x^2 underflows to 0 below about 1e-162: such sides are not finite
     col.assert_less("simon:product-gap-bound", gap, v1 * v2 / x, q, x)
@@ -771,21 +743,19 @@ def _simon_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
                  f"{(checked & ~held).sum()} of {checked.sum()} grid points (fails for large x)")
 
 
-def _bounds_points(grid: Grid) -> list[tuple]:
-    return _grid_points(grid, (0.0, False)) + _grid_points(
-        Grid(tuple(q for q in grid.q_values if q >= 0.0), grid.x_values), (-1.0, False))
-
-
-def _bounds_impl(grid: Grid, col: _Collector, ev: _Table) -> None:
+def _bounds_impl(grid: Grid, col: _Collector) -> Generator:
+    q, x = _block(grid.q_values, grid.x_values)
+    up = q >= 0.0  # the orders of the order-ratio checks, which read V_{q-1}
+    (v, errors), (v_prev, prev_errors) = yield [(q, x, False), (q[up] - 1.0, x[up], False)]
     _mills_checks(grid.x_values, col)
 
     # order-indexed bounds and envelopes
-    q, x = _block(grid.q_values, grid.x_values)
-    ok, (v,) = ev.rows(col, "bounds", q, x, (q, False))
+    at = ~np.isnan(v[up])  # the entries q >= 0 at which V_q evaluated
+    qr, xr, vr = q[up][at], x[up][at], v[up][at]
+    ok, (v,) = _rows(col, "bounds", q, x, [(v, errors)])
     q, x = q[ok], x[ok]
-    qr, xr = q[q >= 0.0], x[q >= 0.0]
-    ok, (vr, v_prev) = ev.rows(col, "bounds:order-ratio", qr, xr, (qr, False), (qr - 1.0, False))
-    qr, xr = qr[ok], xr[ok]
+    ok, (v_prev,) = _rows(col, "bounds:order-ratio", qr, xr, [(v_prev[at], prev_errors[at])])
+    qr, xr, vr = qr[ok], xr[ok], vr[ok]
     xsq2 = 2.0 * xr * xr
     col.assert_less("bounds:order-ratio-lower", xsq2 / (xsq2 + 1.0), vr / v_prev, qr, xr)
     col.assert_less("bounds:order-decreasing", vr, v_prev, qr, xr)
@@ -859,16 +829,15 @@ def _mills_checks(xs: Sequence[float], col: _Collector) -> None:
                         x=np.array(residual_x))
 
 
-#: the suite registry, in canonical order: each suite's points (the V_q and
-#: V_q' values it reads, as ``(prime, q, xs)``) and its implementation
+#: the suite registry, in canonical order: generators ``(grid, col)`` that yield
+#: their asks ``(q, x, prime)`` once and are sent the answers (:func:`_answers`)
 _SUITE_IMPLS = {
-    "monotonicity": (lambda grid: _grid_points(grid, (0.0, False), (0.0, True), (1.0, False)),
-                     _monotonicity_impl),
-    "convexity": (_convexity_points, _convexity_impl),
-    "turan": (_turan_points, _turan_impl),
-    "logconvexity": (_logconvexity_points, _logconvexity_impl),
-    "simon": (lambda grid: _grid_points(grid, *_THREE), _simon_impl),
-    "bounds": (_bounds_points, _bounds_impl),
+    "monotonicity": _monotonicity_impl,
+    "convexity": _convexity_impl,
+    "turan": _turan_impl,
+    "logconvexity": _logconvexity_impl,
+    "simon": _simon_impl,
+    "bounds": _bounds_impl,
 }
 SUITES = tuple(_SUITE_IMPLS)
 
@@ -887,7 +856,8 @@ class VerifyConfig:
     emit_checks: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "suites", tuple(self.suites))
+        suites = (self.suites,) if isinstance(self.suites, str) else tuple(self.suites)
+        object.__setattr__(self, "suites", suites)
         if not (0.0 < self.rel_tol < 1.0):
             raise UsageError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
 
@@ -922,12 +892,16 @@ def run_suite(config: VerifyConfig) -> VerificationReport:
     if grid.is_empty:
         raise UsageError("verification grid is empty")
 
-    ev = _Table([point for suite in selected for point in _SUITE_IMPLS[suite][0](grid)])
     col = _Collector(config.rel_tol, config.emit_checks)
-    for suite in selected:
+    runs = [_SUITE_IMPLS[suite](grid, col) for suite in selected]
+    asks = [next(run) for run in runs]
+    answers = iter(_answers([ask for own in asks for ask in own]))
+    for suite, run, own in zip(selected, runs, asks):
         try:  # a side that overflows is an evaluation error, recorded by the collector
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                _SUITE_IMPLS[suite][1](grid, col, ev)
+                run.send([next(answers) for _ in own])
+        except StopIteration:  # the suite has judged every check
+            pass
         except ArithmeticError as exc:  # e.g. float overflow at extreme q or x
             col.record_error(suite, exc, None, None)
 

@@ -28,7 +28,7 @@ from regcoulomb import (
     vq_prime_many,
 )
 from regcoulomb.quadrature import COLUMN_CHUNK
-from regcoulomb.verify import _Table
+from regcoulomb.verify import _answers
 
 from oracles import kratzel_bessel_reference, rel_diff
 
@@ -225,9 +225,8 @@ class TestVerifierPrefetch:
         assert run_suite(VerifyConfig(grid=EDGE_GRID)).to_json_dict() == edge.to_json_dict()
 
     def test_unconverged_points_are_not_memoised(self):
-        # the value table holds the evaluation's error, never a value
-        table = _Table([(True, -0.9999, (1e160, 1.0))])
-        values, errors = table.values(-0.9999, [1e160, 1.0], prime=True)
+        # the answers hold the evaluation's error, never a value
+        [(values, errors)] = _answers([(np.full(2, -0.9999), np.array([1e160, 1.0]), True)])
         assert math.isnan(values[0]) and math.isfinite(values[1])
         assert errors[1] is None
         with pytest.raises(ArithmeticError, match="did not converge"):
@@ -235,31 +234,34 @@ class TestVerifierPrefetch:
 
     def test_a_domain_error_at_one_order_leaves_the_other_orders_values(self):
         # V_q(0) diverges for q <= -1/2: only that point is an error
-        table = _Table([(False, -0.75, (0.0, 1.0)), (False, 0.5, (0.0, 1.0))])
-        values, errors = table.values(0.5, [0.0, 1.0])
+        x = np.array([0.0, 1.0])
+        (low, low_errors), (values, errors) = _answers([(np.full(2, -0.75), x, False),
+                                                        (np.full(2, 0.5), x, False)])
         assert _hex(values) == _hex([vq(0.5, 0.0).value, vq(0.5, 1.0).value])
         assert errors.tolist() == [None, None]
-        values, errors = table.values(-0.75, [0.0, 1.0])
-        assert math.isnan(values[0]) and _hex(values[1:]) == _hex(vq(-0.75, 1.0).value)
-        assert errors[1] is None and isinstance(errors[0], DomainError)
+        assert math.isnan(low[0]) and _hex(low[1:]) == _hex(vq(-0.75, 1.0).value)
+        assert low_errors[1] is None and isinstance(low_errors[0], DomainError)
 
-    @pytest.mark.parametrize("q, xs", [
-        (1.0, [3.0]),         # above the largest planned x of the order
-        (1.0, [0.5, 2.0]),    # below the smallest
-        (1.0, [1.5]),         # between two planned x
-        (2.0, [1.0]),         # an order that was not planned
-        (1.0, [2.0, 3.0]),    # one planned point and one past the end
-    ])
-    def test_an_unplanned_point_is_a_key_error(self, q, xs):
-        table = _Table([(False, 1.0, (1.0, 2.0))])
-        with pytest.raises(KeyError, match="planned"):
-            table.values(q, xs)
-        with pytest.raises(KeyError, match="planned"):
-            table.values(np.full(len(xs), q), xs)
-        with pytest.raises(KeyError, match="planned"):
-            table.values(1.0, [1.0], prime=True)  # no V' was planned
-        assert _hex(table.values(1.0, [2.0, 1.0])[0]) == _hex([vq(1.0, 2.0).value,
-                                                                vq(1.0, 1.0).value])
+    def test_answers_come_back_in_the_order_asked(self, monkeypatch):
+        # repeats within an ask and across asks, unsorted x, both exponents
+        # and an empty ask: each point is evaluated once, in one call per exponent
+        calls = []
+        many = verify._many
+        monkeypatch.setattr(verify, "_many", lambda qs, xs, prime: calls.append(
+            (prime, qs.tolist(), xs.tolist())) or many(qs, xs, prime))
+        asks = [(np.array([1.0, 0.5, 1.0, 1.0]), np.array([3.0, 2.0, 0.7, 3.0]), False),
+                (np.array([0.5, 0.5]), np.array([2.0, 0.7]), True),
+                (np.array([]), np.array([]), False),
+                (np.array([1.0, 0.5, 2.0]), np.array([0.7, 2.0, 0.7]), False),
+                (np.array([0.5]), np.array([2.0]), True)]
+        answers = _answers(asks)
+        assert len(answers) == len(asks)
+        for (qs, xs, prime), (values, errors) in zip(asks, answers):
+            want = [_scalar_call(q, x, prime)[0] for q, x in zip(qs.tolist(), xs.tolist())]
+            assert _hex(values) == _hex(want)
+            assert errors.tolist() == [None] * len(want)
+        assert calls == [(False, [0.5, 1.0, 1.0, 2.0], [2.0, 0.7, 3.0, 0.7]),
+                         (True, [0.5, 0.5], [0.7, 2.0])]
 
     def test_an_overflow_at_one_point_is_an_error_at_that_point(self):
         # V_q(x) is beyond the double range at q = -0.99, x = 5e-324, where
@@ -357,6 +359,16 @@ class TestCallsPerReport:
         assert report.n_checks == 55181 and not report.errors
         assert len(calls) <= 8
         assert sum(size <= 16 for size in passes) <= 5
+
+    @pytest.mark.parametrize("grid, sizes", [(None, [12292, 540]), (EDGE_GRID, [2049, 42])])
+    def test_each_exponent_is_evaluated_once_on_its_distinct_points(self, monkeypatch, grid,
+                                                                     sizes):
+        calls = []
+        many = verify._many
+        monkeypatch.setattr(verify, "_many", lambda qs, xs, prime: calls.append(
+            (prime, xs.size)) or many(qs, xs, prime))
+        run_suite(VerifyConfig(grid=grid))
+        assert calls == [(False, sizes[0]), (True, sizes[1])]
 
     def test_each_check_label_is_judged_in_a_few_calls(self, monkeypatch):
         # a suite checks each label over every order it admits in one call,

@@ -190,6 +190,15 @@ class TestVerifyCommand:
         assert "turan:upper" in result.output
         assert "lhs=0.385720395122 rhs=0.809713731861" in result.output
 
+    def test_repeated_flags_of_one_point_are_single_point_mode(self, runner):
+        # the grid decides single-point mode, not the number of flags
+        once = invoke(runner, "verify", "--suite", "turan", "--q", "1", "--x", "2")
+        repeated = invoke(runner, "verify", "--suite", "turan",
+                          "--q", "1", "--q", "1", "--x", "2", "--x", "2")
+        assert "observations: 8" in once.output
+        assert repeated.output == once.output
+        assert repeated.exit_code == once.exit_code == 0
+
     def test_json_report_schema(self, runner):
         result = invoke(runner, "verify", "--suite", "turan",
                         "--q", "0.5", "--x", "1", "--format", "json")
@@ -298,6 +307,16 @@ class TestEnvelopeCommand:
         assert lines[0] == "x,lower_exp,lower_kratzel,vq"
         assert all(len(line.split(",")) == 4 for line in lines[1:])
         assert "upper envelope requires q > -3/4" in result.stderr
+
+    def test_a_rejected_order_prints_no_notice(self, runner):
+        # the order is checked before the notice on the upper envelope
+        result = runner.invoke(main, ["envelope", "--q", "nan"])
+        assert result.exit_code == 2
+        assert "notice" not in result.stderr
+        assert "error: order must be finite" in result.stderr
+        dropped = invoke(runner, "envelope", "--q", "-0.9")
+        assert dropped.stderr == ("notice: upper envelope requires q > -3/4; "
+                                  "column dropped for q=-0.9\n")
 
     def test_json_format(self, runner):
         result = invoke(runner, "envelope", "--q", "-0.8", "--steps", "2",

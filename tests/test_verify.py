@@ -380,6 +380,12 @@ class TestRunSuite:
         report = run_suite(VerifyConfig(suites=("turan", "all"), grid=SMALL_GRID))
         assert report.suite == "all"
 
+    def test_a_suite_name_as_a_string_is_one_name(self):
+        # tuple("turan") split the name into letters: "unknown suite 't'"
+        assert VerifyConfig(suites="turan") == VerifyConfig(suites=("turan",))
+        single = run_suite(VerifyConfig(suites="turan", grid=SMALL_GRID))
+        assert single == run_suite(VerifyConfig(suites=("turan",), grid=SMALL_GRID))
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(UsageError):
             run_suite(VerifyConfig(suites=("nosuch",), grid=SMALL_GRID))
