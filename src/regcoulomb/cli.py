@@ -23,9 +23,9 @@ from dataclasses import astuple
 from typing import Callable, Optional
 
 import click
-import numpy as np
 
 from . import __version__
+from ._lazy import np
 from .bounds import mills_bounds, vq_envelope
 from .errors import DomainError, NumericalError, UsageError
 from .potential import vq
@@ -94,6 +94,15 @@ def _check_positive_range(x_min: float, x_max: float, steps: int) -> None:
         raise UsageError(f"steps must be at least 2, got {steps}")
 
 
+def _uniform_grid(x_min: float, x_max: float, steps: int) -> list[float]:
+    """``np.linspace(x_min, x_max, steps)`` in Python floats, by its formula:
+    ``k step + x_min``, or ``(k / div) (x_max - x_min) + x_min`` where the
+    step underflows to 0, and the last point ``x_max``."""
+    div, delta = steps - 1, x_max - x_min
+    step = delta / div
+    return [(k * step if step else k / div * delta) + x_min for k in range(div)] + [x_max]
+
+
 @click.group()
 @click.version_option(__version__, prog_name="regcoulomb")
 def main() -> None:
@@ -157,7 +166,7 @@ def cmd_figure(x_min: float, x_max: float, steps: int, fmt: str,
     f1..f5 on a uniform grid; f3 is empty (CSV) or null (JSON) where it
     does not apply."""
     _check_positive_range(x_min, x_max, steps)
-    rows = [mills_bounds(float(v)) for v in np.linspace(x_min, x_max, steps)]
+    rows = [mills_bounds(v) for v in _uniform_grid(x_min, x_max, steps)]
     if fmt == "json":
         click.echo(json.dumps([_json_row(r, _FIGURE_HEADER, precision)
                                for r in rows], indent=2))

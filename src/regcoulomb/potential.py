@@ -34,10 +34,10 @@ which gives the scalar call's exception at each point that fails.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DivergenceError, DomainError, NumericalError
 # perfbench's tracer wraps the two retired engine names in this module
 from .quadrature import Columns, expsinh_escalating, laguerre_escalating  # noqa: F401
@@ -53,7 +53,7 @@ from .special import (
     rgamma,
 )
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -155,7 +155,7 @@ def _near_half_integer(q):
     """Whether the order ``q`` (a float, or an array of them) lies within
     the gap of a half-integer."""
     shifted = q + 0.5
-    nearest = np.round(shifted) if isinstance(shifted, np.ndarray) else round(shifted)
+    nearest = round(shifted) if isinstance(shifted, float) else np.round(shifted)
     return abs(shifted - nearest) <= _HALF_INTEGER_GAP
 
 

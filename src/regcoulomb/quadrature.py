@@ -26,14 +26,15 @@ parts whose sums are exact (:func:`_split`), in any order, BLAS's included.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
-import numpy as np
+from ._lazy import np
 
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 
 #: most columns one node pass evaluates at once
 COLUMN_CHUNK = 64
@@ -50,8 +51,6 @@ _TRAP_NODE_MAX = 1280
 _TRAP_TOL = 1e-11
 # Veltkamp's constant 2^27 + 1: splits a double into halves with exact products
 _SPLIT = 134217729.0
-# a node pass's weights, from an even node on: every node, and the even ones
-_WEIGHTS = np.tile([[1.0, 1.0], [1.0, 0.0]], (_TRAP_NODE_MAX + 2, 1))
 
 
 class Columns(NamedTuple):
@@ -121,21 +120,19 @@ def _dd_sqrt(r, sqrt):
     return _two_sum(s, ((r - p) - e) / (2.0 * s))
 
 
-def _split(terms: np.ndarray, scale, bits: float) -> np.ndarray:
-    """Non-negative ``terms`` as integer-valued parts ``hi = floor(t)`` and
-    ``lo = floor(frac(t) bits)`` of ``t = terms * scale`` (``scale``
-    broadcast; a power of two, with every ``t`` below ``2 bits``), stacked
-    on a new first axis, so that ``t = hi + lo / bits`` up to ``1 / bits``.
-    Sums of the parts are exact, so they do not depend on the order of the
-    terms or on zeros around them: this is what lets a node pass take them
-    from a matrix product.  ``terms`` is overwritten."""
-    parts = np.empty((2,) + terms.shape)
+def _split(terms: np.ndarray, scale, bits: float, hi: np.ndarray) -> None:
+    """Non-negative ``terms`` as integer-valued parts ``hi = floor(t)``,
+    written to ``hi``, and ``lo = floor(frac(t) bits)``, written over
+    ``terms``, of ``t = terms * scale`` (``scale`` broadcast; a power of two,
+    with every ``t`` below ``2 bits``), so that ``t = hi + lo / bits`` up to
+    ``1 / bits``.  Sums of the parts are exact, so they do not depend on the
+    order of the terms or on zeros around them: this is what lets a node
+    pass take them from a matrix product."""
     np.multiply(terms, scale, out=terms)
-    np.floor(terms, out=parts[0])
-    np.subtract(terms, parts[0], out=terms)
+    np.floor(terms, out=hi)
+    np.subtract(terms, hi, out=terms)
     np.multiply(terms, bits, out=terms)
-    np.floor(terms, out=parts[1])
-    return parts
+    np.floor(terms, out=terms)
 
 
 def _dd_value(m, g, r, x, p, sqrt):
@@ -202,9 +199,21 @@ def _per_order(fn, c, *args):
     return np.array([fn(v, *args) for v in distinct.tolist()])[at].T
 
 
-# NumPy's maximum, minimum, fmax and fmin; for two scalars the same value (NaN
-# and the sign of zero included) by comparison, without a ufunc call's cost
-_ARRAY_OPS = (np.maximum, np.minimum, np.fmax, np.fmin)
+@lru_cache(maxsize=None)
+def _weights(rows: int) -> np.ndarray:
+    """A node pass's weights, from an even node on: every node, and the even
+    ones, in ``rows`` rows (built on the first pass, so that importing loads
+    no NumPy)."""
+    return np.tile([[1.0, 1.0], [1.0, 0.0]], (rows, 1))
+
+
+def _array_ops() -> tuple:
+    """NumPy's maximum, minimum, fmax and fmin, for a batch."""
+    return np.maximum, np.minimum, np.fmax, np.fmin
+
+
+# for two scalars the same values as :func:`_array_ops` (NaN and the sign of
+# zero included) by comparison, without a ufunc call's cost
 _SCALAR_OPS = (lambda a, b: a if a > b or a != a else b,
                lambda a, b: a if a < b or a != a else b,
                lambda a, b: a if a >= b or b != b else b,
@@ -367,7 +376,7 @@ def _columns(c1, p, w, x, power: float) -> Columns:
     double_double = isinstance(p, np.ndarray) or (
         power == 0.0 and p < 0.0 and float(2.0 * p).is_integer())
     w = w if many else np.float64(w)  # a NumPy scalar gives inf or NaN where a float raises
-    maximum, minimum, fmax, fmin = _ARRAY_OPS if many else _SCALAR_OPS
+    maximum, minimum, fmax, fmin = _array_ops() if many else _SCALAR_OPS
     # the node pass's outer products; a batch's by einsum, faster than broadcasting
     outer = (lambda a, b, out: np.einsum("i,j->ij", a, b, out=out)) if many else np.multiply
     root = np.sqrt(c1) if many else math.sqrt(c1)
@@ -386,7 +395,8 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         # step and order (sorting made them adjacent) forms its nodes once
         j0, j1 = (min(f.tolist()), max(l.tolist()) + 1.0) if many else (float(f), float(l) + 1.0)
         j = np.arange(j0, j1)
-        terms = np.empty((2, f.size, j.size))
+        parts = np.empty((2, 2, f.size, j.size))  # the split's hi and lo; lo holds the terms first
+        terms = parts[1]
         g, g0 = terms[0], terms[1]
         runs, w_c, recip_c, p_c = [(g, g0, step, c1, peak)], w, recip, p
         if many:
@@ -413,8 +423,8 @@ def _columns(c1, p, w, x, power: float) -> Columns:
             np.copyto(terms[..., tail:], -np.inf, where=j[tail:] > l[:, None])
         np.exp(terms, terms)
         # one product, whose exact sums do not depend on its order
-        parts = _split(terms, scales[:, c, None] if many else scales[:, None, None], bits)
-        sums = parts.reshape(-1, j.size) @ _WEIGHTS[int(j0 % 2):][:j.size]
+        _split(terms, scales[:, c, None] if many else scales[:, None, None], bits, parts[0])
+        sums = parts.reshape(-1, j.size) @ _weights(_TRAP_NODE_MAX + 2)[int(j0 % 2):][:j.size]
         return sums.reshape(4, f.size, 2) if many else sums.T.tolist()  # one column's as floats
 
     with np.errstate(all="ignore"):

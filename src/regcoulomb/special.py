@@ -60,15 +60,14 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DivergenceError, DomainError, NumericalError
 # perfbench's tracer wraps the two retired engine names in this module
 from .quadrature import expsinh_escalating, laguerre_escalating  # noqa: F401
 from .quadrature import (_TRAP_DROP, _TRAP_REACH, _TRAP_TOL, _tangent_end, _trapezoid_step,
                          _two_prod, trapezoid_columns)
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 # relative accuracy target for the Tricomi router
 _PSI_REL_TARGET = 1e-11

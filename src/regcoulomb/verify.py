@@ -67,10 +67,9 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
-from typing import Generator, Iterable, Optional, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .bounds import mills_bounds, vq_lower_exp, vq_lower_kratzel, vq_upper_agm
 from .errors import DomainError, NumericalError, UsageError
 from .potential import _many, mills, vq
@@ -370,7 +369,8 @@ class _Collector:
             self._min_margin = low if low < self._min_margin else self._min_margin
             self._max_margin = high if high > self._max_margin else self._max_margin
         picked = np.arange(ok.size) if self.emit_checks else (~ok).nonzero()[0]
-        for k in np.unique(np.searchsorted(ends, picked, "right")).tolist():
+        at = np.searchsorted(ends, picked, "right")  # sorted: its distinct entries by neighbours
+        for k in at[np.diff(at, prepend=-1) != 0].tolist():
             label, lhs, rhs, _, _, q, x, y = pending[k]
             cut = slice(ends[k] - lhs.size, ends[k])
             idx = np.arange(lhs.size) if self.emit_checks else (~ok[cut]).nonzero()[0]
@@ -473,12 +473,14 @@ def _at(value, mask: np.ndarray):
     return value[mask] if isinstance(value, np.ndarray) else value
 
 
-def _answers(asks: Sequence[tuple[np.ndarray, np.ndarray, bool]]) -> list[tuple]:
-    """``(values, errors)`` for each ask ``(q, x, prime)``: V_q (V_q' if
-    ``prime``) at each of its points (q, x), in its order, NaN where the
-    evaluation failed, and the error there, None where it did not fail.
-    The distinct points of each exponent are evaluated in one call."""
-    answers: list = [None] * len(asks)
+def _answers(asks: Sequence[tuple[np.ndarray, np.ndarray, bool]]) -> Iterator[tuple]:
+    """``(values, errors)`` for each ask ``(q, x, prime)``, in ask order:
+    V_q (V_q' if ``prime``) at each of its points (q, x), in its order, NaN
+    where the evaluation failed, and the error there, None where it did not
+    fail.  The distinct points of each exponent are evaluated in one call,
+    here; each ask's answers are gathered from them only when the iterator
+    reaches it, so that a caller that takes them in turn holds its own."""
+    found: list = [None] * len(asks)  # each ask's distinct values, errors and ranks
     for prime in (False, True):
         mine = [k for k, ask in enumerate(asks) if ask[2] == prime]
         qs, xs = (np.concatenate([asks[k][i] for k in mine] + [[]]) for i in (0, 1))
@@ -493,8 +495,8 @@ def _answers(asks: Sequence[tuple[np.ndarray, np.ndarray, bool]]) -> list[tuple]
         values, errors = _many(qs, xs, prime)
         ends = np.cumsum([asks[k][1].size for k in mine], dtype=int)
         for k, idx in zip(mine, np.split(rank, ends[:-1])):
-            answers[k] = values[idx], errors[idx]
-    return answers
+            found[k] = values, errors, idx
+    return ((values[idx], errors[idx]) for values, errors, idx in found)
 
 
 def _rows(col: _Collector, label: str, q: np.ndarray, x: np.ndarray,
@@ -895,7 +897,7 @@ def run_suite(config: VerifyConfig) -> VerificationReport:
     col = _Collector(config.rel_tol, config.emit_checks)
     runs = [_SUITE_IMPLS[suite](grid, col) for suite in selected]
     asks = [next(run) for run in runs]
-    answers = iter(_answers([ask for own in asks for ask in own]))
+    answers = _answers([ask for own in asks for ask in own])
     for suite, run, own in zip(selected, runs, asks):
         try:  # a side that overflows is an evaluation error, recorded by the collector
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

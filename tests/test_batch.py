@@ -254,7 +254,7 @@ class TestVerifierPrefetch:
                 (np.array([]), np.array([]), False),
                 (np.array([1.0, 0.5, 2.0]), np.array([0.7, 2.0, 0.7]), False),
                 (np.array([0.5]), np.array([2.0]), True)]
-        answers = _answers(asks)
+        answers = list(_answers(asks))
         assert len(answers) == len(asks)
         for (qs, xs, prime), (values, errors) in zip(asks, answers):
             want = [_scalar_call(q, x, prime)[0] for q, x in zip(qs.tolist(), xs.tolist())]
@@ -402,7 +402,6 @@ class TestKratzelClosedForm:
         assert rel_diff(kratzel_z(2.0, 1.0, 1e-12), math.sqrt(math.pi) / 2) < 1e-5
 
     def test_import_and_cli_commands_load_no_scipy(self):
-        src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "import contextlib, io, sys\n"
             "import regcoulomb.cli\n"
@@ -415,8 +414,67 @@ class TestKratzelClosedForm:
             "            assert not stop.code, (args, stop.code)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": str(src), "PATH": ""},
+        assert _fresh_interpreter(code).stdout.strip() == "[]"
+
+    def test_import_figure_and_scalar_routes_load_no_numpy(self):
+        # NumPy loads on the first array operation: the import, the figure
+        # table and every eval route but quadrature run without it
+        code = (
+            "import contextlib, io, sys\n"
+            "import regcoulomb, regcoulomb.cli\n"
+            "loaded = ['numpy._core' in sys.modules]\n"
+            "for args in (['figure'], ['figure', '--format', 'json'],\n"
+            "             ['eval', '--q', '0', '--x', '1'], ['eval', '--q', '0.3', '--x', '0.01'],\n"
+            "             ['eval', '--q', '0.3', '--x', '100'], ['eval', '--q', '0.3', '--x', '0'],\n"
+            "             ['eval', '--q', '-1', '--x', '2']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            regcoulomb.cli.main(args)\n"
+            "        except SystemExit as stop:\n"
+            "            assert not stop.code, (args, stop.code)\n"
+            "    loaded.append('numpy._core' in sys.modules)\n"
+            "routes = [regcoulomb.vq(q, x).method for q, x in ((0.3, 0.01), (0.3, 100.0))]\n"
+            "value = regcoulomb.vq(0.5, 1.0).value\n"
+            "print(loaded, routes, 'numpy._core' in sys.modules, value.hex())\n"
         )
-        assert out.stdout.strip() == "[]"
+        want = f"{[False] * 8} ['psi-series', 'psi-asymptotic'] True {vq(0.5, 1.0).value.hex()}"
+        assert _fresh_interpreter(code).stdout.strip() == want
+
+    def test_an_absent_numpy_fails_the_import(self):
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "try:\n"
+            "    import regcoulomb\n"
+            "except ImportError as error:\n"
+            "    print('ImportError', error.name)\n"
+        )
+        assert _fresh_interpreter(code).stdout.strip() == "ImportError numpy"
+
+    def test_threads_first_using_numpy_at_once_all_get_it(self):
+        # more threads than cores, switching often, each first touching the
+        # lazy NumPy after the same barrier: none may see it half imported
+        code = (
+            "import sys, threading\n"
+            "from regcoulomb import vq_many\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "start, got = threading.Barrier(4), []\n"
+            "def run():\n"
+            "    start.wait()\n"
+            "    got.append(vq_many(0.5, [1.0, 2.0]).tolist())\n"
+            "threads = [threading.Thread(target=run) for _ in range(4)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(60.0)\n"
+            "assert not any(thread.is_alive() for thread in threads)\n"
+            "print(got)\n"
+        )
+        assert _fresh_interpreter(code).stdout.strip() == str([vq_many(0.5, [1.0, 2.0]).tolist()] * 4)
+
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """``code`` run to its end by a new interpreter that imports the package
+    from src/."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env={"PYTHONPATH": str(src), "PATH": ""})

@@ -9,7 +9,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from regcoulomb.cli import _mapped, main
+from regcoulomb.cli import _mapped, _uniform_grid, main
 from regcoulomb.errors import NumericalError
 
 GOLDEN_FIGURE = pathlib.Path(__file__).parent / "data" / "figure_golden.csv"
@@ -175,6 +175,22 @@ class TestFigureCommand:
                      ["figure", "--x-min", "-1"]):
             result = runner.invoke(main, args)
             assert result.exit_code == 2, args
+
+    @pytest.mark.parametrize("x_min, x_max, steps", [
+        (0.7, 3.0, 231),
+        (0.5, 0.8, 4),
+        (1.0, 1e200, 3),
+        (0.1, 0.10000000000000003, 50),  # steps of a few ulps
+        (5e-324, 5e-323, 30),            # the step underflows to 0: linspace's other branch
+        (1e-310, 3e-310, 1000),
+        (1e-300, 1e300, 7),
+    ])
+    def test_the_grid_is_linspace_to_the_bit(self, x_min, x_max, steps):
+        # the table is built in Python floats, so that it loads no NumPy
+        import numpy as np
+
+        got = _uniform_grid(x_min, x_max, steps)
+        assert [v.hex() for v in got] == [v.hex() for v in np.linspace(x_min, x_max, steps).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ class TestBatchIndependence:
         xs = np.exp(np.random.default_rng(9).uniform(-6.0, 4.0, 12))
         batch = [_columns(trapezoid_columns(c1, p, x * x, x if times_x else None, power))
                  for x in xs.tolist()]
-        monkeypatch.setattr(quadrature, "_ARRAY_OPS", None)  # a batch's set-up fails
+        monkeypatch.setattr(quadrature, "_array_ops", None)  # a batch's set-up fails
         for x, want in zip(xs, batch):
             got = trapezoid_columns(c1, p, np.array([x * x]), np.array([x]) if times_x else None,
                                     power)
