@@ -1,18 +1,14 @@
-"""NumPy, imported on first use.
+"""NumPy, imported on first use, so that ``import regcoulomb``, the figure
+table and the scalar routes other than quadrature do not load it.
 
 ``np`` stands for the ``numpy`` module.  The first attribute read on it
-imports NumPy, copies NumPy's namespace into it and turns it into a plain
-module, so every later read costs what a read of ``numpy`` costs.  So
-``import regcoulomb``, the CLI's start, the figure table and the scalar
-routes other than quadrature run without NumPy; the first array operation
-pays its import.  Where NumPy is not installed, importing this module (and
-so the package) raises :class:`ImportError`, as ``import numpy`` would.
+imports NumPy, copies NumPy's namespace into it and makes it a plain module,
+so later reads cost what reads of ``numpy`` cost.  Without NumPy installed,
+importing this module raises :class:`ImportError`, as ``import numpy`` would.
 
-Thread safety: the import and the copy run under a lock.  A thread that
-reads ``np`` while another imports NumPy either finds the name already
-copied from the fully imported NumPy, or misses it and waits on the lock;
-no thread sees a partly initialised NumPy.  The import itself takes the
-import system's own module lock, as any ``import numpy`` does.
+Threads: the import and the copy run under a lock.  A thread that reads
+``np`` meanwhile finds a name already copied from the fully imported NumPy,
+or misses it and waits on the lock; none sees a partly initialised NumPy.
 """
 import importlib.util
 import threading
