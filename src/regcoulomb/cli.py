@@ -86,8 +86,10 @@ def _mapped(fn: Callable) -> Callable:
 
 
 def _check_positive_range(x_min: float, x_max: float, steps: int) -> None:
-    if not (math.isfinite(x_min) and math.isfinite(x_max)) or x_min <= 0.0:
+    if not (math.isfinite(x_min) and x_min > 0.0):
         raise UsageError(f"x-min must be positive and finite, got {x_min}")
+    if not math.isfinite(x_max):
+        raise UsageError(f"x-max must be finite, got {x_max}")
     if x_max <= x_min:
         raise UsageError(f"x-max must exceed x-min, got [{x_min}, {x_max}]")
     if steps < 2:

@@ -38,12 +38,11 @@ Reports are deterministic: records are sorted canonically by
 Checks run an array at a time: a suite judges each label in one call, on
 NumPy arrays that hold both sides of the inequality at every point of every
 order it admits, with each entry's order beside its x (and y).  The collector
-keeps the arrays of asserted checks and judges them together, some thousands
-of checks at a time and the rest when a result is read, making records only
-for the failures (for every check under ``emit_checks``).  NumPy's ``+ - * /``
-and comparisons round as Python floats do, but its ``pow``, ``exp`` and
-``log`` need not, so those stay Python float operations, one entry at a time;
-the report is the one a per-check loop gives.  :func:`run_suite` judges each suite
+judges each array when it is asserted, making records only for the failures
+(for every check under ``emit_checks``).  NumPy's ``+ - * /`` and comparisons
+round as Python floats do, but its ``pow``, ``exp`` and ``log`` need not, so
+those stay Python float operations, one entry at a time; the report is the one
+a per-check loop gives.  :func:`run_suite` judges each suite
 under one ``errstate`` that silences floating-point warnings (a side that is
 not finite is an evaluation error), and the judging holds its own
 (:func:`_judged`), so a collector used outside a run does not warn either.
@@ -95,8 +94,6 @@ ODE_RESIDUAL_TOL = 1e-8
 _MILLS_X_MAX = 1e77
 #: weights alpha of the convexity suite's midpoint checks, H(x, y; alpha)
 _MIDPOINT_WEIGHTS = (0.3, 0.5)
-#: checks the collector keeps before judging them together (bounds a fold's memory)
-_FOLD_CHECKS = 4096
 
 DEFAULT_Q_VALUES = (-0.45, -0.25, 0.0, 0.3, 0.5, 1.0, 2.0, 3.5, 5.0)
 _DEFAULT_X_COUNT = 60
@@ -318,72 +315,51 @@ class VerificationReport:
 class _Collector:
     """Accumulates check outcomes for one suite run.  Each call records a
     whole array of checks of one label, located by arrays (or scalars) of
-    orders q and abscissas x and y; the asserted ones are judged and folded
-    in together when a result is read."""
+    orders q and abscissas x and y; the asserted ones are judged, counted and
+    recorded as they are asserted."""
 
     def __init__(self, rel_tol: float, emit_checks: bool = False) -> None:
         self.rel_tol = rel_tol
         self.emit_checks = emit_checks
-        self._violations: list[ViolationRecord] = []
-        self._observations: list[ObservationRecord] = []
+        self.violations: list[ViolationRecord] = []
+        self.observations: list[ObservationRecord] = []
         self.errors: list[ObservationRecord] = []
         self.n_checks = 0
-        self._min_margin = math.inf
-        self._max_margin = -math.inf
-        self._pending: list[tuple] = []  # the arguments of each _record call
-
-    violations = property(lambda self: self._folded()._violations)
-    observations = property(lambda self: self._folded()._observations)
-    min_margin = property(lambda self: self._folded()._min_margin)
-    max_margin = property(lambda self: self._folded()._max_margin)
+        self.min_margin = math.inf
+        self.max_margin = -math.inf
 
     def _record(self, label: str, lhs: np.ndarray, rhs: np.ndarray, margin: Optional[np.ndarray],
                 ok: Optional[np.ndarray], q, x, y) -> None:
-        """Count an array of asserted checks and keep it for :meth:`_folded`;
-        ``margin`` and ``ok`` are None for ``lhs < rhs`` under the tolerance policy."""
-        self.n_checks += lhs.size
-        self._pending.append((label, lhs, rhs, margin, ok, q, x, y))
-        if sum(entry[1].size for entry in self._pending) >= _FOLD_CHECKS:
-            self._folded()
-
-    def _folded(self) -> _Collector:
-        """Judge the pending checks at once, track their margins, and keep
-        the records of the failures (of every check under ``emit_checks``).
+        """Judge and count an array of asserted checks, track its margins, and
+        keep the records of its failures (of every check under ``emit_checks``);
+        ``margin`` and ``ok`` are None for ``lhs < rhs`` under the tolerance policy.
 
         The margins fold in as ``min``/``max`` over them in order would:
         NaN is skipped and the first of equal values is kept, which shows in
         the sign of a zero.
         """
-        pending, self._pending = self._pending, []
-        if not pending:
-            return self
-        margin, ok = _judged(*(np.concatenate([entry[k] for entry in pending]) for k in (1, 2)),
-                             self.rel_tol)
-        ends = np.cumsum([entry[1].size for entry in pending])
-        for entry, end in zip(pending, ends.tolist()):
-            if entry[3] is not None:
-                margin[end - entry[1].size:end], ok[end - entry[1].size:end] = entry[3:5]
+        if margin is None:
+            margin, ok = _judged(lhs, rhs, self.rel_tol)
+        self.n_checks += lhs.size
         real = margin[~np.isnan(margin)]
         if real.size:  # argmin/argmax return the first extremum; fmin need not
             low, high = float(real[real.argmin()]), float(real[real.argmax()])
-            self._min_margin = low if low < self._min_margin else self._min_margin
-            self._max_margin = high if high > self._max_margin else self._max_margin
-        picked = np.arange(ok.size) if self.emit_checks else (~ok).nonzero()[0]
-        at = np.searchsorted(ends, picked, "right")  # sorted: its distinct entries by neighbours
-        for k in at[np.diff(at, prepend=-1) != 0].tolist():
-            label, lhs, rhs, _, _, q, x, y = pending[k]
-            cut = slice(ends[k] - lhs.size, ends[k])
-            idx = np.arange(lhs.size) if self.emit_checks else (~ok[cut]).nonzero()[0]
-            entries = zip(_items(q, idx), _items(x, idx), _items(y, idx), lhs[idx].tolist(),
-                          rhs[idx].tolist(), margin[cut][idx].tolist(), ok[cut][idx].tolist())
-            for qk, xk, yk, lk, rk, mk, good in entries:
-                if not good:
-                    self._violations.append(ViolationRecord(label, qk, xk, yk, lk, rk, mk))
-                if self.emit_checks:
-                    self._observations.append(ObservationRecord(
-                        label, qk, xk, yk, lk, rk, "pass" if good else "VIOLATION"
-                    ))
-        return self
+            self.min_margin = low if low < self.min_margin else self.min_margin
+            self.max_margin = high if high > self.max_margin else self.max_margin
+        for qk, xk, yk, lk, rk, mk, good in self._picked(ok, q, x, y, lhs, rhs, margin):
+            if not good:
+                self.violations.append(ViolationRecord(label, qk, xk, yk, lk, rk, mk))
+            if self.emit_checks:
+                self.observations.append(ObservationRecord(
+                    label, qk, xk, yk, lk, rk, "pass" if good else "VIOLATION"
+                ))
+
+    def _picked(self, ok: np.ndarray, q, x, y, *sides: np.ndarray) -> Iterator[tuple]:
+        """``(q, x, y, *sides, ok)`` as Python values at each entry that
+        failed (at every entry under ``emit_checks``), in order."""
+        idx = np.arange(ok.size) if self.emit_checks else (~ok).nonzero()[0]
+        return zip(_items(q, idx), _items(x, idx), _items(y, idx),
+                   *(side[idx].tolist() for side in sides), ok[idx].tolist())
 
     def _finite(self, label: str, lhs, rhs, q, x, y) -> tuple:
         """``(finite, lhs, rhs, q, x, y)``: the mask of the entries at which
@@ -419,20 +395,17 @@ class _Collector:
         """Record non-asserted inequalities; returns the masks of the
         entries compared (finite on both sides) and of those that held."""
         checked, lhs, rhs, q, x, y = self._finite(label, lhs, rhs, q, x, y)
-        ok = _less(lhs, rhs, self.rel_tol)
+        ok = _judged(lhs, rhs, self.rel_tol)[1]
         held = np.zeros_like(checked)
         held[checked] = ok
-        idx = np.arange(ok.size) if self.emit_checks else (~ok).nonzero()[0]
-        entries = zip(_items(q, idx), _items(x, idx), _items(y, idx), lhs[idx].tolist(),
-                      rhs[idx].tolist(), ok[idx].tolist())
-        for qk, xk, yk, lk, rk, good in entries:
-            self._observations.append(ObservationRecord(
+        for qk, xk, yk, lk, rk, good in self._picked(ok, q, x, y, lhs, rhs):
+            self.observations.append(ObservationRecord(
                 label, qk, xk, yk, lk, rk, "holds" if good else "fails (not asserted)"
             ))
         return checked, held
 
     def note(self, label: str, note: str) -> None:
-        self._observations.append(ObservationRecord(label, None, None, None, None, None, note))
+        self.observations.append(ObservationRecord(label, None, None, None, None, None, note))
 
     def record_error(self, label: str, exc: Exception, q: Optional[float],
                      x: Optional[float]) -> None:
@@ -447,15 +420,10 @@ class _Collector:
                                   *((self.min_margin, self.max_margin) if has else (None, None)))
 
 
-def _less(lhs: np.ndarray, rhs: np.ndarray, rel_tol: float) -> np.ndarray:
-    """:func:`strictly_less` at each entry.  ``fmax`` keeps the floor where
-    rel_tol |rhs| is NaN, as ``max`` does; the verdict is False there anyway."""
-    return _judged(lhs, rhs, rel_tol)[1]
-
-
 def _judged(lhs: np.ndarray, rhs: np.ndarray, rel_tol: float) -> tuple:
-    """The margins ``rhs - lhs`` and the verdicts of :func:`_less`, under
-    one ``errstate``."""
+    """The margins ``rhs - lhs`` and the verdicts of :func:`strictly_less` at
+    each entry, under one ``errstate``.  ``fmax`` keeps the floor where
+    rel_tol |rhs| is NaN, as ``max`` does; the verdict is False there anyway."""
     with np.errstate(invalid="ignore", over="ignore"):
         return rhs - lhs, lhs < rhs - np.fmax(ABS_TOL_FLOOR, rel_tol * np.abs(rhs))
 
@@ -777,15 +745,15 @@ def _envelopes(col: _Collector, q: np.ndarray, x: np.ndarray) -> list[tuple]:
     envelopes = (("bounds:envelope-lower-exp", vq_lower_exp, True),
                  ("bounds:envelope-upper-agm", vq_upper_agm, False),
                  ("bounds:envelope-lower-kratzel", vq_lower_kratzel, True))
-    values, done = ([[value] * x.size for _ in envelopes] for value in (0.0, False))
+    values, done = np.zeros((len(envelopes), x.size)), np.zeros((len(envelopes), x.size), bool)
     for k, (qk, xk) in enumerate(zip(q.tolist(), x.tolist())):
         try:
             for row, (_, fn, lower) in enumerate(envelopes):
                 if lower or qk > -0.75:
-                    values[row][k], done[row][k] = fn(qk, xk), True
+                    values[row, k], done[row, k] = fn(qk, xk), True
         except (DomainError, ArithmeticError) as exc:
             col.record_error("bounds:envelope", exc, qk, xk)
-    return [(label, np.array(value), np.array(ok), lower)
+    return [(label, value, ok, lower)
             for (label, _, lower), value, ok in zip(envelopes, values, done)]
 
 

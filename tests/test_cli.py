@@ -176,6 +176,15 @@ class TestFigureCommand:
             result = runner.invoke(main, args)
             assert result.exit_code == 2, args
 
+    @pytest.mark.parametrize("args, message", [
+        ("figure --x-max inf", "x-max must be finite, got inf"),
+        ("envelope --q 1 --x-max nan", "x-max must be finite, got nan"),
+    ])
+    def test_a_bad_range_names_its_flag_and_value(self, runner, args, message):
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == 2
+        assert f"error: {message}" in result.stderr
+
     @pytest.mark.parametrize("x_min, x_max, steps", [
         (0.7, 3.0, 231),
         (0.5, 0.8, 4),
@@ -274,6 +283,8 @@ class TestOverflowExitsThree:
         "verify --suite bounds --q 1 --x 1 --x 1e200",
         "verify --suite simon --q 150 --x 1e-3 --x 1",
         "verify --suite logconvexity --q 0 --q 200 --x 1",
+        "verify --q 1e308 --x 1 --x 2",              # no point evaluates
+        "verify --suite bounds --q 1 --x 1e300",
     ])
     def test_exit_code(self, args):
         out = subprocess.run(

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regcoulomb.verify as verify_mod
-from regcoulomb.errors import DomainError, UsageError
+from regcoulomb.errors import DomainError, NumericalError, UsageError
 from regcoulomb.potential import vq
 from regcoulomb.verify import (
     DEFAULT_REL_TOL,
@@ -77,22 +77,26 @@ class TestArrayCollector:
     @given(st.lists(_check_pairs(), min_size=1, max_size=40), st.integers(0, 40))
     def test_matches_the_per_check_loop(self, pairs, cut):
         # the old loop: strictly_less per check, margins folded by min/max
-        n_checks, low, high, verdicts, margins = 0, math.inf, -math.inf, [], []
+        n_checks, low, high, verdicts, margins, lows = 0, math.inf, -math.inf, [], [], [math.inf]
         for lhs, rhs in pairs:
             margin = rhs - lhs
             n_checks += 1
             low, high = min(low, margin), max(high, margin)
             verdicts.append(verify_mod.strictly_less(lhs, rhs, DEFAULT_REL_TOL))
             margins.append(margin)
+            lows.append(low)
 
         col = verify_mod._Collector(DEFAULT_REL_TOL)
         lhs, rhs = (np.array(side) for side in zip(*pairs))
-        ok = verify_mod._less(lhs, rhs, DEFAULT_REL_TOL)
+        ok = verify_mod._judged(lhs, rhs, DEFAULT_REL_TOL)[1]
         with np.errstate(invalid="ignore", over="ignore"):
             margin = rhs - lhs
         x = np.arange(len(pairs), dtype=float)
-        for part in (slice(None, cut), slice(cut, None)):  # two calls fold
-            col._record("t", lhs[part], rhs[part], margin[part], ok[part], 0.5, x[part], None)
+        col._record("t", lhs[:cut], rhs[:cut], margin[:cut], ok[:cut], 0.5, x[:cut], None)
+        # read between the two calls: a result does not depend on when it is read
+        assert repr(col.min_margin) == repr(lows[min(cut, len(pairs))])
+        assert len(col.violations) == verdicts[:cut].count(False)
+        col._record("t", lhs[cut:], rhs[cut:], margin[cut:], ok[cut:], 0.5, x[cut:], None)
 
         assert ok.tolist() == verdicts
         assert list(map(repr, margin.tolist())) == list(map(repr, margins))
@@ -158,9 +162,9 @@ class TestArrayCollector:
             col = verify_mod._Collector(DEFAULT_REL_TOL)
             col.assert_less("t", lhs, rhs, 0.5, np.array([1.0, 2.0, 3.0]))
             col.observe_less("u", lhs, rhs, 0.5, np.array([1.0, 2.0, 3.0]))
-            ok = verify_mod._less(np.array([math.inf, math.nan, 1.0]),
-                                  np.array([math.inf, 1.0, 1.7e308]), DEFAULT_REL_TOL)
-            assert col.n_checks == 3 and col.max_margin == math.inf  # judged here
+            ok = verify_mod._judged(np.array([math.inf, math.nan, 1.0]),
+                                    np.array([math.inf, 1.0, 1.7e308]), DEFAULT_REL_TOL)[1]
+            assert col.n_checks == 3 and col.max_margin == math.inf
             assert [v.x for v in col.violations] == [3.0]
         assert ok.tolist() == [False, False, True]
 
@@ -464,6 +468,20 @@ class TestRunSuite:
         at_one = [o for o in report.observations if o.x == 1.0]
         assert at_one == [o for o in plain.observations if o.x == 1.0]
         assert len(at_one) == plain.n_checks + 4  # and the two observed forms per order
+
+    def test_a_grid_at_which_no_point_evaluates(self, monkeypatch):
+        # every V fails: the bounds suite records one error per point, builds
+        # its envelopes over no point at all, and still judges the Mills checks
+        def failing(qs, xs, prime):
+            error = NumericalError("did not converge")
+            return np.full(xs.shape, math.nan), np.full(xs.shape, error, object)
+
+        monkeypatch.setattr(verify_mod, "_many", failing)
+        report = run_suite(VerifyConfig(suites=("bounds",), grid=SMALL_GRID))
+        assert sorted((e.suite, e.q, e.x) for e in report.errors) == [
+            ("bounds[evaluation-error]", q, x) for q in SMALL_GRID.q_values
+            for x in SMALL_GRID.x_values]
+        assert report.passed and report.n_checks > 0
 
     def test_single_point_emits_every_check(self):
         config = VerifyConfig(suites=("turan",), grid=Grid((0.5,), (1.0,)),
