@@ -11,17 +11,18 @@ in ``v = log t``, for ``c1 > 0``, real ``p`` and ``w >= 0``: V_q and V_q'
 are ``I(q+1, -1/2; x^2)`` and ``x I(q+1, -3/2; x^2)``, the Tricomi function
 is ``psi(a, c, w) = w^(1-c) I(a, c-a-1; w)`` (DLMF 13.4.4).  The branch
 point of ``(w + t)^p`` at ``t = -w`` lies at ``Im v = pi`` for every ``w``,
-so one rule serves every argument.  It evaluates many integrands
-("columns", e.g. one per abscissa, each of its own order where the orders
-are arrays) at once, at most :data:`COLUMN_CHUNK` in one node pass, and
-that pass is final: it gives levels 0 and 1, a column whose two levels
-agree is done, and any other comes back unconverged.  (The Kraetzel sum,
-``special._kratzel_quadrature``, is one such pass too, with the same window
-rule, :func:`_tangent_end`.)  A scalar call is one column of the same rule,
-not a second implementation: its set-up and node pass on NumPy scalars, its
-agreement test and assembly in Python floats, which round as the arrays do.
-It gives the bits of the same column in any batch: a node pass sums integer
-parts whose sums are exact (:func:`_split`), in any order, BLAS's included.
+so one rule serves every argument.  A call with arrays is a batch of V_q
+or V_q' integrands ("columns", one per entry, each of its own order; the
+Tricomi form is one column a call), at most :data:`COLUMN_CHUNK` in one
+node pass, and that pass is final: it gives levels 0 and 1, a column whose
+two levels agree is done, and any other comes back unconverged.  (The
+Kraetzel sum, ``special._kratzel_quadrature``, is one such pass too, with
+the same window rule, :func:`_tangent_end`.)  A scalar call is one column
+of the same rule, not a second implementation: its set-up and node pass on
+NumPy scalars, its agreement test and assembly in Python floats, which
+round as the arrays do.  Every column of a batch has the bits it has alone:
+a node pass sums integer parts whose sums are exact (:func:`_split`), in
+any order, BLAS's included.
 """
 from __future__ import annotations
 
@@ -190,11 +191,8 @@ def _pows(bases, e):
 
 
 def _per_order(fn, c, *args):
-    """``fn(c, *args)`` for a float ``c``; for an array, ``fn`` of each
-    distinct entry, spread back over the entries (along the last axis where
-    ``fn`` gives a tuple)."""
-    if not isinstance(c, np.ndarray):
-        return fn(c, *args)
+    """``fn(v, *args)`` of each distinct entry ``v`` of the array ``c``, spread
+    back over the entries (along the last axis where ``fn`` gives a tuple)."""
     distinct, at = np.unique(c, return_inverse=True)
     return np.array([fn(v, *args) for v in distinct.tolist()])[at].T
 
@@ -207,13 +205,8 @@ def _weights(rows: int) -> np.ndarray:
     return np.tile([[1.0, 1.0], [1.0, 0.0]], (rows, 1))
 
 
-def _array_ops() -> tuple:
-    """NumPy's maximum, minimum, fmax and fmin, for a batch."""
-    return np.maximum, np.minimum, np.fmax, np.fmin
-
-
-# for two scalars the same values as :func:`_array_ops` (NaN and the sign of
-# zero included) by comparison, without a ufunc call's cost
+# for two scalars the same values as NumPy's maximum, minimum, fmax and fmin
+# (NaN and the sign of zero included) by comparison, without a ufunc call's cost
 _SCALAR_OPS = (lambda a, b: a if a > b or a != a else b,
                lambda a, b: a if a < b or a != a else b,
                lambda a, b: a if a >= b or b != b else b,
@@ -254,22 +247,22 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
 
         I = I(c1, p; w) = (1/Gamma(c1)) int_0^inf t^(c1-1) e^-t (w + t)^p dt
 
-    for ``c1 > 0``, real ``p`` and the columns ``w >= 0`` (a float for one
-    column, or an array).  Where ``p`` is a negative half-integer and
-    ``power`` is 0 (V_q and V_q'), the value is ``x I`` (``I`` when ``x`` is
-    None), assembled in double-double arithmetic and rounded once; there
-    ``c1`` and ``p`` may be arrays too, an order per column, broadcast
-    against ``w`` (and ``x``).  Elsewhere the value is ``w^power I`` for
-    ``w > 0``, formed in log space, so that the Tricomi function
-    ``w^(1-c) I(a, c-a-1; w)`` does not overflow where ``I`` would.
-    Orders ``c1 <= 1/2`` are lifted by relations with positive terms: while
-    ``p >= 0``, ``I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)``, a loop of
-    about ``p`` columns, and then ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)``,
-    whose two terms join the batch where the orders are arrays.  A column
-    of a term that fails (unconverged, with no finite estimate) fails the
-    sum: 0, unconverged, with an infinite estimate.  Where the loop
-    runs, a term whose every column fails (those of largest ``p`` fail first,
-    and are evaluated first) ends the call with that result.
+    for ``c1 > 0``, real ``p`` and ``w >= 0``.  Where ``p`` is a negative
+    half-integer and ``power`` is 0 (V_q and V_q'), the value is ``x I``
+    (``I`` when ``x`` is None), assembled in double-double arithmetic and
+    rounded once; only there may ``c1``, ``p``, ``w`` and ``x`` be arrays,
+    broadcast to one column per entry (a one-element array is one column, as
+    a float is; any other array call raises :class:`ValueError`).  Elsewhere
+    the value is ``w^power I`` for ``w > 0``, formed in log space, so that
+    the Tricomi function ``w^(1-c) I(a, c-a-1; w)`` does not overflow where
+    ``I`` would.  Orders ``c1 <= 1/2`` are lifted by relations with positive
+    terms: while ``p >= 0``, ``I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1)``,
+    a loop of about ``p`` columns, and then
+    ``I(c1, p) = I(c1+1, p) - p I(c1+1, p-1)``, whose two terms join a batch.
+    A column of a term that fails (unconverged, with no finite estimate)
+    fails the sum: 0, unconverged, with an infinite estimate.  Where the loop
+    runs, a term that fails (those of largest ``p`` fail first, and are
+    evaluated first) ends the call with that result.
 
     The log integrand has one peak ``t*``, the positive root of
     ``t^2 - b t - c1 w`` with ``b = c1 + p - w``; it is concave for ``p < 0``
@@ -289,19 +282,18 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     nodes ``d = j h``, level 0 takes the step of :func:`_trapezoid_step` at
     ``_TRAP_TOL / 100`` for the growth ``(cos b)^-(c1 + |p|)`` in a strip
     ``|Im d| < b`` (in log space, where ``|p|`` reaches the hundreds, for the
-    largest peak, ``max(c1, t*)``), so that levels 0 and 1 agree.  One node
-    pass is final: it sums level 1's nodes, and level 0's from their even
-    ones; a column whose two levels agree is done, and any other comes back
-    unconverged with level 1's value.  Columns share the node rows, sorted
-    by step, order and window, and a run of one step and order forms its
-    nodes once; outside its window a column's terms add exact zeros to its
-    exact sums (:func:`_split`), so its bits do not depend on its batch,
-    except in log space with ``p > 0`` (the columns share the largest peak's
-    step).  Each column keeps its own step, window and level scale.  One
-    column (a float, a NumPy scalar or a one-element array) runs the same
-    steps on NumPy scalars (whose ``exp`` and ``log`` round as the arrays' do,
-    unlike ``math``'s), with maxima and minima by comparison, and its
-    agreement test and double-double value in Python floats.
+    peak, ``max(c1, t*)``), so that levels 0 and 1 agree.  One node pass is
+    final: it sums level 1's nodes, and level 0's from their even ones; a
+    column whose two levels agree is done, and any other comes back
+    unconverged with level 1's value.  Columns share the node rows, sorted by
+    step, order and window, and a run of one step and order forms its nodes
+    once; outside its window a column's terms add exact zeros to its exact
+    sums (:func:`_split`), so every column of a batch has the bits it has
+    alone.  Each column keeps its own step, window and level scale.  One
+    column runs the same steps on NumPy scalars (whose ``exp`` and ``log``
+    round as the arrays' do, unlike ``math``'s), with maxima and minima by
+    comparison, and its agreement test and double-double value in Python
+    floats.
 
     The error estimate is the difference of levels 0 and 1 plus ``eps``
     times the value, times the node count plus ``10 sqrt(c1)`` (the
@@ -313,12 +305,13 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     comes back 0 with an infinite estimate, unconverged, so that it cannot
     pass for a value in a sum.
     """
-    if isinstance(c1, np.ndarray) or isinstance(p, np.ndarray):  # an order per column
+    if (isinstance(c1, np.ndarray) or isinstance(p, np.ndarray) or isinstance(w, np.ndarray)
+            or isinstance(x, np.ndarray)):  # a V/V' batch, one column per entry
         c1, p, w, *x = (v.ravel() for v in np.broadcast_arrays(
             *(np.asarray(v, float) for v in (c1, p, w) + (() if x is None else (x,)))))
         x = x[0] if x else None
         if power != 0.0 or not np.all((p < 0.0) & (2.0 * p == np.floor(2.0 * p))):
-            raise ValueError("orders per column need a negative half-integer p and power 0")
+            raise ValueError("arrays need a negative half-integer p and power 0")
         if not w.size:
             return Columns(np.zeros(0), np.zeros(0), np.zeros(0, int), np.zeros(0, bool))
         if w.size > 1:
@@ -337,7 +330,7 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
             for column, v in zip(got, summed):
                 column[up] = v
             return got
-        c1, p = c1.item(), p.item()  # one column, as for floats
+        c1, p, w, x = c1.item(), p.item(), w.item(), x if x is None else x.item()
     if c1 <= 0.5:  # lift the order: terms that are all positive
         terms = []  # I(c1, p) = w I(c1, p-1) + c1 I(c1+1, p-1) while p >= 0
         while p >= 0.0:
@@ -347,9 +340,8 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
         cols = []  # from the largest p down, whose columns are the first to fail
         for _, p, power in terms:
             cols.append(trapezoid_columns(c1 + 1.0, p, w, x, power))
-            if len(terms) > 2 and np.isinf(cols[-1].abs_err).all():  # the loop ran; the sum fails
-                n = cols[-1].value.size
-                return Columns(np.zeros(n), cols[-1].abs_err, cols[-1].points, np.zeros(n, bool))
+            if len(terms) > 2 and np.isinf(cols[-1].abs_err):  # the loop ran; the sum fails
+                return Columns(np.zeros(1), cols[-1].abs_err, cols[-1].points, np.zeros(1, bool))
         return _lift_sum(cols, [weight for weight, _, _ in terms[:-1]])
     return _columns(c1, p, w, x, power)
 
@@ -369,14 +361,12 @@ def _blocks(c1: np.ndarray, p: np.ndarray, w: np.ndarray, x) -> Columns:
 
 def _columns(c1, p, w, x, power: float) -> Columns:
     """The rule of :func:`trapezoid_columns` for orders ``c1 > 1/2``: one
-    column, or a batch whose set-up runs at once."""
-    if isinstance(w, np.ndarray) and w.size == 1:  # one column, as for a float
-        w, x = w.item(), x if x is None else np.ravel(x)[0]
+    column of floats, or a V/V' batch of arrays whose set-up runs at once."""
     many = isinstance(w, np.ndarray)
-    double_double = isinstance(p, np.ndarray) or (
-        power == 0.0 and p < 0.0 and float(2.0 * p).is_integer())
+    double_double = many or (power == 0.0 and p < 0.0 and float(2.0 * p).is_integer())
     w = w if many else np.float64(w)  # a NumPy scalar gives inf or NaN where a float raises
-    maximum, minimum, fmax, fmin = _array_ops() if many else _SCALAR_OPS
+    maximum, minimum, fmax, fmin = ((np.maximum, np.minimum, np.fmax, np.fmin) if many
+                                    else _SCALAR_OPS)
     # the node pass's outer products; a batch's by einsum, faster than broadcasting
     outer = (lambda a, b, out: np.einsum("i,j->ij", a, b, out=out)) if many else np.multiply
     root = np.sqrt(c1) if many else math.sqrt(c1)
@@ -400,12 +390,11 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         g, g0 = terms[0], terms[1]
         runs, w_c, recip_c, p_c = [(g, g0, step, c1, peak)], w, recip, p
         if many:
-            h, o = step[c], orders[c]
+            h, o = step[c], c1[c]
             new = np.flatnonzero((h[1:] != h[:-1]) | (o[1:] != o[:-1])) + 1
             cuts = [0, *new.tolist(), c.size]
             runs = [(g[a:b], g0[a:b], h[a], o[a], peak[c[a:b]]) for a, b in zip(cuts, cuts[1:])]
-            w_c, recip_c, p_c = (v[c, None] if isinstance(v, np.ndarray) else v
-                                 for v in (w, recip, p))
+            w_c, recip_c, p_c = (v[c, None] for v in (w, recip, p))
         for g_r, g0_r, h, c1_r, peak_r in runs:
             nodes = j * (0.5 * h)
             outer(peak_r, np.exp(nodes), g_r)
@@ -438,11 +427,9 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         # the growth bound of the step; in log space, that at the peak
         c = c1 + abs(p)
         if not double_double:
-            c = min(c, float(np.fmax.reduce(peak, axis=None, initial=c1)))
-        if many:
-            step = np.broadcast_to(_per_order(_trapezoid_step, c, _TRAP_TOL / 100.0), w.shape)
-        else:
-            step = _trapezoid_step(c, _TRAP_TOL / 100.0)
+            c = min(c, float(fmax(peak, c1)))
+        step = (_per_order(_trapezoid_step, c, _TRAP_TOL / 100.0) if many
+                else _trapezoid_step(c, _TRAP_TOL / 100.0))
         sigma = 1.0 / np.sqrt(peak * (peak / width) + c1 * (w / width))
         # e^G0 peaks at t = c1, d = d0, where it is e^top0; its window about
         # d0 depends on c1 alone
@@ -486,8 +473,7 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         if many:
             sums = np.full((4, used.size, 2), np.nan)
             fit = fits.nonzero()[0]
-            orders = np.broadcast_to(c1, w.shape)  # by step, order and window start
-            fit = fit[np.lexsort((first[fit], orders[fit], step[fit]))]
+            fit = fit[np.lexsort((first[fit], c1[fit], step[fit]))]  # by step, order and start
             for start in range(0, fit.size, COLUMN_CHUNK):
                 c = fit[start:start + COLUMN_CHUNK]
                 sums[:, c] = node_pass(c, first[c], last[c])
@@ -498,7 +484,7 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         size = abs(value)
         diff = abs(value - level0) / maximum(size, _TINY)
         done, err = diff <= _TRAP_TOL, diff * size + _EPS * size
-        if not double_double:  # log space, for a batch or one column on NumPy scalars
+        if not double_double:  # log space, one column on NumPy scalars
             # w^power r^-p = e^((power + p) log w - p log(w r)), w r = hi + lo
             hi, lo = _two_prod(w, recip)
             terms = ((power + p) * np.log(w), -p * (np.log(hi) + lo / hi), np.log(value))

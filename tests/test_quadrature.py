@@ -51,14 +51,6 @@ class TestGeneralExponent:
         assert abs(mp.mpf(got.value[0]) - want) <= got.abs_err[0]
         assert _mp_rel(got.value[0], want) <= 2e-14
 
-    def test_columns_of_the_log_space_path_are_independent(self):
-        ws = np.exp(np.random.default_rng(4).uniform(-6.0, 4.0, 70))
-        batch = trapezoid_columns(2.5, 1.75, ws, power=-3.0)
-        assert batch.converged.all()
-        for i, w in enumerate(ws):
-            one = trapezoid_columns(2.5, 1.75, w, power=-3.0)
-            assert _mp_rel(batch.value[i], mp.mpf(one.value[0])) <= 1e-14
-
     def test_the_retired_engine_names_run_nothing(self):
         # kept only for the benchmark's tracer, which reads them on install
         assert quadrature.GL_NODE_MAX == 0

@@ -492,7 +492,7 @@ class TestPsiHardPoints:
         assert len(calls) == 2
         assert calls[1][:2] == (a + 1.0, c - a - 2.0)  # the term of largest p
 
-    @pytest.mark.parametrize("w", [0.7, np.array([0.05, 0.7, 3.0, 40.0])])
+    @pytest.mark.parametrize("w", [0.05, 0.7, 3.0, 40.0])
     def test_a_lift_sums_its_terms_from_the_smallest_p_up(self, w):
         # w^-1.5 I(0.3, 2.5; w) from the columns I(1.3, p) at p = 1.5, 0.5
         # and -0.5 (weight c1 = 0.3, a power of w more at each step down), at

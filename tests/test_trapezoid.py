@@ -90,16 +90,13 @@ def _columns(got, i=None):
 
 class TestBatchIndependence:
     """A one-column call gives the bits of the same column in a batch, on
-    every branch of the rule.  (In log space with p > 0 the columns share the
-    step of the largest peak, so there they agree only to rounding.)"""
+    every branch of the rule."""
 
     @pytest.mark.parametrize("c1, p, power, times_x", [
         (3.7, -0.5, 0.0, False),     # double-double, V_q
         (3.7, -1.5, 0.0, True),      # double-double with the factor x, V_q'
-        (4.2, -11.5, 7.3, False),    # log space, the Tricomi form (a, c) = (4.2, -6.3)
         (0.3, -0.5, 0.0, False),     # lifted, p < 0
         (0.3, -1.5, 0.0, True),      # lifted, p < 0, with the factor x
-        (0.3, 0.5, 0.0, False),      # lifted, p >= 0
     ])
     def test_one_column_equals_its_batch_column(self, c1, p, power, times_x):
         xs = np.exp(np.random.default_rng(5).uniform(-6.0, 4.0, 40))
@@ -140,11 +137,17 @@ class TestBatchIndependence:
         for i, (c, x) in enumerate(zip(c1.tolist(), xs.tolist())):
             assert _columns(trapezoid_columns(c, -0.5, x * x)) == [_columns(batch, i)], (c, x)
 
-    def test_orders_per_column_need_the_double_double_path(self):
-        with pytest.raises(ValueError, match="half-integer"):
-            trapezoid_columns(np.array([1.5, 2.5]), 0.25, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="power 0"):
-            trapezoid_columns(np.array([1.5, 2.5]), -0.5, np.array([1.0, 2.0]), power=1.0)
+    @pytest.mark.parametrize("c1, p, w, power", [
+        (np.array([1.5, 2.5]), 0.25, np.array([1.0, 2.0]), 0.0),
+        (np.array([1.5, 2.5]), -0.5, np.array([1.0, 2.0]), 1.0),
+        (4.2, -11.5, np.array([1.0, 2.0]), 7.3),
+        (0.3, 0.5, np.array([1.0, 2.0]), 0.0),
+        (2.5, 1.75, np.array([1.0]), -3.0),
+    ], ids=["p-positive", "power-nonzero", "log-space", "lifted-p-positive", "one-element"])
+    def test_arrays_need_the_double_double_path(self, c1, p, w, power):
+        # arrays are V/V' batches only: the Tricomi form takes one column a call
+        with pytest.raises(ValueError, match="negative half-integer p and power 0"):
+            trapezoid_columns(c1, p, w, power=power)
 
     def test_a_coarse_step_leaves_every_column_unconverged(self, monkeypatch):
         # levels 0 and 1 disagree everywhere: one node pass, and each column
@@ -153,16 +156,23 @@ class TestBatchIndependence:
         monkeypatch.setattr(quadrature, "_split", lambda *args: passes.append(1) or split(*args))
         monkeypatch.setattr(quadrature, "_trapezoid_step", lambda c, tol: 3.0)
         xs = np.exp(np.random.default_rng(6).uniform(-7.0, 5.0, 30))
-        for p, factor, power in ((-0.5, None, 0.0), (-1.5, xs, 0.0), (-2.5, None, 1.5)):
+        for p, factor in ((-0.5, None), (-1.5, xs)):
             passes.clear()
-            batch = trapezoid_columns(2.4, p, xs * xs, factor, power)
+            batch = trapezoid_columns(2.4, p, xs * xs, factor)
             assert not batch.converged.any() and len(passes) == 1
             assert np.isfinite(batch.abs_err).all() and (batch.points > 0).all()
             for i, x in enumerate(xs):
-                one = trapezoid_columns(2.4, p, x * x, None if factor is None else x, power)
+                one = trapezoid_columns(2.4, p, x * x, None if factor is None else x)
                 assert _columns(one) == [_columns(batch, i)], (p, i)
-                want = _level_one(2.4, p, x * x, 1.5, None if factor is None else x, power)
+                want = _level_one(2.4, p, x * x, 1.5, None if factor is None else x)
                 assert rel_diff(batch.value[i], want) <= 1e-13, (p, i)
+        for x in xs.tolist():  # log space, the Tricomi form: one column a call
+            passes.clear()
+            one = trapezoid_columns(2.4, -2.5, x * x, power=1.5)
+            assert not one.converged[0] and len(passes) == 1
+            assert np.isfinite(one.abs_err).all() and one.points[0] > 0
+            want = _level_one(2.4, -2.5, x * x, 1.5, power=1.5)
+            assert rel_diff(one.value[0], want) <= 1e-13, x
 
     @pytest.mark.parametrize("c1, p, times_x", [
         (2.6, -0.5, False),          # V_q
@@ -244,7 +254,6 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("c1, p, power, times_x", [
         (3.7, -0.5, 0.0, False),     # double-double, V_q
         (3.7, -1.5, 0.0, True),      # with the factor x, V_q'
-        (4.2, -11.5, 7.3, False),    # log space
         (0.3, -0.5, 0.0, False),     # lifted
     ])
     def test_a_one_element_array_takes_the_one_column_path(self, monkeypatch, c1, p, power,
@@ -252,7 +261,7 @@ class TestBatchIndependence:
         xs = np.exp(np.random.default_rng(9).uniform(-6.0, 4.0, 12))
         batch = [_columns(trapezoid_columns(c1, p, x * x, x if times_x else None, power))
                  for x in xs.tolist()]
-        monkeypatch.setattr(quadrature, "_array_ops", None)  # a batch's set-up fails
+        monkeypatch.setattr(quadrature, "_per_order", None)  # a batch's set-up fails
         for x, want in zip(xs, batch):
             got = trapezoid_columns(c1, p, np.array([x * x]), np.array([x]) if times_x else None,
                                     power)
