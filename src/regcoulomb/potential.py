@@ -43,6 +43,7 @@ from .errors import DivergenceError, DomainError, NumericalError
 from .quadrature import Columns, expsinh_escalating, laguerre_escalating  # noqa: F401
 from .quadrature import trapezoid_columns
 from .special import (
+    _PSI_C_INTEGER_GAP,
     PsiEval,
     _gamma_rounding,
     _phi_series,
@@ -66,10 +67,8 @@ METHODS = frozenset(
 # asymptotics above
 _SERIES_X_MAX = 0.05
 _ASYMPTOTIC_X_MIN = 30.0
-# the fused expansion degenerates when q sits on a half-integer (gamma poles)
-_HALF_INTEGER_GAP = 1e-3
-# and forms 1/Gamma(q + 1), which is 0 above this order, where Gamma(q + 1)
-# overflows
+# the fused expansion forms 1/Gamma(q + 1), which is 0 above this order,
+# where Gamma(q + 1) overflows
 _SERIES_Q_MAX = 170.62437695630268
 
 _PRIME_METHODS = ("integral", "differ", "difvq")
@@ -122,10 +121,13 @@ def _check_x(x: float, *, positive: bool = False) -> float:
 
 
 def _square(x: float) -> float:
-    """x^2 for the Tricomi argument; above about 1.34e154 it overflows."""
+    """x^2 for the Tricomi argument; above about 1.34e154 it overflows, and
+    below about 1.5e-162 it underflows to 0."""
     big_x = x * x
     if math.isinf(big_x):
         raise NumericalError(f"x^2 overflows at x={x}; the Tricomi routes cannot evaluate it")
+    if big_x == 0.0:
+        raise NumericalError(f"x^2 underflows to 0 at x={x}; the Tricomi routes cannot evaluate it")
     return big_x
 
 
@@ -153,10 +155,11 @@ def vq_neg1(x: float) -> float:
 
 def _near_half_integer(q):
     """Whether the order ``q`` (a float, or an array of them) lies within
-    the gap of a half-integer."""
+    the gap of a half-integer, where c = 1/2 - q is near an integer and the
+    fused expansion degenerates (gamma poles)."""
     shifted = q + 0.5
     nearest = round(shifted) if isinstance(shifted, float) else np.round(shifted)
-    return abs(shifted - nearest) <= _HALF_INTEGER_GAP
+    return abs(shifted - nearest) <= _PSI_C_INTEGER_GAP
 
 
 def _vq_series(q: float, x: float) -> EvalResult:
@@ -244,14 +247,6 @@ def vq_quadrature(q: float, x: float) -> EvalResult:
     raise _unconverged(qv, x, value, abs_err, False)
 
 
-def _map_psi_method(method: str) -> str:
-    if method == "series":
-        return "psi-series"
-    if method == "asymptotic":
-        return "psi-asymptotic"
-    return "quadrature"
-
-
 def _from_psi(ev: PsiEval, log_prefactor: float = 0.0) -> EvalResult:
     """``e^log_prefactor`` times psi.  The exponential makes the rounding of
     its argument, up to 2 eps |log_prefactor|, a relative error."""
@@ -259,7 +254,7 @@ def _from_psi(ev: PsiEval, log_prefactor: float = 0.0) -> EvalResult:
     value = prefactor * ev.value
     return EvalResult(
         value, prefactor * ev.abs_err_est + 2.0 * _EPS * abs(log_prefactor) * value,
-        _map_psi_method(ev.method),
+        "quadrature" if ev.method == "quadrature" else "psi-" + ev.method,
     )
 
 
@@ -277,11 +272,7 @@ def vq_via_psi(q: float, x: float) -> EvalResult:
     results: list[EvalResult] = []
     try:
         log_prefactor = (2.0 * qv + 1.0) * math.log(x)
-        prefactor = math.exp(log_prefactor)
-        if math.isfinite(prefactor) and prefactor > 0.0:
-            ev = psi_eval(qv + 1.0, qv + 1.5, big_x)
-            if math.isfinite(prefactor * ev.value):
-                results.append(_from_psi(ev, log_prefactor))
+        results.append(_from_psi(psi_eval(qv + 1.0, qv + 1.5, big_x), log_prefactor))
     except (OverflowError, NumericalError):
         pass
     try:
@@ -321,23 +312,18 @@ def vq(q: float, x: float, method: str = "auto") -> EvalResult:
     if qv == -1.0:
         value = vq_neg1(x)
         return EvalResult(value, _EPS * value, "convention")
+    if method == "closed-form" and qv != 0.0:
+        raise DomainError("closed form is available only for q = 0")
 
     if x == 0.0:
         if method in ("quadrature", "psi"):
             raise DomainError(f"method {method!r} requires x > 0; use the x = 0 limit")
-        if method == "closed-form" and qv != 0.0:
-            raise DomainError("closed form is available only for q = 0")
         return EvalResult(*_vq_zero(qv), "limit-x0")
 
     if method == "quadrature":
         return vq_quadrature(qv, x)
     if method == "psi":
         return vq_via_psi(qv, x)
-    if method == "closed-form":
-        if qv != 0.0:
-            raise DomainError("closed form is available only for q = 0")
-        return _vq_closed_q0(x)
-
     if qv == 0.0:
         return _vq_closed_q0(x)
     if _routes_to_quadrature(qv, x):

@@ -66,7 +66,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
-from typing import Generator, Iterable, Iterator, Optional, Sequence
+from typing import Generator, Iterator, Optional, Sequence
 
 from ._lazy import np
 from .bounds import mills_bounds, vq_lower_exp, vq_lower_kratzel, vq_upper_agm
@@ -153,24 +153,28 @@ def default_grid() -> Grid:
 # power-mean convexity specification
 
 
-def _region_q_min(a: float, b: float, direction: str) -> Optional[float]:
-    """Minimal admissible q-region bound over the proven (a, b) regions.
+#: the proven (a, b) regions: direction, corner (a0, b0) (a <= a0 and b <= b0
+#: when concave, a >= a0 and b >= b0 when convex), q_min (-1.0: q > -1; 0.0:
+#: q >= 0), and the region's default points: corners and one interior point
+_REGIONS = (
+    # contains the geometric-geometric case
+    ("concave", 0, 0, -1.0, ((-3, -3), (-3, 0), (-1, -3), (-1, 0), (0, -3), (0, 0), (-2, -1.5))),
+    # contains the harmonic-arithmetic case; (-1, 0), a point of the first, is checked twice
+    ("concave", -1, 1, -1.0, ((-2, -1), (-2, 0), (-2, 1), (-1, -1), (-1, 0), (-1, 1), (-1.5, 0.5))),
+    ("convex", 2, 1, 0.0, ((2, 1), (2, 2), (3, 1), (3, 2), (2.5, 1.5))),
+    # contains the quadratic-geometric case
+    ("convex", 2, 0, 0.0, ((2, 0), (2, 0.5), (3, 0), (3, 0.5), (2.5, 0.25))),
+    ("concave", 1, -1, 0.0, ((0, -1), (0, -2), (1, -1), (1, -2), (0.5, -1.5))),
+)
 
-    Returns -1.0 (exclusive bound) or 0.0 (inclusive bound), or None when
-    (a, b, direction) lies in no proven region.
-    """
-    candidates = []
-    if direction == "concave":
-        if a <= 0.0 and b <= 0.0:
-            candidates.append(-1.0)
-        if a <= -1.0 and b <= 1.0:
-            candidates.append(-1.0)
-        if a <= 1.0 and b <= -1.0:
-            candidates.append(0.0)
-    elif direction == "convex":
-        if a >= 2.0 and b >= 0.0:
-            candidates.append(0.0)
-    return min(candidates) if candidates else None
+
+def _region_q_min(a: float, b: float, direction: str) -> Optional[float]:
+    """Minimal admissible q-region bound over the proven (a, b) regions: -1.0
+    (exclusive bound) or 0.0 (inclusive bound), or None when (a, b, direction)
+    lies in no proven region."""
+    return min((q_min for way, a0, b0, q_min, _ in _REGIONS if way == direction
+                and ((a <= a0 and b <= b0) if way == "concave" else (a >= a0 and b >= b0))),
+               default=None)
 
 
 @dataclass(frozen=True)
@@ -213,23 +217,8 @@ class ConvexitySpec:
 
 def default_convexity_specs() -> tuple[ConvexitySpec, ...]:
     """Region corners plus one interior point for each proven region."""
-    specs: list[ConvexitySpec] = []
-
-    def add(points: Iterable[tuple[float, float]], direction: str, q_min: float) -> None:
-        for a, b in points:
-            specs.append(ConvexitySpec(a, b, direction, q_min))
-
-    # a <= 0, b <= 0, q > -1 (concave); contains the geometric-geometric case
-    add([(-3, -3), (-3, 0), (-1, -3), (-1, 0), (0, -3), (0, 0), (-2, -1.5)], "concave", -1.0)
-    # a <= -1, b <= 1, q > -1 (concave); contains the harmonic-arithmetic case
-    add([(-2, -1), (-2, 0), (-2, 1), (-1, -1), (-1, 0), (-1, 1), (-1.5, 0.5)], "concave", -1.0)
-    # a >= 2, b >= 1, q >= 0 (convex)
-    add([(2, 1), (2, 2), (3, 1), (3, 2), (2.5, 1.5)], "convex", 0.0)
-    # a >= 2, b >= 0, q >= 0 (convex); contains the quadratic-geometric case
-    add([(2, 0), (2, 0.5), (3, 0), (3, 0.5), (2.5, 0.25)], "convex", 0.0)
-    # a <= 1, b <= -1, q >= 0 (concave)
-    add([(0, -1), (0, -2), (1, -1), (1, -2), (0.5, -1.5)], "concave", 0.0)
-    return tuple(specs)
+    return tuple(ConvexitySpec(a, b, direction, q_min)
+                 for direction, _, _, q_min, points in _REGIONS for a, b in points)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,12 @@ class TestEvalCommand:
         assert result.exit_code == 3
         assert "x^2 overflows" in result.stderr
 
+    def test_tiny_argument_on_the_psi_route_exits_3(self, runner):
+        # x^2 underflows to 0: a numerical failure of a valid input too
+        result = runner.invoke(main, ["eval", "--q", "0.3", "--x", "1e-300", "--method", "psi"])
+        assert result.exit_code == 3
+        assert "x^2 underflows to 0" in result.stderr
+
     def test_huge_order_exits_3(self, runner):
         # the trapezoid step's c log(tol) overflows: a numerical failure
         result = runner.invoke(main, ["eval", "--q", "1e308", "--x", "1"])

@@ -334,6 +334,23 @@ class TestOverflowWithoutWarnings:
         assert np.isnan(got[0])
         assert got[1] == vq(0.3, 1.0).value
 
+    def test_tricomi_routes_at_tiny_argument(self):
+        # a valid x whose square underflows to 0 is a numerical failure too,
+        # not the Tricomi function's domain error at x^2 = 0
+        for q in (0.3, -0.9):
+            for call in (vq_via_psi, lambda q, x: vq(q, x, method="psi")):
+                with pytest.raises(NumericalError, match=r"x\^2 underflows to 0"):
+                    call(q, 1e-300)
+
+    def test_tricomi_form_1_whose_prefactor_underflows(self):
+        # x^(2q+1) is 0 at (5, 1e-100): form 1 gives no value, and form 2's is
+        # returned, with the bits of the auto route
+        assert vq_via_psi(5.0, 1e-100) == vq(5.0, 1e-100)
+        assert vq_via_psi(5.0, 1e-100).value == 0.43618981487127934
+        # where both forms give a value, they must still agree
+        with pytest.raises(NumericalError, match="Tricomi forms disagree"):
+            vq_via_psi(-0.9, 1e-160)
+
     def test_an_order_whose_step_overflows(self):
         # from q about 6e306 the trapezoid step's c log(tol) overflows: each
         # route fails numerically (the step was 0, and a division by it

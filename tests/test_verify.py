@@ -276,6 +276,45 @@ class TestConvexitySpec:
         assert directions[(2.0, 0.0)] == "convex"
         assert directions[(1.0, -1.0)] == "concave"
 
+    def test_default_specs_lie_in_their_listed_regions(self):
+        # a spec filed under a row whose q_min is the stricter one would pass
+        # ConvexitySpec's own check, so each is held to its row's corner here
+        specs = iter(default_convexity_specs())
+        for direction, a0, b0, q_min, points in verify_mod._REGIONS:
+            for a, b in points:
+                spec = next(specs)
+                assert (spec.a, spec.b, spec.direction, spec.q_min) == (a, b, direction, q_min)
+                if direction == "concave":
+                    assert a <= a0 and b <= b0, (a, b, a0, b0)
+                else:
+                    assert a >= a0 and b >= b0, (a, b, a0, b0)
+        assert next(specs, None) is None
+
+    def test_region_q_min_matches_the_papers_regions_written_out(self):
+        def written_out(a, b, direction):
+            # the proven regions as branches: the reference for the table
+            candidates = []
+            if direction == "concave":
+                if a <= 0.0 and b <= 0.0:
+                    candidates.append(-1.0)
+                if a <= -1.0 and b <= 1.0:
+                    candidates.append(-1.0)
+                if a <= 1.0 and b <= -1.0:
+                    candidates.append(0.0)
+            elif direction == "convex":
+                if a >= 2.0 and b >= 0.0:
+                    candidates.append(0.0)
+            return min(candidates) if candidates else None
+
+        nan, inf = math.nan, math.inf
+        a_values = (-3, -2, -1.5, -1, -0.5, 0, 0.5, 1, 2, 2.5, 3, nan, inf, -inf)
+        b_values = (-3, -2, -1, -0.5, 0, 0.5, 1, 2, nan, inf, -inf)
+        for direction in ("concave", "convex", "sideways"):
+            for a in map(float, a_values):
+                for b in map(float, b_values):
+                    got = verify_mod._region_q_min(a, b, direction)
+                    assert repr(got) == repr(written_out(a, b, direction)), (a, b, direction)
+
 
 # ---------------------------------------------------------------------------
 # suite runs on small grids
