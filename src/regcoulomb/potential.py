@@ -122,12 +122,14 @@ def _check_x(x: float, *, positive: bool = False) -> float:
 
 def _square(x: float) -> float:
     """x^2 for the Tricomi argument; above about 1.34e154 it overflows, and
-    below about 1.5e-162 it underflows to 0."""
+    below about 1.49e-154 it is subnormal (0 below about 1.5e-162), rounded
+    by up to 100% relative, which no estimate of psi counts."""
     big_x = x * x
     if math.isinf(big_x):
         raise NumericalError(f"x^2 overflows at x={x}; the Tricomi routes cannot evaluate it")
-    if big_x == 0.0:
-        raise NumericalError(f"x^2 underflows to 0 at x={x}; the Tricomi routes cannot evaluate it")
+    if big_x < sys.float_info.min:
+        raise NumericalError(f"x^2 underflows to {big_x!r} at x={x}, below the normal doubles; "
+                             "the Tricomi routes cannot evaluate it")
     return big_x
 
 

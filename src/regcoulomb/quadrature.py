@@ -18,11 +18,12 @@ node pass, and that pass is final: it gives levels 0 and 1, a column whose
 two levels agree is done, and any other comes back unconverged.  (The
 Kraetzel sum, ``special._kratzel_quadrature``, is one such pass too, with
 the same window rule, :func:`_tangent_end`.)  A scalar call is one column
-of the same rule, not a second implementation: its set-up and node pass on
-NumPy scalars, its agreement test and assembly in Python floats, which
-round as the arrays do.  Every column of a batch has the bits it has alone:
-a node pass sums integer parts whose sums are exact (:func:`_split`), in
-any order, BLAS's included.
+of the same rule, not a second implementation: its set-up, agreement test
+and assembly run in Python floats that borrow NumPy's ``exp``, ``log`` and
+kin (which round as the arrays do), and its node pass on arrays; where a
+float raises, it runs on NumPy scalars, which give inf or NaN.  Every column
+of a batch has the bits it has alone: a node pass sums integer parts whose
+sums are exact (:func:`_split`), in any order, BLAS's included.
 """
 from __future__ import annotations
 
@@ -174,10 +175,10 @@ def _gamma_window(c1: float) -> tuple[float, float]:
 
 
 def _pows(bases, e):
-    """``bases ** e`` by the C library's ``pow``: a NumPy scalar's power, and
-    an array's entry by entry in Python floats (NumPy's array power rounds
-    otherwise on a few in a hundred), with inf where a power overflows.  The
-    exponent ``e`` is a float, or an array of one per base."""
+    """``bases ** e`` by the C library's ``pow``: a float's (which raises
+    where a NumPy scalar's is inf), and an array's entry by entry in Python
+    floats (NumPy's array power rounds otherwise on a few in a hundred), with
+    inf where a power overflows.  ``e`` is a float, or one per base."""
     if not isinstance(bases, np.ndarray):
         return bases ** e
     floats = bases.ravel().tolist()
@@ -205,12 +206,18 @@ def _weights(rows: int) -> np.ndarray:
     return np.tile([[1.0, 1.0], [1.0, 0.0]], (rows, 1))
 
 
-# for two scalars the same values as NumPy's maximum, minimum, fmax and fmin
-# (NaN and the sign of zero included) by comparison, without a ufunc call's cost
+# one column's set-up functions in Python floats, in the order of _columns' ufuncs:
+# NumPy's maxima and minima by comparison (NaN and the sign of zero included), its
+# exp, expm1, log, log1p and hypot (rounding otherwise than math's) taken back as
+# floats, and math's sqrt, floor, ceil and copysign and pow's 2^v, exact as NumPy's
 _SCALAR_OPS = (lambda a, b: a if a > b or a != a else b,
                lambda a, b: a if a < b or a != a else b,
                lambda a, b: a if a >= b or b != b else b,
-               lambda a, b: a if a <= b or b != b else b)
+               lambda a, b: a if a <= b or b != b else b,
+               lambda v: float(np.exp(v)), lambda v: float(np.expm1(v)),
+               lambda v: float(np.log(v)), lambda v: float(np.log1p(v)),
+               lambda a, b: float(np.hypot(a, b)), math.sqrt, lambda v: float(math.floor(v)),
+               lambda v: float(math.ceil(v)), math.copysign, lambda v: 2.0 ** v)
 
 
 def _trapezoid_step(c: float, tol: float) -> float:
@@ -290,10 +297,10 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     once; outside its window a column's terms add exact zeros to its exact
     sums (:func:`_split`), so every column of a batch has the bits it has
     alone.  Each column keeps its own step, window and level scale.  One
-    column runs the same steps on NumPy scalars (whose ``exp`` and ``log``
-    round as the arrays' do, unlike ``math``'s), with maxima and minima by
-    comparison, and its agreement test and double-double value in Python
-    floats.
+    column runs the same steps in Python floats, with NumPy's transcendental
+    functions (whose ``exp`` and ``log`` round as the arrays' do, unlike
+    ``math``'s) taken back as floats and its node pass on arrays; where a
+    float raises, it runs them on NumPy scalars, which give inf or NaN.
 
     The error estimate is the difference of levels 0 and 1 plus ``eps``
     times the value, times the node count plus ``10 sqrt(c1)`` (the
@@ -343,7 +350,10 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
             if len(terms) > 2 and np.isinf(cols[-1].abs_err):  # the loop ran; the sum fails
                 return Columns(np.zeros(1), cols[-1].abs_err, cols[-1].points, np.zeros(1, bool))
         return _lift_sum(cols, [weight for weight, _, _ in terms[:-1]])
-    return _columns(c1, p, w, x, power)
+    try:  # one column in Python floats
+        return _columns(c1, p, float(w), x, power)
+    except (ArithmeticError, ValueError):  # a float raised where a NumPy scalar gives inf or NaN
+        return _columns(c1, p, np.float64(w), x, power)
 
 
 def _blocks(c1: np.ndarray, p: np.ndarray, w: np.ndarray, x) -> Columns:
@@ -364,16 +374,17 @@ def _columns(c1, p, w, x, power: float) -> Columns:
     column of floats, or a V/V' batch of arrays whose set-up runs at once."""
     many = isinstance(w, np.ndarray)
     double_double = many or (power == 0.0 and p < 0.0 and float(2.0 * p).is_integer())
-    w = w if many else np.float64(w)  # a NumPy scalar gives inf or NaN where a float raises
-    maximum, minimum, fmax, fmin = ((np.maximum, np.minimum, np.fmax, np.fmin) if many
-                                    else _SCALAR_OPS)
+    (maximum, minimum, fmax, fmin, exp, expm1, log, log1p, hypot, sqrt, floor, ceil, copysign,
+     exp2) = _SCALAR_OPS if type(w) is float else (  # arrays, or NumPy scalars
+        np.maximum, np.minimum, np.fmax, np.fmin, np.exp, np.expm1, np.log, np.log1p,
+        np.hypot, np.sqrt, np.floor, np.ceil, np.copysign, np.exp2)
     # the node pass's outer products; a batch's by einsum, faster than broadcasting
     outer = (lambda a, b, out: np.einsum("i,j->ij", a, b, out=out)) if many else np.multiply
-    root = np.sqrt(c1) if many else math.sqrt(c1)
+    root = sqrt(c1)
 
     def window_end(d):  # where the tangent to G0 + P at d falls to -40
-        t = peak * np.exp(d)
-        g = c1 * d - peak * np.expm1(d) + p * np.log((w + t) / width)
+        t = peak * exp(d)
+        g = c1 * d - peak * expm1(d) + p * log((w + t) / width)
         return _tangent_end(d, g, minimum(c1 - t * (1.0 - p / (w + t)), c1))
 
     def ratio(m_hi, g_hi, m_lo, g_lo, scale):  # r^-p M / M0 from the exact sums
@@ -383,9 +394,9 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         # the exact sums (M's hi, M0's hi, M's lo, M0's lo) of the columns c over level 1's
         # nodes f to l, and over level 0's, their even ones.  A run of columns with one
         # step and order (sorting made them adjacent) forms its nodes once
-        j0, j1 = (min(f.tolist()), max(l.tolist()) + 1.0) if many else (float(f), float(l) + 1.0)
+        j0, j1, n = (min(f.tolist()), max(l.tolist()) + 1.0, f.size) if many else (f, l + 1.0, 1)
         j = np.arange(j0, j1)
-        parts = np.empty((2, 2, f.size, j.size))  # the split's hi and lo; lo holds the terms first
+        parts = np.empty((2, 2, n, j.size))  # the split's hi and lo; lo holds the terms first
         terms = parts[1]
         g, g0 = terms[0], terms[1]
         runs, w_c, recip_c, p_c = [(g, g0, step, c1, peak)], w, recip, p
@@ -405,7 +416,7 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         np.log(g, g)
         g *= p_c
         g += g0
-        if f.size > 1:  # outside its window (before the last start or after
+        if n > 1:  # outside its window (before the last start or after
             # the first end), a column's terms add exact zeros
             head, tail = np.searchsorted(j, (max(f.tolist()), min(l.tolist())), "right")
             np.copyto(terms[..., :head], -np.inf, where=j[:head] < f[:, None])
@@ -414,14 +425,13 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         # one product, whose exact sums do not depend on its order
         _split(terms, scales[:, c, None] if many else scales[:, None, None], bits, parts[0])
         sums = parts.reshape(-1, j.size) @ _weights(_TRAP_NODE_MAX + 2)[int(j0 % 2):][:j.size]
-        return sums.reshape(4, f.size, 2) if many else sums.T.tolist()  # one column's as floats
+        return sums.reshape(4, n, 2) if many else sums.T.tolist()  # one column's as floats
 
     with np.errstate(all="ignore"):
         # the positive root; b - s or b + s would cancel, so the root of
         # larger size is formed first and the other from their product
         b = c1 + p - w
-        copysign = np.copysign if many else math.copysign
-        big = 0.5 * b + copysign(0.5 * np.hypot(b, 2.0 * root * np.sqrt(w)), b)
+        big = 0.5 * b + copysign(0.5 * hypot(b, 2.0 * root * sqrt(w)), b)
         peak = maximum(big, -c1 * (w / big))
         width = w + peak
         # the growth bound of the step; in log space, that at the peak
@@ -430,22 +440,22 @@ def _columns(c1, p, w, x, power: float) -> Columns:
             c = min(c, float(fmax(peak, c1)))
         step = (_per_order(_trapezoid_step, c, _TRAP_TOL / 100.0) if many
                 else _trapezoid_step(c, _TRAP_TOL / 100.0))
-        sigma = 1.0 / np.sqrt(peak * (peak / width) + c1 * (w / width))
+        sigma = 1.0 / sqrt(peak * (peak / width) + c1 * (w / width))
         # e^G0 peaks at t = c1, d = d0, where it is e^top0; its window about
         # d0 depends on c1 alone
-        d0 = np.log(c1 / peak)
+        d0 = log(c1 / peak)
         top0 = c1 * d0 - (c1 - peak)
         lo0, hi0 = _per_order(_gamma_window, c1) if many else _gamma_window(c1)
         # the tangents' starting points; a batch takes all four in one array
-        starts = (-_TRAP_REACH * sigma, minimum(np.log(w / peak), 0.0) - 2.0,
-                  _TRAP_REACH * sigma, np.log1p((c1 + _TRAP_DROP) / peak))
+        starts = (-_TRAP_REACH * sigma, minimum(log(w / peak), 0.0) - 2.0,
+                  _TRAP_REACH * sigma, log1p((c1 + _TRAP_DROP) / peak))
         ends = window_end(np.array(starts)) if many else [window_end(d) for d in starts]
         lo = minimum(fmax(ends[0], ends[1]), d0 + lo0)
         hi = maximum(fmin(ends[2], ends[3]), d0 + hi0)
         # the double-double products need w below 1e300
         ok = (peak > 0.0) & (top0 < 700.0) & (hi - lo > 4.0 * step) & (width < 1e300)
         # level 1's nodes, from which level 0 is summed too
-        first, last = np.ceil(2.0 * lo / step), np.floor(2.0 * hi / step)
+        first, last = ceil(2.0 * lo / step), floor(2.0 * hi / step)
         fits = ok & (last - first < _TRAP_NODE_MAX)
         # P uses r = 1/w, so that I = r^-p int e^(G0 + P) / int e^G0 for
         # whatever rounding r carries; r^-p (x r^-p) for the levels' values,
@@ -461,7 +471,7 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         # split sums of both, in units of 1/bits and 1/bits^2, stay below
         # 2^53 for up to 2^11 nodes, more than level 1 takes.  bits fixes
         # where the split rounds each term: any other bits would move every value
-        unit = np.exp2(-np.floor(top0 / math.log(2.0)) - 1.0)
+        unit = exp2(-floor(top0 / math.log(2.0)) - 1.0)
         bits = 2.0 ** (51 - _TRAP_NODE_MAX.bit_length())
         ratio_scale = scale * unit
         # the split scales of both integrands; level 1's node count where it fits
@@ -484,11 +494,11 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         size = abs(value)
         diff = abs(value - level0) / maximum(size, _TINY)
         done, err = diff <= _TRAP_TOL, diff * size + _EPS * size
-        if not double_double:  # log space, one column on NumPy scalars
+        if not double_double:  # log space, one column
             # w^power r^-p = e^((power + p) log w - p log(w r)), w r = hi + lo
             hi, lo = _two_prod(w, recip)
-            terms = ((power + p) * np.log(w), -p * (np.log(hi) + lo / hi), np.log(value))
-            exact = np.exp(terms[0] + terms[1] + terms[2])
+            terms = ((power + p) * log(w), -p * (log(hi) + lo / hi), log(value))
+            exact = exp(terms[0] + terms[1] + terms[2])
             size = abs(terms[0]) + abs(terms[1]) + abs(terms[2])
             rounding = _EPS * (used + 10.0 * root) + _EPS * (4.0 * abs(p) + 2.0 * size)
             keep = fits & (exact > 0.0)
@@ -497,9 +507,8 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         if not many:  # one column, in Python floats
             if done:
                 m_hi, g_hi, m_lo, g_lo = one
-                u = float(unit)
-                value = _dd_value((m_hi * u, m_lo * u / bits), (g_hi, g_lo / bits), float(recip),
-                                  None if x is None else float(x), p, math.sqrt)
+                value = _dd_value((m_hi * unit, m_lo * unit / bits), (g_hi, g_lo / bits), recip,
+                                  x, p, math.sqrt)
             elif not fits:
                 value, err = 0.0, math.inf
             rounding = _EPS * (used.tolist()[0] + 10.0 * root)

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import regcoulomb.potential as potential
 from regcoulomb.bounds import vq_lower_exp
 from regcoulomb.errors import DivergenceError, DomainError, NumericalError
 from regcoulomb.potential import (
@@ -342,14 +343,28 @@ class TestOverflowWithoutWarnings:
                 with pytest.raises(NumericalError, match=r"x\^2 underflows to 0"):
                     call(q, 1e-300)
 
-    def test_tricomi_form_1_whose_prefactor_underflows(self):
+    def test_tricomi_form_1_whose_prefactor_underflows(self, monkeypatch):
         # x^(2q+1) is 0 at (5, 1e-100): form 1 gives no value, and form 2's is
         # returned, with the bits of the auto route
         assert vq_via_psi(5.0, 1e-100) == vq(5.0, 1e-100)
         assert vq_via_psi(5.0, 1e-100).value == 0.43618981487127934
-        # where both forms give a value, they must still agree
-        with pytest.raises(NumericalError, match="Tricomi forms disagree"):
+        # a subnormal x^2 is refused before either form is evaluated: it is
+        # rounded by up to 100% relative (here about 1e-5), which no estimate counts
+        with pytest.raises(NumericalError, match=r"x\^2 underflows to 1e-320 at x=1e-160"):
             vq_via_psi(-0.9, 1e-160)
+        # where both forms give a value, they must still agree: no point of
+        # normal x^2 is known where they do not, so form 1 is moved by 1e-6
+        psi = potential.psi_eval
+
+        def moved(a, c, z):  # form 2 is psi(1/2, 1/2 - q, x^2)
+            got = psi(a, c, z)
+            return got if a == 0.5 else type(got)(got.value * (1.0 + 1e-6), got.abs_err_est,
+                                                  got.method)
+
+        assert vq_via_psi(-0.9, 1e-10).value > 0.0
+        monkeypatch.setattr(potential, "psi_eval", moved)
+        with pytest.raises(NumericalError, match="Tricomi forms disagree for q=-0.9, x=1e-10"):
+            vq_via_psi(-0.9, 1e-10)
 
     def test_an_order_whose_step_overflows(self):
         # from q about 6e306 the trapezoid step's c log(tol) overflows: each

@@ -108,20 +108,28 @@ class TestBatchIndependence:
             assert _columns(one) == [_columns(batch, i)], (i, w)
 
     def test_a_batch_of_mixed_orders_gives_each_column_its_own_bits(self):
-        # orders next to -1, lifted ones (c1 <= 1/2), half-integers and 600,
-        # at x from 1e-30 to 1e150: for V, for V' (with the factor x), and
-        # with an exponent per column
+        # orders next to -1, lifted ones (c1 <= 1/2), half-integers, 600, 1e35
+        # and 1e308, at x from 1e-30 to 1e150 and at the edges of x^2: 0
+        # (1e-200), subnormal (1e-160, 4e-156) and overflowing (1e155); for V,
+        # for V' (with the factor x), and with an exponent per column.  One
+        # column runs in Python floats, which raise where arrays give inf or
+        # NaN, and no warning escapes either
         qs = np.array([-1.0 + 1e-7, -0.999, -0.75, -0.55, -0.5, -0.25, 0.0, 0.5, 1.5, 2.5, 7.3,
-                       600.0])
-        q, x = (v.ravel() for v in np.meshgrid(qs, np.geomspace(1e-30, 1e150, 19)))
+                       600.0, 1e35, 1e308])
+        xs = np.append(np.geomspace(1e-30, 1e150, 19), [1e-200, 1e-160, 4e-156, 1e155])
+        q, x = (v.ravel() for v in np.meshgrid(qs, xs))
+        with np.errstate(over="ignore"):
+            w = x * x
         ps = np.resize([-0.5, -1.5, -2.5], q.size)
-        for p, factor in ((-0.5, None), (-1.5, x), (ps, None)):
-            batch = trapezoid_columns(q + 1.0, p, x * x, factor)
-            for i, (qi, xi, pi) in enumerate(zip(q.tolist(), x.tolist(), np.resize(p, q.size))):
-                one = trapezoid_columns(qi + 1.0, float(pi), xi * xi,
-                                        None if factor is None else xi)
-                assert _columns(one) == [_columns(batch, i)], (qi, xi, pi)
-            assert batch.converged.sum() > q.size // 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p, factor in ((-0.5, None), (-1.5, x), (ps, None)):
+                batch = trapezoid_columns(q + 1.0, p, w, factor)
+                for i, (qi, xi, pi) in enumerate(zip(q.tolist(), x.tolist(), np.resize(p, q.size))):
+                    one = trapezoid_columns(qi + 1.0, float(pi), xi * xi,
+                                            None if factor is None else xi)
+                    assert _columns(one) == [_columns(batch, i)], (qi, xi, pi)
+                assert batch.converged.sum() > q.size // 2
 
     def test_one_chunk_of_many_steps(self, monkeypatch):
         # COLUMN_CHUNK columns of eight orders, and so of at least five steps,
