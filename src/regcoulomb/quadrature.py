@@ -350,9 +350,9 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
             if len(terms) > 2 and np.isinf(cols[-1].abs_err):  # the loop ran; the sum fails
                 return Columns(np.zeros(1), cols[-1].abs_err, cols[-1].points, np.zeros(1, bool))
         return _lift_sum(cols, [weight for weight, _, _ in terms[:-1]])
-    try:  # one column in Python floats
+    try:  # one column in Python floats; where a float raises, NumPy scalars give inf or NaN
         return _columns(c1, p, float(w), x, power)
-    except (ArithmeticError, ValueError):  # a float raised where a NumPy scalar gives inf or NaN
+    except (ZeroDivisionError, OverflowError, ValueError):
         return _columns(c1, p, np.float64(w), x, power)
 
 
