@@ -20,7 +20,9 @@ The main evaluator routes by argument size: a fused small-x expansion with
 O(1) intermediates, direct quadrature of the integral representation in the
 central range (and at small x for half-integer orders and orders beyond
 170.62, where Gamma(q+1) overflows), and the Tricomi large-argument series
-beyond.  Every result carries its evaluation route and an error estimate.
+beyond; the psi route (:func:`vq_via_psi`) evaluates that function,
+psi(1/2, 1/2-q, x^2), at every x > 0.  Every result carries its evaluation
+route and an error estimate.
 
 The quadrature has one path, :func:`_laplace_integrals`: the peak-centred
 trapezoid rule in log t (:func:`~regcoulomb.quadrature.trapezoid_columns`)
@@ -44,7 +46,6 @@ from .quadrature import Columns, expsinh_escalating, laguerre_escalating  # noqa
 from .quadrature import trapezoid_columns
 from .special import (
     _PSI_C_INTEGER_GAP,
-    PsiEval,
     _gamma_rounding,
     _phi_series,
     erfc_scaled,
@@ -249,49 +250,22 @@ def vq_quadrature(q: float, x: float) -> EvalResult:
     raise _unconverged(qv, x, value, abs_err, False)
 
 
-def _from_psi(ev: PsiEval, log_prefactor: float = 0.0) -> EvalResult:
-    """``e^log_prefactor`` times psi.  The exponential makes the rounding of
-    its argument, up to 2 eps |log_prefactor|, a relative error."""
-    prefactor = math.exp(log_prefactor)
-    value = prefactor * ev.value
-    return EvalResult(
-        value, prefactor * ev.abs_err_est + 2.0 * _EPS * abs(log_prefactor) * value,
-        "quadrature" if ev.method == "quadrature" else "psi-" + ev.method,
-    )
+def _vq_tricomi(qv: float, x: float) -> EvalResult:
+    """V_q(x) = psi(1/2, 1/2-q, x^2), with psi's estimate and its route."""
+    ev = psi_eval(0.5, 0.5 - qv, _square(x))
+    return EvalResult(ev.value, ev.abs_err_est,
+                      "quadrature" if ev.method == "quadrature" else "psi-" + ev.method)
 
 
 def vq_via_psi(q: float, x: float) -> EvalResult:
-    """V_q(x) through its two Tricomi forms, cross-checked against each other.
+    """V_q(x) as the Tricomi function psi(1/2, 1/2-q, x^2) at any x > 0.
 
-    Form 1: x^{2q+1} psi(q+1, q+3/2, x^2); form 2: psi(1/2, 1/2-q, x^2).
-    When both evaluate, they must agree to 1e-9 relative; the one with the
-    smaller error estimate is returned.
+    The other form, x^{2q+1} psi(q+1, q+3/2, x^2), is the same function by
+    Kummer's transformation, which :func:`psi_eval` applies itself; this is
+    the expression of ``vq``'s large-x route, and mpmath is its independent
+    check.
     """
-    qv = _order_value(q)
-    x = _check_x(x, positive=True)
-    big_x = _square(x)
-
-    results: list[EvalResult] = []
-    try:
-        log_prefactor = (2.0 * qv + 1.0) * math.log(x)
-        results.append(_from_psi(psi_eval(qv + 1.0, qv + 1.5, big_x), log_prefactor))
-    except (OverflowError, NumericalError):
-        pass
-    try:
-        results.append(_from_psi(psi_eval(0.5, 0.5 - qv, big_x)))
-    except NumericalError:
-        pass
-
-    if not results:
-        raise NumericalError(f"both Tricomi forms failed for q={qv}, x={x}")
-    if len(results) == 2:
-        r1, r2 = results
-        if abs(r1.value - r2.value) > 1e-9 * max(abs(r1.value), abs(r2.value)):
-            raise NumericalError(
-                f"Tricomi forms disagree for q={qv}, x={x}: "
-                f"{r1.value!r} (form 1) vs {r2.value!r} (form 2)"
-            )
-    return min(results, key=lambda r: r.abs_err_est / abs(r.value))
+    return _vq_tricomi(_order_value(q), _check_x(x, positive=True))
 
 
 def _vq_closed_q0(x: float) -> EvalResult:
@@ -303,7 +277,7 @@ def vq(q: float, x: float, method: str = "auto") -> EvalResult:
     """Evaluate V_q(x) for q > -1, x >= 0 (plus the sentinel q = -1).
 
     ``method`` selects the route: "auto" (argument-dependent), "quadrature"
-    (integral representation), "psi" (Tricomi forms), or "closed-form"
+    (integral representation), "psi" (psi(1/2, 1/2-q, x^2)), or "closed-form"
     (q = 0 only).  The sentinel order always reports method "convention".
     """
     if method not in _EVAL_METHODS:
@@ -332,7 +306,7 @@ def vq(q: float, x: float, method: str = "auto") -> EvalResult:
         return vq_quadrature(qv, x)
     if x <= _SERIES_X_MAX:
         return _vq_series(qv, x)
-    return _from_psi(psi_eval(0.5, 0.5 - qv, _square(x)))
+    return _vq_tricomi(qv, x)
 
 
 def _routes_to_quadrature(qv, x):

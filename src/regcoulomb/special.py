@@ -359,6 +359,8 @@ def _psi_beyond_range(a: float, c: float, x: float) -> None:
     def log_ratio(top: float, bottom: float) -> float:  # log |Gamma(top)/Gamma(bottom)|
         if bottom <= 0.0 and bottom == math.floor(bottom):
             return -math.inf  # 1/Gamma(bottom) = 0
+        if top <= 0.0 and top == math.floor(top):
+            return math.nan  # a pole of Gamma(top): the size is unknown
         try:
             return math.lgamma(top) - math.lgamma(bottom)
         except OverflowError:  # an argument beyond 2.5e305: the size is unknown

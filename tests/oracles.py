@@ -89,8 +89,8 @@ def vq_prime_reference(q: float, x: float) -> float:
     return -x * (part1 + part2) * math.exp(-sc.gammaln(q + 1.0))
 
 
-def laplace_mpmath(q: float, x: float, prime: bool = False) -> float:
-    """V_q(x), or -V_q'(x) when ``prime``, with mpmath at 30 digits.
+def laplace_mpmath(q: float, x: float, prime: bool = False, dps: int = 30) -> float:
+    """V_q(x), or -V_q'(x) when ``prime``, with mpmath at ``dps`` digits.
 
     Up to q = 12 these are U(1/2, 1/2-q, x^2) and x U(3/2, 3/2-q, x^2).
     Above, where ``hyperu`` can be wrong, the defining integral
@@ -98,9 +98,13 @@ def laplace_mpmath(q: float, x: float, prime: bool = False) -> float:
         (x^k / Gamma(q+1)) * integral_0^inf e^{-t} t^q (x^2+t)^{-1/2-k} dt
 
     (k = 0, or 1 for -V_q') is summed by ``mp.quad`` with break points
-    around its peak at t = q.
+    around its peak at t = q.  Its exponent cancels to O(1) from about
+    q log q, so an order of 10^k needs about k more digits.  ``mp.quad``
+    stops at an absolute error of about 10^-dps, so the integrand is divided
+    by its size at the peak, x^k (x^2+q)^{-1/2-k}, and the sum multiplied by
+    it: undivided, V_q(1.5e139) at q = 502 came out 1e-4 wrong at 42 digits.
     """
-    with mp.workdps(30):
+    with mp.workdps(dps):
         q, x = mp.mpf(q), mp.mpf(x)
         if q <= 12:
             if prime:
@@ -109,9 +113,11 @@ def laplace_mpmath(q: float, x: float, prime: bool = False) -> float:
         power = -1.5 if prime else -0.5
         w = 8 * mp.sqrt(q + 1)
         breaks = [0] + [t for t in (q - w, q, q + w) if t > 0] + [mp.inf]
-        shift = mp.loggamma(q + 1) - (mp.log(x) if prime else 0)
-        return float(mp.quad(
-            lambda t: mp.exp(q * mp.log(t) - t - shift) * (x * x + t) ** power, breaks))
+        shift = mp.loggamma(q + 1)
+        size = (x if prime else 1) * (x * x + q) ** power
+        return float(size * mp.quad(
+            lambda t: mp.exp(q * mp.log(t) - t - shift) * ((x * x + t) / (x * x + q)) ** power,
+            breaks))
 
 
 def psi_integral_reference(a: float, c: float, x: float) -> float:

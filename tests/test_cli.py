@@ -86,6 +86,16 @@ class TestEvalCommand:
         assert result.exit_code == 3
         assert "x^2 underflows to 0" in result.stderr
 
+    @pytest.mark.parametrize("q, value", [
+        ("4503599627370496", "1.49011611938e-08"),  # 2^52: c - 1 is a pole of Gamma
+        ("1e20", "1e-10"),
+        ("3.9e34", "5.06369683542e-18"),
+    ])
+    def test_psi_route_at_huge_orders(self, runner, q, value):
+        result = runner.invoke(main, ["eval", "--q", q, "--x", "1", "--method", "psi"])
+        assert result.exit_code == 0, result.output
+        assert f"value       = {value}\n" in result.stdout
+
     def test_huge_order_exits_3(self, runner):
         # the trapezoid step's c log(tol) overflows: a numerical failure
         result = runner.invoke(main, ["eval", "--q", "1e308", "--x", "1"])

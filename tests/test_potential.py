@@ -8,7 +8,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-import regcoulomb.potential as potential
 from regcoulomb.bounds import vq_lower_exp
 from regcoulomb.errors import DivergenceError, DomainError, NumericalError
 from regcoulomb.potential import (
@@ -165,12 +164,16 @@ class TestVqRouting:
         assert vq(0.3, 0.0).method == "limit-x0"
 
     def test_forced_methods_agree(self):
+        # at (2, 3) the psi route takes the forced quadrature's own column, so
+        # mpmath is the independent reference of each route
         for q, x in ((0.0, 1.0), (0.7, 0.4), (2.0, 3.0)):
             auto = vq(q, x).value
             quad = vq(q, x, method="quadrature").value
             psi = vq(q, x, method="psi").value
+            want = laplace_mpmath(q, x)
             assert rel_diff(auto, quad) < 1e-9
             assert rel_diff(quad, psi) < 1e-9
+            assert rel_diff(quad, want) < 1e-9 and rel_diff(psi, want) < 1e-9
 
     def test_closed_form_only_for_zero_order(self):
         assert rel_diff(vq(0.0, 3.0, method="closed-form").value,
@@ -187,11 +190,23 @@ class TestVqRouting:
             vq(0.5, -1.0)
 
     def test_quadrature_and_psi_helpers_agree(self):
+        # where psi's integral route takes V_q's own column the two helpers
+        # give one number, so each is also checked against mpmath
         for q in (-0.5, 0.0, 0.7, 2.0, 5.0):
             for x in (0.1, 1.0, 4.0, 10.0):
                 a = vq_quadrature(q, x)
                 b = vq_via_psi(q, x)
+                want = laplace_mpmath(q, x)
                 assert rel_diff(a.value, b.value) < 1e-8
+                assert rel_diff(a.value, want) < 1e-8 and rel_diff(b.value, want) < 1e-8
+
+    def test_psi_helper_is_the_large_x_route(self):
+        # beyond x = 30 both evaluate psi(1/2, 1/2-q, x^2): the same bits
+        for q in (-0.9, -0.5, 0.3, 2.5, 40.0, 1e6):
+            for x in (30.0, 57.3, 1e4, 1e150):
+                a, b = vq_via_psi(q, x), vq(q, x)
+                assert (a.value.hex(), a.abs_err_est.hex(), a.method) == (
+                    b.value.hex(), b.abs_err_est.hex(), b.method), (q, x)
 
 
 class TestHonestEstimates:
@@ -207,9 +222,9 @@ class TestHonestEstimates:
             assert abs(got.value - want) <= got.abs_err_est, q
 
     def test_tricomi_forms_and_the_fused_expansion(self):
-        # form 1 takes x^(2q+1) as exp((2q+1) log x), whose argument's
-        # rounding is a relative error of the value; at the first point it is
-        # 16 times psi's own estimate
+        # psi(1/2, 1/2-q, x^2) by its Kummer expansion, and vq's fused
+        # expansion, take x^(2q+1) from a rounded exponent, whose rounding is
+        # a relative error of that term; each estimate counts it
         rng = np.random.default_rng(11)
         qs = [6.892] + rng.uniform(-0.9, 12.0, 80).tolist()
         xs = [4.158e-3] + np.exp(rng.uniform(math.log(1e-3), math.log(0.05), 80)).tolist()
@@ -217,6 +232,15 @@ class TestHonestEstimates:
             want = laplace_mpmath(q, x)
             for got in (vq_via_psi(q, x), vq(q, x)):
                 assert abs(got.value - want) <= got.abs_err_est, (q, x, got.method)
+
+    @pytest.mark.parametrize("q", [1e20, 3.9e34])
+    def test_psi_route_at_orders_beyond_2_to_the_52(self, q):
+        # q + 1 and q + 3/2 round there, but psi(1/2, 1/2-q, x^2) takes
+        # neither; the oracle's exponent cancels from about q log q
+        want = laplace_mpmath(q, 1.0, dps=30 + int(math.log10(q)))
+        for got in (vq_via_psi(q, 1.0), vq(q, 1.0, method="psi")):
+            assert abs(got.value - want) <= got.abs_err_est, got
+            assert rel_diff(got.value, want) <= 1e-15, got
 
     def test_kummer_expansion_of_psi(self):
         # the Gamma coefficients carry the rounding of their arguments
@@ -243,6 +267,16 @@ class TestHonestEstimates:
         with mp.workdps(40):
             want = mp.hyperu(mp.mpf(0.5), 0.5 - mp.mpf(q), mp.mpf(x) ** 2)
         assert abs(got.value - want) <= got.abs_err_est, (q, x)
+
+    @pytest.mark.parametrize("q, x", [(35.37882258700256, 7.062779953187867e112),
+                                      (502.1453380865208, 1.549431034032023e139),
+                                      (175.99475685174542, 3.0565465624288243e58)])
+    def test_asymptotic_series_at_large_order(self, q, x):
+        # above q = 12 the oracle is mp.quad, whose absolute tolerance it
+        # scales out: at these points V_q is about 1/x
+        for got in (vq(q, x), vq_via_psi(q, x)):
+            assert got.method == "psi-asymptotic"
+            assert abs(got.value - laplace_mpmath(q, x)) <= got.abs_err_est, (q, x)
 
 
 # ---------------------------------------------------------------------------
@@ -343,28 +377,15 @@ class TestOverflowWithoutWarnings:
                 with pytest.raises(NumericalError, match=r"x\^2 underflows to 0"):
                     call(q, 1e-300)
 
-    def test_tricomi_form_1_whose_prefactor_underflows(self, monkeypatch):
-        # x^(2q+1) is 0 at (5, 1e-100): form 1 gives no value, and form 2's is
-        # returned, with the bits of the auto route
+    def test_psi_route_where_the_power_of_x_underflows(self):
+        # x^(2q+1) is 1e-1100 at (5, 1e-100): the psi route still gives V_q,
+        # with the bits of the auto route
         assert vq_via_psi(5.0, 1e-100) == vq(5.0, 1e-100)
         assert vq_via_psi(5.0, 1e-100).value == 0.43618981487127934
-        # a subnormal x^2 is refused before either form is evaluated: it is
-        # rounded by up to 100% relative (here about 1e-5), which no estimate counts
+        # a subnormal x^2 is refused before psi is evaluated: it is rounded
+        # by up to 100% relative (here about 1e-5), which no estimate counts
         with pytest.raises(NumericalError, match=r"x\^2 underflows to 1e-320 at x=1e-160"):
             vq_via_psi(-0.9, 1e-160)
-        # where both forms give a value, they must still agree: no point of
-        # normal x^2 is known where they do not, so form 1 is moved by 1e-6
-        psi = potential.psi_eval
-
-        def moved(a, c, z):  # form 2 is psi(1/2, 1/2 - q, x^2)
-            got = psi(a, c, z)
-            return got if a == 0.5 else type(got)(got.value * (1.0 + 1e-6), got.abs_err_est,
-                                                  got.method)
-
-        assert vq_via_psi(-0.9, 1e-10).value > 0.0
-        monkeypatch.setattr(potential, "psi_eval", moved)
-        with pytest.raises(NumericalError, match="Tricomi forms disagree for q=-0.9, x=1e-10"):
-            vq_via_psi(-0.9, 1e-10)
 
     def test_an_order_whose_step_overflows(self):
         # from q about 6e306 the trapezoid step's c log(tol) overflows: each

@@ -347,6 +347,16 @@ class TestPsiRoutes:
         with pytest.raises(NumericalError):
             psi_eval(a, c, x)
 
+    def test_a_pole_of_the_larger_kummer_gamma_leaves_its_size_unknown(self):
+        # at c = 1/2 - 2^52, c - 1 rounds to -2^52, a pole of Gamma: the size
+        # of the Kummer tail cannot be known, and the integral route gives
+        # psi(1/2, c, 1) = V_{2^52}(1)
+        got = psi_eval(0.5, 0.5 - 2.0 ** 52, 1.0)
+        want = laplace_mpmath(2.0 ** 52, 1.0, dps=50)
+        assert got.method == "quadrature"
+        assert abs(got.value - want) <= got.abs_err_est
+        assert rel_diff(got.value, want) <= 1e-15
+
     def test_beyond_the_double_range_no_integral_route_runs(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("an integral route ran")
