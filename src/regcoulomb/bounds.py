@@ -23,7 +23,10 @@ Envelopes for V_q (all x > 0):
     upper_agm(q, x)     = Gamma(q+3/4) / (sqrt(2 x) Gamma(q+1))     (q > -3/4)
     lower_kratzel(q, x) = Z_1^{q+1/2}(x^2/2) / Gamma(q+1)           (q > -1)
 
-where Z_1^nu is the Kraetzel function.
+where Z_1^nu is the Kraetzel function.  Above q = 700 the Gamma ratio of
+upper_agm, like V_q(0) = Gamma(q+1/2)/Gamma(q+1), is its asymptotic series
+in 1/q (DLMF 5.11.8), not the difference of two log-Gammas, which would
+cancel; both keep their relative accuracy up to q = 1e308.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from typing import Optional
 from .errors import DomainError
 from .potential import EvalResult, _check_x, _order_value, mills, vq
 from .quadrature import _two_prod
-from .special import _exp_in_range, _kratzel_bessel, _kratzel_quadrature, ln_gamma
+from .special import _exp_in_range, _gamma_ratio, _kratzel_bessel, _kratzel_quadrature, ln_gamma
 from .special import kratzel_z  # noqa: F401  (perfbench's tracer wraps it here)
 
 #: f3's denominator x^4 + 2x^2 - 1 changes sign at x^2 = sqrt(2) - 1
@@ -173,7 +176,7 @@ def vq_upper_agm(q: float, x: float) -> float:
     x = _check_x(x, positive=True)
     if qv <= -0.75:
         raise DomainError(f"the upper envelope requires q > -3/4, got q={qv}")
-    return math.exp(ln_gamma(qv + 0.75) - ln_gamma(qv + 1.0)) / math.sqrt(2.0 * x)
+    return _gamma_ratio(qv, 0.75)[0] / math.sqrt(2.0 * x)
 
 
 def vq_lower_kratzel(q: float, x: float) -> float:

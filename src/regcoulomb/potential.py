@@ -6,7 +6,7 @@ For order q > -1 and x >= 0,
            = (1/Gamma(q+1)) int_0^inf e^{-t} t^q (x^2 + t)^{-1/2} dt,
 
 with the convention V_{-1}(x) = 1/x at the sentinel order q = -1.  Closed
-forms used by the evaluator and its cross-checks:
+forms used by the evaluator:
 
     V_0(x)  = sqrt(pi) e^{x^2} erfc(x)
     V_q(0)  = Gamma(q+1/2) / Gamma(q+1)            (q > -1/2)
@@ -46,11 +46,11 @@ from .quadrature import Columns, expsinh_escalating, laguerre_escalating  # noqa
 from .quadrature import trapezoid_columns
 from .special import (
     _PSI_C_INTEGER_GAP,
+    _gamma_ratio,
     _gamma_rounding,
     _phi_series,
     erfc_scaled,
     gamma,
-    ln_gamma,
     psi_eval,
     rgamma,
 )
@@ -135,14 +135,11 @@ def _square(x: float) -> float:
 
 
 def _vq_zero(qv: float) -> tuple[float, float]:
-    """V_q(0) and its error estimate.  Each log-Gamma is rounded to a few
-    ulps of its size, an absolute error in the exponent that the
-    exponential makes relative."""
+    """V_q(0) and its error estimate (see :func:`~regcoulomb.special._gamma_ratio`)."""
     if qv <= -0.5:
         raise DivergenceError(f"V_q(0) diverges for q <= -1/2, got q={qv}")
-    lead, base = ln_gamma(qv + 0.5), ln_gamma(qv + 1.0)
-    value = math.exp(lead - base)
-    return value, _EPS * (4.0 + 2.0 * (abs(lead) + abs(base))) * value
+    value, rel_err = _gamma_ratio(qv, 0.5)
+    return value, rel_err * value
 
 
 def vq_zero(q: float) -> float:
@@ -171,40 +168,25 @@ def _vq_series(q: float, x: float) -> EvalResult:
     V_q(x) = V_q(0) Phi(1/2, 1/2-q, x^2)
              + (Gamma(-q-1/2)/sqrt(pi)) x^{2q+1} Phi(q+1, q+3/2, x^2),
 
-    valid whenever q is not a half-integer.  For q > -1/2 the result is
-    cross-checked against the x -> 0 limit using the expansion's own
-    deviation bound.  The estimate counts the rounding of the series sums,
-    of the Gamma coefficients and their arguments, and of ``x^(2q+1)``.
+    valid whenever q is not a half-integer; ``vq`` takes it for x <= 0.05
+    and q up to 170.62, off the half-integer gap, where both Kummer sums
+    stop within a few terms.  The estimate counts the rounding of the series
+    sums, of the Gamma coefficients and their arguments, and of ``x^(2q+1)``.
     """
     big_x = x * x
-    gamma_lead = gamma(q + 0.5)
-    if math.isinf(gamma_lead):  # q > 171.1: coef1 would be inf * 0
-        raise NumericalError(f"small-x expansion failed for q={q}, x={x}")
-    coef1 = gamma_lead * rgamma(q + 1.0)
+    coef1 = gamma(q + 0.5) * rgamma(q + 1.0)
     try:  # x^(2q+1) overflows only at q < -1/2 and tiny x, where V_q(x) does too
         coef2 = gamma(-q - 0.5) / SQRT_PI * math.exp((2.0 * q + 1.0) * math.log(x))
     except OverflowError:
         raise NumericalError(f"V_q(x) is beyond the double range for q={q}, x={x}") from None
-    v1, abs1, ok1 = _phi_series(0.5, 0.5 - q, big_x)
-    v2, abs2, ok2 = _phi_series(q + 1.0, q + 1.5, big_x)
-    if not (ok1 and ok2):
-        raise NumericalError(f"small-x expansion stalled for q={q}, x={x}")
+    v1, abs1, _ = _phi_series(0.5, 0.5 - q, big_x)
+    v2, abs2, _ = _phi_series(q + 1.0, q + 1.5, big_x)
     value = coef1 * v1 + coef2 * v2
     scale = 1.0 + abs(q)
     err1 = _gamma_rounding(scale, q + 0.5, q + 1.0)
     err2 = _gamma_rounding(scale, -q - 0.5) + 2.0 * abs((2.0 * q + 1.0) * math.log(x))
     est = _EPS * ((4.0 + err1) * abs(coef1) * abs1 + (4.0 + err2) * abs(coef2) * abs2)
-    est += 2.0 * _EPS * abs(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise NumericalError(f"small-x expansion failed for q={q}, x={x}")
-    if q > -0.5:
-        # deviation from the x -> 0 limit must respect the expansion's bound
-        deviation_cap = abs(coef1) * (abs1 - 1.0) + abs(coef2) * abs2
-        if abs(value - coef1) > deviation_cap * (1.0 + 1e-9) + 64.0 * _EPS * abs(coef1):
-            raise NumericalError(
-                f"small-x expansion inconsistent with the x -> 0 limit for q={q}, x={x}"
-            )
-    return EvalResult(value, est, "psi-series")
+    return EvalResult(value, est + 2.0 * _EPS * abs(value), "psi-series")
 
 
 def _laplace_integrals(qv: float, xs: np.ndarray, prime: bool) -> Columns:

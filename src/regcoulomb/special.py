@@ -200,6 +200,22 @@ def rgamma(y: float) -> float:
     return 1.0 / g
 
 
+def _gamma_ratio(q: float, a: float) -> tuple[float, float]:
+    """Gamma(q+a)/Gamma(q+1) for a = 1/2 or 3/4, and a bound on its relative
+    error.  Above q = 700 the two log-Gammas, each about q log q, would
+    cancel; there it is q^(a-1) exp(sum_k c_k q^-k), k = 1..6, with
+    c_k = (-1)^(k+1) (B_{k+1}(a) - B_{k+1}(1)) / (k (k+1)) (DLMF 5.11.8,
+    differenced); the first omitted term is below 2e-3 q^-7."""
+    if q <= 700.0:  # each log-Gamma rounds by a few ulps of its size
+        lead, base = ln_gamma(q + a), ln_gamma(q + 1.0)
+        return math.exp(lead - base), _EPS * (4.0 + 2.0 * (abs(lead) + abs(base)))
+    u, series = 1.0 / q, 0.0  # Horner's rule, from c_6 (c_5 at a = 1/2, where c_6 = 0)
+    for c in {0.5: (-1/640, 0.0, 1/192, 0.0, -1/8),
+              0.75: (61/98304, -33/40960, -5/4096, 3/1024, 1/128, -3/32)}[a]:
+        series = (series + c) * u
+    return q ** (a - 1.0) * math.exp(series), 4.0 * _EPS + 2e-3 * u ** 7
+
+
 def _digamma(y: float) -> float:
     """psi(y) = Gamma'(y)/Gamma(y), to about 1e-12 of max(1, |psi|); NaN at
     the poles.  Only error bounds use it."""

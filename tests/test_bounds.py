@@ -1,5 +1,7 @@
 """Tests for the closed-form Mills-ratio bounds and the V_q envelopes."""
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +51,18 @@ class TestMillsBoundValues:
         assert mills_f3(MILLS_F3_THRESHOLD) is None
         assert mills_f3(0.5) is None
         assert mills_f3(MILLS_F3_THRESHOLD + 1e-9) is not None
+
+    def test_f3_denominator_is_never_zero_above_threshold(self):
+        # mills_f3 admits x > MILLS_F3_THRESHOLD, where x^4 + 2x^2 - 1 > 0;
+        # no double in the first 2^20 ulps above rounds it to 0.  Beyond
+        # them, up to x = 1, it exceeds 4e-10, and its rounding is below
+        # 1e-15; above 1 it exceeds 2
+        ulp = math.ulp(MILLS_F3_THRESHOLD)
+        xs = [MILLS_F3_THRESHOLD + k * ulp for k in range(1, 2 ** 20 + 1)]
+        assert xs[-1] < 1.0 and math.ulp(xs[-1]) == ulp
+        assert 0.0 not in [x ** 4 + 2.0 * x * x - 1.0 for x in xs]
+        end = Fraction(xs[-1])
+        assert end ** 4 + 2 * end ** 2 - 1 > Fraction(4, 10 ** 10)
 
     def test_f3_raw_exposes_the_pole(self):
         # the denominator root is irrational, so the nearest float gives a
@@ -104,6 +118,25 @@ class TestMillsBoundsAtHugeArguments:
         x = 1e76
         assert mills_f3_raw(x) == x * (x * x + 1.0) / (x ** 4 + 2.0 * x * x - 1.0)
         assert mills_f1(1e150) == 1e150 / (1e150 * 1e150 + 1.0)
+
+
+class TestMillsBoundsNeverRaise:
+    def test_bounds_and_the_ratio_from_the_least_subnormal_to_1e77(self):
+        # the verifier calls mills_bounds(x) and mills(x +- h) with no handler
+        # at every x of its grid up to 1e77; a float / or * that overflows
+        # gives inf (f2 = 1/x at 5e-324), not an exception
+        rng = np.random.default_rng(23)
+        xs = (10.0 ** rng.uniform(-323.3, 77.0, 2000)).tolist() + [
+            5e-324, sys.float_info.min, 1e-5, MILLS_F3_THRESHOLD,
+            math.nextafter(MILLS_F3_THRESHOLD, 1.0), 1.0, math.sqrt(2.0), 1e77]
+        assert min(xs) == 5e-324 and sum(x < sys.float_info.min for x in xs) > 5
+        for x in xs:
+            row = mills_bounds(x)
+            assert row.m > 0.0 and row.f2 > 0.0, x
+            h = 1e-5 * max(1.0, x)
+            if x - h > 0.0:
+                assert mills(x + h) > 0.0 and mills(x - h) > 0.0, x
+        assert mills_bounds(5e-324).f2 == math.inf
 
 
 class TestMillsBoundAlgebra:
@@ -174,6 +207,16 @@ class TestEnvelopeValues:
         assert rel_diff(vq_upper_agm(0.0, 1.0), 0.8665004600923849814447) < 1e-13
         assert rel_diff(vq_upper_agm(1.0, 1.0), 0.6498753450692887360835) < 1e-13
         assert rel_diff(vq_upper_agm(0.0, 2.0), GAMMA_3_4 / 2.0) < 1e-14
+
+    @pytest.mark.parametrize("q", [1e3, 1e4, 1e10, 1e16, 1e100, 1e306, 1e308])
+    def test_agm_upper_envelope_at_large_order(self, q):
+        # the two log-Gammas, each about q log q, would cancel: at q = 1e16
+        # their difference keeps no digit of the envelope's 7.07e-5 at x = 1,
+        # and at 1e308 both are inf
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30 + int(math.log10(q))):  # so that q + 3/4 is exact
+            want = mp.gammaprod([mp.mpf(q) + 0.75], [mp.mpf(q) + 1]) / mp.sqrt(2)
+        assert rel_diff(vq_upper_agm(q, 1.0), float(want)) <= 1e-15
 
     def test_kratzel_lower_envelope_closed_form_at_zero_order(self):
         # for q = 0 the envelope collapses to sqrt(pi) e^{-sqrt(2) x}

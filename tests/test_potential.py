@@ -8,11 +8,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import regcoulomb.potential as potential
 from regcoulomb.bounds import vq_lower_exp
 from regcoulomb.errors import DivergenceError, DomainError, NumericalError
 from regcoulomb.potential import (
     METHODS,
-    _vq_series,
     EvalResult,
     mills,
     vq,
@@ -25,7 +25,7 @@ from regcoulomb.potential import (
     vq_via_psi,
     vq_zero,
 )
-from regcoulomb.special import psi_eval
+from regcoulomb.special import _phi_series, psi_eval
 
 from oracles import (
     laplace_mpmath,
@@ -208,6 +208,36 @@ class TestVqRouting:
                 assert (a.value.hex(), a.abs_err_est.hex(), a.method) == (
                     b.value.hex(), b.abs_err_est.hex(), b.method), (q, x)
 
+    def test_both_kummer_sums_of_the_fused_expansion_converge(self, monkeypatch):
+        # x^2 <= 0.0025 and c = 1/2 - q is more than 1e-3 from every integer,
+        # so every term ratio of both sums is below 0.005, except at most one,
+        # below 2.5: both stop long before their 500-term limit.  Sampled over
+        # the whole band, and at orders just outside each half-integer gap,
+        # where that one ratio is near its largest, with x = 0.05 and
+        # x^2 = 2|c| (capped at 0.0025), where the first sum's first ratio has
+        # size 1 about q = 1/2
+        flags = []
+
+        def recorded(a, c, x):
+            value, abs_sum, converged = _phi_series(a, c, x)
+            flags.append(converged)
+            return value, abs_sum, converged
+
+        monkeypatch.setattr(potential, "_phi_series", recorded)
+        rng = np.random.default_rng(17)
+        qs = rng.uniform(-1.0, 170.62, 3000).tolist()
+        xs = (10.0 ** rng.uniform(-300.0, math.log10(0.05), 3000)).tolist()
+        points = [(q, x) for q, x in zip(qs, xs) if abs(q + 0.5 - round(q + 0.5)) > 1e-3]
+        for half in np.arange(-0.5, 171.0).tolist():
+            for q in (half - 1.000001e-3, half + 1.000001e-3):
+                if -1.0 < q < 170.62:
+                    c = 0.5 - q
+                    points += [(q, x) for x in (math.sqrt(min(2.0 * abs(c), 0.0025)), 0.05, 1e-3)]
+        for q, x in points:
+            assert vq(q, x).method == "psi-series", (q, x)
+        assert len(flags) == 2 * len(points) > 6000
+        assert all(flags)
+
 
 class TestHonestEstimates:
     """Errors against mpmath stay within the reported estimates."""
@@ -221,17 +251,43 @@ class TestHonestEstimates:
                 want = mp.gammaprod([mp.mpf(q) + 0.5], [mp.mpf(q) + 1])
             assert abs(got.value - want) <= got.abs_err_est, q
 
+    @pytest.mark.parametrize("q", [1e3, 1e4, 1e10, 1e16, 1e100, 1e306, 1e308])
+    def test_limit_at_zero_argument_at_large_order(self, q):
+        # the two log-Gammas, each about q log q, would cancel: at q = 1e16
+        # their difference keeps no digit of V_q(0) = 1e-8, and at 1e308
+        # both are inf
+        got = vq(q, 0.0)
+        with mp.workdps(30 + int(math.log10(q))):  # so that q + 1/2 is exact
+            want = mp.gammaprod([mp.mpf(q) + 0.5], [mp.mpf(q) + 1])
+        assert got.method == "limit-x0"
+        assert abs(got.value - want) <= got.abs_err_est, got
+        assert rel_diff(got.value, float(want)) <= 1e-15, got
+        assert vq_zero(q) == got.value
+
     def test_tricomi_forms_and_the_fused_expansion(self):
         # psi(1/2, 1/2-q, x^2) by its Kummer expansion, and vq's fused
         # expansion, take x^(2q+1) from a rounded exponent, whose rounding is
-        # a relative error of that term; each estimate counts it
+        # a relative error of that term; each estimate counts it.  The second
+        # sample spans the fused expansion's whole band: every order it
+        # takes, and x down to 1e-300, where the psi route refuses the
+        # subnormal x^2 below x = 1.5e-154
         rng = np.random.default_rng(11)
         qs = [6.892] + rng.uniform(-0.9, 12.0, 80).tolist()
         xs = [4.158e-3] + np.exp(rng.uniform(math.log(1e-3), math.log(0.05), 80)).tolist()
-        for q, x in zip(qs, xs):
-            want = laplace_mpmath(q, x)
-            for got in (vq_via_psi(q, x), vq(q, x)):
+        band = np.random.default_rng(31)
+        orders = band.uniform(-1.0, 170.62, 64).tolist()
+        qs += [q for q in orders if abs(q + 0.5 - round(q + 0.5)) > 1e-3][:60]
+        xs += (10.0 ** band.uniform(-300.0, math.log10(0.05), 60)).tolist()
+        assert len(qs) == len(xs) == 141
+        wants = [laplace_mpmath(q, x, dps=40) for q, x in zip(qs, xs)]
+        for q, x, want in zip(qs, xs, wants):
+            routes = [vq(q, x)] + ([vq_via_psi(q, x)] if x >= 1.5e-154 else [])
+            assert routes[0].method == "psi-series", (q, x)
+            for got in routes:
                 assert abs(got.value - want) <= got.abs_err_est, (q, x, got.method)
+        # the oracle at 40 digits gives the doubles it gives at 60
+        for q, x, want in list(zip(qs, xs, wants))[-60::15]:
+            assert want == laplace_mpmath(q, x, dps=60), (q, x)
 
     @pytest.mark.parametrize("q", [1e20, 3.9e34])
     def test_psi_route_at_orders_beyond_2_to_the_52(self, q):
@@ -336,8 +392,6 @@ class TestOverflowWithoutWarnings:
     def test_series_route_at_large_order(self):
         # Gamma(q + 1/2) overflows, so the series coefficient would be inf * 0;
         # vq and vq_many send such orders at small x to quadrature instead
-        with pytest.raises(NumericalError, match="small-x expansion failed"):
-            _vq_series(200.0, 0.01)
         assert vq(200.0, 0.01).method == "quadrature"
         assert rel_diff(vq(200.0, 0.01).value, laplace_mpmath(200.0, 0.01)) <= 1e-14
         assert np.isnan(vq_many(-0.5, [1e-200])).all()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import regcoulomb.potential as potential
 import regcoulomb.quadrature as quadrature
 from regcoulomb import vq, vq_many, vq_prime, vq_prime_many
-from regcoulomb.potential import _laplace_integrals, _vq_series
+from regcoulomb.potential import _laplace_integrals
 from regcoulomb.errors import NumericalError
 from regcoulomb.quadrature import COLUMN_CHUNK, trapezoid_columns
 
@@ -372,8 +372,6 @@ class TestDomainEdges:
         # nor 1/Gamma(q + 1), which is 0 beyond q = 170.62
         assert potential._routes_to_quadrature(171.5, 0.01)
         assert not potential._routes_to_quadrature(150.0, 0.01)
-        with pytest.raises(NumericalError, match="small-x expansion failed"):
-            _vq_series(200.0, 0.01)
         assert vq_many(200.0, [0.01, 1e-3]).tolist() == [vq(200.0, x).value for x in (0.01, 1e-3)]
         xs = [0.002, 0.01, 0.04]
         for q in (170.65, 170.9, 171.0):
