@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .potential import EvalResult, _check_x, _order_value, mills, vq
+from .potential import _check_x, _order_value, mills, vq
 from .quadrature import _two_prod
 from .special import _exp_in_range, _gamma_ratio, _kratzel_bessel, _kratzel_quadrature, ln_gamma
 from .special import kratzel_z  # noqa: F401  (perfbench's tracer wraps it here)
@@ -157,20 +157,20 @@ def mills_bounds(x: float) -> MillsBoundRow:
     )
 
 
+def _lower_exp(qv: float, log_x: float, log1p_2xx: float) -> float:
+    """2^{q+1} x^{2q+1} / (1 + 2x^2)^{q+1} from log x and log1p(2x^2)."""
+    return math.exp((qv + 1.0) * math.log(2.0) + (2.0 * qv + 1.0) * log_x - (qv + 1.0) * log1p_2xx)
+
+
 def vq_lower_exp(q: float, x: float) -> float:
     """Lower envelope 2^{q+1} x^{2q+1} / (1 + 2x^2)^{q+1} for V_q, q > -1."""
     qv = _order_value(q)
     x = _check_x(x, positive=True)
-    log_val = (
-        (qv + 1.0) * math.log(2.0)
-        + (2.0 * qv + 1.0) * math.log(x)
-        - (qv + 1.0) * math.log1p(2.0 * x * x)
-    )
-    return math.exp(log_val)
+    return _lower_exp(qv, math.log(x), math.log1p(2.0 * x * x))
 
 
 def vq_upper_agm(q: float, x: float) -> float:
-    """Upper envelope Gamma(q+3/4) / (sqrt(2x) Gamma(q+1)) for V_q; requires
+    """Upper envelope Gamma(q+3/4) / (sqrt(2 x) Gamma(q+1)) for V_q; requires
     q > -3/4."""
     qv = _order_value(q)
     x = _check_x(x, positive=True)
@@ -179,20 +179,31 @@ def vq_upper_agm(q: float, x: float) -> float:
     return _gamma_ratio(qv, 0.75)[0] / math.sqrt(2.0 * x)
 
 
+def _kratzel_root(x: float) -> tuple[float, float]:
+    """s = x/sqrt(2) as a double-double (root, root_lo)."""
+    root, root_lo = _two_prod(x, _INV_SQRT2)
+    return root, root_lo + x * _INV_SQRT2_LO
+
+
+def _lower_kratzel(qv: float, x: float, root: float, root_lo: float, rgamma: float, bases):
+    """Z_1^{q+1/2}(x^2/2) / Gamma(q+1), given s = x/sqrt(2) = root + root_lo
+    and ``rgamma`` = 1/Gamma(q+1); ``bases`` is ``_bessel_k``'s, kept for one x."""
+    value = _kratzel_bessel(qv + 0.5, root, root_lo, bases)
+    if value is not None:
+        return value * rgamma
+    # beyond the double range of the Bessel form; t = x^2/2 may overflow too
+    log_t = 2.0 * math.log(x) - math.log(2.0)
+    log_value = _kratzel_quadrature(1.0, qv + 0.5, log_t) - ln_gamma(qv + 1.0)
+    return _exp_in_range(log_value, f"the Kraetzel envelope at q={qv}, x={x}")
+
+
 def vq_lower_kratzel(q: float, x: float) -> float:
     """Lower envelope Z_1^{q+1/2}(x^2/2) / Gamma(q+1) for V_q, q > -1,
     where Z_1^nu is the Kraetzel function.  Z_1^nu(s^2) = 2 s^nu K_nu(2s)
     is taken at s = x/sqrt(2) in double-double, not at a rounded x^2/2."""
     qv = _order_value(q)
     x = _check_x(x, positive=True)
-    root, root_lo = _two_prod(x, _INV_SQRT2)
-    value = _kratzel_bessel(qv + 0.5, root, root_lo + x * _INV_SQRT2_LO)
-    if value is not None:
-        return value * math.exp(-ln_gamma(qv + 1.0))
-    # beyond the double range of the Bessel form; t = x^2/2 may overflow too
-    log_t = 2.0 * math.log(x) - math.log(2.0)
-    log_value = _kratzel_quadrature(1.0, qv + 0.5, log_t) - ln_gamma(qv + 1.0)
-    return _exp_in_range(log_value, f"the Kraetzel envelope at q={qv}, x={x}")
+    return _lower_kratzel(qv, x, *_kratzel_root(x), math.exp(-ln_gamma(qv + 1.0)), None)
 
 
 @dataclass(frozen=True)
@@ -211,12 +222,6 @@ def vq_envelope(q: float, x: float) -> VqEnvelope:
     """Evaluate V_q(x) and its envelopes at x > 0."""
     qv = _order_value(q)
     x = _check_x(x, positive=True)
-    result: EvalResult = vq(qv, x)
-    upper = vq_upper_agm(qv, x) if qv > -0.75 else None
-    return VqEnvelope(
-        x=x,
-        lower_exp=vq_lower_exp(qv, x),
-        lower_kratzel=vq_lower_kratzel(qv, x),
-        value=result.value,
-        upper_agm=upper,
-    )
+    return VqEnvelope(x=x, value=vq(qv, x).value,  # in this order, for the first error
+                      upper_agm=vq_upper_agm(qv, x) if qv > -0.75 else None,
+                      lower_exp=vq_lower_exp(qv, x), lower_kratzel=vq_lower_kratzel(qv, x))

@@ -266,22 +266,22 @@ def vq(q: float, x: float, method: str = "auto") -> EvalResult:
         raise DomainError(f"unknown method {method!r}; choose one of {_EVAL_METHODS}")
     qv = _order_value(q, allow_sentinel=True)
     x = _check_x(x)
+    if method == "closed-form" and qv not in (0.0, -1.0):
+        raise DomainError("closed form is available only for q = 0")
+    if qv != -1.0 and method in ("quadrature", "psi"):
+        if x == 0.0:
+            raise DomainError(f"method {method!r} requires x > 0; use the x = 0 limit")
+        return (vq_quadrature if method == "quadrature" else vq_via_psi)(qv, x)
+    return _routed(qv, x)
 
+
+def _routed(qv: float, x: float) -> EvalResult:
+    """V_q(x) by the "auto" route at a valid (q, x), the sentinel q = -1 included."""
     if qv == -1.0:
         value = vq_neg1(x)
         return EvalResult(value, _EPS * value, "convention")
-    if method == "closed-form" and qv != 0.0:
-        raise DomainError("closed form is available only for q = 0")
-
     if x == 0.0:
-        if method in ("quadrature", "psi"):
-            raise DomainError(f"method {method!r} requires x > 0; use the x = 0 limit")
         return EvalResult(*_vq_zero(qv), "limit-x0")
-
-    if method == "quadrature":
-        return vq_quadrature(qv, x)
-    if method == "psi":
-        return vq_via_psi(qv, x)
     if qv == 0.0:
         return _vq_closed_q0(x)
     if _routes_to_quadrature(qv, x):
@@ -303,8 +303,8 @@ def _many(q, xs, prime: bool) -> tuple[np.ndarray, np.ndarray]:
     """:func:`vq_many` (:func:`vq_prime_many` if ``prime``) with NaN where
     the scalar call raises, and the exception it raises there (None at the
     other points), both in the broadcast shape.  The quadrature's failures
-    are formed from its columns; the points outside the domain go, like the
-    other routes, to the scalar call."""
+    are formed from its columns; the other valid points of V go straight to
+    their route, and the rest to the scalar call, for its exception."""
     qs, xs = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(xs, dtype=float))
     shape, qs, xs = xs.shape, qs.ravel(), xs.ravel()
     values, errors = np.empty(xs.shape), np.full(xs.shape, None, object)
@@ -313,9 +313,11 @@ def _many(q, xs, prime: bool) -> tuple[np.ndarray, np.ndarray]:
         batch = inside & (prime | (_routes_to_quadrature(qs, xs) & (qs != 0.0)))
     closed = inside & (qs == 0.0) & (not prime)  # vq's closed form, without its dispatch
     values[closed] = [SQRT_PI * erfc_scaled(x) for x in xs[closed].tolist()]
+    valid = np.isfinite(qs) & (qs >= -1.0) & np.isfinite(xs) & (xs >= 0.0)
     for i in (~(batch | closed)).nonzero()[0].tolist():
+        q, x = float(qs[i]), float(xs[i])
         try:
-            values[i] = vq_prime(qs[i], xs[i]) if prime else vq(qs[i], xs[i]).value
+            values[i] = vq_prime(q, x) if prime else (_routed if valid[i] else vq)(q, x).value
         except (DomainError, ArithmeticError) as exc:
             values[i], errors[i] = np.nan, exc
     if batch.any():
@@ -347,10 +349,10 @@ def vq_many(q, xs) -> np.ndarray:
 
     Each point takes the route ``vq(q, x)`` takes.  The quadrature points
     are evaluated together, in one call of the rule whatever their orders,
-    up to ``COLUMN_CHUNK`` (64) per pass; the other routes (closed form,
-    series, asymptotic, sentinel and x = 0) go point by point.  A point whose
-    evaluation fails numerically comes back NaN; the first domain error
-    raises, as ``vq`` does.
+    up to ``COLUMN_CHUNK`` per node pass; the other routes (closed form,
+    series, asymptotic, sentinel and x = 0) take valid points one by one,
+    straight to the route.  A point whose evaluation fails numerically comes
+    back NaN; the first domain error raises, as ``vq`` does.
     """
     return _raised(*_many(q, xs, False))
 

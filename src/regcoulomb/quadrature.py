@@ -15,7 +15,9 @@ so one rule serves every argument.  A call with arrays is a batch of V_q
 or V_q' integrands ("columns", one per entry, each of its own order; the
 Tricomi form is one column a call), at most :data:`COLUMN_CHUNK` in one
 node pass, and that pass is final: it gives levels 0 and 1, a column whose
-two levels agree is done, and any other comes back unconverged.  (The
+two levels agree is done, and any other comes back unconverged.  A block's
+columns are gathered once, in pass order, so that each pass reads slices
+of them.  (The
 Kraetzel sum, ``special._kratzel_quadrature``, is one such pass too, with
 the same window rule, :func:`_tangent_end`.)  A scalar call is one column
 of the same rule, not a second implementation: its set-up, agreement test
@@ -39,7 +41,7 @@ _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
 #: most columns one node pass evaluates at once
-COLUMN_CHUNK = 64
+COLUMN_CHUNK = 96
 # most columns of a double-double batch whose set-up runs at once
 _SET_UP_MAX = 32 * COLUMN_CHUNK
 
@@ -123,14 +125,16 @@ def _dd_sqrt(r, sqrt):
 
 
 def _split(terms: np.ndarray, scale, bits: float, hi: np.ndarray) -> None:
-    """Non-negative ``terms`` as integer-valued parts ``hi = floor(t)``,
-    written to ``hi``, and ``lo = floor(frac(t) bits)``, written over
-    ``terms``, of ``t = terms * scale`` (``scale`` broadcast; a power of two,
-    with every ``t`` below ``2 bits``), so that ``t = hi + lo / bits`` up to
-    ``1 / bits``.  Sums of the parts are exact, so they do not depend on the
-    order of the terms or on zeros around them: this is what lets a node
-    pass take them from a matrix product."""
-    np.multiply(terms, scale, out=terms)
+    """Non-negative ``terms``, the node terms of both integrands, as
+    integer-valued parts ``hi = floor(t)``, written to ``hi``, and
+    ``lo = floor(frac(t) bits)``, written over ``terms``, of ``t``: the first
+    integrand's terms times ``bits`` and the second's times ``scale`` (one
+    per column, broadcast; powers of two, with every ``t`` below ``2 bits``),
+    so that ``t = hi + lo / bits`` up to ``1 / bits``.  Sums of the parts are
+    exact, so they do not depend on the order of the terms or on zeros around
+    them: this is what lets a node pass take them from a matrix product."""
+    np.multiply(terms[0], bits, out=terms[0])
+    np.multiply(terms[1], scale, out=terms[1])
     np.floor(terms, out=hi)
     np.subtract(terms, hi, out=terms)
     np.multiply(terms, bits, out=terms)
@@ -390,31 +394,24 @@ def _columns(c1, p, w, x, power: float) -> Columns:
     def ratio(m_hi, g_hi, m_lo, g_lo, scale):  # r^-p M / M0 from the exact sums
         return scale * ((m_hi + m_lo / bits) / (g_hi + g_lo / bits))
 
-    def node_pass(c, f, l):
-        # the exact sums (M's hi, M0's hi, M's lo, M0's lo) of the columns c over level 1's
-        # nodes f to l, and over level 0's, their even ones.  A run of columns with one
-        # step and order (sorting made them adjacent) forms its nodes once
+    def node_pass(f, l, w, recip, p, scale, runs):
+        # the exact sums (M's hi, M0's hi, M's lo, M0's lo) of columns over level 1's nodes f
+        # to l, and over level 0's, their even ones.  Each run, rows a to b of one step h and
+        # order o (sorting made them adjacent), forms its nodes once
         j0, j1, n = (min(f.tolist()), max(l.tolist()) + 1.0, f.size) if many else (f, l + 1.0, 1)
         j = np.arange(j0, j1)
         parts = np.empty((2, 2, n, j.size))  # the split's hi and lo; lo holds the terms first
         terms = parts[1]
         g, g0 = terms[0], terms[1]
-        runs, w_c, recip_c, p_c = [(g, g0, step, c1, peak)], w, recip, p
-        if many:
-            h, o = step[c], c1[c]
-            new = np.flatnonzero((h[1:] != h[:-1]) | (o[1:] != o[:-1])) + 1
-            cuts = [0, *new.tolist(), c.size]
-            runs = [(g[a:b], g0[a:b], h[a], o[a], peak[c[a:b]]) for a, b in zip(cuts, cuts[1:])]
-            w_c, recip_c, p_c = (v[c, None] for v in (w, recip, p))
-        for g_r, g0_r, h, c1_r, peak_r in runs:
+        for a, b, h, o, peak_r in runs:
             nodes = j * (0.5 * h)
-            outer(peak_r, np.exp(nodes), g_r)
-            outer(peak_r, np.expm1(nodes), g0_r)
-            np.subtract(c1_r * nodes, g0_r, g0_r)
-        g += w_c
-        g *= recip_c
+            outer(peak_r, np.exp(nodes), g[a:b])
+            outer(peak_r, np.expm1(nodes), g0[a:b])
+            np.subtract(o * nodes, g0[a:b], g0[a:b])
+        g += w
+        g *= recip
         np.log(g, g)
-        g *= p_c
+        g *= p
         g += g0
         if n > 1:  # outside its window (before the last start or after
             # the first end), a column's terms add exact zeros
@@ -423,7 +420,7 @@ def _columns(c1, p, w, x, power: float) -> Columns:
             np.copyto(terms[..., tail:], -np.inf, where=j[tail:] > l[:, None])
         np.exp(terms, terms)
         # one product, whose exact sums do not depend on its order
-        _split(terms, scales[:, c, None] if many else scales[:, None, None], bits, parts[0])
+        _split(terms, scale, bits, parts[0])
         sums = parts.reshape(-1, j.size) @ _weights(_TRAP_NODE_MAX + 2)[int(j0 % 2):][:j.size]
         return sums.reshape(4, n, 2) if many else sums.T.tolist()  # one column's as floats
 
@@ -474,8 +471,7 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         unit = exp2(-floor(top0 / math.log(2.0)) - 1.0)
         bits = 2.0 ** (51 - _TRAP_NODE_MAX.bit_length())
         ratio_scale = scale * unit
-        # the split scales of both integrands; level 1's node count where it fits
-        scales = np.array([unit * 0.0 + bits, bits * unit])
+        # level 1's node count where it fits
         used = (np.where(fits, last - first + 1.0, 0.0).astype(int) if many
                 else np.array([int(last - first + 1.0) if fits else 0]))
         # one node pass is final: level 1's nodes, whose even ones are level
@@ -484,12 +480,20 @@ def _columns(c1, p, w, x, power: float) -> Columns:
             sums = np.full((4, used.size, 2), np.nan)
             fit = fits.nonzero()[0]
             fit = fit[np.lexsort((first[fit], c1[fit], step[fit]))]  # by step, order and start
-            for start in range(0, fit.size, COLUMN_CHUNK):
-                c = fit[start:start + COLUMN_CHUNK]
-                sums[:, c] = node_pass(c, first[c], last[c])
+            # the fitting columns gathered once, in pass order, so that a pass reads
+            # slices; the runs of one step and order are cut once
+            f, l, h, o, top = (v[fit] for v in (first, last, step, c1, peak))
+            cols = [v[fit, None] for v in (w, recip, p, bits * unit)]
+            cuts = np.flatnonzero((h[1:] != h[:-1]) | (o[1:] != o[:-1])) + 1
+            for s in range(0, fit.size, COLUMN_CHUNK):
+                e = min(s + COLUMN_CHUNK, fit.size)
+                ends = [s, *cuts[(s < cuts) & (cuts < e)].tolist(), e]
+                runs = [(a - s, b - s, h[a], o[a], top[a:b]) for a, b in zip(ends, ends[1:])]
+                sums[:, fit[s:e]] = node_pass(f[s:e], l[s:e], *(v[s:e] for v in cols), runs)
             value, level0 = ratio(*sums, ratio_scale[:, None]).T
         else:  # in Python floats, which round as the arrays do
-            one, zero = node_pass(None, first, last) if fits else ([np.nan] * 4,) * 2
+            one, zero = (node_pass(first, last, w, recip, p, bits * unit, [(0, 1, step, c1, peak)])
+                         if fits else ([np.nan] * 4,) * 2)
             value, level0 = (ratio(*half, float(ratio_scale)) for half in (one, zero))
         size = abs(value)
         diff = abs(value - level0) / maximum(size, _TINY)

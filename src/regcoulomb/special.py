@@ -513,10 +513,10 @@ def _exp_in_range(log_value: float, what: str) -> float:
         raise NumericalError(f"{what} overflows: its log is {log_value:.6g}") from None
 
 
-def _kratzel_bessel(nu: float, root: float, root_lo: float) -> float | None:
+def _kratzel_bessel(nu: float, root: float, root_lo: float, bases=None) -> float | None:
     """Z_1^nu(s^2) = 2 s^nu K_nu(2s) (DLMF 10.32.10) at s = root + root_lo,
     a double plus a correction below its ulp; None where it leaves the range
-    of normal doubles.
+    of normal doubles.  ``bases`` is :func:`_bessel_k`'s, kept for one s.
 
     K_nu is taken at z = 2 root, and the correction enters to first order
     through dZ/ds = -4 s^nu K_{nu-1}(2s).  The factors s^nu, e^-z and the
@@ -524,7 +524,7 @@ def _kratzel_bessel(nu: float, root: float, root_lo: float) -> float | None:
     multiplied as they are where all are normal, and combined in log space
     (e^(nu log s - z), rounded to about |nu log s - z| ulps) otherwise."""
     z = 2.0 * root
-    scaled_k, ratio = _bessel_k(nu, z)
+    scaled_k, ratio = _bessel_k(nu, z, bases)
     if not 0.0 < scaled_k < math.inf:
         return None
     scaled_k *= 2.0 * (1.0 - 2.0 * root_lo * ratio)
@@ -539,7 +539,7 @@ def _kratzel_bessel(nu: float, root: float, root_lo: float) -> float | None:
     return value if sys.float_info.min <= value < math.inf else None
 
 
-def _bessel_k(nu: float, z: float) -> tuple[float, float]:
+def _bessel_k(nu: float, z: float, bases=None) -> tuple[float, float]:
     """e^z K_nu(z) and K_{nu-1}(z)/K_nu(z) for z > 0; the first is inf where
     K_nu overflows.
 
@@ -548,14 +548,16 @@ def _bessel_k(nu: float, z: float) -> tuple[float, float]:
     fraction (z > 2, and at |mu| = 1/2, where the fraction stops at its first
     term: e^z K_{1/2}(z) = sqrt(pi/(2z))), and the upward recurrence
     K_{v+1} = K_{v-1} + (2v/z) K_v, which is stable, reaches m and m + 1.
-    Orders beyond ``_BESSEL_MAX_ORDER`` are reported as overflowing."""
+    ``bases``, a dict for one z, keeps each mu's pair for orders an integer
+    apart.  Orders beyond ``_BESSEL_MAX_ORDER`` are reported as overflowing."""
     m = abs(nu)
     n = int(m + 0.5)
     if n > _BESSEL_MAX_ORDER:
         return math.inf, math.nan
-    mu = m - n
-    temme = z <= 2.0 and mu != -0.5
-    k_lo, k_hi = _bessel_k_temme(mu, z) if temme else _bessel_k_steed(mu, z)
+    mu, bases = m - n, {} if bases is None else bases
+    if mu not in bases:
+        bases[mu] = (_bessel_k_temme if z <= 2.0 and mu != -0.5 else _bessel_k_steed)(mu, z)
+    k_lo, k_hi = bases[mu]
     k_below = k_hi - 2.0 * mu / z * k_lo  # K_{mu-1}
     for j in range(n):
         if k_hi == math.inf:

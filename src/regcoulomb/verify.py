@@ -69,12 +69,13 @@ from operator import attrgetter
 from typing import Generator, Iterator, Optional, Sequence
 
 from ._lazy import np
-from .bounds import mills_bounds, vq_lower_exp, vq_lower_kratzel, vq_upper_agm
+from .bounds import _kratzel_root, _lower_exp, _lower_kratzel, mills_bounds, vq_lower_exp
+from .bounds import vq_lower_kratzel, vq_upper_agm  # noqa: F401  (perfbench's tracer)
 from .errors import DomainError, NumericalError, UsageError
 from .potential import _many, mills, vq
 from .potential import vq_prime  # noqa: F401  (perfbench's tracer wraps it in this module)
 from .quadrature import _pows
-from .special import ln_gamma
+from .special import _gamma_ratio, ln_gamma
 
 DEFAULT_REL_TOL = 1e-9
 ABS_TOL_FLOOR = 1e-12
@@ -730,20 +731,26 @@ def _bounds_impl(grid: Grid, col: _Collector) -> Generator:
 def _envelopes(col: _Collector, q: np.ndarray, x: np.ndarray) -> list[tuple]:
     """``(label, values, evaluated, lower)`` of each V_q envelope at the
     points (q, x), the upper one at q > -0.75 only.  At each point the first
-    that fails is recorded as the envelope's error, and the later ones skipped."""
-    envelopes = (("bounds:envelope-lower-exp", vq_lower_exp, True),
-                 ("bounds:envelope-upper-agm", vq_upper_agm, False),
-                 ("bounds:envelope-lower-kratzel", vq_lower_kratzel, True))
-    values, done = np.zeros((len(envelopes), x.size)), np.zeros((len(envelopes), x.size), bool)
+    that fails is recorded as the envelope's error, and the later ones skipped.
+    Each x's logs, roots and Bessel bases, and each order's Gamma factors, are
+    formed once; the grid has validated both."""
+    labels = [f"bounds:envelope-{name}" for name in ("lower-exp", "upper-agm", "lower-kratzel")]
+    values, done = [[0.0] * x.size for _ in labels], [[False] * x.size for _ in labels]
+    orders = {qk: (_gamma_ratio(qk, 0.75)[0] if qk > -0.75 else None,
+                   math.exp(-ln_gamma(qk + 1.0))) for qk in set(q.tolist())}
+    points = {xk: (math.log(xk), math.log1p(2.0 * xk * xk), math.sqrt(2.0 * xk),
+                   *_kratzel_root(xk), {}) for xk in set(x.tolist())}
     for k, (qk, xk) in enumerate(zip(q.tolist(), x.tolist())):
+        (agm, rgamma), (log_x, log1p_2xx, root_2x, root, root_lo, bases) = orders[qk], points[xk]
         try:
-            for row, (_, fn, lower) in enumerate(envelopes):
-                if lower or qk > -0.75:
-                    values[row, k], done[row, k] = fn(qk, xk), True
+            values[0][k], done[0][k] = _lower_exp(qk, log_x, log1p_2xx), True
+            if agm is not None:
+                values[1][k], done[1][k] = agm / root_2x, True
+            values[2][k], done[2][k] = _lower_kratzel(qk, xk, root, root_lo, rgamma, bases), True
         except (DomainError, ArithmeticError) as exc:
             col.record_error("bounds:envelope", exc, qk, xk)
-    return [(label, value, ok, lower)
-            for (label, _, lower), value, ok in zip(envelopes, values, done)]
+    return [(label, np.array(value), np.array(ok, bool), lower)
+            for label, value, ok, lower in zip(labels, values, done, (True, False, True))]
 
 
 def _mills_checks(xs: Sequence[float], col: _Collector) -> None:

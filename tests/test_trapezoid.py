@@ -145,6 +145,28 @@ class TestBatchIndependence:
         for i, (c, x) in enumerate(zip(c1.tolist(), xs.tolist())):
             assert _columns(trapezoid_columns(c, -0.5, x * x)) == [_columns(batch, i)], (c, x)
 
+    @pytest.mark.parametrize("chunk", [1, 5, 64, 300])
+    @pytest.mark.parametrize("set_up", [7, None])
+    def test_how_columns_are_grouped_into_passes_never_changes_a_bit(self, monkeypatch, chunk,
+                                                                     set_up):
+        # a mixed batch: lifted orders (c1 <= 1/2), at least five steps, both
+        # exponents, and runs of one step and order that straddle the passes'
+        # and the set-up blocks' ends, whatever their sizes
+        c1 = np.repeat([0.3, 0.45, 0.7, 1.05, 1.3, 2.0, 3.7, 9.0, 40.0, 250.0], 13)
+        xs = np.exp(np.random.default_rng(32).uniform(-6.0, 3.5, c1.size))
+        steps = {quadrature._trapezoid_step(c + 0.5, quadrature._TRAP_TOL / 100.0) for c in c1}
+        assert len(steps) >= 5
+        alone = {(p, i): _columns(trapezoid_columns(c, p, x * x, None if p == -0.5 else x))
+                 for p in (-0.5, -1.5) for i, (c, x) in enumerate(zip(c1.tolist(), xs.tolist()))}
+        monkeypatch.setattr(quadrature, "COLUMN_CHUNK", chunk)
+        if set_up is not None:
+            monkeypatch.setattr(quadrature, "_SET_UP_MAX", set_up)
+        for p in (-0.5, -1.5):
+            batch = trapezoid_columns(c1, p, xs * xs, None if p == -0.5 else xs)
+            assert batch.converged.sum() > c1.size // 2
+            for i in range(c1.size):
+                assert [_columns(batch, i)] == alone[p, i], (chunk, set_up, p, i)
+
     @pytest.mark.parametrize("c1, p, w, power", [
         (np.array([1.5, 2.5]), 0.25, np.array([1.0, 2.0]), 0.0),
         (np.array([1.5, 2.5]), -0.5, np.array([1.0, 2.0]), 1.0),

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regcoulomb.verify as verify_mod
+from regcoulomb.bounds import _kratzel_root, vq_lower_exp, vq_lower_kratzel, vq_upper_agm
 from regcoulomb.errors import DomainError, NumericalError, UsageError
 from regcoulomb.potential import vq
+from regcoulomb.special import _kratzel_bessel
 from regcoulomb.verify import (
     DEFAULT_REL_TOL,
     SUITES,
@@ -687,3 +689,46 @@ class TestReportShape:
         record = payload["violations"][0]
         assert set(record) == {"suite", "q", "x", "y", "lhs", "rhs", "margin"}
         assert record["margin"] < 0
+
+
+class TestEnvelopePass:
+    """The bounds suite's envelopes come from one pass over the grid's
+    points, which shares each x's logs, roots and Bessel bases, and each
+    order's Gamma factors: it gives the scalar functions' bits and errors."""
+
+    @staticmethod
+    def _scalar(q, x):
+        # each point as the scalar calls give it: the first envelope that
+        # raises is the point's error, and the later ones are skipped
+        envelopes = ((vq_lower_exp, True), (vq_upper_agm, False), (vq_lower_kratzel, True))
+        rows, errors = [[None] * q.size for _ in envelopes], []
+        for k, (qk, xk) in enumerate(zip(q.tolist(), x.tolist())):
+            try:
+                for row, (fn, lower) in enumerate(envelopes):
+                    if lower or qk > -0.75:
+                        rows[row][k] = fn(qk, xk).hex()
+            except (DomainError, ArithmeticError) as exc:
+                errors.append(("bounds:envelope[evaluation-error]", qk, xk, str(exc)))
+        return rows, errors
+
+    @pytest.mark.parametrize("grid", ["default", "wide", "edges"])
+    def test_the_grid_pass_gives_the_scalar_bits_and_errors(self, grid):
+        if grid == "default":
+            qs, xs = verify_mod.DEFAULT_Q_VALUES, default_grid().x_values
+        elif grid == "wide":  # the CI wide grid's orders and abscissas
+            qs = (-0.999, -0.9, -0.75, -0.5, -0.25, 0, 0.5, 1, 2.5, 5, 12, 40, 150, 600)
+            xs = np.geomspace(1e-4, 1e4, 33).tolist()
+        else:  # the Bessel form out of range (x = 1e4), and a Kraetzel sum that raises (1e16)
+            qs, xs = (0.0, 600.0, 1e16), (1e-4, 0.7, 1.0, 1e4)
+        q, x = verify_mod._block(qs, xs)
+        col = verify_mod._Collector(DEFAULT_REL_TOL)
+        got = verify_mod._envelopes(col, q, x)
+        rows, errors = self._scalar(q, x)
+        for (_, values, done, _), want in zip(got, rows):
+            assert [v.hex() if ok else None for v, ok in zip(values.tolist(), done.tolist())] \
+                == want
+        assert [(e.suite, e.q, e.x, e.note) for e in col.errors] == errors
+        assert (grid == "edges") == bool(errors)
+        if grid == "edges":
+            assert _kratzel_bessel(0.5, *_kratzel_root(1e4)) is None
+            assert {e[1] for e in errors} == {1e16}
