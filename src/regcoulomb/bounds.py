@@ -170,7 +170,7 @@ def vq_lower_exp(q: float, x: float) -> float:
 
 
 def vq_upper_agm(q: float, x: float) -> float:
-    """Upper envelope Gamma(q+3/4) / (sqrt(2 x) Gamma(q+1)) for V_q; requires
+    """Upper envelope Gamma(q+3/4) / (sqrt(2x) Gamma(q+1)) for V_q; requires
     q > -3/4."""
     qv = _order_value(q)
     x = _check_x(x, positive=True)
