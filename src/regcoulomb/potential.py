@@ -308,12 +308,12 @@ def _many(q, xs, prime: bool) -> tuple[np.ndarray, np.ndarray]:
     qs, xs = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(xs, dtype=float))
     shape, qs, xs = xs.shape, qs.ravel(), xs.ravel()
     values, errors = np.empty(xs.shape), np.full(xs.shape, None, object)
-    inside = np.isfinite(xs) & (xs > 0.0) & np.isfinite(qs) & (qs > -1.0)
+    valid = np.isfinite(qs) & (qs >= -1.0) & np.isfinite(xs) & (xs >= 0.0)
+    inside = valid & (xs > 0.0) & (qs > -1.0)
     with np.errstate(invalid="ignore"):  # at an infinite order, which is not inside
         batch = inside & (prime | (_routes_to_quadrature(qs, xs) & (qs != 0.0)))
     closed = inside & (qs == 0.0) & (not prime)  # vq's closed form, without its dispatch
     values[closed] = [SQRT_PI * erfc_scaled(x) for x in xs[closed].tolist()]
-    valid = np.isfinite(qs) & (qs >= -1.0) & np.isfinite(xs) & (xs >= 0.0)
     for i in (~(batch | closed)).nonzero()[0].tolist():
         q, x = float(qs[i]), float(xs[i])
         try:
