@@ -11,7 +11,7 @@ from regcoulomb import mills, vq, vq_neg1, vq_next, vq_prime
 def main() -> None:
     print("=== Three routes to the derivative ===============================")
     print("integral : differentiate under the Laplace-transform integral")
-    print("differ   : high-order central finite differences")
+    print("differ   : the order-raising relation x V_q' = (2q+1) V_q - 2(q+1) V_{q+1}")
     print("difvq    : the exact identity linking V_q' to V_{q-1} and V_q")
     print()
     print(f"{'q':>4} {'x':>5} {'integral':>20} {'differ':>20} "

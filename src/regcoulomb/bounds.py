@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DomainError
 from .potential import _check_x, _order_value, mills, vq
@@ -204,6 +204,29 @@ def vq_lower_kratzel(q: float, x: float) -> float:
     qv = _order_value(q)
     x = _check_x(x, positive=True)
     return _lower_kratzel(qv, x, *_kratzel_root(x), math.exp(-ln_gamma(qv + 1.0)), None)
+
+
+def _envelope_pass(q: list[float], x: list[float], failed: Callable) -> list[tuple[list, list]]:
+    """V_q's envelopes lower_exp, upper_agm (at q > -3/4 only) and
+    lower_kratzel at the valid points (q, x), each as ``(values, evaluated)``
+    lists.  At each point the first envelope that fails is handed to
+    ``failed(error, q, x)``, and the later ones are skipped.  Each x's logs,
+    roots and Bessel bases, and each order's Gamma factors, are formed once."""
+    values, done = [[0.0] * len(x) for _ in range(3)], [[False] * len(x) for _ in range(3)]
+    orders = {qk: (_gamma_ratio(qk, 0.75)[0] if qk > -0.75 else None,
+                   math.exp(-ln_gamma(qk + 1.0))) for qk in set(q)}
+    points = {xk: (math.log(xk), math.log1p(2.0 * xk * xk), math.sqrt(2.0 * xk),
+                   *_kratzel_root(xk), {}) for xk in set(x)}
+    for k, (qk, xk) in enumerate(zip(q, x)):
+        (agm, rgamma), (log_x, log1p_2xx, root_2x, root, root_lo, bases) = orders[qk], points[xk]
+        try:
+            values[0][k], done[0][k] = _lower_exp(qk, log_x, log1p_2xx), True
+            if agm is not None:
+                values[1][k], done[1][k] = agm / root_2x, True
+            values[2][k], done[2][k] = _lower_kratzel(qk, xk, root, root_lo, rgamma, bases), True
+        except (DomainError, ArithmeticError) as exc:
+            failed(exc, qk, xk)
+    return list(zip(values, done))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from . import __version__
 from ._lazy import np
 from .bounds import mills_bounds, vq_envelope
 from .errors import DomainError, NumericalError, UsageError
-from .potential import vq
+from .potential import _EVAL_METHODS, vq
 from .verify import (
     DEFAULT_REL_TOL,
     SUITES,
@@ -121,9 +121,7 @@ def main() -> None:
               help="Order q > -1, or the sentinel q = -1 (the 1/x convention).")
 @click.option("--x", type=float, required=True,
               help="Abscissa x >= 0 (x = 0 requires q > -1/2).")
-@click.option("--method",
-              type=click.Choice(["auto", "quadrature", "psi", "closed-form"]),
-              default="auto", show_default=True,
+@click.option("--method", type=click.Choice(_EVAL_METHODS), default="auto", show_default=True,
               help="Evaluation route; 'auto' picks per (q, x).")
 @click.option("--format", "fmt", type=click.Choice(["human", "json"]),
               default="human", show_default=True)
@@ -292,7 +290,7 @@ def cmd_envelope(q: float, x_min: float, x_max: float, steps: int, fmt: str,
     is dropped (with a notice) otherwise."""
     _check_positive_range(x_min, x_max, steps)
     rows = [vq_envelope(q, float(v)) for v in np.geomspace(x_min, x_max, steps)]
-    has_upper = q > -0.75
+    has_upper = rows[0].upper_agm is not None
     notice = None
     if not has_upper:
         notice = f"upper envelope requires q > -3/4; column dropped for q={q:g}"

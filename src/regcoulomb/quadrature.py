@@ -312,9 +312,11 @@ def trapezoid_columns(c1: float, p: float, w, x=None, power: float = 0.0) -> Col
     of ``P``) and twice each term of the exponent of ``w^power r^-p``.  A
     column whose peak or window is not finite (``w`` beyond 1e300, a
     divergent integral), whose level 1 would take more than
-    ``_TRAP_NODE_MAX`` nodes, or whose log-space value is not positive,
-    comes back 0 with an infinite estimate, unconverged, so that it cannot
-    pass for a value in a sum.
+    ``_TRAP_NODE_MAX`` nodes, whose level sums are not finite or whose M0
+    sums are not positive (from orders of about 1e18, where ``top0``
+    cancels and the level scale overflows or underflows), or whose log-space
+    value is not positive, comes back 0 with an infinite estimate,
+    unconverged, so that it cannot pass for a value in a sum.
     """
     if (isinstance(c1, np.ndarray) or isinstance(p, np.ndarray) or isinstance(w, np.ndarray)
             or isinstance(x, np.ndarray)):  # a V/V' batch, one column per entry
@@ -490,14 +492,20 @@ def _columns(c1, p, w, x, power: float) -> Columns:
                 ends = [s, *cuts[(s < cuts) & (cuts < e)].tolist(), e]
                 runs = [(a - s, b - s, h[a], o[a], top[a:b]) for a, b in zip(ends, ends[1:])]
                 sums[:, fit[s:e]] = node_pass(f[s:e], l[s:e], *(v[s:e] for v in cols), runs)
+            # a column whose level sums are not finite, or whose M0 sums are not positive, fails
+            fits &= (np.isfinite(sums).all(axis=(0, 2))
+                     & (sums[1] + sums[3] / bits > 0.0).all(axis=1))
             value, level0 = ratio(*sums, ratio_scale[:, None]).T
         else:  # in Python floats, which round as the arrays do
             one, zero = (node_pass(first, last, w, recip, p, bits * unit, [(0, 1, step, c1, peak)])
                          if fits else ([np.nan] * 4,) * 2)
-            value, level0 = (ratio(*half, float(ratio_scale)) for half in (one, zero))
+            fits = (fits and all(map(math.isfinite, one + zero))
+                    and min(one[1] + one[3] / bits, zero[1] + zero[3] / bits) > 0.0)
+            value, level0 = (ratio(*half, float(ratio_scale)) if fits else math.nan
+                             for half in (one, zero))
         size = abs(value)
         diff = abs(value - level0) / maximum(size, _TINY)
-        done, err = diff <= _TRAP_TOL, diff * size + _EPS * size
+        done, err = fits & (diff <= _TRAP_TOL), diff * size + _EPS * size
         if not double_double:  # log space, one column
             # w^power r^-p = e^((power + p) log w - p log(w r)), w r = hi + lo
             hi, lo = _two_prod(w, recip)

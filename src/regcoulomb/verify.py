@@ -63,19 +63,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from operator import attrgetter
 from typing import Generator, Iterator, Optional, Sequence
 
 from ._lazy import np
-from .bounds import _kratzel_root, _lower_exp, _lower_kratzel, mills_bounds, vq_lower_exp
+from .bounds import _envelope_pass, mills_bounds, vq_lower_exp
 from .bounds import vq_lower_kratzel, vq_upper_agm  # noqa: F401  (perfbench's tracer)
 from .errors import DomainError, NumericalError, UsageError
 from .potential import _many, mills, vq
 from .potential import vq_prime  # noqa: F401  (perfbench's tracer wraps it in this module)
 from .quadrature import _pows
-from .special import _gamma_ratio, ln_gamma
+from .special import ln_gamma
 
 DEFAULT_REL_TOL = 1e-9
 ABS_TOL_FLOOR = 1e-12
@@ -459,28 +459,21 @@ def _answers(asks: Sequence[tuple[np.ndarray, np.ndarray, bool]]) -> Iterator[tu
 
 def _rows(col: _Collector, label: str, q: np.ndarray, x: np.ndarray,
           columns: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray | slice, list]:
-    """The index of the entries (q, x) at which every column ``(values,
-    errors)`` evaluated, and each column's values there.  At the other
-    entries the first failing column's error is recorded under ``label``
-    at (q, x)."""
-    ok = _evaluated(col, label, q, x, columns, np.isnan([v for v, _ in columns]).any(axis=0))
-    return ok, [v[ok] for v, _ in columns]
-
-
-def _evaluated(col: _Collector, label: str, q: np.ndarray, at: np.ndarray,
-               columns: list[tuple[np.ndarray, np.ndarray]],
-               failed: np.ndarray) -> np.ndarray | slice:
-    """The index of the entries at which every column evaluated: ``~failed``,
-    or ``slice(None)`` where all did.  A column is ``(values, errors)``: its
-    value at each entry, NaN where it failed, and its error there.  At each
-    failed entry the first failing column's error is recorded under
-    ``label`` at (q, at)."""
+    """The index of the entries (q, x) at which every column evaluated
+    (``slice(None)`` where all did), and each column's values there.  A
+    column is ``(values, errors)``: its value at each entry, NaN where it
+    failed, and its error there.  At each other entry the first failing
+    column's error is recorded under ``label`` at (q, x)."""
+    failed = np.isnan(columns[0][0])
+    for values, _ in columns[1:]:
+        failed |= np.isnan(values)
     if not failed.any():
-        return slice(None)
+        return slice(None), [values for values, _ in columns]
     for k in failed.nonzero()[0].tolist():
-        error = next(errors[k] for v, errors in columns if math.isnan(v[k]))
-        col.record_error(label, error, float(q[k]), float(at[k]))
-    return ~failed
+        error = next(errors[k] for values, errors in columns if math.isnan(values[k]))
+        col.record_error(label, error, float(q[k]), float(x[k]))
+    ok = ~failed
+    return ok, [values[ok] for values, _ in columns]
 
 
 def _exp(value: float) -> float:
@@ -576,29 +569,23 @@ def _convexity_impl(grid: Grid, col: _Collector) -> Generator:
             means = _argument_means(pair_x, a)
             asks.append((*_block(qs[rows], means[np.isfinite(means)]), False))
     got = yield asks
-    monitor_columns, pair, at_mean_answers = got[:2], got[2], iter(got[3:])
-    (vp, _), (v, _) = monitor_columns
-    kept = ~(np.isnan(vp) | np.isnan(v))  # the monitor's points at which both evaluated
-    mq, mx, vp, v = q[kept], x[kept], vp[kept], v[kept]
-    v_pair, pair_errors = (v.reshape(qs.size, len(pair_x)) for v in pair)  # a row per order
+    (vp, vp_errors), (v, v_errors) = got[:2]
+    v_pair, pair_errors = (part.reshape(qs.size, len(pair_x)) for part in got[2])  # a row per order
+    at_mean_answers = iter(got[3:])
 
     # x^(1-a) depends on a spec only through a, V^(b-1) and the value means
     # only through b, and the orders it admits only through q_min
-    x_powers = {a: np.tile(_pows(grid_x, 1.0 - a), qs.size)[kept] for a in {s.a for s in specs}}
+    x_powers = {a: np.tile(_pows(grid_x, 1.0 - a), qs.size) for a in {s.a for s in specs}}
     by_value: dict = {}
     for group, rows, orders in regions:
-        on = group[0].admits(mq)
-        monitor_failed = ~kept & group[0].admits(q)
-        q1, _, x1, x2 = _consecutive(mq[on], mq[on], mx[on])
+        on = np.repeat(rows, grid_x.size)  # the monitor's points at the orders admitted
+        mq, mx, monitor = q[on], x[on], [(vp[on], vp_errors[on]), (v[on], v_errors[on])]
         pq, px1 = _block(qs[rows], np.array(pair_x)[i])
         px2 = np.tile(np.array(pair_x)[j], rows.sum())
         pair_columns = [(v_pair[rows][:, k].ravel(), pair_errors[rows][:, k].ravel())
                         for k in (i, j)]
-        (pv1, _), (pv2, _) = pair_columns
-        pair_failed = np.isnan(pv1) | np.isnan(pv2)
-        # a -> (V, errors, failed) at each weight: V at the argument means,
-        # inf where a mean overflowed (its check records an evaluation
-        # error), and its errors; and the pairs at which some V failed
+        # a -> the column (V, errors) at the argument means of each weight,
+        # inf where a mean overflowed (its check records an evaluation error)
         at_means = {}
         for a, answer in zip(orders, at_mean_answers):
             means = _argument_means(pair_x, a)
@@ -608,8 +595,7 @@ def _convexity_impl(grid: Grid, col: _Collector) -> Generator:
                 at = np.full((rows.sum(), *means.shape), fill, got.dtype)
                 at[:, finite] = got.reshape(rows.sum(), -1)
                 spread.append(at.transpose(1, 0, 2).reshape(len(means), -1))
-            at_means[a] = [(v_at, errors, pair_failed | np.isnan(v_at))
-                           for v_at, errors in zip(*spread)]
+            at_means[a] = list(zip(*spread))
         for spec in group:
             a, b, convex = spec.a, spec.b, spec.direction == "convex"
             tag = f"a={a:g},b={b:g},{spec.direction}"
@@ -620,19 +606,19 @@ def _convexity_impl(grid: Grid, col: _Collector) -> Generator:
             # (i) monitor route: M(x) = x^{1-a} V'(x) V(x)^{b-1}, increasing
             # exactly when V_q is (a, b)-convex
             label = f"convexity:monitor[{tag}]"
-            _evaluated(col, label, q, x, monitor_columns, monitor_failed)
-            m1, m2 = _consecutive(mq[on], (x_powers[a] * vp * v_power)[on])
+            ok, _ = _rows(col, label, mq, mx, monitor)
+            q1, _, x1, x2, m1, m2 = _consecutive(mq[ok], mq[ok], mx[ok],
+                                                 (x_powers[a] * vp * v_power)[on][ok])
             col.assert_less(label, *((m1, m2) if convex else (m2, m1)), q1, x1, x2)
 
             # (ii) midpoint route: compare V at the argument mean with the
             # value mean, strictly, for distinct pair members
-            for alpha, (v_at_mean, errors, failed), mean_of_v in zip(
-                    _MIDPOINT_WEIGHTS, at_means[a], value_means):
+            for alpha, at_mean, mean_of_v in zip(_MIDPOINT_WEIGHTS, at_means[a], value_means):
                 label = f"convexity:midpoint[{tag},alpha={alpha:g}]"
-                ok = _evaluated(col, label, pq, px1, [(v_at_mean, errors), *pair_columns], failed)
-                mean_of_v = mean_of_v[rows].ravel()
+                ok, (v_at_mean, _, _) = _rows(col, label, pq, px1, [at_mean, *pair_columns])
+                mean_of_v = mean_of_v[rows].ravel()[ok]
                 lhs, rhs = (v_at_mean, mean_of_v) if convex else (mean_of_v, v_at_mean)
-                col.assert_less(label, lhs[ok], rhs[ok], pq[ok], px1[ok], px2[ok])
+                col.assert_less(label, lhs, rhs, pq[ok], px1[ok], px2[ok])
 
 
 def _turan_constant(q):
@@ -720,37 +706,14 @@ def _bounds_impl(grid: Grid, col: _Collector) -> Generator:
     col.assert_less("bounds:order-ratio-lower", xsq2 / (xsq2 + 1.0), vr / v_prev, qr, xr)
     col.assert_less("bounds:order-decreasing", vr, v_prev, qr, xr)
 
-    for label, bound, ok, lower in _envelopes(col, q, x):
-        lhs, rhs = (bound, v) if lower else (v, bound)
-        col.assert_less(label, lhs[ok], rhs[ok], q[ok], x[ok])
+    envelopes = _envelope_pass(q.tolist(), x.tolist(), partial(col.record_error, "bounds:envelope"))
+    for name, (bound, ok) in zip(("lower-exp", "upper-agm", "lower-kratzel"), envelopes):
+        bound, ok = np.array(bound), np.array(ok, bool)
+        lhs, rhs = (v, bound) if name == "upper-agm" else (bound, v)
+        col.assert_less(f"bounds:envelope-{name}", lhs[ok], rhs[ok], q[ok], x[ok])
 
     q1, _, x1, x2, v1, v2 = _consecutive(q, q, x, v)
     col.assert_less("bounds:x-vq-increasing", x1 * v1, x2 * v2, q1, x1, x2)
-
-
-def _envelopes(col: _Collector, q: np.ndarray, x: np.ndarray) -> list[tuple]:
-    """``(label, values, evaluated, lower)`` of each V_q envelope at the
-    points (q, x), the upper one at q > -0.75 only.  At each point the first
-    that fails is recorded as the envelope's error, and the later ones skipped.
-    Each x's logs, roots and Bessel bases, and each order's Gamma factors, are
-    formed once; the grid has validated both."""
-    labels = [f"bounds:envelope-{name}" for name in ("lower-exp", "upper-agm", "lower-kratzel")]
-    values, done = [[0.0] * x.size for _ in labels], [[False] * x.size for _ in labels]
-    orders = {qk: (_gamma_ratio(qk, 0.75)[0] if qk > -0.75 else None,
-                   math.exp(-ln_gamma(qk + 1.0))) for qk in set(q.tolist())}
-    points = {xk: (math.log(xk), math.log1p(2.0 * xk * xk), math.sqrt(2.0 * xk),
-                   *_kratzel_root(xk), {}) for xk in set(x.tolist())}
-    for k, (qk, xk) in enumerate(zip(q.tolist(), x.tolist())):
-        (agm, rgamma), (log_x, log1p_2xx, root_2x, root, root_lo, bases) = orders[qk], points[xk]
-        try:
-            values[0][k], done[0][k] = _lower_exp(qk, log_x, log1p_2xx), True
-            if agm is not None:
-                values[1][k], done[1][k] = agm / root_2x, True
-            values[2][k], done[2][k] = _lower_kratzel(qk, xk, root, root_lo, rgamma, bases), True
-        except (DomainError, ArithmeticError) as exc:
-            col.record_error("bounds:envelope", exc, qk, xk)
-    return [(label, np.array(value), np.array(ok, bool), lower)
-            for label, value, ok, lower in zip(labels, values, done, (True, False, True))]
 
 
 def _mills_checks(xs: Sequence[float], col: _Collector) -> None:

@@ -1,5 +1,6 @@
 """Tests for batched evaluation: vq_many / vq_prime_many, the verifier's
 batched value table, and the Bessel closed form of the Kraetzel function."""
+import json
 import math
 import random
 import subprocess
@@ -223,6 +224,13 @@ class TestVerifierPrefetch:
         scalar = run_suite(VerifyConfig())
         assert scalar.to_json_dict() == report.to_json_dict()
         assert run_suite(VerifyConfig(grid=EDGE_GRID)).to_json_dict() == edge.to_json_dict()
+
+    def test_edge_grid_errors_are_recorded_under_their_labels(self):
+        # which check records each failing point, and its note: the count and
+        # the batch-versus-scalar parity above do not pin the labels
+        want = json.loads((Path(__file__).parent / "data" / "verify_edge_errors.json").read_text())
+        got = run_suite(VerifyConfig(grid=EDGE_GRID)).errors
+        assert [[e.suite, e.q, e.x, e.note] for e in got] == want
 
     def test_unconverged_points_are_not_memoised(self):
         # the answers hold the evaluation's error, never a value

@@ -452,6 +452,18 @@ class TestOverflowWithoutWarnings:
             got = many([0.5, 1e308], [1.0, 1.0])
             assert got[0] == scalar(0.5, 1.0) and np.isnan(got[1])
 
+    def test_an_order_whose_column_sums_cannot_be_formed(self):
+        # at q = 1.6e18 the trapezoid column's M0 sums to 0: each route fails
+        # numerically (a division by zero raised ZeroDivisionError), and the
+        # batch calls give NaN at that point
+        q, x = 1.5873361110102054e18, 32737.85095948537
+        for call in (vq, vq_prime, lambda q, x: psi_eval(0.5, 0.5 - q, x * x)):
+            with pytest.raises(NumericalError):
+                call(q, x)
+        for many in (vq_many, vq_prime_many):
+            got = many(q, [x, 1.0])
+            assert np.isnan(got[0]) and np.isfinite(got[1])
+
 
 # ---------------------------------------------------------------------------
 # order recurrence

@@ -234,6 +234,23 @@ class TestBatchIndependence:
         assert _columns(batch, 1) == ("0x0.0p+0", "inf", 0, False)
         assert batch.converged[[0, 2]].all()
 
+    def test_huge_orders_whose_sums_cannot_be_formed_alone_and_in_a_batch(self):
+        # from c1 about 1e18 top0 cancels far below 0 and its unit overflows: a
+        # level sum that is not finite, or an M0 sum of 0 (a division by zero
+        # in one column), fails the column: 0, unconverged, with an infinite
+        # estimate, alone (in floats and in NumPy scalars) as in the batch
+        c1, w = (v.ravel() for v in np.meshgrid(np.geomspace(1e3, 1e306, 300),
+                                                np.geomspace(1e-300, 1e300, 300), indexing="ij"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = trapezoid_columns(c1, -0.5, w)
+            failed = ((batch.points > 0) & ~batch.converged).nonzero()[0]
+            assert failed.size == 26 and np.isfinite(batch.value).all()
+            for k, c, v in zip(failed.tolist(), c1[failed].tolist(), w[failed].tolist()):
+                assert _columns(batch, k)[:2] == ("0x0.0p+0", "inf")
+                for one in (trapezoid_columns(c, -0.5, v), trapezoid_columns(c, -0.5, np.float64(v))):
+                    assert _columns(one) == [_columns(batch, k)], (c, v)
+
     @pytest.mark.parametrize("c1, p", [(1.5, -2.5), (0.6, -1.5), (3.0, -0.5)])
     def test_tiny_arguments_alone_and_in_a_batch(self, c1, p):
         # where c1 + p < 0 the reciprocal 1/(w + t*) nears the double range,
