@@ -393,8 +393,8 @@ def _columns(c1, p, w, x, power: float) -> Columns:
         g = c1 * d - peak * expm1(d) + p * log((w + t) / width)
         return _tangent_end(d, g, minimum(c1 - t * (1.0 - p / (w + t)), c1))
 
-    def ratio(m_hi, g_hi, m_lo, g_lo, scale):  # r^-p M / M0 from the exact sums
-        return scale * ((m_hi + m_lo / bits) / (g_hi + g_lo / bits))
+    def totals(m_hi, g_hi, m_lo, g_lo):  # M and M0 of each level from the exact sums
+        return m_hi + m_lo / bits, g_hi + g_lo / bits
 
     def node_pass(f, l, w, recip, p, scale, runs):
         # the exact sums (M's hi, M0's hi, M's lo, M0's lo) of columns over level 1's nodes f
@@ -492,17 +492,18 @@ def _columns(c1, p, w, x, power: float) -> Columns:
                 ends = [s, *cuts[(s < cuts) & (cuts < e)].tolist(), e]
                 runs = [(a - s, b - s, h[a], o[a], top[a:b]) for a, b in zip(ends, ends[1:])]
                 sums[:, fit[s:e]] = node_pass(f[s:e], l[s:e], *(v[s:e] for v in cols), runs)
-            # a column whose level sums are not finite, or whose M0 sums are not positive, fails
-            fits &= (np.isfinite(sums).all(axis=(0, 2))
-                     & (sums[1] + sums[3] / bits > 0.0).all(axis=1))
-            value, level0 = ratio(*sums, ratio_scale[:, None]).T
+            # a column whose level sums are not finite, or whose M0 is not positive, fails
+            m, g = totals(*sums)
+            usable = np.isfinite(m + g) & (g > 0.0)
+            fits &= usable[:, 0] & usable[:, 1]
+            value, level0 = (ratio_scale[:, None] * (m / g)).T  # r^-p M / M0
         else:  # in Python floats, which round as the arrays do
             one, zero = (node_pass(first, last, w, recip, p, bits * unit, [(0, 1, step, c1, peak)])
                          if fits else ([np.nan] * 4,) * 2)
-            fits = (fits and all(map(math.isfinite, one + zero))
-                    and min(one[1] + one[3] / bits, zero[1] + zero[3] / bits) > 0.0)
-            value, level0 = (ratio(*half, float(ratio_scale)) if fits else math.nan
-                             for half in (one, zero))
+            (m, g), (m0, g0) = totals(*one), totals(*zero)
+            fits = fits and math.isfinite(m + g + m0 + g0) and min(g, g0) > 0.0
+            value, level0 = ((float(ratio_scale) * (m / g), float(ratio_scale) * (m0 / g0))
+                             if fits else (math.nan, math.nan))
         size = abs(value)
         diff = abs(value - level0) / maximum(size, _TINY)
         done, err = fits & (diff <= _TRAP_TOL), diff * size + _EPS * size

@@ -467,13 +467,12 @@ def _rows(col: _Collector, label: str, q: np.ndarray, x: np.ndarray,
     failed = np.isnan(columns[0][0])
     for values, _ in columns[1:]:
         failed |= np.isnan(values)
-    if not failed.any():
+    if not np.count_nonzero(failed):  # a C call, cheaper than failed.any()
         return slice(None), [values for values, _ in columns]
     for k in failed.nonzero()[0].tolist():
         error = next(errors[k] for values, errors in columns if math.isnan(values[k]))
         col.record_error(label, error, float(q[k]), float(x[k]))
-    ok = ~failed
-    return ok, [values[ok] for values, _ in columns]
+    return ~failed, [values[~failed] for values, _ in columns]
 
 
 def _exp(value: float) -> float:
@@ -568,10 +567,9 @@ def _convexity_impl(grid: Grid, col: _Collector) -> Generator:
         for a in orders:
             means = _argument_means(pair_x, a)
             asks.append((*_block(qs[rows], means[np.isfinite(means)]), False))
-    got = yield asks
-    (vp, vp_errors), (v, v_errors) = got[:2]
-    v_pair, pair_errors = (part.reshape(qs.size, len(pair_x)) for part in got[2])  # a row per order
-    at_mean_answers = iter(got[3:])
+    (vp, vp_errors), (v, v_errors), pair, *at_mean_answers = yield asks
+    v_pair, pair_errors = (part.reshape(qs.size, len(pair_x)) for part in pair)  # a row per order
+    at_mean_answers = iter(at_mean_answers)  # each region takes its own in turn
 
     # x^(1-a) depends on a spec only through a, V^(b-1) and the value means
     # only through b, and the orders it admits only through q_min
@@ -585,8 +583,9 @@ def _convexity_impl(grid: Grid, col: _Collector) -> Generator:
         pair_columns = [(v_pair[rows][:, k].ravel(), pair_errors[rows][:, k].ravel())
                         for k in (i, j)]
         # a -> the column (V, errors) at the argument means of each weight,
-        # inf where a mean overflowed (its check records an evaluation error)
-        at_means = {}
+        # inf where a mean overflowed (its check records an evaluation error);
+        # and the monitor's pairs, formed once: every spec reads the same columns
+        at_means, pairs = {}, None
         for a, answer in zip(orders, at_mean_answers):
             means = _argument_means(pair_x, a)
             finite = np.isfinite(means)
@@ -607,8 +606,8 @@ def _convexity_impl(grid: Grid, col: _Collector) -> Generator:
             # exactly when V_q is (a, b)-convex
             label = f"convexity:monitor[{tag}]"
             ok, _ = _rows(col, label, mq, mx, monitor)
-            q1, _, x1, x2, m1, m2 = _consecutive(mq[ok], mq[ok], mx[ok],
-                                                 (x_powers[a] * vp * v_power)[on][ok])
+            q1, _, x1, x2 = pairs = pairs or _consecutive(mq[ok], mq[ok], mx[ok])
+            m1, m2 = _consecutive(mq[ok], (x_powers[a] * vp * v_power)[on][ok])
             col.assert_less(label, *((m1, m2) if convex else (m2, m1)), q1, x1, x2)
 
             # (ii) midpoint route: compare V at the argument mean with the
